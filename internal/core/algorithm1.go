@@ -178,7 +178,7 @@ func FirstWeights(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, obj *
 		finalGap = gap
 
 		if opts.TraceEvery > 0 && k%opts.TraceEvery == 0 {
-			trace = append(trace, dualObjective(g, obj, w, s, flow))
+			trace = append(trace, dualObjective(links, obj, w, s, flow))
 		}
 
 		// Tail averages for primal recovery.
@@ -193,7 +193,7 @@ func FirstWeights(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, obj *
 					dst[e] += x
 				}
 			}
-			if math.Abs(gap) <= opts.Tol*(1+math.Abs(dualObjective(g, obj, w, s, flow))) {
+			if math.Abs(gap) <= opts.Tol*(1+math.Abs(dualObjective(links, obj, w, s, flow))) {
 				break
 			}
 		}
@@ -291,10 +291,12 @@ func FirstWeights(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, obj *
 //	d(w) = sum_e [V(s_e) - w_e s_e + w_e c_e] - sum_e w_e f_e,
 //
 // where the last term equals the minimum routing cost because the flow
-// is all-or-nothing on shortest paths. Plotted in Fig. 12(a).
-func dualObjective(g *graph.Graph, obj *objective.QBeta, w, s []float64, flow *mcf.Flow) float64 {
+// is all-or-nothing on shortest paths. Plotted in Fig. 12(a). links is
+// the caller's copy of the link table: the check runs every averaged
+// iteration, so it must not copy the table itself.
+func dualObjective(links []graph.Link, obj *objective.QBeta, w, s []float64, flow *mcf.Flow) float64 {
 	var d float64
-	for _, l := range g.Links() {
+	for _, l := range links {
 		d += obj.V(l.ID, s[l.ID]) - w[l.ID]*s[l.ID] + w[l.ID]*l.Cap - w[l.ID]*flow.Total[l.ID]
 	}
 	return d

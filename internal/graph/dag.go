@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // DAG is the destination-rooted shortest-path DAG ON_t of the paper: the
 // set of links that lie on some (tolerance-)shortest path toward Dst.
@@ -23,19 +26,21 @@ type DAG struct {
 	In [][]int
 	// Tol is the equal-cost tolerance the DAG was built with.
 	Tol float64
-	// order caches NodesDescending (computed at construction by the
-	// builders; lazily for hand-assembled DAGs). Caching it makes every
-	// downstream traversal — PropagateDown, ExponentialSplits,
-	// CountPaths — allocation- and sort-free.
+	// order caches NodesDescending (derived at construction by the
+	// builders from Dijkstra's settle order; sorted lazily for
+	// hand-assembled DAGs). Caching it makes every downstream traversal
+	// — PropagateDown, ExponentialSplits, CountPaths — allocation- and
+	// sort-free.
 	order []int
 }
 
 // buildDAG populates the arena-or-fresh DAG d from distances already in
-// d.Dist: link membership, adjacency, and the cached processing order.
+// d.Dist and the settle order of the Dijkstra run that produced them:
+// link membership, adjacency, and the cached processing order.
 // d.Out/d.In must have length NumNodes; their per-node slices are
 // truncated and refilled, retaining capacity (the workspace arena's
 // zero-allocation steady state).
-func buildDAG(g *Graph, weights []float64, d *DAG, downward bool, eps float64) {
+func buildDAG(g *Graph, weights []float64, d *DAG, settled []int, downward bool, eps float64) {
 	for u := range d.Out {
 		d.Out[u] = d.Out[u][:0]
 		d.In[u] = d.In[u][:0]
@@ -55,11 +60,12 @@ func buildDAG(g *Graph, weights []float64, d *DAG, downward bool, eps float64) {
 		d.Out[l.From] = append(d.Out[l.From], l.ID)
 		d.In[l.To] = append(d.In[l.To], l.ID)
 	}
-	d.order = appendNodesDescending(d.order[:0], d.Dist)
+	d.order = appendSettledDescending(d.order[:0], settled, d.Dist)
 }
 
 // appendNodesDescending appends the reachable nodes ordered by
-// decreasing distance (ties by increasing ID) onto buf.
+// decreasing distance (ties by increasing ID) onto buf, sorting them
+// from dist alone.
 func appendNodesDescending(buf []int, dist []float64) []int {
 	for u, du := range dist {
 		if du != Unreachable {
@@ -67,6 +73,42 @@ func appendNodesDescending(buf []int, dist []float64) []int {
 		}
 	}
 	sortNodesByDistDesc(buf, dist)
+	return buf
+}
+
+// appendSettledDescending appends the same order as
+// appendNodesDescending, derived from a Dijkstra settle order instead
+// of sorted: nodes settle in non-decreasing distance, so the reversed
+// settle order is already by decreasing distance, and only each run of
+// exactly equal distances is re-sorted, by increasing ID. Decreasing
+// distance with ties by ID is a strict total order, so the result is
+// the heapsort's node for node, at O(n + sum r log r) for runs of
+// length r instead of O(n log n).
+func appendSettledDescending(buf, settled []int, dist []float64) []int {
+	n, start := len(settled), len(buf)
+	buf = slices.Grow(buf, n)[:start+n]
+	nodes := buf[start:]
+	ties := false
+	prev := -1.0 // below every distance
+	for i, u := range settled {
+		nodes[n-1-i] = u
+		d := dist[u]
+		ties = ties || d == prev
+		prev = d
+	}
+	if !ties {
+		return buf
+	}
+	for i := 0; i < n; {
+		d, j := dist[nodes[i]], i+1
+		for j < n && dist[nodes[j]] == d {
+			j++
+		}
+		if j-i > 1 {
+			slices.Sort(nodes[i:j])
+		}
+		i = j
+	}
 	return buf
 }
 
@@ -105,7 +147,7 @@ func BuildDAG(g *Graph, weights []float64, dst int, tol float64) (*DAG, error) {
 		In:   make([][]int, g.NumNodes()),
 		Tol:  tol,
 	}
-	buildDAG(g, weights, d, false, dagEps(tol))
+	buildDAG(g, weights, d, sp.settled, false, dagEps(tol))
 	return d, nil
 }
 
@@ -124,7 +166,7 @@ func (ws *Workspace) BuildDAG(g *Graph, weights []float64, dst int, tol float64)
 	}
 	d := &ws.dag
 	d.Dst, d.Dist, d.Tol = dst, sp.Dist, tol
-	buildDAG(g, weights, d, false, dagEps(tol))
+	buildDAG(g, weights, d, sp.settled, false, dagEps(tol))
 	return d, nil
 }
 

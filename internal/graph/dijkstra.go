@@ -20,6 +20,11 @@ const Unreachable = math.MaxFloat64
 type SPResult struct {
 	Dst  int
 	Dist []float64
+	// settled lists the reachable nodes in the order Dijkstra settled
+	// them: non-decreasing distance, Dst first. It is nil for results
+	// that do not come from Dijkstra (Bellman-Ford), whose node order
+	// is sorted from Dist instead.
+	settled []int
 }
 
 // checkWeights validates a per-link weight vector for shortest-path use.
@@ -36,116 +41,105 @@ func checkWeights(g *Graph, weights []float64) error {
 }
 
 type pqItem struct {
-	node int
 	dist float64
+	node int
 }
 
-// priorityQueue is an indexed binary min-heap over (node, dist) pairs.
-// It is manipulated directly (push/fix/popMin) rather than through
-// container/heap so no value is boxed into an interface on the hot path.
-type priorityQueue struct {
+// lazyHeap is a binary min-heap of tentative (dist, node) entries with
+// lazy deletion. Dijkstra pushes a node again on every strict
+// improvement of its distance instead of decreasing its key in place,
+// so the heap keeps no node -> position index; an entry made stale by a
+// later improvement is skipped when it is popped. Every link relaxes at
+// most once (when its head settles), so the heap never holds more than
+// NumLinks+1 entries. It is manipulated directly rather than through
+// container/heap so no value is boxed into an interface on the hot
+// path.
+type lazyHeap struct {
 	items []pqItem
-	pos   []int // node -> index in items, or -1
 }
 
-func (q *priorityQueue) less(i, j int) bool { return q.items[i].dist < q.items[j].dist }
-
-func (q *priorityQueue) swap(i, j int) {
-	q.items[i], q.items[j] = q.items[j], q.items[i]
-	q.pos[q.items[i].node] = i
-	q.pos[q.items[j].node] = j
-}
-
-// clear empties the heap and marks every node absent.
-func (q *priorityQueue) clear(n int) {
-	q.items = q.items[:0]
-	for i := 0; i < n; i++ {
-		q.pos[i] = -1
-	}
-}
-
-func (q *priorityQueue) push(node int, dist float64) {
-	q.pos[node] = len(q.items)
-	q.items = append(q.items, pqItem{node: node, dist: dist})
-	q.up(len(q.items) - 1)
-}
-
-// decrease lowers node's key to dist (the node must be in the heap).
-func (q *priorityQueue) decrease(node int, dist float64) {
-	i := q.pos[node]
-	q.items[i].dist = dist
-	q.up(i)
-}
-
-func (q *priorityQueue) up(i int) {
+func (q *lazyHeap) push(it pqItem) {
+	q.items = append(q.items, it)
+	items := q.items
+	i := len(items) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if items[parent].dist <= it.dist {
 			break
 		}
-		q.swap(i, parent)
+		items[i] = items[parent]
 		i = parent
 	}
+	items[i] = it
 }
 
-func (q *priorityQueue) down(i int) {
-	n := len(q.items)
+// popMin removes and returns the minimum entry.
+func (q *lazyHeap) popMin() pqItem {
+	items := q.items
+	top := items[0]
+	n := len(items) - 1
+	last := items[n]
+	items = items[:n]
+	q.items = items
+	if n == 0 {
+		return top
+	}
+	i := 0
 	for {
 		child := 2*i + 1
 		if child >= n {
-			return
+			break
 		}
-		if r := child + 1; r < n && q.less(r, child) {
+		if r := child + 1; r < n && items[r].dist < items[child].dist {
 			child = r
 		}
-		if !q.less(child, i) {
-			return
+		if last.dist <= items[child].dist {
+			break
 		}
-		q.swap(i, child)
+		items[i] = items[child]
 		i = child
 	}
-}
-
-// popMin removes and returns the minimum item.
-func (q *priorityQueue) popMin() pqItem {
-	it := q.items[0]
-	n := len(q.items) - 1
-	q.swap(0, n)
-	q.items = q.items[:n]
-	q.pos[it.node] = -1
-	if n > 0 {
-		q.down(0)
-	}
-	return it
+	items[i] = last
+	return top
 }
 
 // dijkstraTo is the shared kernel behind DijkstraTo and
-// Workspace.DijkstraTo: reverse Dijkstra over incoming links with an
-// indexed heap, writing distances into dist (length NumNodes) using the
-// given heap scratch. It performs no allocation.
-func dijkstraTo(g *Graph, weights []float64, dst int, dist []float64, q *priorityQueue) {
+// Workspace.DijkstraTo: reverse Dijkstra over incoming links with a
+// lazy-deletion heap, writing distances into dist (length NumNodes) and
+// appending the settle order onto settled[:0]. With capacity NumLinks+1
+// in q and NumNodes in settled it performs no allocation.
+//
+// The distances do not depend on which of several equal entries pops
+// first: each dist[u] is the least fl(w_uv + dist[v]) over u's
+// out-links at v's final distance, and since rounding is monotone that
+// is the least walk length to dst summed from dst outward — the same
+// bits for every valid settle order. The settle order is non-decreasing
+// in distance for the same reason: fl(d + w) >= d for w >= 0, so no
+// relaxation undercuts the distance just settled.
+func dijkstraTo(g *Graph, weights []float64, dst int, dist []float64, q *lazyHeap, settled []int) []int {
 	n := g.NumNodes()
 	for i := 0; i < n; i++ {
 		dist[i] = Unreachable
 	}
 	dist[dst] = 0
-	q.clear(n)
-	q.push(dst, 0)
+	settled = settled[:0]
+	q.items = q.items[:0]
+	q.push(pqItem{dist: 0, node: dst})
 	for len(q.items) > 0 {
 		it := q.popMin()
+		if it.dist > dist[it.node] {
+			continue // stale: the node settled from a later, shorter entry
+		}
+		settled = append(settled, it.node)
 		for _, id := range g.InLinks(it.node) {
 			from := g.links[id].From
-			cand := it.dist + weights[id]
-			if cand < dist[from] {
+			if cand := it.dist + weights[id]; cand < dist[from] {
 				dist[from] = cand
-				if q.pos[from] >= 0 {
-					q.decrease(from, cand)
-				} else {
-					q.push(from, cand)
-				}
+				q.push(pqItem{dist: cand, node: from})
 			}
 		}
 	}
+	return settled
 }
 
 // checkSP validates the (weights, dst) pair shared by every
@@ -172,9 +166,9 @@ func DijkstraTo(g *Graph, weights []float64, dst int) (*SPResult, error) {
 	}
 	n := g.NumNodes()
 	dist := make([]float64, n)
-	q := &priorityQueue{items: make([]pqItem, 0, n), pos: make([]int, n)}
-	dijkstraTo(g, weights, dst, dist, q)
-	return &SPResult{Dst: dst, Dist: dist}, nil
+	q := &lazyHeap{items: make([]pqItem, 0, g.NumLinks()+1)}
+	settled := dijkstraTo(g, weights, dst, dist, q, make([]int, 0, n))
+	return &SPResult{Dst: dst, Dist: dist, settled: settled}, nil
 }
 
 // DijkstraTo is the workspace-backed form of the package-level
@@ -186,8 +180,8 @@ func (ws *Workspace) DijkstraTo(g *Graph, weights []float64, dst int) (*SPResult
 		return nil, err
 	}
 	ws.fit(g)
-	dijkstraTo(g, weights, dst, ws.dist, &ws.pq)
-	ws.sp = SPResult{Dst: dst, Dist: ws.dist}
+	ws.settled = dijkstraTo(g, weights, dst, ws.dist, &ws.heap, ws.settled)
+	ws.sp = SPResult{Dst: dst, Dist: ws.dist, settled: ws.settled}
 	return &ws.sp, nil
 }
 

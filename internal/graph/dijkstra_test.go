@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -154,5 +155,118 @@ func TestReachable(t *testing.T) {
 	}
 	if ok {
 		t.Error("Reachable(fig1, node 1) = true, want false (no link into 1)")
+	}
+}
+
+// adversarialGraph builds a random digraph without randomGraph's
+// connecting ring, so some nodes cannot reach a given destination, and
+// draws weights that make exact distance ties common: small integers
+// (zero included), +Inf masks as internal/ksp applies them, multiples
+// of 0.1 (whose sums round, 0.1+0.2 != 0.3), and a few arbitrary reals.
+func adversarialGraph(rng *rand.Rand) (*Graph, []float64) {
+	n := 1 + rng.Intn(24)
+	g := New(n)
+	var w []float64
+	for i, links := 0, rng.Intn(4*n+1); i < links; i++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u == v {
+			continue
+		}
+		if _, err := g.AddLink(u, v, 1); err != nil {
+			panic(err)
+		}
+		switch r := rng.Intn(10); {
+		case r < 6:
+			w = append(w, float64(rng.Intn(4)))
+		case r < 8:
+			w = append(w, math.Inf(1))
+		case r < 9:
+			w = append(w, 0.1*float64(rng.Intn(4)))
+		default:
+			w = append(w, rng.Float64())
+		}
+	}
+	return g, w
+}
+
+// TestSettleOrderMatchesHeapsortAdversarial pins the lazy-heap kernel's
+// two contracts on inputs built to break them: its distances equal
+// Bellman-Ford's bit for bit, and the node order every kernel derives
+// from its settle order (NodesByDistDesc, both DAG builders) equals the
+// heapsort of the distances node for node.
+func TestSettleOrderMatchesHeapsortAdversarial(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	ws := &Workspace{}
+	var tieRuns, unreachable, masked int
+	for trial := 0; trial < 3000; trial++ {
+		g, w := adversarialGraph(rng)
+		dst := rng.Intn(g.NumNodes())
+		for _, x := range w {
+			if math.IsInf(x, 1) {
+				masked++
+			}
+		}
+		bf, err := BellmanFordTo(g, w, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := appendNodesDescending(nil, bf.Dist)
+		sameOrder := func(what string, got []int) {
+			t.Helper()
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d: %s order %v, heapsort %v (dist %v)", trial, what, got, want, bf.Dist)
+			}
+		}
+
+		sp, err := ws.DijkstraTo(g, w, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := range sp.Dist {
+			if math.Float64bits(sp.Dist[u]) != math.Float64bits(bf.Dist[u]) {
+				t.Fatalf("trial %d: node %d: Dijkstra %v, Bellman-Ford %v", trial, u, sp.Dist[u], bf.Dist[u])
+			}
+			if sp.Dist[u] == Unreachable {
+				unreachable++
+			}
+		}
+		if len(sp.settled) != len(want) {
+			t.Fatalf("trial %d: %d nodes settled, %d reachable", trial, len(sp.settled), len(want))
+		}
+		for i := 1; i < len(sp.settled); i++ {
+			a, b := sp.Dist[sp.settled[i-1]], sp.Dist[sp.settled[i]]
+			if b < a {
+				t.Fatalf("trial %d: settle order decreases at %d: %v after %v", trial, i, b, a)
+			}
+			if a == b {
+				tieRuns++
+			}
+		}
+		sameOrder("NodesByDistDesc", ws.NodesByDistDesc(sp))
+		// A result without a settle order (Bellman-Ford) is sorted.
+		sameOrder("NodesByDistDesc(Bellman-Ford)", ws.NodesByDistDesc(bf))
+
+		tol := float64(rng.Intn(3)) / 2
+		d, err := BuildDAG(g, w, dst, tol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameOrder("BuildDAG", d.NodesDescending())
+		if d, err = ws.BuildDAG(g, w, dst, tol); err != nil {
+			t.Fatal(err)
+		}
+		sameOrder("ws.BuildDAG", d.NodesDescending())
+		if d, err = DownwardDAG(g, w, dst); err != nil {
+			t.Fatal(err)
+		}
+		sameOrder("DownwardDAG", d.NodesDescending())
+		if d, err = ws.DownwardDAG(g, w, dst); err != nil {
+			t.Fatal(err)
+		}
+		sameOrder("ws.DownwardDAG", d.NodesDescending())
+	}
+	// The generator must actually produce what the test is about.
+	if tieRuns < 3000 || unreachable < 5000 || masked < 5000 {
+		t.Fatalf("weak inputs: %d tied settles, %d unreachable nodes, %d masked links", tieRuns, unreachable, masked)
 	}
 }

@@ -21,7 +21,7 @@ func DownwardDAG(g *Graph, weights []float64, dst int) (*DAG, error) {
 		In:   make([][]int, g.NumNodes()),
 		Tol:  math.Inf(1),
 	}
-	buildDAG(g, weights, d, true, 0)
+	buildDAG(g, weights, d, sp.settled, true, 0)
 	return d, nil
 }
 
@@ -35,7 +35,7 @@ func (ws *Workspace) DownwardDAG(g *Graph, weights []float64, dst int) (*DAG, er
 	}
 	d := &ws.dag
 	d.Dst, d.Dist, d.Tol = dst, sp.Dist, math.Inf(1)
-	buildDAG(g, weights, d, true, 0)
+	buildDAG(g, weights, d, sp.settled, true, 0)
 	return d, nil
 }
 

@@ -3,9 +3,9 @@ package graph
 import "sync"
 
 // Workspace is a reusable scratch arena for the shortest-path kernels:
-// it owns the indexed heap, distance/visited buffers, the DAG arena and
-// the ratio/flow/accumulator vectors those kernels need, sized to one
-// topology shape (node and link counts). After a first warm-up call the
+// it owns the lazy heap, the distance and settle-order buffers, the DAG
+// arena and the ratio/flow/accumulator vectors those kernels need,
+// sized to one topology shape (node and link counts). After a first warm-up call the
 // workspace-backed kernels — DijkstraTo, BellmanFordTo, BuildDAG,
 // DownwardDAG, ExponentialSplits, PropagateDownInto — run without any
 // heap allocation, which is what makes the iterative optimizers
@@ -22,9 +22,10 @@ import "sync"
 type Workspace struct {
 	nodes, links int
 
-	dist []float64 // shortest-path distances (shared by Dijkstra/BF/DAG)
-	sp   SPResult  // header returned by DijkstraTo/BellmanFordTo
-	pq   priorityQueue
+	dist    []float64 // shortest-path distances (shared by Dijkstra/BF/DAG)
+	settled []int     // Dijkstra's settle order (SPResult.settled)
+	sp      SPResult  // header returned by DijkstraTo/BellmanFordTo
+	heap    lazyHeap
 
 	dag   DAG       // DAG arena: per-node adjacency kept at capacity
 	acc   []float64 // per-node accumulator of PropagateDownInto
@@ -32,8 +33,7 @@ type Workspace struct {
 	logZ  []float64 // per-node log-partition of ExponentialSplits
 
 	demand []float64 // per-node demand scratch for callers (DemandBuffer)
-	order  []int     // node-order scratch for the all-or-nothing kernel
-	next   []int     // next-hop scratch for the all-or-nothing kernel
+	order  []int     // node-order scratch of NodesByDistDesc
 }
 
 // NewWorkspace returns a workspace sized for g's shape.
@@ -55,10 +55,9 @@ func (ws *Workspace) Reset(g *Graph) {
 	ws.demand = growFloats(ws.demand, n)
 	ws.ratio = growFloats(ws.ratio, m)
 	ws.order = growInts(ws.order, n)
-	ws.next = growInts(ws.next, n)
-	ws.pq.pos = growInts(ws.pq.pos, n)
-	if cap(ws.pq.items) < n {
-		ws.pq.items = make([]pqItem, 0, n)
+	ws.settled = growInts(ws.settled, n)
+	if cap(ws.heap.items) < m+1 {
+		ws.heap.items = make([]pqItem, 0, m+1)
 	}
 	ws.dag.reset(n)
 }
@@ -87,20 +86,17 @@ func (ws *Workspace) AccBuffer(g *Graph) []float64 {
 	return ws.acc[:g.NumNodes()]
 }
 
-// NextBuffer returns the workspace's per-node next-hop scratch (length
-// NumNodes, contents unspecified) — the chosen-out-link table of the
-// all-or-nothing assignment.
-func (ws *Workspace) NextBuffer(g *Graph) []int {
-	ws.fit(g)
-	return ws.next[:g.NumNodes()]
-}
-
 // NodesByDistDesc returns the nodes reachable in sp ordered by
 // decreasing distance, ties by increasing ID — the same order DAGs
-// cache. The returned slice is workspace-owned scratch, valid until the
-// next call on ws.
+// cache. A Dijkstra result derives it from its settle order; only
+// results without one (Bellman-Ford) are sorted. The returned slice is
+// workspace-owned scratch, valid until the next call on ws.
 func (ws *Workspace) NodesByDistDesc(sp *SPResult) []int {
-	ws.order = appendNodesDescending(ws.order[:0], sp.Dist)
+	if sp.settled == nil {
+		ws.order = appendNodesDescending(ws.order[:0], sp.Dist)
+	} else {
+		ws.order = appendSettledDescending(ws.order[:0], sp.settled, sp.Dist)
+	}
 	return ws.order
 }
 
@@ -207,8 +203,11 @@ func (wp *WorkspacePool) Put(ws *Workspace) {
 
 // sortNodesByDistDesc sorts nodes in place by decreasing dist, breaking
 // ties by increasing node ID — the processing order of the paper's
-// Algorithm 3 and of the all-or-nothing assignment. Hand-rolled heapsort
-// so the hot paths stay allocation-free (sort.Slice boxes its closure).
+// Algorithm 3 and of the all-or-nothing assignment. It orders nodes that
+// carry no Dijkstra settle order (hand-assembled DAGs, Bellman-Ford
+// results) and is the test oracle for the settle-derived order.
+// Hand-rolled heapsort so it stays allocation-free (sort.Slice boxes
+// its closure).
 func sortNodesByDistDesc(nodes []int, dist []float64) {
 	n := len(nodes)
 	for i := n/2 - 1; i >= 0; i-- {

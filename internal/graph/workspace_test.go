@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -307,5 +308,125 @@ func TestDAGCopyFrom(t *testing.T) {
 				t.Fatalf("trial %d: order[%d] %d != %d (stale cached order?)", trial, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// improvingChain is the lazy heap's worst case: node u links to every
+// v < u with weight (u-v) - v/(4k), so reverse Dijkstra toward node 0
+// settles 0, 1, 2, ... and every settle strictly improves every higher
+// node. Each link then pushes one entry: NumLinks+1 in all, far more
+// than NumNodes.
+func improvingChain(k int) (*Graph, []float64) {
+	g := New(k)
+	var w []float64
+	for u := 1; u < k; u++ {
+		for v := 0; v < u; v++ {
+			if _, err := g.AddLink(u, v, 1); err != nil {
+				panic(err)
+			}
+			w = append(w, float64(u-v)-float64(v)/float64(4*k))
+		}
+	}
+	return g, w
+}
+
+type spInput struct {
+	w   []float64
+	dst int
+}
+
+// variedInputs returns a sequence of weight vectors and destinations on
+// g: a light first input (every link masked, so only the destination
+// settles), then the chain's worst case and random vectors with random
+// destinations.
+func variedInputs(g *Graph, chain []float64) []spInput {
+	rng := rand.New(rand.NewSource(5))
+	masked := make([]float64, g.NumLinks())
+	for i := range masked {
+		masked[i] = math.Inf(1)
+	}
+	in := []spInput{{masked, 0}, {chain, 0}}
+	for i := 0; i < 8; i++ {
+		w := make([]float64, g.NumLinks())
+		for e := range w {
+			w[e] = float64(rng.Intn(5))
+		}
+		in = append(in, spInput{w, rng.Intn(g.NumNodes())}, spInput{chain, rng.Intn(g.NumNodes())})
+	}
+	return in
+}
+
+// allocsAcross counts every allocation of one pass of seq after a
+// single call of warm. testing.AllocsPerRun divides by the run count
+// with integer division, which would round a one-off growth away.
+func allocsAcross(warm, seq func()) float64 {
+	warmed := false
+	return testing.AllocsPerRun(1, func() {
+		if !warmed {
+			warmed = true
+			warm()
+			return
+		}
+		seq()
+	})
+}
+
+// TestDijkstraZeroAllocsAcrossInputs pins the lazy heap's pre-sizing:
+// after one light call, a sequence of different weight vectors and
+// destinations — the worst case among them — allocates nothing. A heap
+// sized like the indexed one (NumNodes entries) must fail this, which
+// the test checks too, so the pin cannot pass vacuously.
+func TestDijkstraZeroAllocsAcrossInputs(t *testing.T) {
+	g, chain := improvingChain(24)
+	inputs := variedInputs(g, chain)
+	run := func(ws *Workspace) float64 {
+		return allocsAcross(func() {
+			if _, err := ws.DijkstraTo(g, inputs[0].w, inputs[0].dst); err != nil {
+				t.Fatal(err)
+			}
+		}, func() {
+			for _, in := range inputs {
+				if _, err := ws.DijkstraTo(g, in.w, in.dst); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	if got := run(NewWorkspace(g)); got != 0 {
+		t.Fatalf("ws.DijkstraTo allocates %v objects over %d varied inputs, want 0", got, len(inputs))
+	}
+	undersized := NewWorkspace(g)
+	undersized.heap.items = make([]pqItem, 0, g.NumNodes())
+	if got := run(undersized); got == 0 {
+		t.Fatal("a NumNodes-entry heap never grew: the inputs do not exercise the heap bound")
+	}
+}
+
+// TestBuildDAGZeroAllocsAcrossInputs: once the DAG arena has held every
+// DAG of the sequence (copied in, so the heap is not warmed with it),
+// ws.BuildDAG over the varied sequence allocates nothing.
+func TestBuildDAGZeroAllocsAcrossInputs(t *testing.T) {
+	g, chain := improvingChain(24)
+	inputs := variedInputs(g, chain)
+	ws := NewWorkspace(g)
+	for _, in := range inputs {
+		d, err := BuildDAG(g, in.w, in.dst, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws.dag.CopyFrom(d)
+	}
+	if got := allocsAcross(func() {
+		if _, err := ws.BuildDAG(g, inputs[0].w, inputs[0].dst, 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}, func() {
+		for _, in := range inputs {
+			if _, err := ws.BuildDAG(g, in.w, in.dst, 0.5); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); got != 0 {
+		t.Fatalf("ws.BuildDAG allocates %v objects over %d varied inputs, want 0", got, len(inputs))
 	}
 }

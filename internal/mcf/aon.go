@@ -17,15 +17,21 @@ var workspaces graph.WorkspacePool
 // the given link weights (ties broken toward the smallest link ID, so the
 // assignment is deterministic). This is the Frank-Wolfe direction-finding
 // step and also the paper's Route_t subproblem (Eq. 15), whose optimum is
-// always attained on shortest paths.
+// always attained on shortest paths. The next-hop test admits an
+// absolute slack of 1e-12; with link weights below that scale a node
+// may choose a next hop that was already routed, and the call then
+// fails with ErrInfeasible rather than dropping the flow.
 func AllOrNothing(g *graph.Graph, tm *traffic.Matrix, weights []float64) (*Flow, error) {
 	return AllOrNothingInto(g, tm, weights, nil)
 }
 
 // AllOrNothingInto is AllOrNothing with an optional reusable output flow
-// (it must have been created for the same graph and destinations; nil
-// allocates a fresh one). Iterative algorithms call this once per
-// iteration, so reuse removes the dominant allocation.
+// (nil allocates a fresh one). A reused flow must have been created for
+// the same graph and exactly the destinations of tm — NewFlow(g,
+// tm.Destinations()) — and is rejected otherwise: an extra commodity
+// would keep its stale vector and be summed into Total, and a short
+// vector would be indexed out of range. Iterative algorithms call this
+// once per iteration, so reuse removes the dominant allocation.
 //
 // Destinations are routed concurrently: each commodity's assignment
 // depends only on the shared weights and writes only its own per-
@@ -35,12 +41,8 @@ func AllOrNothingInto(g *graph.Graph, tm *traffic.Matrix, weights []float64, flo
 	dests := tm.Destinations()
 	if flow == nil {
 		flow = NewFlow(g, dests)
-	} else {
-		for _, t := range dests {
-			if _, ok := flow.PerDest[t]; !ok {
-				return nil, fmt.Errorf("mcf: reused flow lacks commodity %d", t)
-			}
-		}
+	} else if err := flow.checkReuse(g, dests); err != nil {
+		return nil, err
 	}
 	errs := make([]error, len(dests))
 	par.Do(len(dests), func(i int) {
@@ -55,8 +57,35 @@ func AllOrNothingInto(g *graph.Graph, tm *traffic.Matrix, weights []float64, flo
 			return nil, err
 		}
 	}
-	flow.RecomputeTotal()
+	// dests is increasing and is exactly the flow's commodity set, so
+	// this sums in RecomputeTotal's order.
+	flow.sumTotal(dests)
 	return flow, nil
+}
+
+// checkReuse verifies that f can be overwritten as the all-or-nothing
+// flow of the given destinations on g: exactly those commodities, and
+// every vector NumLinks long.
+func (f *Flow) checkReuse(g *graph.Graph, dests []int) error {
+	m := g.NumLinks()
+	if len(f.Total) != m {
+		return fmt.Errorf("mcf: reused flow has %d total entries for %d links", len(f.Total), m)
+	}
+	for _, t := range dests {
+		ft, ok := f.PerDest[t]
+		if !ok {
+			return fmt.Errorf("mcf: reused flow lacks commodity %d", t)
+		}
+		if len(ft) != m {
+			return fmt.Errorf("mcf: reused flow's commodity %d has %d entries for %d links", t, len(ft), m)
+		}
+	}
+	// Every destination is present and destinations are distinct, so a
+	// larger map holds a commodity the demand matrix does not.
+	if len(f.PerDest) != len(dests) {
+		return fmt.Errorf("mcf: reused flow carries %d commodities, demand matrix has %d destinations", len(f.PerDest), len(dests))
+	}
+	return nil
 }
 
 // aonDestination routes commodity t's demand on shortest paths under
@@ -72,31 +101,9 @@ func aonDestination(g *graph.Graph, tm *traffic.Matrix, weights []float64, t int
 			return fmt.Errorf("%w: no path from %d to %d", ErrInfeasible, s, t)
 		}
 	}
-	// next[u] is the chosen shortest-path out-link of u toward t.
-	next := ws.NextBuffer(g)
-	for u := range next {
-		next[u] = -1
-	}
-	for u := 0; u < g.NumNodes(); u++ {
-		if u == t || sp.Dist[u] == graph.Unreachable {
-			continue
-		}
-		for _, id := range g.OutLinks(u) {
-			v := g.Link(id).To
-			if sp.Dist[v] == graph.Unreachable {
-				continue
-			}
-			if sp.Dist[v]+weights[id] <= sp.Dist[u]+1e-12 {
-				next[u] = id
-				break // smallest link ID wins
-			}
-		}
-		if next[u] < 0 && tm.At(u, t) > 0 {
-			return fmt.Errorf("%w: no path from %d to %d", ErrInfeasible, u, t)
-		}
-	}
 	// Accumulate demand down the chosen next-hop chains in decreasing
-	// distance order so each node is processed after all its inflow.
+	// distance order (ties by ID) so each node is processed after all
+	// its inflow.
 	order := ws.NodesByDistDesc(sp)
 	acc := ws.AccBuffer(g)
 	for i := range ft {
@@ -113,12 +120,33 @@ func aonDestination(g *graph.Graph, tm *traffic.Matrix, weights []float64, t int
 		if amount == 0 {
 			continue
 		}
-		id := next[u]
+		id, v := nextHop(g, weights, sp.Dist, u)
 		if id < 0 {
 			return fmt.Errorf("%w: stranded flow %v at node %d for destination %d", ErrInfeasible, amount, u, t)
 		}
+		// The next-hop slack is absolute, so weights below it (prices
+		// near 1e-12) can pick a head that sorts before u. Flow sent
+		// there would never be forwarded: an error, not a silent loss.
+		// Flow into t itself is delivered wherever t sorts.
+		if v != t && (sp.Dist[v] > sp.Dist[u] || sp.Dist[v] == sp.Dist[u] && v < u) {
+			return fmt.Errorf("%w: flow %v for destination %d would return from node %d to already-routed node %d (link weights below the 1e-12 next-hop slack)", ErrInfeasible, amount, t, u, v)
+		}
 		ft[id] += amount
-		acc[g.Link(id).To] += amount
+		acc[v] += amount
 	}
 	return nil
+}
+
+// nextHop returns u's chosen out-link toward the destination of dist
+// and that link's head: the smallest-ID link on a shortest path, up to
+// an absolute slack of 1e-12, or (-1, -1) when none qualifies.
+func nextHop(g *graph.Graph, weights, dist []float64, u int) (id, head int) {
+	limit := dist[u] + 1e-12
+	for _, id := range g.OutLinks(u) {
+		v := g.Link(id).To
+		if dv := dist[v]; dv != graph.Unreachable && dv+weights[id] <= limit {
+			return id, v
+		}
+	}
+	return -1, -1
 }

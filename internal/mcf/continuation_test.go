@@ -122,3 +122,53 @@ func TestAllOrNothingIntoRejectsWrongShape(t *testing.T) {
 		t.Error("mismatched reuse flow accepted")
 	}
 }
+
+// TestAllOrNothingIntoRejectsExtraCommodity: a reused flow holding a
+// commodity the demand matrix lacks would keep that commodity's stale
+// vector and sum it into Total, so it is rejected; an exact match is
+// reused and overwritten bit for bit.
+func TestAllOrNothingIntoRejectsExtraCommodity(t *testing.T) {
+	g, tm := fig1TM(t)
+	w := []float64{1, 1, 1, 1}
+	dests := tm.Destinations()
+	extra := NewFlow(g, append([]int{0}, dests...)) // node 0 receives no demand
+	extra.PerDest[0][1] = 5
+	if _, err := AllOrNothingInto(g, tm, w, extra); err == nil {
+		t.Error("reuse flow with an extra commodity accepted")
+	}
+	fresh, err := AllOrNothing(g, tm, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reused, err := AllOrNothing(g, tm, []float64{9, 1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reused, err = AllOrNothingInto(g, tm, w, reused); err != nil {
+		t.Fatalf("exact reuse rejected: %v", err)
+	}
+	for e := range fresh.Total {
+		if reused.Total[e] != fresh.Total[e] {
+			t.Errorf("link %d: reused total %v, fresh %v", e, reused.Total[e], fresh.Total[e])
+		}
+	}
+}
+
+// TestAllOrNothingIntoRejectsShortVectors: a reused flow whose Total or
+// per-destination vector is shorter than NumLinks is an error, not an
+// index-out-of-range panic.
+func TestAllOrNothingIntoRejectsShortVectors(t *testing.T) {
+	g, tm := fig1TM(t)
+	w := []float64{1, 1, 1, 1}
+	dests := tm.Destinations()
+	shortDest := NewFlow(g, dests)
+	shortDest.PerDest[dests[0]] = shortDest.PerDest[dests[0]][:2]
+	if _, err := AllOrNothingInto(g, tm, w, shortDest); err == nil {
+		t.Error("reuse flow with a short commodity vector accepted")
+	}
+	shortTotal := NewFlow(g, dests)
+	shortTotal.Total = shortTotal.Total[:1]
+	if _, err := AllOrNothingInto(g, tm, w, shortTotal); err == nil {
+		t.Error("reuse flow with a short Total accepted")
+	}
+}

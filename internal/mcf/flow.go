@@ -53,14 +53,21 @@ func (f *Flow) Clone() *Flow {
 // reproducibility contract (identical bits for any worker count AND
 // across processes).
 func (f *Flow) RecomputeTotal() {
-	for i := range f.Total {
-		f.Total[i] = 0
-	}
 	dests := make([]int, 0, len(f.PerDest))
 	for t := range f.PerDest {
 		dests = append(dests, t)
 	}
 	sort.Ints(dests)
+	f.sumTotal(dests)
+}
+
+// sumTotal rebuilds Total from the commodities of dests, accumulated in
+// the order given. With dests the flow's sorted commodity set, this is
+// RecomputeTotal without collecting and sorting the map's keys.
+func (f *Flow) sumTotal(dests []int) {
+	for i := range f.Total {
+		f.Total[i] = 0
+	}
 	for _, t := range dests {
 		for i, x := range f.PerDest[t] {
 			f.Total[i] += x

@@ -61,25 +61,24 @@ func FrankWolfe(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, cost ob
 	if err != nil {
 		return nil, err
 	}
-	totalCost := func(f *Flow) float64 {
-		var c float64
-		for _, l := range g.Links() {
-			c += cost.Cost(l.ID, f.Total[l.ID], l.Cap)
-		}
-		return c
-	}
-	cur := totalCost(flow)
+	cur := objective.TotalCost(cost, g, flow.Total)
 	if math.IsInf(cur, 1) {
 		return nil, fmt.Errorf("%w: no strictly feasible starting flow", ErrInfeasible)
 	}
+	// Every iteration overwrites the same prices, target flow and
+	// line-search direction: no per-link vector is allocated per
+	// iteration.
+	prices := make([]float64, g.NumLinks())
+	dir := make([]float64, g.NumLinks())
+	var target *Flow
 	var gap float64
 	iters := 0
 	for ; iters < opts.MaxIters; iters++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("mcf: frank-wolfe canceled at iteration %d: %w", iters, err)
 		}
-		prices := objective.Prices(cost, g, flow.Total)
-		target, err := AllOrNothing(g, tm, prices)
+		objective.PricesInto(cost, g, flow.Total, prices)
+		target, err = AllOrNothingInto(g, tm, prices, target)
 		if err != nil {
 			return nil, err
 		}
@@ -91,12 +90,12 @@ func FrankWolfe(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, cost ob
 		if gap <= opts.RelGap*math.Max(1, math.Abs(cur)) {
 			break
 		}
-		gamma := fwLineSearch(g, cost, flow, target)
+		gamma := fwLineSearch(g, cost, flow, target, dir)
 		if gamma <= 0 {
 			break
 		}
 		flow.Blend(target, gamma)
-		cur = totalCost(flow)
+		cur = objective.TotalCost(cost, g, flow.Total)
 	}
 	return &FWResult{Flow: flow, Cost: cur, Gap: gap / math.Max(1, math.Abs(cur)), Iters: iters}, nil
 }
@@ -106,8 +105,8 @@ func FrankWolfe(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, cost ob
 // all-or-nothing assignment, then (unless disabled) the minimum-MLU LP.
 func fwStart(g *graph.Graph, tm *traffic.Matrix, cost objective.CostFunc, opts FWOptions) (*Flow, error) {
 	finiteCost := func(f *Flow) bool {
-		for _, l := range g.Links() {
-			if math.IsInf(cost.Cost(l.ID, f.Total[l.ID], l.Cap), 1) {
+		for id, x := range f.Total {
+			if math.IsInf(cost.Cost(id, x, g.Link(id).Cap), 1) {
 				return false
 			}
 		}
@@ -224,18 +223,17 @@ func FrankWolfeContinuation(ctx context.Context, g *graph.Graph, tm *traffic.Mat
 
 // fwLineSearch minimizes h(gamma) = cost((1-gamma) f + gamma target)
 // over [0, 1] by bisection on the monotone derivative h'(gamma),
-// guarding against the +Inf barrier region.
-func fwLineSearch(g *graph.Graph, cost objective.CostFunc, flow, target *Flow) float64 {
-	links := g.Links()
-	dir := make([]float64, len(links))
+// guarding against the +Inf barrier region. dir (length NumLinks) is
+// overwritten with the search direction target - flow.
+func fwLineSearch(g *graph.Graph, cost objective.CostFunc, flow, target *Flow, dir []float64) float64 {
 	for e := range dir {
 		dir[e] = target.Total[e] - flow.Total[e]
 	}
 	deriv := func(gamma float64) float64 {
 		var d float64
-		for _, l := range links {
-			f := flow.Total[l.ID] + gamma*dir[l.ID]
-			d += dir[l.ID] * cost.Price(l.ID, f, l.Cap)
+		for e, de := range dir {
+			f := flow.Total[e] + gamma*de
+			d += de * cost.Price(e, f, g.Link(e).Cap)
 		}
 		return d
 	}
@@ -244,10 +242,11 @@ func fwLineSearch(g *graph.Graph, cost objective.CostFunc, flow, target *Flow) f
 	// Thorup) need no guard; hard-capacitated costs cap gamma at the
 	// remaining room, staying strictly interior for barrier costs.
 	hi := 1.0
-	for _, l := range links {
-		if dir[l.ID] <= 0 {
+	for e, de := range dir {
+		if de <= 0 {
 			continue
 		}
+		l := g.Link(e)
 		if !math.IsInf(cost.Cost(l.ID, l.Cap*(1+1e-9), l.Cap), 1) {
 			continue // overload permitted: no guard
 		}
@@ -255,8 +254,8 @@ func fwLineSearch(g *graph.Graph, cost objective.CostFunc, flow, target *Flow) f
 		if math.IsInf(cost.Cost(l.ID, l.Cap, l.Cap), 1) {
 			margin = 0.999 // barrier at capacity: stay strictly inside
 		}
-		room := l.Cap - flow.Total[l.ID]
-		if g := margin * room / dir[l.ID]; g < hi {
+		room := l.Cap - flow.Total[e]
+		if g := margin * room / de; g < hi {
 			hi = g
 		}
 	}

@@ -90,6 +90,76 @@ func TestAllOrNothingConservationRandom(t *testing.T) {
 	}
 }
 
+// TestAllOrNothingTinyWeightsConserveOrFail sweeps the link weights
+// of an all-pairs Cernet2 instance from scale 1 down to 1e-16. The
+// next-hop test's slack is an absolute 1e-12, so below it a node can
+// choose a next hop that was already routed (Frank-Wolfe prices
+// q/(c-f)^beta reach such scales at large spare capacity and beta). At
+// every scale the assignment must conserve every commodity or fail with
+// ErrInfeasible — never lose flow silently.
+func TestAllOrNothingTinyWeightsConserveOrFail(t *testing.T) {
+	g := topo.Cernet2()
+	rng := rand.New(rand.NewSource(1))
+	tm := traffic.NewMatrix(g.NumNodes())
+	for s := 0; s < g.NumNodes(); s++ {
+		for d := 0; d < g.NumNodes(); d++ {
+			if s != d {
+				if err := tm.Set(s, d, 1+rng.Float64()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	base := make([]float64, g.NumLinks())
+	for i := range base {
+		base[i] = 1 + rng.Float64()
+	}
+	failed := 0
+	for exp := 0; exp <= 16; exp++ {
+		scale := math.Pow(10, -float64(exp))
+		w := make([]float64, len(base))
+		for i, x := range base {
+			w[i] = x * scale
+		}
+		flow, err := AllOrNothing(g, tm, w)
+		if err != nil {
+			if !errors.Is(err, ErrInfeasible) {
+				t.Fatalf("scale %g: err = %v, want ErrInfeasible", scale, err)
+			}
+			failed++
+			continue
+		}
+		if err := flow.CheckConservation(g, tm, 1e-9); err != nil {
+			t.Errorf("scale %g: flow silently violates conservation: %v", scale, err)
+		}
+	}
+	if failed == 0 {
+		t.Error("no scale reached the error path; the sweep no longer exercises it")
+	}
+}
+
+// TestAllOrNothingZeroWeightIntoDestination: under a zero weight the
+// sender ties with the destination and sorts after it (ties go by ID),
+// yet flow entering the destination is delivered, not reported as
+// flow sent back to an already-routed node.
+func TestAllOrNothingZeroWeightIntoDestination(t *testing.T) {
+	g := graph.New(3)
+	if _, err := g.AddLink(2, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	tm := traffic.NewMatrix(3)
+	if err := tm.Set(2, 1, 1.5); err != nil {
+		t.Fatal(err)
+	}
+	flow, err := AllOrNothing(g, tm, []float64{0})
+	if err != nil {
+		t.Fatalf("AllOrNothing: %v", err)
+	}
+	if flow.Total[0] != 1.5 {
+		t.Errorf("Total[0] = %v, want 1.5", flow.Total[0])
+	}
+}
+
 func TestFlowBlendAndClone(t *testing.T) {
 	g, tm := fig1TM(t)
 	a, err := AllOrNothing(g, tm, []float64{1, 1, 1, 1})

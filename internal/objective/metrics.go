@@ -62,11 +62,13 @@ func TotalUtility(o *QBeta, g *graph.Graph, flows []float64) float64 {
 	return total
 }
 
-// TotalCost evaluates sum Phi(f) for any cost function.
+// TotalCost evaluates sum Phi(f) for any cost function, summing in link
+// order without copying the link table (Frank-Wolfe calls it every
+// iteration).
 func TotalCost(cf CostFunc, g *graph.Graph, flows []float64) float64 {
 	var total float64
-	for _, l := range g.Links() {
-		total += cf.Cost(l.ID, flows[l.ID], l.Cap)
+	for id := range g.NumLinks() {
+		total += cf.Cost(id, flows[id], g.Link(id).Cap)
 	}
 	return total
 }
@@ -75,9 +77,14 @@ func TotalCost(cf CostFunc, g *graph.Graph, flows []float64) float64 {
 // the linearization used by Frank-Wolfe and the weight read-out
 // w_ij = V'(s_ij) of Theorem 3.1.
 func Prices(cf CostFunc, g *graph.Graph, flows []float64) []float64 {
-	out := make([]float64, g.NumLinks())
-	for _, l := range g.Links() {
-		out[l.ID] = cf.Price(l.ID, flows[l.ID], l.Cap)
+	return PricesInto(cf, g, flows, make([]float64, g.NumLinks()))
+}
+
+// PricesInto is Prices writing into out (length NumLinks), for callers
+// that reprice every iteration.
+func PricesInto(cf CostFunc, g *graph.Graph, flows, out []float64) []float64 {
+	for id := range g.NumLinks() {
+		out[id] = cf.Price(id, flows[id], g.Link(id).Cap)
 	}
 	return out
 }
