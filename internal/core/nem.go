@@ -68,10 +68,11 @@ func TrafficDistribution(g *graph.Graph, dags map[int]*graph.DAG, tm *traffic.Ma
 }
 
 // TrafficDistributionInto is TrafficDistribution with an optional
-// reusable output flow (created for the same graph and destinations;
-// nil allocates a fresh one). Algorithm 2 evaluates the distribution
-// once per gradient iteration, so reuse removes the dominant
-// allocation.
+// reusable output flow (created for the same graph and destinations,
+// as mcf.Flow.CheckReuse checks; nil allocates a fresh one). Algorithm
+// 2 evaluates the distribution once per gradient iteration, so reuse
+// removes the dominant allocation, and a reused flow supplies the
+// destination list.
 //
 // Destinations are evaluated concurrently (par.Do): each commodity
 // reads the shared DAGs and weights and writes only its own per-
@@ -81,16 +82,15 @@ func TrafficDistributionInto(g *graph.Graph, dags map[int]*graph.DAG, tm *traffi
 	if len(v) != g.NumLinks() {
 		return nil, fmt.Errorf("%w: got %d second weights for %d links", ErrBadInput, len(v), g.NumLinks())
 	}
-	dests := tm.Destinations()
 	if flow == nil {
-		flow = mcf.NewFlow(g, dests)
+		flow = mcf.NewFlow(g, tm.Destinations())
+	} else if err := flow.CheckReuse(g, tm); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
+	dests := flow.Destinations()
 	for _, t := range dests {
 		if _, ok := dags[t]; !ok {
 			return nil, fmt.Errorf("%w: no shortest-path DAG for destination %d", ErrBadInput, t)
-		}
-		if _, ok := flow.PerDest[t]; !ok {
-			return nil, fmt.Errorf("%w: reused flow lacks commodity %d", ErrBadInput, t)
 		}
 	}
 	errs := make([]error, len(dests))

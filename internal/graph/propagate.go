@@ -39,6 +39,25 @@ func (ws *Workspace) DownwardDAG(g *Graph, weights []float64, dst int) (*DAG, er
 	return d, nil
 }
 
+// exactExp is math.Exp answering exp(±0) = 1 without the call, and
+// exactLog is math.Log answering log(1) = +0 likewise: the values math
+// returns there, so both are bit-identical to math. In
+// exponentialSplits every node's largest term, and so every lone
+// successor's sum and ratio, hits these arguments exactly.
+func exactExp(x float64) float64 {
+	if x == 0 {
+		return 1
+	}
+	return math.Exp(x)
+}
+
+func exactLog(x float64) float64 {
+	if x == 1 {
+		return 0
+	}
+	return math.Log(x)
+}
+
 // exponentialSplits is the shared kernel behind ExponentialSplits and
 // its workspace form: ratio (length NumLinks) and logZ (length NumNodes)
 // are fully overwritten. It performs no allocation.
@@ -64,16 +83,16 @@ func exponentialSplits(g *Graph, d *DAG, cost, ratio, logZ []float64) {
 		}
 		var sum float64
 		for _, id := range d.Out[u] {
-			sum += math.Exp(-cost[id] + logZ[g.links[id].To] - maxTerm)
+			sum += exactExp(-cost[id] + logZ[g.links[id].To] - maxTerm)
 		}
-		logZ[u] = maxTerm + math.Log(sum)
+		logZ[u] = maxTerm + exactLog(sum)
 	}
 	for _, u := range nodes {
 		if u == d.Dst {
 			continue
 		}
 		for _, id := range d.Out[u] {
-			ratio[id] = math.Exp(-cost[id] + logZ[g.links[id].To] - logZ[u])
+			ratio[id] = exactExp(-cost[id] + logZ[g.links[id].To] - logZ[u])
 		}
 	}
 }

@@ -28,22 +28,22 @@ func AllOrNothing(g *graph.Graph, tm *traffic.Matrix, weights []float64) (*Flow,
 // AllOrNothingInto is AllOrNothing with an optional reusable output flow
 // (nil allocates a fresh one). A reused flow must have been created for
 // the same graph and exactly the destinations of tm — NewFlow(g,
-// tm.Destinations()) — and is rejected otherwise: an extra commodity
-// would keep its stale vector and be summed into Total, and a short
-// vector would be indexed out of range. Iterative algorithms call this
-// once per iteration, so reuse removes the dominant allocation.
+// tm.Destinations()) — and is rejected otherwise (Flow.CheckReuse).
+// Iterative algorithms call this once per iteration, so reuse removes
+// the dominant allocation; a reused flow also supplies the destination
+// list, so no per-call list is built.
 //
 // Destinations are routed concurrently: each commodity's assignment
 // depends only on the shared weights and writes only its own per-
 // destination vector, so the result is bit-identical to the sequential
 // loop for any worker count (Total is rebuilt in destination order).
 func AllOrNothingInto(g *graph.Graph, tm *traffic.Matrix, weights []float64, flow *Flow) (*Flow, error) {
-	dests := tm.Destinations()
 	if flow == nil {
-		flow = NewFlow(g, dests)
-	} else if err := flow.checkReuse(g, dests); err != nil {
+		flow = NewFlow(g, tm.Destinations())
+	} else if err := flow.CheckReuse(g, tm); err != nil {
 		return nil, err
 	}
+	dests := flow.Destinations()
 	errs := make([]error, len(dests))
 	par.Do(len(dests), func(i int) {
 		ws := workspaces.Get(g)
@@ -57,21 +57,28 @@ func AllOrNothingInto(g *graph.Graph, tm *traffic.Matrix, weights []float64, flo
 			return nil, err
 		}
 	}
-	// dests is increasing and is exactly the flow's commodity set, so
-	// this sums in RecomputeTotal's order.
+	// dests is the flow's commodity list in increasing order, so this is
+	// RecomputeTotal.
 	flow.sumTotal(dests)
 	return flow, nil
 }
 
-// checkReuse verifies that f can be overwritten as the all-or-nothing
-// flow of the given destinations on g: exactly those commodities, and
-// every vector NumLinks long.
-func (f *Flow) checkReuse(g *graph.Graph, dests []int) error {
+// CheckReuse verifies that f can be overwritten as a flow of tm on g:
+// it carries a commodity for exactly tm's destinations, and Total and
+// every commodity vector are NumLinks long. An extra commodity would
+// keep a stale vector that is summed into Total, and a short vector
+// would be indexed out of range. The check builds no destination list.
+func (f *Flow) CheckReuse(g *graph.Graph, tm *traffic.Matrix) error {
 	m := g.NumLinks()
 	if len(f.Total) != m {
 		return fmt.Errorf("mcf: reused flow has %d total entries for %d links", len(f.Total), m)
 	}
-	for _, t := range dests {
+	dests := 0
+	for t := range tm.Size() {
+		if !tm.IsDestination(t) {
+			continue
+		}
+		dests++
 		ft, ok := f.PerDest[t]
 		if !ok {
 			return fmt.Errorf("mcf: reused flow lacks commodity %d", t)
@@ -82,8 +89,8 @@ func (f *Flow) checkReuse(g *graph.Graph, dests []int) error {
 	}
 	// Every destination is present and destinations are distinct, so a
 	// larger map holds a commodity the demand matrix does not.
-	if len(f.PerDest) != len(dests) {
-		return fmt.Errorf("mcf: reused flow carries %d commodities, demand matrix has %d destinations", len(f.PerDest), len(dests))
+	if len(f.PerDest) != dests {
+		return fmt.Errorf("mcf: reused flow carries %d commodities, demand matrix has %d destinations", len(f.PerDest), dests)
 	}
 	return nil
 }

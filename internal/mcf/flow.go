@@ -3,8 +3,9 @@ package mcf
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/traffic"
@@ -20,6 +21,10 @@ var ErrInfeasible = errors.New("mcf: infeasible")
 type Flow struct {
 	PerDest map[int][]float64
 	Total   []float64
+	// dests is the sorted, distinct destination list NewFlow received,
+	// shared by clones and never modified. It is the flow's commodity
+	// order while it names exactly PerDest's keys.
+	dests []int
 }
 
 // NewFlow returns an all-zero flow for the given destinations.
@@ -27,8 +32,11 @@ func NewFlow(g *graph.Graph, dests []int) *Flow {
 	f := &Flow{
 		PerDest: make(map[int][]float64, len(dests)),
 		Total:   make([]float64, g.NumLinks()),
+		dests:   slices.Clone(dests),
 	}
-	for _, t := range dests {
+	slices.Sort(f.dests)
+	f.dests = slices.Compact(f.dests)
+	for _, t := range f.dests {
 		f.PerDest[t] = make([]float64, g.NumLinks())
 	}
 	return f
@@ -39,11 +47,35 @@ func (f *Flow) Clone() *Flow {
 	c := &Flow{
 		PerDest: make(map[int][]float64, len(f.PerDest)),
 		Total:   append([]float64(nil), f.Total...),
+		dests:   f.dests,
 	}
 	for t, v := range f.PerDest {
 		c.PerDest[t] = append([]float64(nil), v...)
 	}
 	return c
+}
+
+// Destinations returns the destinations f carries a commodity for, in
+// increasing order. It is the list NewFlow kept, without a copy, while
+// that list still names exactly PerDest's keys, and otherwise (a flow
+// built by hand or whose map was edited) the sorted keys. Callers must
+// not modify the result.
+func (f *Flow) Destinations() []int {
+	if len(f.dests) == len(f.PerDest) && f.keepsDests() {
+		return f.dests
+	}
+	return slices.Sorted(maps.Keys(f.PerDest))
+}
+
+// keepsDests reports whether every kept destination still has a
+// commodity; with equal counts, the kept list is then the key set.
+func (f *Flow) keepsDests() bool {
+	for _, t := range f.dests {
+		if _, ok := f.PerDest[t]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // RecomputeTotal rebuilds Total from the per-destination flows. The
@@ -53,17 +85,11 @@ func (f *Flow) Clone() *Flow {
 // reproducibility contract (identical bits for any worker count AND
 // across processes).
 func (f *Flow) RecomputeTotal() {
-	dests := make([]int, 0, len(f.PerDest))
-	for t := range f.PerDest {
-		dests = append(dests, t)
-	}
-	sort.Ints(dests)
-	f.sumTotal(dests)
+	f.sumTotal(f.Destinations())
 }
 
 // sumTotal rebuilds Total from the commodities of dests, accumulated in
-// the order given. With dests the flow's sorted commodity set, this is
-// RecomputeTotal without collecting and sorting the map's keys.
+// the order given.
 func (f *Flow) sumTotal(dests []int) {
 	for i := range f.Total {
 		f.Total[i] = 0

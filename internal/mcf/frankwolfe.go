@@ -17,9 +17,12 @@ type FWOptions struct {
 	MaxIters int
 	// RelGap is the relative duality-gap stopping criterion (default 1e-6).
 	RelGap float64
-	// Init supplies a warm-start flow (must route the same demand
-	// matrix). When its cost is finite it replaces the default
-	// all-or-nothing starting point.
+	// Init supplies a warm-start flow. It must route the same demand
+	// matrix: a flow whose commodities are not exactly the matrix's
+	// destinations (Flow.CheckReuse) is an error, which
+	// FrankWolfeContinuation returns from its first FrankWolfe call.
+	// When its cost is finite it replaces the default all-or-nothing
+	// starting point.
 	Init *Flow
 	// NoLPFallback disables the minimum-MLU LP starting point (too
 	// expensive on large networks; used by the continuation solver).
@@ -51,6 +54,11 @@ type FWResult struct {
 // whenever the instance is strictly feasible). Returns ErrInfeasible when
 // no feasible flow exists.
 func FrankWolfe(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, cost objective.CostFunc, opts FWOptions) (*FWResult, error) {
+	if opts.Init != nil {
+		if err := opts.Init.CheckReuse(g, tm); err != nil {
+			return nil, fmt.Errorf("mcf: FWOptions.Init does not route the demand matrix: %w", err)
+		}
+	}
 	if opts.MaxIters <= 0 {
 		opts.MaxIters = 2000
 	}
@@ -222,20 +230,13 @@ func FrankWolfeContinuation(ctx context.Context, g *graph.Graph, tm *traffic.Mat
 }
 
 // fwLineSearch minimizes h(gamma) = cost((1-gamma) f + gamma target)
-// over [0, 1] by bisection on the monotone derivative h'(gamma),
-// guarding against the +Inf barrier region. dir (length NumLinks) is
-// overwritten with the search direction target - flow.
+// over [0, 1] by bisection on the monotone derivative h'(gamma) (one
+// batched cost.Slope per evaluation), guarding against the +Inf
+// barrier region. dir (length NumLinks) is overwritten with the search
+// direction target - flow.
 func fwLineSearch(g *graph.Graph, cost objective.CostFunc, flow, target *Flow, dir []float64) float64 {
 	for e := range dir {
 		dir[e] = target.Total[e] - flow.Total[e]
-	}
-	deriv := func(gamma float64) float64 {
-		var d float64
-		for e, de := range dir {
-			f := flow.Total[e] + gamma*de
-			d += de * cost.Price(e, f, g.Link(e).Cap)
-		}
-		return d
 	}
 	// Largest gamma keeping every link feasible where the direction
 	// increases flow. Costs that are finite beyond capacity (Fortz-
@@ -262,16 +263,16 @@ func fwLineSearch(g *graph.Graph, cost objective.CostFunc, flow, target *Flow, d
 	if hi <= 0 {
 		return 0
 	}
-	if deriv(0) >= 0 {
+	if cost.Slope(g, flow.Total, dir, 0) >= 0 {
 		return 0
 	}
-	if deriv(hi) <= 0 {
+	if cost.Slope(g, flow.Total, dir, hi) <= 0 {
 		return hi
 	}
 	lo := 0.0
 	for i := 0; i < 60; i++ {
 		mid := (lo + hi) / 2
-		if deriv(mid) < 0 {
+		if cost.Slope(g, flow.Total, dir, mid) < 0 {
 			lo = mid
 		} else {
 			hi = mid

@@ -1,6 +1,10 @@
 package objective
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/graph"
+)
 
 // CostFunc is an increasing convex per-link cost of flow, the common
 // shape of traffic-engineering objectives (paper Section II-A). Both the
@@ -12,6 +16,11 @@ type CostFunc interface {
 	// Price returns Phi'(f), the marginal cost used for shortest-path
 	// linearization.
 	Price(link int, f, c float64) float64
+	// Slope returns sum_e dir[e] * Price(e, flow[e]+gamma*dir[e], c_e)
+	// over g's links, summed in link order: the derivative at gamma of
+	// the total cost along dir, which the Frank-Wolfe line search
+	// bisects on. It must equal that per-link loop bit for bit.
+	Slope(g *graph.Graph, flow, dir []float64, gamma float64) float64
 }
 
 // FortzThorup is the piecewise-linear link cost of Fortz and Thorup
@@ -56,6 +65,15 @@ func (FortzThorup) Price(_ int, f, c float64) float64 {
 		}
 	}
 	return slope
+}
+
+// Slope is the per-link Price loop of CostFunc.Slope.
+func (ft FortzThorup) Slope(g *graph.Graph, flow, dir []float64, gamma float64) float64 {
+	var d float64
+	for e, de := range dir {
+		d += de * ft.Price(e, flow[e]+gamma*de, g.Link(e).Cap)
+	}
+	return d
 }
 
 // Cost integrates the piecewise-constant marginal cost from 0 to f.

@@ -9,6 +9,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"repro/internal/graph"
 )
 
 // ErrBadObjective reports invalid objective parameters.
@@ -151,4 +153,33 @@ func (o *QBeta) Cost(link int, f, capacity float64) float64 {
 // shadow price / first link weight when evaluated at the optimum).
 func (o *QBeta) Price(link int, f, capacity float64) float64 {
 	return o.Vp(link, capacity-f)
+}
+
+// Slope implements CostFunc.Slope. beta = 0 and beta = 1 run as tight
+// loops whose terms are Price's to the bit: the price is q for beta = 0,
+// and q/s (+Inf for s <= 0) for beta = 1 because math.Pow(s, 1) returns
+// s. Other exponents go through Vp.
+func (o *QBeta) Slope(g *graph.Graph, flow, dir []float64, gamma float64) float64 {
+	var d float64
+	switch o.beta {
+	case 0:
+		for e, de := range dir {
+			d += de * o.q[e]
+		}
+	case 1:
+		for e, de := range dir {
+			var price float64
+			if s := g.Link(e).Cap - (flow[e] + gamma*de); s <= 0 {
+				price = math.Inf(1)
+			} else {
+				price = o.q[e] / s
+			}
+			d += de * price
+		}
+	default:
+		for e, de := range dir {
+			d += de * o.Vp(e, g.Link(e).Cap-(flow[e]+gamma*de))
+		}
+	}
+	return d
 }

@@ -164,14 +164,22 @@ func (m *Matrix) Demands() []Demand {
 func (m *Matrix) Destinations() []int {
 	var out []int
 	for t := 0; t < m.n; t++ {
-		for s := 0; s < m.n; s++ {
-			if m.At(s, t) > 0 {
-				out = append(out, t)
-				break
-			}
+		if m.IsDestination(t) {
+			out = append(out, t)
 		}
 	}
 	return out
+}
+
+// IsDestination reports whether node t receives positive demand, that
+// is, whether t is in Destinations, without building the list.
+func (m *Matrix) IsDestination(t int) bool {
+	for s := 0; s < m.n; s++ {
+		if m.At(s, t) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // ToDestination returns the per-source demand vector d^t for destination
