@@ -57,9 +57,7 @@ func AllOrNothingInto(g *graph.Graph, tm *traffic.Matrix, weights []float64, flo
 			return nil, err
 		}
 	}
-	// dests is the flow's commodity list in increasing order, so this is
-	// RecomputeTotal.
-	flow.sumTotal(dests)
+	flow.RecomputeTotal()
 	return flow, nil
 }
 

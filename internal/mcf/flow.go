@@ -85,16 +85,10 @@ func (f *Flow) keepsDests() bool {
 // reproducibility contract (identical bits for any worker count AND
 // across processes).
 func (f *Flow) RecomputeTotal() {
-	f.sumTotal(f.Destinations())
-}
-
-// sumTotal rebuilds Total from the commodities of dests, accumulated in
-// the order given.
-func (f *Flow) sumTotal(dests []int) {
 	for i := range f.Total {
 		f.Total[i] = 0
 	}
-	for _, t := range dests {
+	for _, t := range f.Destinations() {
 		for i, x := range f.PerDest[t] {
 			f.Total[i] += x
 		}

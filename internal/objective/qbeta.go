@@ -100,13 +100,25 @@ func (o *QBeta) V(link int, s float64) float64 {
 // This is exactly the first link weight at optimum (Theorem 3.1).
 func (o *QBeta) Vp(link int, s float64) float64 {
 	q := o.q[link]
-	if o.beta == 0 {
+	switch {
+	case o.beta == 0:
 		return q
-	}
-	if s <= 0 {
+	case o.beta == 1:
+		return vpBeta1(q, s)
+	case s <= 0:
 		return math.Inf(1)
 	}
 	return q / math.Pow(s, o.beta)
+}
+
+// vpBeta1 is Vp for beta = 1: q/s, or +Inf for s <= 0. It equals
+// q/math.Pow(s, 1) bit for bit because math.Pow(s, 1) returns s, and
+// unlike Vp it is small enough to inline.
+func vpBeta1(q, s float64) float64 {
+	if s <= 0 {
+		return math.Inf(1)
+	}
+	return q / s
 }
 
 // LinkSpare solves the paper's per-link subproblem Link_ij(V; w) bounded
@@ -155,31 +167,19 @@ func (o *QBeta) Price(link int, f, capacity float64) float64 {
 	return o.Vp(link, capacity-f)
 }
 
-// Slope implements CostFunc.Slope. beta = 0 and beta = 1 run as tight
-// loops whose terms are Price's to the bit: the price is q for beta = 0,
-// and q/s (+Inf for s <= 0) for beta = 1 because math.Pow(s, 1) returns
-// s. Other exponents go through Vp.
+// Slope implements CostFunc.Slope with Vp's terms. For beta = 1 the
+// loop calls vpBeta1 directly, so the term inlines; a call to Vp per
+// link made the ladder benchmark's line search measurably slower.
 func (o *QBeta) Slope(g *graph.Graph, flow, dir []float64, gamma float64) float64 {
 	var d float64
-	switch o.beta {
-	case 0:
+	if o.beta == 1 {
 		for e, de := range dir {
-			d += de * o.q[e]
+			d += de * vpBeta1(o.q[e], g.Link(e).Cap-(flow[e]+gamma*de))
 		}
-	case 1:
-		for e, de := range dir {
-			var price float64
-			if s := g.Link(e).Cap - (flow[e] + gamma*de); s <= 0 {
-				price = math.Inf(1)
-			} else {
-				price = o.q[e] / s
-			}
-			d += de * price
-		}
-	default:
-		for e, de := range dir {
-			d += de * o.Vp(e, g.Link(e).Cap-(flow[e]+gamma*de))
-		}
+		return d
+	}
+	for e, de := range dir {
+		d += de * o.Vp(e, g.Link(e).Cap-(flow[e]+gamma*de))
 	}
 	return d
 }

@@ -97,6 +97,31 @@ func TestSlopeMatchesPriceLoopBitwise(t *testing.T) {
 	}
 }
 
+// TestVpBetaOneMatchesPow pins Vp's beta = 1 division, q/s, to the
+// general formula q/math.Pow(s, 1) bit for bit, on spare capacities
+// from subnormal to +Inf and NaN, and pins s <= 0 to +Inf.
+func TestVpBetaOneMatchesPow(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	spares := []float64{math.SmallestNonzeroFloat64, 1e-300, 1e-9, 1, 1 + 0x1p-52, 3, 1e300, math.MaxFloat64, math.Inf(1), math.NaN()}
+	for range 2000 {
+		spares = append(spares, math.Ldexp(rng.Float64(), rng.Intn(2000)-1000))
+	}
+	for _, q := range []float64{1, 0.25 + rng.Float64()*3, 1e-300, 1e300} {
+		o := MustQBeta(1, 1, []float64{q})
+		for _, s := range spares {
+			want := q / math.Pow(s, 1)
+			if got := o.Vp(0, s); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("q %v, s %v: Vp %v (%#x), q/Pow(s, 1) %v (%#x)", q, s, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+		for _, s := range []float64{0, math.Copysign(0, -1), -1e-300, -2, math.Inf(-1)} {
+			if got := o.Vp(0, s); !math.IsInf(got, 1) {
+				t.Fatalf("q %v, s %v: Vp %v, want +Inf", q, s, got)
+			}
+		}
+	}
+}
+
 func costName(cf CostFunc) string {
 	if o, ok := cf.(*QBeta); ok {
 		return fmt.Sprintf("QBeta(beta=%v)", o.Beta())
