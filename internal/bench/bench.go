@@ -22,8 +22,8 @@ import (
 
 	spef "repro"
 	"repro/internal/core"
+	"repro/internal/delta"
 	"repro/internal/graph"
-	"repro/internal/localsearch"
 	"repro/internal/objective"
 	"repro/internal/par"
 	"repro/internal/topo"
@@ -372,11 +372,11 @@ func kernelSuite(in *instance, budget time.Duration) ([]Kernel, error) {
 	for i := range lsw {
 		lsw[i] = 1
 	}
-	evFull, err := localsearch.NewEvaluator(g, in.tm, lsw, 0)
+	evFull, err := delta.NewEvaluator(g, in.tm, lsw, 0)
 	if err != nil {
 		return nil, err
 	}
-	evInc, err := localsearch.NewEvaluator(g, in.tm, lsw, 0)
+	evInc, err := delta.NewEvaluator(g, in.tm, lsw, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -491,7 +491,7 @@ func parityChecks(in *instance) ([]Parity, error) {
 	for i := range lsw {
 		lsw[i] = 1
 	}
-	inc, err := localsearch.NewEvaluator(g, in.tm, lsw, 0)
+	inc, err := delta.NewEvaluator(g, in.tm, lsw, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -500,7 +500,7 @@ func parityChecks(in *instance) ([]Parity, error) {
 			return nil, err
 		}
 	}
-	full, err := localsearch.NewEvaluator(g, in.tm, inc.Weights(), 0)
+	full, err := delta.NewEvaluator(g, in.tm, inc.Weights(), 0)
 	if err != nil {
 		return nil, err
 	}

@@ -11,9 +11,9 @@ import (
 	"repro/internal/traffic"
 )
 
-// workspaces recycles per-worker graph scratch across the pipeline's
-// hot loops (Algorithm 2's per-iteration distribution, DAG builds);
-// every parallel destination worker draws a private arena.
+// workspaces recycles per-worker graph scratch across Algorithm 2's
+// per-iteration distribution and the final split computation; every
+// parallel destination worker draws a private arena.
 var workspaces graph.WorkspacePool
 
 // SecondWeightOptions tunes Algorithm 2 (the NEM dual gradient for the
@@ -48,14 +48,6 @@ type SecondWeightResult struct {
 	Iters int
 	// MaxViolation is max_e (f_e - budget_e) at termination.
 	MaxViolation float64
-}
-
-// splitRatios computes the exponential traffic split of paper Eq. (22)
-// for one destination DAG: the shared DAG recursion with the second link
-// weights as the exponential penalty — exactly the per-path Table II
-// formula (verified against enumeration in tests).
-func splitRatios(g *graph.Graph, d *graph.DAG, v []float64) ([]float64, []float64) {
-	return graph.ExponentialSplits(g, d, v)
 }
 
 // TrafficDistribution is the paper's Algorithm 3: it computes the flow
@@ -202,7 +194,7 @@ func nemDualObjective(g *graph.Graph, dags map[int]*graph.DAG, tm *traffic.Matri
 	logZs := make(map[int][]float64, len(dags))
 	for _, t := range tm.Destinations() {
 		if _, ok := logZs[t]; !ok {
-			_, logZ := splitRatios(g, dags[t], v)
+			_, logZ := graph.ExponentialSplits(g, dags[t], v)
 			logZs[t] = logZ
 		}
 	}

@@ -6,6 +6,7 @@ package core
 // architecture).
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -157,4 +158,64 @@ func TestBuildParallelBitIdentical(t *testing.T) {
 		}
 	}
 	flowsBitIdentical(t, "second-weight flow", seq.Second.Flow, pll.Second.Flow)
+}
+
+// TestProtocolFlowMatchesTrafficDistribution: Protocol.Flow propagates
+// over the stored Eq. (22) splits, which must give exactly the bits of
+// Algorithm 3 recomputing the splits from the second weights.
+func TestProtocolFlowMatchesTrafficDistribution(t *testing.T) {
+	rg, rtm := randomInstance(t, 5)
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		tm   *traffic.Matrix
+	}{
+		{name: "abilene", g: topo.Abilene()},
+		{name: "cernet2", g: topo.Cernet2()},
+		{name: "random", g: rg, tm: rtm},
+	}
+	for _, c := range cases {
+		if c.tm == nil {
+			var err error
+			vols := traffic.SyntheticVolumes(7, c.g.NumNodes(), 0.5)
+			if c.tm, err = traffic.Gravity(vols, 0.2*c.g.TotalCapacity()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w := make([]float64, c.g.NumLinks())
+		rng := rand.New(rand.NewSource(11))
+		for i := range w {
+			w[i] = 0.5 + rng.Float64()
+		}
+		budget, err := mcf.AllOrNothing(c.g, c.tm, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := BuildWithWeights(t.Context(), c.g, c.tm, w, budget, 0, SecondWeightOptions{MaxIters: 50})
+		if err != nil {
+			t.Fatalf("%s: BuildWithWeights: %v", c.name, err)
+		}
+		got, err := p.Flow(c.tm)
+		if err != nil {
+			t.Fatalf("%s: Flow: %v", c.name, err)
+		}
+		want, err := TrafficDistribution(p.G, p.DAGs, c.tm, p.V)
+		if err != nil {
+			t.Fatalf("%s: TrafficDistribution: %v", c.name, err)
+		}
+		flowsBitIdentical(t, c.name, want, got)
+	}
+}
+
+// TestProtocolFlowUncoveredDestination: a demand toward a destination
+// the protocol has no state for fails with this package's sentinel.
+func TestProtocolFlowUncoveredDestination(t *testing.T) {
+	p, g, _ := buildFig1SPEF(t, 1)
+	tm := traffic.NewMatrix(g.NumNodes())
+	if err := tm.Set(0, 1, 1); err != nil { // the protocol covers destination 2 only
+		t.Fatal(err)
+	}
+	if _, err := p.Flow(tm); !errors.Is(err, ErrBadInput) {
+		t.Errorf("uncovered destination: err = %v, want ErrBadInput", err)
+	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -9,7 +10,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mcf"
 	"repro/internal/objective"
-	"repro/internal/par"
+	"repro/internal/routing"
 	"repro/internal/traffic"
 )
 
@@ -100,22 +101,14 @@ func BuildWithWeights(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, w
 	}
 	coverEps := 1e-6 * maxBudget
 	dests := tm.Destinations()
-	// Destinations are independent: build each DAG on a parallel worker
-	// with a private workspace, then assemble the map sequentially (map
-	// writes are not concurrency-safe). The workspace arena is cloned
-	// before retention.
-	built := make([]*graph.DAG, len(dests))
-	errs := make([]error, len(dests))
-	par.Do(len(dests), func(i int) {
-		t := dests[i]
-		ws := workspaces.Get(g)
-		defer workspaces.Put(ws)
+	// Algorithm 2 needs the DAGs and the splits need its second weights,
+	// so Build leaves the split vectors zeroed; they are filled below.
+	dags, splits, err := routing.Build(g, dests, func(ws *graph.Workspace, t int, _ []float64) (*graph.DAG, error) {
 		tolT := tol
 		if ft, ok := flow.PerDest[t]; ok {
 			sp, err := ws.DijkstraTo(g, w, t)
 			if err != nil {
-				errs[i] = err
-				return
+				return nil, err
 			}
 			for e, fe := range ft {
 				if fe <= coverEps {
@@ -130,52 +123,41 @@ func BuildWithWeights(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, w
 				}
 			}
 		}
-		d, err := ws.BuildDAG(g, w, t, tolT)
-		if err != nil {
-			errs[i] = fmt.Errorf("core: DAG for destination %d: %w", t, err)
-			return
-		}
-		built[i] = d.Clone()
+		return ws.BuildDAG(g, w, t, tolT)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	dags := make(map[int]*graph.DAG, len(dests))
-	for i, t := range dests {
-		dags[t] = built[i]
+	if err != nil {
+		return nil, fmt.Errorf("core: shortest-path DAGs: %w", err)
 	}
 	second, err := SecondWeights(ctx, g, tm, dags, budget, sopts)
 	if err != nil {
 		return nil, fmt.Errorf("core: algorithm 2: %w", err)
 	}
-	p := &Protocol{
+	ws := workspaces.Get(g)
+	defer workspaces.Put(ws)
+	for _, t := range dests {
+		ratio, _ := ws.ExponentialSplits(g, dags[t], second.V)
+		copy(splits[t], ratio)
+	}
+	return &Protocol{
 		G:      g,
 		Dests:  dests,
 		W:      append([]float64(nil), w...),
 		V:      second.V,
 		DAGs:   dags,
-		Splits: make(map[int][]float64, len(dests)),
+		Splits: splits,
 		Second: second,
-	}
-	for _, t := range dests {
-		ratio, _ := splitRatios(g, dags[t], second.V)
-		p.Splits[t] = ratio
-	}
-	return p, nil
+	}, nil
 }
 
 // Flow evaluates the deterministic traffic distribution SPEF induces for
 // the demand matrix (which must route only to destinations the protocol
 // has forwarding state for).
 func (p *Protocol) Flow(tm *traffic.Matrix) (*mcf.Flow, error) {
-	for _, t := range tm.Destinations() {
-		if _, ok := p.DAGs[t]; !ok {
-			return nil, fmt.Errorf("%w: no forwarding state for destination %d", ErrBadInput, t)
-		}
+	flow, err := routing.Flow(p.G, p.DAGs, p.Splits, tm)
+	if errors.Is(err, routing.ErrBadInput) {
+		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
-	return TrafficDistribution(p.G, p.DAGs, tm, p.V)
+	return flow, err
 }
 
 // EqualCostPaths returns the number of equal-cost shortest paths the

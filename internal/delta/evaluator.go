@@ -408,7 +408,7 @@ func (ev *Evaluator) buildDestFrom(m *traffic.Matrix, t int) (destState, error) 
 		return destState{}, err
 	}
 	st.dag.CopyFrom(built)
-	ecmpRatios(ev.g, st.dag, st.split)
+	graph.EvenSplitsInto(ev.g, st.dag, st.split)
 	if err := ev.ws.PropagateDownInto(ev.g, st.dag, st.demand, st.split, st.flow); err != nil {
 		return destState{}, fmt.Errorf("delta: destination %d: %w", t, err)
 	}
@@ -552,7 +552,7 @@ func (ev *Evaluator) evalDestInto(ws *graph.Workspace, w []float64, i int, dag *
 		return err
 	}
 	dag.CopyFrom(built)
-	ecmpRatios(ev.g, dag, ratio)
+	graph.EvenSplitsInto(ev.g, dag, ratio)
 	if err := ws.PropagateDownInto(ev.g, dag, ev.demands[i], ratio, flow); err != nil {
 		return fmt.Errorf("delta: destination %d: %w", ev.dests[i], err)
 	}
@@ -610,22 +610,6 @@ func utilityOf(caps, flows []float64) float64 {
 		total += math.Log(1 - u)
 	}
 	return total
-}
-
-// ecmpRatios overwrites ratio with OSPF's even equal-cost split: every
-// DAG out-link of a node carries 1/outdegree, every other link 0 — the
-// same arithmetic routing.BuildOSPF applies, so the final router build
-// reproduces the search's evaluation bit-for-bit.
-func ecmpRatios(g *graph.Graph, d *graph.DAG, ratio []float64) {
-	for i := range ratio {
-		ratio[i] = 0
-	}
-	for u := 0; u < g.NumNodes(); u++ {
-		outs := d.Out[u]
-		for _, id := range outs {
-			ratio[id] = 1 / float64(len(outs))
-		}
-	}
 }
 
 // growFloats returns a slice of length n, reusing s's storage when it
@@ -758,7 +742,7 @@ func (ev *Evaluator) tryWeightTotal(s *Scratch, link int, w float64) (changed bo
 		if err != nil {
 			return false, err
 		}
-		ecmpRatios(ev.g, built, s.ratio)
+		graph.EvenSplitsInto(ev.g, built, s.ratio)
 		if err := s.ws.PropagateDownInto(ev.g, built, ev.demands[i], s.ratio, flow); err != nil {
 			return false, fmt.Errorf("delta: destination %d: %w", ev.dests[i], err)
 		}
@@ -831,7 +815,7 @@ func (ev *Evaluator) TryDemand(s *Scratch, src, dst int, v float64) (Metrics, er
 		if err != nil {
 			return Metrics{}, err
 		}
-		ecmpRatios(ev.g, built, s.ratio)
+		graph.EvenSplitsInto(ev.g, built, s.ratio)
 		if err := s.ws.PropagateDownInto(ev.g, built, s.demand, s.ratio, flow); err != nil {
 			return Metrics{}, fmt.Errorf("delta: destination %d: %w", dst, err)
 		}

@@ -59,12 +59,7 @@ func BuildUnitFlows(g *graph.Graph, weights []float64, tol float64) (*UnitFlows,
 			return
 		}
 		ratio := make([]float64, g.NumLinks())
-		for v := 0; v < n; v++ {
-			outs := d.Out[v]
-			for _, id := range outs {
-				ratio[id] = 1 / float64(len(outs))
-			}
-		}
+		graph.EvenSplitsInto(g, d, ratio)
 		demand := ws.DemandBuffer(g)
 		for i := range demand {
 			demand[i] = 0

@@ -1,8 +1,8 @@
 // Package graph provides the directed-graph substrate shared by every
 // component of the SPEF reproduction: capacitated multigraphs, shortest
 // paths (Dijkstra and Bellman-Ford), shortest-path DAG extraction with an
-// equal-cost tolerance, exponential flow splitting, demand propagation,
-// and path enumeration utilities.
+// equal-cost tolerance, exponential and even (ECMP) flow splitting,
+// demand propagation, and path enumeration utilities.
 //
 // Nodes are dense integer IDs 0..N-1 with optional human-readable names.
 // Links are directed and identified by their dense index; parallel links

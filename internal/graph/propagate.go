@@ -129,6 +129,22 @@ func (ws *Workspace) ExponentialSplits(g *Graph, d *DAG, cost []float64) (ratio,
 	return ws.ratio, ws.logZ
 }
 
+// EvenSplitsInto overwrites ratio (length NumLinks) with OSPF's even
+// equal-cost split: every DAG out-link of a node carries 1/outdegree,
+// every other link 0. Every ECMP router, evaluator and unit-flow table
+// calls it, so their ratios agree bit for bit.
+func EvenSplitsInto(g *Graph, d *DAG, ratio []float64) {
+	for i := range ratio {
+		ratio[i] = 0
+	}
+	for u := 0; u < g.NumNodes(); u++ {
+		outs := d.Out[u]
+		for _, id := range outs {
+			ratio[id] = 1 / float64(len(outs))
+		}
+	}
+}
+
 // propagateDown is the shared kernel behind PropagateDown and
 // PropagateDownInto: it overwrites flow (length NumLinks) with the
 // per-link volumes of this commodity, using acc (length NumNodes) as
@@ -154,7 +170,8 @@ func propagateDown(g *Graph, d *DAG, demand, ratio, flow, acc []float64) error {
 		for _, id := range d.Out[u] {
 			sum += ratio[id]
 		}
-		if math.Abs(sum-1) > 1e-6 {
+		// Negated so a NaN sum fails the check too.
+		if !(math.Abs(sum-1) <= 1e-6) {
 			return fmt.Errorf("graph: split ratios at node %d sum to %v toward destination %d", u, sum, d.Dst)
 		}
 		for _, id := range d.Out[u] {

@@ -94,6 +94,11 @@ func TestPropagateDownErrors(t *testing.T) {
 	if _, err := PropagateDown(g, d, demand, ratio); err == nil {
 		t.Error("non-normalized ratios accepted")
 	}
+	EvenSplitsInto(g, d, ratio)
+	ratio[d.Out[0][0]] = math.NaN() // the sum at node 1 is NaN, downstream sums are fine
+	if _, err := PropagateDown(g, d, demand, ratio); err == nil {
+		t.Error("NaN ratio accepted")
+	}
 }
 
 func TestPropagateDownConservationQuick(t *testing.T) {

@@ -8,22 +8,23 @@
 // escape plateaus (INFOCOM'00, "Internet Traffic Engineering by
 // Optimizing OSPF Weights").
 //
-// The package's centerpiece is the incremental Evaluator: a single-link
-// weight perturbation re-runs Dijkstra, DAG construction and ECMP flow
-// propagation only for the destinations the change can actually affect,
-// decided by an exact O(destinations) screen over the current
-// shortest-path distances (see Evaluator.SetWeight). Unaffected
-// destinations keep their routing state bit-for-bit, and the aggregate
-// flow is re-summed in fixed destination order, so every incremental
-// result is bit-identical to a full re-evaluation from scratch — a
-// property the test suite and the bench harness's parity checks pin
-// across random topologies, perturbation sequences and failure
-// variants.
+// Every candidate is scored by internal/delta's incremental Evaluator:
+// a single-link weight perturbation re-runs Dijkstra, DAG construction
+// and ECMP flow propagation only for the destinations the change can
+// actually affect, decided by an exact O(destinations) screen over the
+// current shortest-path distances (see delta.Evaluator.SetWeight).
+// Unaffected destinations keep their routing state bit-for-bit, and the
+// aggregate flow is re-summed in fixed destination order, so every
+// incremental result is bit-identical to a full re-evaluation from
+// scratch — a property the test suite and the bench harness's parity
+// checks pin across random topologies, perturbation sequences and
+// failure variants.
 //
 // Search fans candidate evaluations out over the process-wide
-// internal/par worker pool using per-worker Scratch arenas; candidate
-// generation and acceptance stay on the coordinating goroutine, so the
-// search trajectory is deterministic for any worker count. A
+// internal/par worker pool using per-worker delta.Scratch arenas;
+// candidate generation and acceptance stay on the coordinating
+// goroutine, so the search trajectory is deterministic for any worker
+// count. A
 // failure-aware mode (Options.Failures) maintains one evaluator per
 // single-link-failure variant and scores every candidate against the
 // whole set — the robust weight-setting extension of Fortz and Thorup's

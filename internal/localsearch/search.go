@@ -2,14 +2,20 @@ package localsearch
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 
+	"repro/internal/delta"
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/traffic"
 )
+
+// ErrBadInput reports inconsistent search options. Evaluator errors
+// wrap delta.ErrBadInput instead.
+var ErrBadInput = errors.New("localsearch: bad input")
 
 // Failure is one single-link-failure variant of the intact topology the
 // robust search scores candidates against.
@@ -94,7 +100,7 @@ type Result struct {
 // topology's ID space (rev[oldID] = variant link ID, or -1 when the
 // link failed there; nil for the intact state's identity mapping).
 type state struct {
-	ev  *Evaluator
+	ev  *delta.Evaluator
 	rev []int
 }
 
@@ -156,7 +162,7 @@ func Search(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, opts Option
 		return nil, fmt.Errorf("%w: got %d initial weights for %d links", ErrBadInput, len(w0), g.NumLinks())
 	}
 
-	intact, err := NewEvaluator(g, tm, w0, opts.Tol)
+	intact, err := delta.NewEvaluator(g, tm, w0, opts.Tol)
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +180,7 @@ func Search(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, opts Option
 			rev[oldID] = newID
 			wf[newID] = w0[oldID]
 		}
-		ev, err := NewEvaluator(f.G, tm, wf, opts.Tol)
+		ev, err := delta.NewEvaluator(f.G, tm, wf, opts.Tol)
 		if err != nil {
 			return nil, fmt.Errorf("localsearch: failure variant %d: %w", fi, err)
 		}
@@ -220,12 +226,12 @@ func Search(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, opts Option
 	// the per-candidate cost buffer, so the scoring loop allocates
 	// nothing in steady state.
 	type scratchSet struct {
-		per   []*Scratch
+		per   []*delta.Scratch
 		costs []float64
 	}
 	pool := sync.Pool{New: func() any {
 		set := &scratchSet{
-			per:   make([]*Scratch, len(states)),
+			per:   make([]*delta.Scratch, len(states)),
 			costs: make([]float64, len(states)),
 		}
 		for i, st := range states {

@@ -1,26 +1,12 @@
-// Package routing implements the baseline routing protocols the paper
-// compares SPEF against: OSPF with Cisco InvCap weights and even ECMP
-// splitting (Section V's "current version of OSPF"), and downward PEFT
-// (Xu-Chiang-Rexford INFOCOM'08) with penalizing-exponential splitting
-// over all downward paths.
 package routing
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/graph"
 	"repro/internal/mcf"
-	"repro/internal/par"
 	"repro/internal/traffic"
 )
-
-// ErrBadInput reports inconsistent arguments.
-var ErrBadInput = errors.New("routing: bad input")
-
-// workspaces recycles per-worker graph scratch across protocol builds;
-// each parallel destination worker draws a private arena.
-var workspaces graph.WorkspacePool
 
 // InvCapWeights returns Cisco-style inverse-capacity OSPF weights,
 // normalized so the largest link gets weight 1: w_e = max{c}/c_e.
@@ -60,80 +46,23 @@ func BuildOSPF(g *graph.Graph, dests []int, weights []float64, tol float64) (*OS
 	if len(weights) != g.NumLinks() {
 		return nil, fmt.Errorf("%w: got %d weights for %d links", ErrBadInput, len(weights), g.NumLinks())
 	}
-	o := &OSPF{
-		G:      g,
-		W:      append([]float64(nil), weights...),
-		DAGs:   make(map[int]*graph.DAG, len(dests)),
-		Splits: make(map[int][]float64, len(dests)),
-	}
-	// Destinations are independent: build each DAG on a parallel worker
-	// with a private workspace, then assemble the maps sequentially.
-	dags := make([]*graph.DAG, len(dests))
-	splits := make([][]float64, len(dests))
-	errs := make([]error, len(dests))
-	par.Do(len(dests), func(i int) {
-		t := dests[i]
-		ws := workspaces.Get(g)
-		defer workspaces.Put(ws)
+	dags, splits, err := Build(g, dests, func(ws *graph.Workspace, t int, ratio []float64) (*graph.DAG, error) {
 		d, err := ws.BuildDAG(g, weights, t, tol)
-		if err != nil {
-			errs[i] = fmt.Errorf("routing: OSPF DAG for destination %d: %w", t, err)
-			return
-		}
-		ratio := make([]float64, g.NumLinks())
-		for u := 0; u < g.NumNodes(); u++ {
-			outs := d.Out[u]
-			for _, id := range outs {
-				ratio[id] = 1 / float64(len(outs))
-			}
-		}
-		dags[i] = d.Clone()
-		splits[i] = ratio
-	})
-	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
+		graph.EvenSplitsInto(g, d, ratio)
+		return d, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	for i, t := range dests {
-		o.DAGs[t] = dags[i]
-		o.Splits[t] = splits[i]
-	}
-	return o, nil
+	return &OSPF{G: g, W: append([]float64(nil), weights...), DAGs: dags, Splits: splits}, nil
 }
 
 // Flow evaluates the deterministic OSPF/ECMP traffic distribution.
 func (o *OSPF) Flow(tm *traffic.Matrix) (*mcf.Flow, error) {
-	return propagateFlow(o.G, o.DAGs, o.Splits, tm, "OSPF")
-}
-
-// propagateFlow evaluates the deterministic distribution induced by
-// per-destination DAGs and split ratios, fanning the independent
-// destinations out over par.Do with per-worker workspaces. Results are
-// bit-identical to the sequential loop for any worker count.
-func propagateFlow(g *graph.Graph, dags map[int]*graph.DAG, splits map[int][]float64, tm *traffic.Matrix, scheme string) (*mcf.Flow, error) {
-	dests := tm.Destinations()
-	flow := mcf.NewFlow(g, dests)
-	for _, t := range dests {
-		if _, ok := dags[t]; !ok {
-			return nil, fmt.Errorf("%w: no %s state for destination %d", ErrBadInput, scheme, t)
-		}
-	}
-	errs := make([]error, len(dests))
-	par.Do(len(dests), func(i int) {
-		t := dests[i]
-		ws := workspaces.Get(g)
-		defer workspaces.Put(ws)
-		demand := tm.ToDestinationInto(t, ws.DemandBuffer(g))
-		errs[i] = ws.PropagateDownInto(g, dags[t], demand, splits[t], flow.PerDest[t])
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	flow.RecomputeTotal()
-	return flow, nil
+	return Flow(o.G, o.DAGs, o.Splits, tm)
 }
 
 // EqualCostPaths returns the number of equal-cost shortest paths OSPF

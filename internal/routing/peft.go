@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/mcf"
-	"repro/internal/par"
 	"repro/internal/traffic"
 )
 
@@ -27,8 +26,6 @@ type PEFT struct {
 	W []float64
 	// DAGs maps destinations to their downward DAGs.
 	DAGs map[int]*graph.DAG
-	// Penalty[t][id] is the extra-length penalty h of link id toward t.
-	Penalty map[int][]float64
 	// Splits[t][id] is the PEFT split ratio of link id toward t.
 	Splits map[int][]float64
 }
@@ -40,57 +37,32 @@ func BuildPEFT(g *graph.Graph, dests []int, weights []float64) (*PEFT, error) {
 	if len(weights) != g.NumLinks() {
 		return nil, fmt.Errorf("%w: got %d weights for %d links", ErrBadInput, len(weights), g.NumLinks())
 	}
-	p := &PEFT{
-		G:       g,
-		W:       append([]float64(nil), weights...),
-		DAGs:    make(map[int]*graph.DAG, len(dests)),
-		Penalty: make(map[int][]float64, len(dests)),
-		Splits:  make(map[int][]float64, len(dests)),
-	}
-	// Destinations are independent: build each downward DAG on a
-	// parallel worker with a private workspace, then assemble the maps
-	// sequentially.
-	dags := make([]*graph.DAG, len(dests))
-	pens := make([][]float64, len(dests))
-	splits := make([][]float64, len(dests))
-	errs := make([]error, len(dests))
-	par.Do(len(dests), func(i int) {
-		t := dests[i]
-		ws := workspaces.Get(g)
-		defer workspaces.Put(ws)
+	dags, splits, err := Build(g, dests, func(ws *graph.Workspace, t int, ratio []float64) (*graph.DAG, error) {
 		d, err := ws.DownwardDAG(g, weights, t)
-		if err != nil {
-			errs[i] = fmt.Errorf("routing: PEFT DAG for destination %d: %w", t, err)
-			return
-		}
-		h := make([]float64, g.NumLinks())
-		for u := 0; u < g.NumNodes(); u++ {
-			for _, id := range d.Out[u] {
-				l := g.Link(id)
-				h[id] = weights[id] + d.Dist[l.To] - d.Dist[l.From]
-			}
-		}
-		wsRatio, _ := ws.ExponentialSplits(g, d, h)
-		dags[i] = d.Clone()
-		pens[i] = h
-		splits[i] = append([]float64(nil), wsRatio...)
-	})
-	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
+		// ratio first holds the penalties h, the cost the split reads on
+		// DAG links; the workspace split then overwrites it.
+		for u := 0; u < g.NumNodes(); u++ {
+			for _, id := range d.Out[u] {
+				l := g.Link(id)
+				ratio[id] = weights[id] + d.Dist[l.To] - d.Dist[l.From]
+			}
+		}
+		split, _ := ws.ExponentialSplits(g, d, ratio)
+		copy(ratio, split)
+		return d, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	for i, t := range dests {
-		p.DAGs[t] = dags[i]
-		p.Penalty[t] = pens[i]
-		p.Splits[t] = splits[i]
-	}
-	return p, nil
+	return &PEFT{G: g, W: append([]float64(nil), weights...), DAGs: dags, Splits: splits}, nil
 }
 
 // Flow evaluates the deterministic PEFT traffic distribution.
 func (p *PEFT) Flow(tm *traffic.Matrix) (*mcf.Flow, error) {
-	return propagateFlow(p.G, p.DAGs, p.Splits, tm, "PEFT")
+	return Flow(p.G, p.DAGs, p.Splits, tm)
 }
 
 // LinksUsed counts the links that carry at least minLoad under the given

@@ -8,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mcf"
 	"repro/internal/objective"
+	"repro/internal/par"
 	"repro/internal/topo"
 	"repro/internal/traffic"
 )
@@ -220,5 +221,32 @@ func TestOSPFOverloadsWhereSPEFOptimumFits(t *testing.T) {
 	}
 	if ospfMLU <= opt.MLU {
 		t.Errorf("OSPF MLU %v not worse than optimal %v — comparison degenerate", ospfMLU, opt.MLU)
+	}
+}
+
+// TestBuildReportsFirstErrorInDestsOrder: when several destinations
+// fail, Build reports the one that comes first in dests, not the first
+// to finish or the smallest ID, for any worker count.
+func TestBuildReportsFirstErrorInDestsOrder(t *testing.T) {
+	g := topo.Cernet2()
+	w := InvCapWeights(g)
+	errEarly, errLate := errors.New("early"), errors.New("late")
+	dests := []int{5, 1, 3, 0, 2, 4}
+	state := func(ws *graph.Workspace, dst int, ratio []float64) (*graph.DAG, error) {
+		switch dst {
+		case 3:
+			return nil, errEarly
+		case 2:
+			return nil, errLate
+		}
+		return ws.BuildDAG(g, w, dst, 0)
+	}
+	prev := par.SetExtraWorkers(0)
+	defer par.SetExtraWorkers(prev)
+	for _, extra := range []int{0, 8} {
+		par.SetExtraWorkers(extra)
+		if _, _, err := Build(g, dests, state); !errors.Is(err, errEarly) || errors.Is(err, errLate) {
+			t.Errorf("%d extra workers: err = %v, want the destination 3 error", extra, err)
+		}
 	}
 }

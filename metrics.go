@@ -9,6 +9,7 @@ import (
 	"repro/internal/delta"
 	"repro/internal/graph"
 	"repro/internal/objective"
+	"repro/internal/routing"
 )
 
 // Metric computes one named figure of merit for a completed scenario
@@ -349,18 +350,9 @@ func (r *Routes) perDestFlows(d *Demands) (map[int][]float64, error) {
 		}
 		return r.flow.PerDest, nil
 	}
-	dests := d.m.Destinations()
-	out := make(map[int][]float64, len(dests))
-	for _, t := range dests {
-		dag, ok := r.dags[t]
-		if !ok {
-			return nil, fmt.Errorf("%w: no forwarding state for destination %d", ErrBadInput, t)
-		}
-		ft, err := graph.PropagateDown(r.net.g, dag, d.m.ToDestination(t), r.splits[t])
-		if err != nil {
-			return nil, err
-		}
-		out[t] = ft
+	flow, err := routing.Flow(r.net.g, r.dags, r.splits, d.m)
+	if err != nil {
+		return nil, asBadInput(err)
 	}
-	return out, nil
+	return flow.PerDest, nil
 }

@@ -2,6 +2,7 @@ package spef
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -9,13 +10,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mcf"
-	"repro/internal/par"
 	"repro/internal/routing"
 )
 
-// workspaces recycles per-worker graph scratch across the public
-// evaluation paths (Routes.Evaluate, fixed-weight route builds, path
-// metrics); every parallel destination worker draws a private arena.
+// workspaces recycles per-worker graph scratch across the public path
+// metrics.
 var workspaces graph.WorkspacePool
 
 // Router is the uniform entry point to every routing scheme the paper
@@ -271,7 +270,7 @@ func (r ospfRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Routes
 	}
 	o, err := routing.BuildOSPF(n.g, d.m.Destinations(), r.weights, 0)
 	if err != nil {
-		return nil, err
+		return nil, asBadInput(err)
 	}
 	w := r.weights
 	if w == nil {
@@ -338,7 +337,7 @@ func (r peftRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Routes
 	}
 	p, err := routing.BuildPEFT(n.g, d.m.Destinations(), w)
 	if err != nil {
-		return nil, err
+		return nil, asBadInput(err)
 	}
 	routes := &Routes{router: r.Name(), net: n, dags: p.DAGs, splits: p.Splits}
 	if r.weights == nil {
@@ -387,6 +386,13 @@ func (r spefWeightsRouter) Routes(ctx context.Context, n *Network, d *Demands) (
 		return nil, fmt.Errorf("%w: got %d first and %d second weights for %d links",
 			ErrBadInput, len(r.w), len(r.v), n.NumLinks())
 	}
+	// Nothing below checks the second weights, and the exponential
+	// split turns a non-finite one into NaN ratios.
+	for e, x := range r.v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return nil, fmt.Errorf("%w: link %d has second weight %v", ErrBadInput, e, x)
+		}
+	}
 	// The paper's Dijkstra tolerance: 0.3 in the weight space normalized
 	// to the smallest weight (the same rule Optimize applies).
 	minW := math.Inf(1)
@@ -399,37 +405,30 @@ func (r spefWeightsRouter) Routes(ctx context.Context, n *Network, d *Demands) (
 	if math.IsInf(tol, 0) || math.IsNaN(tol) || tol < 0 {
 		tol = 0
 	}
-	// Re-running Dijkstra per destination is the router's whole job here
-	// (no optimization), so fan the independent destinations out over
-	// parallel workers with private workspaces.
-	dests := d.m.Destinations()
-	builtDAGs := make([]*graph.DAG, len(dests))
-	builtSplits := make([][]float64, len(dests))
-	errs := make([]error, len(dests))
-	par.Do(len(dests), func(i int) {
-		ws := workspaces.Get(n.g)
-		defer workspaces.Put(ws)
-		dag, err := ws.BuildDAG(n.g, r.w, dests[i], tol)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		ratio, _ := ws.ExponentialSplits(n.g, dag, r.v)
-		builtDAGs[i] = dag.Clone()
-		builtSplits[i] = append([]float64(nil), ratio...)
-	})
-	for _, err := range errs {
+	dags, splits, err := routing.Build(n.g, d.m.Destinations(), func(ws *graph.Workspace, t int, ratio []float64) (*graph.DAG, error) {
+		dag, err := ws.BuildDAG(n.g, r.w, t, tol)
 		if err != nil {
 			return nil, err
 		}
-	}
-	dags := make(map[int]*graph.DAG, len(dests))
-	splits := make(map[int][]float64, len(dests))
-	for i, t := range dests {
-		dags[t] = builtDAGs[i]
-		splits[t] = builtSplits[i]
+		split, _ := ws.ExponentialSplits(n.g, dag, r.v)
+		copy(ratio, split)
+		return dag, nil
+	})
+	if err != nil {
+		return nil, asBadInput(err)
 	}
 	return &Routes{router: r.Name(), net: n, dags: dags, splits: splits}, nil
+}
+
+// asBadInput gives the public ErrBadInput sentinel to a lower layer's
+// rejection of its arguments: routing.ErrBadInput (wrong-length weights,
+// a destination without forwarding state) or graph.ErrBadWeights (NaN
+// or negative weights). Other errors pass through unchanged.
+func asBadInput(err error) error {
+	if errors.Is(err, routing.ErrBadInput) || errors.Is(err, graph.ErrBadWeights) {
+		return fmt.Errorf("%w: %v", ErrBadInput, err)
+	}
+	return err
 }
 
 // Optimal returns the optimal-TE reference as a Router: the
@@ -593,30 +592,10 @@ func (r *Routes) Evaluate(d *Demands) (*TrafficReport, error) {
 		}
 		return reportFor(r.net, r.flow.Total), nil
 	}
-	dests := d.m.Destinations()
-	flow := mcf.NewFlow(r.net.g, dests)
-	for _, t := range dests {
-		if _, ok := r.dags[t]; !ok {
-			return nil, fmt.Errorf("%w: no forwarding state for destination %d", ErrBadInput, t)
-		}
+	flow, err := routing.Flow(r.net.g, r.dags, r.splits, d.m)
+	if err != nil {
+		return nil, asBadInput(err)
 	}
-	// Destinations are independent: evaluate each commodity on a
-	// parallel worker with a private workspace, writing only its own
-	// per-destination vector — bit-identical to the sequential loop.
-	errs := make([]error, len(dests))
-	par.Do(len(dests), func(i int) {
-		t := dests[i]
-		ws := workspaces.Get(r.net.g)
-		defer workspaces.Put(ws)
-		demand := d.m.ToDestinationInto(t, ws.DemandBuffer(r.net.g))
-		errs[i] = ws.PropagateDownInto(r.net.g, r.dags[t], demand, r.splits[t], flow.PerDest[t])
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	flow.RecomputeTotal()
 	return reportFor(r.net, flow.Total), nil
 }
 

@@ -4,8 +4,13 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // TestAllRoutersThroughInterface drives all four schemes through the
@@ -244,5 +249,160 @@ func TestWithProgressReportsBothStages(t *testing.T) {
 	}
 	if stages[StageSecondWeights] == 0 {
 		t.Error("no second-weights progress reported")
+	}
+}
+
+// sameBits reports whether two vectors are equal bit for bit.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// fixedWeightInstance returns a random network with demands and random
+// first and second weight vectors.
+func fixedWeightInstance(t *testing.T) (*Network, *Demands, []float64, []float64) {
+	t.Helper()
+	n, err := RandomNetwork(3, 14, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := FortzThorupDemands(3, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	w := make([]float64, n.NumLinks())
+	v := make([]float64, n.NumLinks())
+	for e := range w {
+		w[e] = float64(1 + rng.Intn(4)) // small integers make equal-cost ties
+		v[e] = rng.Float64() * 3
+	}
+	return n, d, w, v
+}
+
+// TestFixedWeightRoutesWorkerCountParity: the shared per-destination
+// build and propagation give bit-identical DAGs, splits and flows for
+// any worker count.
+func TestFixedWeightRoutesWorkerCountParity(t *testing.T) {
+	n, d, w, v := fixedWeightInstance(t)
+	prev := par.SetExtraWorkers(0)
+	defer par.SetExtraWorkers(prev)
+	for _, r := range []Router{OSPF(w), PEFT(w), SPEFWithWeights(w, v)} {
+		var routes [2]*Routes
+		var reports [2]*TrafficReport
+		for i, extra := range []int{0, 8} {
+			par.SetExtraWorkers(extra)
+			var err error
+			if routes[i], err = r.Routes(t.Context(), n, d); err != nil {
+				t.Fatalf("%s: Routes: %v", r.Name(), err)
+			}
+			if reports[i], err = routes[i].Evaluate(d); err != nil {
+				t.Fatalf("%s: Evaluate: %v", r.Name(), err)
+			}
+		}
+		a, b := routes[0], routes[1]
+		for dst, da := range a.dags {
+			db := b.dags[dst]
+			if db == nil || !sameBits(da.Dist, db.Dist) {
+				t.Fatalf("%s: destination %d: DAG distances differ", r.Name(), dst)
+			}
+			for u := range da.Out {
+				if !slices.Equal(da.Out[u], db.Out[u]) {
+					t.Fatalf("%s: destination %d node %d: DAG out-links %v != %v", r.Name(), dst, u, da.Out[u], db.Out[u])
+				}
+			}
+			if !sameBits(a.splits[dst], b.splits[dst]) {
+				t.Fatalf("%s: destination %d: splits differ", r.Name(), dst)
+			}
+		}
+		if len(a.dags) != len(b.dags) || len(a.splits) != len(b.splits) {
+			t.Fatalf("%s: destination counts differ", r.Name())
+		}
+		if !sameBits(reports[0].LinkFlow, reports[1].LinkFlow) {
+			t.Fatalf("%s: link flows differ", r.Name())
+		}
+	}
+}
+
+// TestPerDestFlowsMatchesPropagateDown: the per-destination flows the
+// path metrics read are the bits of propagating each destination alone.
+func TestPerDestFlowsMatchesPropagateDown(t *testing.T) {
+	n, d, w, v := fixedWeightInstance(t)
+	for _, r := range []Router{OSPF(w), PEFT(w), SPEFWithWeights(w, v)} {
+		routes, err := r.Routes(t.Context(), n, d)
+		if err != nil {
+			t.Fatalf("%s: Routes: %v", r.Name(), err)
+		}
+		got, err := routes.perDestFlows(d)
+		if err != nil {
+			t.Fatalf("%s: perDestFlows: %v", r.Name(), err)
+		}
+		if len(got) != len(d.m.Destinations()) {
+			t.Fatalf("%s: %d destinations, want %d", r.Name(), len(got), len(d.m.Destinations()))
+		}
+		for _, dst := range d.m.Destinations() {
+			want, err := graph.PropagateDown(n.g, routes.dags[dst], d.m.ToDestination(dst), routes.splits[dst])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(got[dst], want) {
+				t.Fatalf("%s: destination %d: flows differ from PropagateDown", r.Name(), dst)
+			}
+		}
+	}
+}
+
+// TestUncoveredDestinationIsBadInput: a demand toward a destination the
+// routes carry no state for fails with the public sentinel.
+func TestUncoveredDestinationIsBadInput(t *testing.T) {
+	n, d, err := Fig1Example()
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes, err := OSPF(nil).Routes(t.Context(), n, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := NewDemands(n)
+	if err := other.Add(0, 1, 1); err != nil { // Fig1Example routes toward node 2 only
+		t.Fatal(err)
+	}
+	if _, err := routes.Evaluate(other); !errors.Is(err, ErrBadInput) {
+		t.Errorf("Evaluate: err = %v, want ErrBadInput", err)
+	}
+	if _, err := MaxStretchMetric().Compute(routes, other, nil); !errors.Is(err, ErrBadInput) {
+		t.Errorf("max_stretch: err = %v, want ErrBadInput", err)
+	}
+}
+
+// TestRoutersRejectMalformedWeights: every fixed-weight router reports
+// malformed weights with the public sentinel, whichever layer finds
+// them, and the SPEF router also rejects non-finite second weights.
+func TestRoutersRejectMalformedWeights(t *testing.T) {
+	n, d, err := Fig1Example()
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := []float64{1, 1, 1, 1}
+	bad := map[string][]float64{
+		"short":    {1, 1, 1},
+		"NaN":      {1, math.NaN(), 1, 1},
+		"negative": {1, -1, 1, 1},
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := map[string]Router{
+		"SPEFWithWeights/second all NaN":  SPEFWithWeights(good, []float64{nan, nan, nan, nan}),
+		"SPEFWithWeights/second all +Inf": SPEFWithWeights(good, []float64{inf, inf, inf, inf}),
+		"SPEFWithWeights/second all -Inf": SPEFWithWeights(good, []float64{-inf, -inf, -inf, -inf}),
+		"SPEFWithWeights/second one NaN":  SPEFWithWeights(good, []float64{nan, 1, 1, 1}),
+	}
+	for name, w := range bad {
+		cases["OSPF/"+name] = OSPF(w)
+		cases["PEFT/"+name] = PEFT(w)
+		cases["SPEFWithWeights/"+name] = SPEFWithWeights(w, good)
+	}
+	for name, r := range cases {
+		if _, err := r.Routes(t.Context(), n, d); !errors.Is(err, ErrBadInput) {
+			t.Errorf("%s: err = %v, want ErrBadInput", name, err)
+		}
 	}
 }
