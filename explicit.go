@@ -39,7 +39,10 @@ type ExplicitOptions struct {
 	WeightMax int
 	// Seed drives the local search's randomized neighborhood sampling
 	// (default 0, matching the registry's "ospf-ls" default
-	// trajectory). Ignored with InvCapBase.
+	// trajectory). Ignored with InvCapBase. With the same MaxEvals,
+	// WeightMax and Seed as an OSPF-LS router on the same cell, the
+	// base search is OSPF-LS's own, and a scenario run computes it
+	// once for both.
 	Seed int64
 	// InvCapBase skips the local search and routes over Cisco InvCap
 	// weights — cheaper, and the natural base when comparing against
@@ -77,23 +80,28 @@ func explicitSuffix(parts ...string) string {
 }
 
 // baseWeights computes the IGP weight vector the explicit-path schemes
-// route on top of: Fortz-Thorup local-search weights (identical to the
-// OSPF-LS router's search under the same budget and seed — the ladder
-// contract) or plain InvCap.
+// route on top of: plain InvCap, or the Fortz-Thorup local search with
+// the OSPF-LS router's defaults — the ladder contract: under the same
+// budget and seed it is the OSPF-LS rung's own search, and inside a
+// scenario run the rungs share that one search (see searchWeights). The
+// vector is read-only: other cells of the run may hold it too.
 func baseWeights(ctx context.Context, n *Network, d *Demands, o ExplicitOptions) ([]float64, error) {
 	if o.InvCapBase {
 		return routing.InvCapWeights(n.g), nil
 	}
-	res, err := localsearch.Search(ctx, n.g, d.m, localsearch.Options{
-		MaxEvals:    o.MaxEvals,
-		WeightMax:   o.WeightMax,
-		Seed:        o.Seed,
-		InitWeights: routing.InvCapWeights(n.g),
-	})
-	if err != nil {
-		return nil, err
+	return searchWeights(ctx, n, d, o.searchOptions())
+}
+
+func (o ExplicitOptions) searchOptions() localsearch.Options {
+	return localsearch.Options{MaxEvals: o.MaxEvals, WeightMax: o.WeightMax, Seed: o.Seed}
+}
+
+// searchKey keys the base search; InvCapBase runs none.
+func (o ExplicitOptions) searchKey(n *Network, d *Demands) (searchKey, bool) {
+	if o.InvCapBase {
+		return searchKey{}, false
 	}
-	return res.Weights, nil
+	return newSearchKey(n, d, o.searchOptions())
 }
 
 // explicitRoutes wraps a computed flow as a flow-backed Routes, the
@@ -119,6 +127,10 @@ func explicitRoutes(name string, n *Network, d *Demands, flow *mcf.Flow) *Routes
 func SegmentRouting(opts ExplicitOptions) Router { return srRouter{opts: opts} }
 
 type srRouter struct{ opts ExplicitOptions }
+
+func (r srRouter) searchKey(n *Network, d *Demands) (searchKey, bool) {
+	return r.opts.searchKey(n, d)
+}
 
 func (r srRouter) segments() int {
 	if r.opts.Segments == 0 {
@@ -165,6 +177,10 @@ func (r srRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Routes, 
 func MPLSKSP(opts ExplicitOptions) Router { return mplsRouter{opts: opts} }
 
 type mplsRouter struct{ opts ExplicitOptions }
+
+func (r mplsRouter) searchKey(n *Network, d *Demands) (searchKey, bool) {
+	return r.opts.searchKey(n, d)
+}
 
 func (r mplsRouter) paths() int {
 	if r.opts.K == 0 {

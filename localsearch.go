@@ -6,8 +6,10 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/graph"
 	"repro/internal/localsearch"
 	"repro/internal/routing"
+	"repro/internal/traffic"
 )
 
 // Local-search router display names.
@@ -100,15 +102,7 @@ func (r ospfLSRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Rout
 	if r.opts.SampleFailures < 0 {
 		return nil, fmt.Errorf("%w: negative SampleFailures %d", ErrBadInput, r.opts.SampleFailures)
 	}
-	opts := localsearch.Options{
-		MaxEvals:       r.opts.MaxEvals,
-		WeightMax:      r.opts.WeightMax,
-		Seed:           r.opts.Seed,
-		FailurePenalty: r.opts.FailurePenalty,
-		Accept:         r.opts.Accept,
-		TabuTenure:     r.opts.TabuTenure,
-		InitWeights:    routing.InvCapWeights(n.g),
-	}
+	opts := r.searchOptions()
 	if r.opts.Robust {
 		// Score candidates against every single-link-failure variant
 		// that keeps the demands routable — the same variant set (and
@@ -130,15 +124,15 @@ func (r ospfLSRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Rout
 			opts.Failures = sampleFailures(opts.Failures, r.opts.SampleFailures, r.opts.SampleSeed)
 		}
 	}
-	res, err := localsearch.Search(ctx, n.g, d.m, opts)
+	weights, err := searchWeights(ctx, n, d, opts)
 	if err != nil {
 		return nil, fmt.Errorf("spef: %s: %w", r.Name(), err)
 	}
-	o, err := routing.BuildOSPF(n.g, d.m.Destinations(), res.Weights, 0)
+	o, err := routing.BuildOSPF(n.g, d.m.Destinations(), weights, 0)
 	if err != nil {
 		return nil, err
 	}
-	w := append([]float64(nil), res.Weights...)
+	w := append([]float64(nil), weights...)
 	return &Routes{
 		router: r.Name(),
 		net:    n,
@@ -151,6 +145,112 @@ func (r ospfLSRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Rout
 		weights:     w,
 		ecmpWeights: w,
 	}, nil
+}
+
+// searchOptions maps the router's options onto the search's.
+// FailurePenalty passes only with Robust, which it is documented to
+// tune. A robust search starts from an empty but non-nil failure list,
+// which Routes fills: that keeps it out of any shared store (see
+// newSearchKey) even when no failure variant is routable.
+func (r ospfLSRouter) searchOptions() localsearch.Options {
+	o := localsearch.Options{
+		MaxEvals:   r.opts.MaxEvals,
+		WeightMax:  r.opts.WeightMax,
+		Seed:       r.opts.Seed,
+		Accept:     r.opts.Accept,
+		TabuTenure: r.opts.TabuTenure,
+	}
+	if r.opts.Robust {
+		o.FailurePenalty = r.opts.FailurePenalty
+		o.Failures = []localsearch.Failure{}
+	}
+	return o
+}
+
+func (r ospfLSRouter) searchKey(n *Network, d *Demands) (searchKey, bool) {
+	return newSearchKey(n, d, r.searchOptions())
+}
+
+// searchKey identifies a Fortz-Thorup search by everything its result
+// depends on: the network's graph and the demand matrix by identity,
+// and every localsearch option with its default applied, so options
+// that spell a default differently share a search. Every search starts
+// from the graph's InvCap weights (see searchWeights), so the graph
+// fixes the start as well. Grid expansion hands every router of one
+// (topology, load, step, failure variant) the same graph and matrix.
+type searchKey struct {
+	g                    *graph.Graph
+	m                    *traffic.Matrix
+	maxEvals, weightMax  int
+	neighborhood, tenure int
+	seed                 int64
+	tol, failurePenalty  float64
+	accept               string
+}
+
+// newSearchKey keys the search of o on (n, d). A robust search
+// (Failures non-nil) has no key: it is never shared.
+func newSearchKey(n *Network, d *Demands, o localsearch.Options) (searchKey, bool) {
+	if o.Failures != nil {
+		return searchKey{}, false
+	}
+	k := searchKey{
+		g: n.g, m: d.m,
+		maxEvals: o.MaxEvals, weightMax: o.WeightMax,
+		neighborhood: o.Neighborhood, tenure: o.TabuTenure,
+		seed: o.Seed, tol: o.Tol, failurePenalty: o.FailurePenalty,
+		accept: o.Accept,
+	}
+	// localsearch.Search's defaults, as it applies them; a negative
+	// WeightMax stays as it is and fails the search. Options keyed
+	// apart that search alike only miss a share.
+	if k.maxEvals <= 0 {
+		k.maxEvals = 2000
+	}
+	if k.weightMax == 0 {
+		k.weightMax = 20
+	}
+	if k.neighborhood <= 0 {
+		k.neighborhood = 16
+	}
+	return k, true
+}
+
+// searchKeyer is implemented by routers whose Routes runs a
+// Fortz-Thorup search that a scenario run may share between cells.
+type searchKeyer interface {
+	// searchKey reports, without running anything, the key of the
+	// search Routes would run on (n, d), false when it runs none or
+	// one that is never shared.
+	searchKey(n *Network, d *Demands) (searchKey, bool)
+}
+
+// runSearch is the search searchWeights runs; tests wrap it to count
+// searches.
+var runSearch = localsearch.Search
+
+// searchWeights runs the Fortz-Thorup search of opts on (n, d) from the
+// network's InvCap weights and returns the best weights found. Inside a
+// scenario run whose store shares the search's key, the search runs
+// once for every cell that asks and every asker gets the same weights,
+// which it must only read; anywhere else it runs here. The error is the
+// search's own, with bad options reported as ErrBadInput; callers add
+// their router's name.
+func searchWeights(ctx context.Context, n *Network, d *Demands, opts localsearch.Options) ([]float64, error) {
+	search := func() ([]float64, error) {
+		opts.InitWeights = routing.InvCapWeights(n.g)
+		res, err := runSearch(ctx, n.g, d.m, opts)
+		if err != nil {
+			return nil, asBadInput(err)
+		}
+		return res.Weights, nil
+	}
+	if k, ok := newSearchKey(n, d, opts); ok {
+		if e := sharedSearch(ctx, k); e != nil {
+			return e.get(search)
+		}
+	}
+	return search()
 }
 
 // sampleFailures draws k distinct failure variants from the full list,

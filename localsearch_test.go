@@ -135,6 +135,45 @@ func TestOSPFLocalSearchCanceled(t *testing.T) {
 	}
 }
 
+// TestLocalSearchRoutersReportBadOptions: a search option the search
+// rejects is ErrBadInput from every router that searches.
+func TestLocalSearchRoutersReportBadOptions(t *testing.T) {
+	n := Abilene()
+	d, err := ResolveDemands("gravity", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []Router{
+		OSPFLocalSearch(LocalSearchOptions{WeightMax: -3}),
+		SegmentRouting(ExplicitOptions{WeightMax: -3}),
+		MPLSKSP(ExplicitOptions{WeightMax: -3}),
+	} {
+		if _, err := r.Routes(context.Background(), n, d); !errors.Is(err, ErrBadInput) {
+			t.Errorf("%s with WeightMax -3: err %v, want ErrBadInput", r.Name(), err)
+		}
+	}
+}
+
+// TestOSPFLocalSearchIgnoresFailurePenaltyWithoutRobust: FailurePenalty
+// is documented as ignored without Robust, so even a value the robust
+// search rejects leaves a plain search as it is.
+func TestOSPFLocalSearchIgnoresFailurePenaltyWithoutRobust(t *testing.T) {
+	n, d := lsTestInstance(t)
+	weights := func(rho float64) []float64 {
+		routes, err := OSPFLocalSearch(LocalSearchOptions{MaxEvals: 100, Seed: 1, FailurePenalty: rho}).Routes(context.Background(), n, d)
+		if err != nil {
+			t.Fatalf("FailurePenalty %v: %v", rho, err)
+		}
+		return routes.weights
+	}
+	got, want := weights(-1), weights(0)
+	for e := range want {
+		if math.Float64bits(got[e]) != math.Float64bits(want[e]) {
+			t.Fatalf("link %d: weight %v with FailurePenalty -1, %v with 0", e, got[e], want[e])
+		}
+	}
+}
+
 // TestResolveRouterLocalSearchSpecs: the new specs resolve with their
 // parameters, and defaultIters maps onto the evaluation budget.
 func TestResolveRouterLocalSearchSpecs(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/localsearch"
 	"repro/internal/mcf"
 	"repro/internal/routing"
 )
@@ -183,6 +184,13 @@ func (r peftRouter) reuseFrom(routes *Routes) (Router, bool) {
 func (n namedRouter) reusable() bool {
 	wr, ok := n.r.(weightReuser)
 	return ok && wr.reusable()
+}
+
+func (n namedRouter) searchKey(net *Network, d *Demands) (searchKey, bool) {
+	if sk, ok := n.r.(searchKeyer); ok {
+		return sk.searchKey(net, d)
+	}
+	return searchKey{}, false
 }
 
 func (n namedRouter) reuseFrom(routes *Routes) (Router, bool) {
@@ -422,10 +430,11 @@ func (r spefWeightsRouter) Routes(ctx context.Context, n *Network, d *Demands) (
 
 // asBadInput gives the public ErrBadInput sentinel to a lower layer's
 // rejection of its arguments: routing.ErrBadInput (wrong-length weights,
-// a destination without forwarding state) or graph.ErrBadWeights (NaN
-// or negative weights). Other errors pass through unchanged.
+// a destination without forwarding state), graph.ErrBadWeights (NaN or
+// negative weights) or localsearch.ErrBadInput (inconsistent search
+// options). Other errors pass through unchanged.
 func asBadInput(err error) error {
-	if errors.Is(err, routing.ErrBadInput) || errors.Is(err, graph.ErrBadWeights) {
+	if errors.Is(err, routing.ErrBadInput) || errors.Is(err, graph.ErrBadWeights) || errors.Is(err, localsearch.ErrBadInput) {
 		return fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
 	return err

@@ -416,18 +416,19 @@ type RunOptions struct {
 	// different (documented) semantics: every cell of the group reports
 	// the performance of the reference cell's weights under its own
 	// load and step, the deployed-weights robustness question, rather
-	// than per-cell re-optimization. Routers that carry no extractable
-	// optimization (OSPF, Optimal, fixed-weight variants) run
-	// unchanged. Results remain deterministic for any worker count.
+	// than per-cell re-optimization. Routers that share a display name
+	// but differ in parameters (ospf-ls:iters=5 and ospf-ls:iters=400)
+	// form separate groups, told apart by their order in the grid.
+	// Routers that carry no extractable optimization (OSPF, Optimal,
+	// fixed-weight variants) run unchanged. Results remain
+	// deterministic for any worker count.
+	//
+	// With or without ReuseWeights, a run computes each Fortz-Thorup
+	// search that two or more of its cells ask for once: the OSPF-LS,
+	// SR and MPLS-kSP routers of one (topology, load, step, failure
+	// variant) with the same budget, seed and weight range share one
+	// search, and its result is the one each cell would compute alone.
 	ReuseWeights bool
-}
-
-// cache builds the weight-reuse cache for a run, nil when disabled.
-func (o RunOptions) cache(scenarios []Scenario) *weightCache {
-	if !o.ReuseWeights {
-		return nil
-	}
-	return newWeightCache(scenarios)
 }
 
 func (o RunOptions) metrics() []Metric {
@@ -446,10 +447,10 @@ func (o RunOptions) metrics() []Metric {
 // alongside the partial results.
 func RunScenarios(ctx context.Context, scenarios []Scenario, opts RunOptions) ([]ScenarioResult, error) {
 	metrics := opts.metrics()
-	cache := opts.cache(scenarios)
-	results := scenario.Run(ctx, len(scenarios), opts.Workers,
+	store := newRunStore(scenarios, opts.ReuseWeights, nil)
+	results := scenario.Run(store.install(ctx), len(scenarios), opts.Workers,
 		func(ctx context.Context, i int) ScenarioResult {
-			return runScenario(ctx, i, scenarios[i], metrics, cache)
+			return runScenario(ctx, i, scenarios[i], metrics, store)
 		},
 		func(i int) ScenarioResult {
 			r := resultShell(i, scenarios[i])
@@ -471,9 +472,9 @@ func RunScenarios(ctx context.Context, scenarios []Scenario, opts RunOptions) ([
 // context's error, mirroring the batch path.
 func StreamScenarios(ctx context.Context, scenarios []Scenario, opts RunOptions) iter.Seq[ScenarioResult] {
 	metrics := opts.metrics()
-	cache := opts.cache(scenarios)
+	store := newRunStore(scenarios, opts.ReuseWeights, nil)
 	return func(yield func(ScenarioResult) bool) {
-		sctx, cancel := context.WithCancel(ctx)
+		sctx, cancel := context.WithCancel(store.install(ctx))
 		defer cancel()
 		stop := make(chan struct{})
 		ch := make(chan ScenarioResult)
@@ -482,7 +483,7 @@ func StreamScenarios(ctx context.Context, scenarios []Scenario, opts RunOptions)
 			completed := 0
 			scenario.Stream(sctx, len(scenarios), opts.Workers,
 				func(ctx context.Context, i int) ScenarioResult {
-					return runScenario(ctx, i, scenarios[i], metrics, cache)
+					return runScenario(ctx, i, scenarios[i], metrics, store)
 				},
 				func(i int) ScenarioResult {
 					r := resultShell(i, scenarios[i])
@@ -533,10 +534,10 @@ func (r *ScenarioResult) setErr(err error) {
 	}
 }
 
-func runScenario(ctx context.Context, idx int, s Scenario, metrics []Metric, cache *weightCache) ScenarioResult {
+func runScenario(ctx context.Context, idx int, s Scenario, metrics []Metric, store *runStore) ScenarioResult {
 	start := time.Now()
 	res := resultShell(idx, s)
-	router, err := cache.router(ctx, s)
+	router, err := store.router(ctx, idx, s)
 	var routes *Routes
 	if err == nil {
 		routes, err = router.Routes(ctx, s.Network, s.Demands)

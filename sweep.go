@@ -186,19 +186,22 @@ func runShard(ctx context.Context, cells []Scenario, opts RunOptions, suiteName,
 	if sopts.Progress != nil {
 		sopts.Progress(rep.Resumed, rep.ShardCells)
 	}
-	// The weight-reuse cache is built over the FULL cell list, so each
-	// group's reference cell is the global one: every shard optimizes
-	// the same reference and extracts the same weights, keeping sharded
-	// results bit-identical to a single-process ReuseWeights run (at
-	// the cost of re-optimizing shared references once per shard).
-	cache := opts.cache(cells)
+	// The store's weight-reuse groups are built over the FULL cell list,
+	// so each group's reference cell is the global one: every shard
+	// optimizes the same reference and extracts the same weights,
+	// keeping sharded results bit-identical to a single-process
+	// ReuseWeights run (at the cost of re-optimizing shared references
+	// once per shard). Shared searches are counted over the pending
+	// cells only: a search depends only on its key, so sharing it inside
+	// one shard changes no bit.
+	store := newRunStore(cells, opts.ReuseWeights, func(i int) bool { return shard.Owns(i) && !done[i] })
 	metrics := opts.metrics()
 	completed := rep.Resumed
 	var appendErr error
-	scenario.Stream(ctx, len(pending), opts.Workers,
+	scenario.Stream(store.install(ctx), len(pending), opts.Workers,
 		func(ctx context.Context, i int) ScenarioResult {
 			g := pending[i]
-			return runScenario(ctx, g, cells[g], metrics, cache)
+			return runScenario(ctx, g, cells[g], metrics, store)
 		},
 		func(i int) ScenarioResult {
 			g := pending[i]

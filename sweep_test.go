@@ -155,12 +155,16 @@ func TestShardMergeBitIdenticalToSingleProcess(t *testing.T) {
 // TestShardMergeBitIdenticalWithReuseWeights pins the subtle case: with
 // weight reuse on, every shard must optimize the same global reference
 // cell of each (topology, failure, router) group, or sharded results
-// drift from the single-process run.
+// drift from the single-process run. OSPF-LS and SR-2seg ask for one
+// search per cell, which each shard shares only among its own cells.
 func TestShardMergeBitIdenticalWithReuseWeights(t *testing.T) {
 	n, d := gridNetwork(t)
 	grid := Grid{
-		Topologies:         []Topology{{Name: "ring5", Network: n, Demands: d}},
-		Routers:            []Router{SPEF(WithMaxIterations(100)), OSPF(nil)},
+		Topologies: []Topology{{Name: "ring5", Network: n, Demands: d}},
+		Routers: []Router{
+			SPEF(WithMaxIterations(100)), OSPF(nil),
+			OSPFLocalSearch(LocalSearchOptions{MaxEvals: 60}), SegmentRouting(ExplicitOptions{MaxEvals: 60}),
+		},
 		Loads:              []float64{0.5, 0.8, 1.1},
 		SingleLinkFailures: true,
 	}

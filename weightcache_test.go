@@ -160,3 +160,35 @@ func TestReuseWeightsPEFT(t *testing.T) {
 	}
 	metricsBitIdentical(t, "PEFT reuse rerun", got, again)
 }
+
+// TestReuseWeightsKeepsSameNamedRoutersApart: routers that differ only
+// in parameters their display name leaves out (the OSPF-LS and SPEF
+// budgets) form separate reuse groups, so at the reference load every
+// reuse cell equals, bit for bit, the same cell run without reuse.
+func TestReuseWeightsKeepsSameNamedRoutersApart(t *testing.T) {
+	suite := func(reuse bool) []spef.ScenarioResult {
+		res, err := (&spef.Suite{
+			Topologies:   []string{"abilene"},
+			Demands:      "gravity",
+			Loads:        []float64{0.1, 0.2},
+			Routers:      []string{"ospf-ls:iters=5", "ospf-ls:iters=400", "spef:iters=2", "spef:iters=60"},
+			Metrics:      []string{"mlu", "utility", "fortz_norm"},
+			ReuseWeights: reuse,
+		}).Collect(t.Context())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	on, off := suite(true), suite(false)
+	var refOn, refOff []spef.ScenarioResult
+	for i := range on {
+		if on[i].Load == 0.1 {
+			refOn, refOff = append(refOn, on[i]), append(refOff, off[i])
+		}
+	}
+	if len(refOn) != 4 {
+		t.Fatalf("%d cells at the reference load, want 4", len(refOn))
+	}
+	metricsBitIdentical(t, "reference load, reuse on vs off", refOn, refOff)
+}
