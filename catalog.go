@@ -225,7 +225,6 @@ var routerDocs = []SpecDoc{
 			{Name: "seed", Default: "0", Doc: "base-weight search seed"},
 			{Name: "base", Default: "ospf-ls", Doc: "base weights: ospf-ls or invcap"},
 			{Name: "colgen", Default: "off", Doc: "solve the split LP by column generation over all simple paths (on/off)"},
-			{Name: "screen", Default: "off", Doc: "exact bottleneck-support pruning in the greedy candidate (on/off)"},
 		},
 	},
 	{
@@ -237,7 +236,6 @@ var routerDocs = []SpecDoc{
 			{Name: "wmax", Default: "20", Doc: "largest base integer weight"},
 			{Name: "seed", Default: "0", Doc: "base-weight search seed"},
 			{Name: "base", Default: "ospf-ls", Doc: "base weights: ospf-ls or invcap"},
-			{Name: "screen", Default: "off", Doc: "exact bottleneck-support midpoint pruning (on/off)"},
 		},
 	},
 	{

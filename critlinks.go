@@ -82,8 +82,8 @@ type CriticalLink struct {
 // scenario Grid must skip unroutable variants (no scheme can be
 // compared on them), a criticality ranking wants them on top.
 func RankCriticalLinks(ctx context.Context, n *Network, d *Demands, opts CriticalLinksOptions) ([]CriticalLink, error) {
-	if n == nil || d == nil {
-		return nil, fmt.Errorf("%w: nil network or demands", ErrBadInput)
+	if err := checkDemands(n, d); err != nil {
+		return nil, err
 	}
 	w := opts.Weights
 	if opts.Router != nil {

@@ -39,8 +39,8 @@ type DeltaEngine struct {
 // and the weights; the equal-cost tolerance is 0 (exact ties), the
 // OSPF router's configuration.
 func NewDeltaEngine(n *Network, d *Demands, weights []float64) (*DeltaEngine, error) {
-	if n == nil || d == nil {
-		return nil, fmt.Errorf("%w: nil network or demands", ErrBadInput)
+	if err := checkDemands(n, d); err != nil {
+		return nil, err
 	}
 	if weights == nil {
 		weights = routing.InvCapWeights(n.g)

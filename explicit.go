@@ -48,20 +48,15 @@ type ExplicitOptions struct {
 	// weights — cheaper, and the natural base when comparing against
 	// plain InvCap-OSPF rather than OSPF-LS.
 	InvCapBase bool
-	// ColGen switches MPLSKSP's split LP from the dense k-path
-	// enumeration to column generation: demands start on their shortest
-	// path and the restricted master's duals price new paths in via the
-	// k-shortest oracle, so the LP optimizes over all simple paths (K
-	// then bounds the oracle's scan width per pricing round, not the
-	// candidate set). Same model, same optimum within LP tolerance —
-	// but it scales to instances where enumerating k paths for every
-	// pair is the bottleneck. Ignored by SegmentRouting.
+	// ColGen switches MPLSKSP's split LP from the k-path enumeration to
+	// column generation: demands start on their shortest path and the
+	// restricted master's duals price new paths in via the k-shortest
+	// oracle, so the LP optimizes over all simple paths (K then bounds
+	// the oracle's scan width per pricing round, not the candidate set).
+	// Its MLU is therefore at most the k-path LP's, and it scales to
+	// instances where enumerating k paths for every pair is the
+	// bottleneck. Ignored by SegmentRouting.
 	ColGen bool
-	// Screen enables SegmentRouting's (and MPLSKSP's greedy candidate's)
-	// bottleneck-support midpoint screen — an exact pruning that skips
-	// scoring candidates that provably cannot improve the incumbent. The
-	// routing produced is identical with it on or off.
-	Screen bool
 }
 
 // explicitSuffix renders the non-default parameterization, e.g.
@@ -148,6 +143,9 @@ func (r srRouter) Name() string {
 }
 
 func (r srRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Routes, error) {
+	if err := checkDemands(n, d); err != nil {
+		return nil, err
+	}
 	w, err := baseWeights(ctx, n, d, r.opts)
 	if err != nil {
 		return nil, fmt.Errorf("spef: %s: %w", r.Name(), err)
@@ -156,10 +154,7 @@ func (r srRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Routes, 
 	if err != nil {
 		return nil, fmt.Errorf("spef: %s: %w", r.Name(), err)
 	}
-	sr, err := explicit.TwoSegmentOpt(ctx, uf, d.m, explicit.SROptions{
-		Segments: r.segments(),
-		Screen:   r.opts.Screen,
-	})
+	sr, err := explicit.TwoSegment(ctx, uf, d.m, r.segments(), 0)
 	if err != nil {
 		return nil, fmt.Errorf("spef: %s: %w", r.Name(), err)
 	}
@@ -201,6 +196,9 @@ func (r mplsRouter) Name() string {
 }
 
 func (r mplsRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Routes, error) {
+	if err := checkDemands(n, d); err != nil {
+		return nil, err
+	}
 	w, err := baseWeights(ctx, n, d, r.opts)
 	if err != nil {
 		return nil, fmt.Errorf("spef: %s: %w", r.Name(), err)
@@ -216,17 +214,14 @@ func (r mplsRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Routes
 	}
 	bestMLU := explicit.MaxUtil(n.g, best.Total)
 	// Candidate 2: two-segment greedy detours.
-	sr, err := explicit.TwoSegmentOpt(ctx, uf, d.m, explicit.SROptions{
-		Segments: 2,
-		Screen:   r.opts.Screen,
-	})
+	sr, err := explicit.TwoSegment(ctx, uf, d.m, 2, 0)
 	if err != nil {
 		return nil, fmt.Errorf("spef: %s: %w", r.Name(), err)
 	}
 	if sr.MLU < bestMLU {
 		best, bestMLU = sr.Flow, sr.MLU
 	}
-	// Candidate 3: the split LP — dense k-path enumeration by default,
+	// Candidate 3: the split LP — over k enumerated paths by default,
 	// column generation over all simple paths with ColGen. A simplex
 	// failure (ErrLP) falls back to the greedy candidates; anything
 	// else — bad input, cancellation — propagates.

@@ -7,33 +7,23 @@ import (
 
 	"repro/internal/ksp"
 	"repro/internal/lp"
-	"repro/internal/mcf"
 	"repro/internal/par"
 	"repro/internal/traffic"
 )
 
 // This file scales the path LP past what up-front enumeration can
-// carry: instead of materializing k paths per pair and solving one
-// dense LP over all of them, SolveColGen starts every demand on its
-// single shortest path, solves a restricted master LP, and lets the
-// LP's own duals ask for the paths it is missing (column generation).
-// The pricing oracle is internal/ksp under dual-adjusted link costs: a
-// candidate path's reduced cost is negative exactly when it is shorter,
-// under the congestion prices, than what the master already routes the
-// demand on — iterating until no pair prices in reaches the optimum
-// over ALL simple paths, not just a pre-enumerated subset.
-//
-// The restricted master is kept small by eliminating the per-demand
-// convexity rows: demand d's first path carries the implicit fraction
-// 1 - sum of its alternates, so the master has one row per link
-//
-//	sum_d vol_d (u_p - u_p0) . x  -  cap_e theta  <=  -base_e
-//
-// (base_e = load of the all-first-paths routing) plus one "alternate
-// sum <= 1" row per demand that has acquired alternates. Rows and
-// columns are appended between solves and the sparse solver warm-starts
-// from the previous basis, so a pricing round costs only the pivots its
-// new columns cause.
+// carry: instead of materializing k paths per pair and loading them all
+// into the restricted master (Solve), SolveColGen starts every demand
+// on its single shortest path, solves the master (pathMaster), and lets
+// the LP's own duals ask for the paths it is missing (column
+// generation). The pricing oracle is internal/ksp under dual-adjusted
+// link costs: a candidate path's reduced cost is negative exactly when
+// it is shorter, under the congestion prices, than what the master
+// already routes the demand on — iterating until no pair prices in
+// reaches the optimum over ALL simple paths, not just a pre-enumerated
+// subset. Columns are appended between solves and the sparse solver
+// warm-starts from the previous basis, so a pricing round costs only
+// the pivots its new columns cause.
 //
 // Reduced-cost algebra, with y_e <= 0 the link-row duals, mu_d <= 0 the
 // alternate-sum duals, and wtilde = -y the (nonnegative) pricing costs:
@@ -67,9 +57,9 @@ type colgenStats struct {
 	rounds int
 }
 
-// SolveColGen solves the same minimum-MLU path model as Solve, by
-// column generation over ALL simple paths instead of a dense LP over k
-// pre-enumerated ones: per pricing round each pair may gain one new
+// SolveColGen solves the minimum-MLU path model of Solve by column
+// generation over ALL simple paths instead of k pre-enumerated ones, so
+// its MLU is at most Solve's: per pricing round each pair may gain one new
 // path (the cheapest under the master's dual link costs, found by the
 // k-shortest oracle so duplicates can be seen past), until no pair has
 // a negatively priced path. The solver's k bounds the oracle's scan
@@ -93,39 +83,13 @@ func (p *PathLP) solveColGen(ctx context.Context, tm *traffic.Matrix, onColumn f
 		return nil, nil, err
 	}
 
+	// Any link may be priced in, so every link gets a row: link e's
+	// row, and its dual, is e.
+	mst, err := newPathMaster(p.g, dems, first, nil)
+	if err != nil {
+		return nil, nil, err
+	}
 	m := p.g.NumLinks()
-	base := make([]float64, m)
-	for i, d := range dems {
-		for _, e := range first[i] {
-			base[e] += d.Volume
-		}
-	}
-	prob := lp.NewSparseProblem()
-	for e := 0; e < m; e++ {
-		if _, err := prob.AddRow(-base[e]); err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrLP, err)
-		}
-	}
-	thetaRows := make([]int, m)
-	thetaVals := make([]float64, m)
-	for e := 0; e < m; e++ {
-		thetaRows[e] = e
-		thetaVals[e] = -p.g.Link(e).Cap
-	}
-	if _, err := prob.AddColumn(1, thetaRows, thetaVals); err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrLP, err)
-	}
-	solver := lp.NewSparseSolver(prob)
-
-	// Per-demand alternate state: the sum row (lazily created) and the
-	// alternates' link sequences aligned with their column indices.
-	altRow := make([]int, len(dems))
-	for i := range altRow {
-		altRow[i] = -1
-	}
-	altLinks := make([][][]int, len(dems))
-	altCols := make([][]int, len(dems))
-
 	stats := &colgenStats{
 		wtilde: make([]float64, m),
 		c0:     make([]float64, len(dems)),
@@ -142,7 +106,7 @@ func (p *PathLP) solveColGen(ctx context.Context, tm *traffic.Matrix, onColumn f
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		master, err = solver.Solve()
+		master, err = mst.solver.Solve()
 		if err != nil {
 			// The master is feasible and bounded by construction; any
 			// failure here is numerical.
@@ -175,7 +139,7 @@ func (p *PathLP) solveColGen(ctx context.Context, tm *traffic.Matrix, onColumn f
 			}
 			stats.c0[i] = c0
 			mu := 0.0
-			if r := altRow[i]; r >= 0 {
+			if r := mst.altRow[i]; r >= 0 {
 				if y := master.Y[r]; y < 0 {
 					mu = y
 				}
@@ -203,7 +167,7 @@ func (p *PathLP) solveColGen(ctx context.Context, tm *traffic.Matrix, onColumn f
 				if cand.Cost >= thr[i]-tol {
 					break // nondecreasing: nothing later prices in
 				}
-				if equalLinkSeq(cand.Links, first[i]) || containsLinkSeq(altLinks[i], cand.Links) {
+				if equalLinkSeq(cand.Links, first[i]) || mst.hasAlt(i, cand.Links) {
 					continue // already a column; the next path may still price in
 				}
 				var c float64
@@ -240,64 +204,19 @@ func (p *PathLP) solveColGen(ctx context.Context, tm *traffic.Matrix, onColumn f
 		}
 
 		for _, i := range adds {
-			if altRow[i] < 0 {
-				r, err := prob.AddRow(1)
-				if err != nil {
-					return nil, nil, fmt.Errorf("%w: %v", ErrLP, err)
-				}
-				altRow[i] = r
+			if err := mst.addAlt(i, found[i]); err != nil {
+				return nil, nil, err
 			}
-			rows, vals := altColumn(found[i], first[i], dems[i].Volume, altRow[i])
-			col, err := prob.AddColumn(0, rows, vals)
-			if err != nil {
-				return nil, nil, fmt.Errorf("%w: %v", ErrLP, err)
-			}
-			altLinks[i] = append(altLinks[i], found[i])
-			altCols[i] = append(altCols[i], col)
 			if onColumn != nil {
 				onColumn(i, found[i], foundRc[i])
 			}
 		}
 	}
 
-	// Assemble the flow: each demand's alternates at their master
-	// fractions, the first path at the eliminated remainder.
-	f := mcf.NewFlow(p.g, tm.Destinations())
-	total := len(dems)
-	for i, d := range dems {
-		ft := f.PerDest[d.Dst]
-		var altSum float64
-		for a, col := range altCols[i] {
-			frac := 0.0
-			if col < len(master.X) {
-				frac = master.X[col]
-			}
-			if frac <= 0 {
-				continue
-			}
-			if frac > 1 {
-				frac = 1
-			}
-			altSum += frac
-			for _, e := range altLinks[i][a] {
-				ft[e] += d.Volume * frac
-			}
-		}
-		total += len(altCols[i])
-		if frac := 1 - altSum; frac > 0 {
-			for _, e := range first[i] {
-				ft[e] += d.Volume * frac
-			}
-		}
-	}
-	f.RecomputeTotal()
-	stats.cols = total
-	return &LPResult{
-		Flow:   f,
-		MLU:    MaxUtil(p.g, f.Total),
-		Paths:  total,
-		Rounds: stats.rounds,
-	}, stats, nil
+	res := mst.result(tm, master.X)
+	res.Rounds = stats.rounds
+	stats.cols = res.Paths
+	return res, stats, nil
 }
 
 // firstPaths returns (and caches) each demand pair's shortest path
@@ -338,34 +257,6 @@ func (p *PathLP) firstPaths(ctx context.Context, dems []traffic.Demand) ([][]int
 	return out, nil
 }
 
-// altColumn builds the sparse master column of an alternate path: the
-// per-link flow delta against the demand's first path (vol on links the
-// path adds, -vol on links it leaves), plus the demand's alternate-sum
-// row. Overlapping links cancel exactly.
-func altColumn(links, first []int, vol float64, altRow int) ([]int, []float64) {
-	coef := make(map[int]float64, len(links)+len(first))
-	for _, e := range links {
-		coef[e] += vol
-	}
-	for _, e := range first {
-		coef[e] -= vol
-	}
-	rows := make([]int, 0, len(coef)+1)
-	for e, v := range coef {
-		if v != 0 {
-			rows = append(rows, e)
-		}
-	}
-	sort.Ints(rows)
-	vals := make([]float64, 0, len(rows)+1)
-	for _, e := range rows {
-		vals = append(vals, coef[e])
-	}
-	rows = append(rows, altRow)
-	vals = append(vals, 1)
-	return rows, vals
-}
-
 // equalLinkSeq reports whether two link sequences are identical.
 func equalLinkSeq(a, b []int) bool {
 	if len(a) != len(b) {
@@ -377,14 +268,4 @@ func equalLinkSeq(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// containsLinkSeq reports whether seqs already holds links.
-func containsLinkSeq(seqs [][]int, links []int) bool {
-	for _, s := range seqs {
-		if equalLinkSeq(s, links) {
-			return true
-		}
-	}
-	return false
 }

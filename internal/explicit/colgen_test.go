@@ -6,15 +6,20 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/ksp"
 	"repro/internal/mcf"
+	"repro/internal/routing"
+	"repro/internal/topo"
+	"repro/internal/traffic"
 )
 
 // TestColGenMatchesDense is the optimality property test: on small
 // random topologies, column generation must land on the same MLU as
-// both the dense path LP with exhaustive k and the exact
-// multi-commodity optimum, within LP tolerance. Colgen optimizes over
-// all simple paths, so it has no excuse to miss.
+// both the k-path LP with exhaustive k and the exact multi-commodity
+// optimum, within LP tolerance; on Abilene and Cernet2, on the exact
+// optimum. Colgen optimizes over all simple paths, so it has no excuse
+// to miss.
 func TestColGenMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	ctx := context.Background()
@@ -52,6 +57,36 @@ func TestColGenMatchesDense(t *testing.T) {
 		}
 		if cres.Rounds < 1 {
 			t.Fatalf("trial %d: expected at least one pricing round, got %d", trial, cres.Rounds)
+		}
+	}
+	// The paper's evaluation networks under gravity matrices: too many
+	// paths to enumerate, but colgen must still reach the exact optimum.
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"abilene", topo.Abilene()}, {"cernet2", topo.Cernet2()}} {
+		vols := traffic.SyntheticVolumes(7, tc.g.NumNodes(), 0.5)
+		for i := range vols {
+			vols[i]++
+		}
+		tm, err := traffic.Gravity(vols, tc.g.TotalCapacity()*0.15)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt, err := mcf.MinMLU(tc.g, tm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cg, err := NewPathLP(tc.g, routing.InvCapWeights(tc.g), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cres, err := cg.SolveColGen(ctx, tm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(cres.MLU-opt.MLU) > 1e-6*(1+opt.MLU) {
+			t.Fatalf("%s: colgen MLU %v vs exact optimum %v", tc.name, cres.MLU, opt.MLU)
 		}
 	}
 }

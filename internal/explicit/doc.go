@@ -14,24 +14,25 @@
 // flow, every midpoint detour, and the MPLS fallback all assemble from
 // these vectors by linearity.
 //
-// The path LP solves two ways. PathLP.Solve enumerates k candidate
-// paths per pair up front and hands one dense LP to internal/lp's
-// tableau simplex. PathLP.SolveColGen performs column generation:
-// each demand starts on its shortest path only, a restricted master
-// LP (internal/lp's sparse revised simplex, warm-started as it grows)
-// is solved, and new paths are priced against the LP duals with
-// internal/ksp as the shortest-path oracle until no simple path has
-// negative reduced cost — an exact optimum over all simple paths,
-// certified at termination by dual feasibility. TwoSegmentOpt's
-// Screen option prunes midpoint candidates whose unit-flow support
-// touches a link already at the acceptance threshold; the screen is
-// exact (adding nonnegative flow cannot lower a utilization, and
-// acceptance requires strict improvement), so screened sweeps are
-// bitwise-identical to full ones. See DESIGN.md, "LP & column
-// generation".
+// The path LP is one restricted master LP on internal/lp's sparse
+// revised simplex, solved two ways. PathLP.Solve enumerates k
+// candidate paths per pair up front and loads them all into the
+// master at once, with no pricing round. PathLP.SolveColGen performs
+// column generation: each demand starts on its shortest path only,
+// the master is solved (warm-started as it grows), and new paths are
+// priced against the LP duals with internal/ksp as the shortest-path
+// oracle until no simple path has negative reduced cost — an exact
+// optimum over all simple paths, certified at termination by dual
+// feasibility, so its MLU is at most Solve's. Both build columns with
+// one builder and assemble the flow in one place. TwoSegment's sweeps
+// prune midpoint candidates whose unit-flow support touches a link
+// already at the acceptance threshold; the screen is exact (adding
+// nonnegative flow cannot lower a utilization, and acceptance requires
+// strict improvement), so screened sweeps are bitwise-identical to
+// full ones. See DESIGN.md, "LP & column generation".
 //
 // Everything here is deterministic for any worker count: parallel
 // per-destination builds write disjoint slots, greedy passes run in
 // fixed demand order with first-wins tie-breaks, and both LP paths
-// use the deterministic simplex implementations of internal/lp.
+// use internal/lp's deterministic simplex.
 package explicit

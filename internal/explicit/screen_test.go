@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// TestScreenExact pins the screen's central claim: TwoSegmentOpt with
-// Screen on must produce bitwise-identical routings, midpoints, and
-// pass counts to the unscreened search — the screen only skips
+// TestScreenExact pins the screen's central claim: TwoSegmentOpt, which
+// always screens, must produce bitwise-identical routings, midpoints,
+// and pass counts to the unscreened search — the screen only skips
 // evaluations that provably cannot be accepted.
 func TestScreenExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -20,11 +20,11 @@ func TestScreenExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		off, err := TwoSegmentOpt(ctx, uf, tm, SROptions{Segments: 2})
+		off, err := TwoSegmentOpt(ctx, uf, tm, SROptions{Segments: 2, unscreened: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		on, err := TwoSegmentOpt(ctx, uf, tm, SROptions{Segments: 2, Screen: true})
+		on, err := TwoSegmentOpt(ctx, uf, tm, SROptions{Segments: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,7 +22,7 @@ type SRResult struct {
 	// Passes is the number of greedy sweeps performed.
 	Passes int
 	// Screened counts candidate evaluations the bottleneck-support
-	// screen pruned (always 0 with the screen off).
+	// screen pruned.
 	Screened int
 }
 
@@ -33,17 +33,9 @@ type SROptions struct {
 	Segments int
 	// MaxPasses bounds the greedy sweeps (<= 0: default 4).
 	MaxPasses int
-	// Screen enables the bottleneck-support screen: before scoring a
-	// candidate, its legs' unit-flow supports are tested against the set
-	// of links already at or above the incumbent's utilization — a
-	// candidate touching one can only raise that link further, so it is
-	// pruned without the per-link evaluation. The screen is exact (float
-	// addition of nonnegative flow and division by a positive capacity
-	// are monotone, and acceptance requires strict improvement), so
-	// results are identical with it on or off; it is off by default only
-	// to keep the evaluation-for-evaluation arithmetic of committed
-	// goldens trivially untouched.
-	Screen bool
+	// unscreened turns the bottleneck-support screen off; only the test
+	// pinning the screen's exactness sets it, as its reference.
+	unscreened bool
 }
 
 // relEps is the relative improvement a candidate must beat the incumbent
@@ -68,8 +60,16 @@ func TwoSegment(ctx context.Context, uf *UnitFlows, tm *traffic.Matrix, segments
 	return TwoSegmentOpt(ctx, uf, tm, SROptions{Segments: segments, MaxPasses: maxPasses})
 }
 
-// TwoSegmentOpt is TwoSegment with the full option set (notably the
-// bottleneck-support screen; see SROptions).
+// TwoSegmentOpt is TwoSegment with the options in a struct.
+//
+// Both prune with the bottleneck-support screen: before scoring a
+// candidate, its legs' unit-flow supports are tested against the set of
+// links already at or above the incumbent's utilization on background
+// load alone — a candidate touching one can only raise that link
+// further, so it is pruned without the per-link evaluation. The screen
+// is exact (float addition of nonnegative flow and division by a
+// positive capacity are monotone, and acceptance requires strict
+// improvement), so the routing is the one the unscreened sweep finds.
 func TwoSegmentOpt(ctx context.Context, uf *UnitFlows, tm *traffic.Matrix, opts SROptions) (*SRResult, error) {
 	segments, maxPasses := opts.Segments, opts.MaxPasses
 	if segments != 1 && segments != 2 {
@@ -129,12 +129,12 @@ func TwoSegmentOpt(ctx context.Context, uf *UnitFlows, tm *traffic.Matrix, opts 
 		return uf.Unit(d.Src, d.Dst), nil
 	}
 
-	// hot, with the screen on, is the bitset of links whose background
-	// utilization base[e]/caps[e] already reaches the incumbent's value:
-	// any candidate putting flow on one cannot strictly improve, so its
+	// hot is the screen's bitset of links whose background utilization
+	// base[e]/caps[e] already reaches the incumbent's value: any
+	// candidate putting flow on one cannot strictly improve, so its
 	// evaluation is skipped. Rebuilt per demand (base changes each time).
 	var hot []uint64
-	if opts.Screen {
+	if !opts.unscreened {
 		hot = make([]uint64, (m+63)/64)
 	}
 

@@ -1,51 +1,48 @@
-// Package lp implements two primal simplex solvers for linear programs
-// in the form
+// Package lp implements the primal simplex solver every linear program
+// of the reproduction runs on: SparseSolver, a revised simplex over
+// problems in the form
 //
 //	minimize    c . x
-//	subject to  a_i . x  {<=, =, >=}  b_i     for every constraint i
+//	subject to  a_i . x <= b_i   or   a_i . x = b_i   for every row i
 //	            x >= 0.
 //
-// It is the optimization substrate for the exact baselines of the
-// reproduction: minimum-MLU routing, lexicographic min-max load
-// balance, and minimum-cost multi-commodity flow (paper Eq. 9 and the
-// Table I baseline columns), all built in internal/mcf on top of this
-// package — and for the explicit-path restricted masters that
-// internal/explicit's column generation re-solves as it grows.
+// It is the optimization substrate for the exact baselines —
+// minimum-MLU routing, lexicographic min-max load balance, and
+// minimum-cost multi-commodity flow (paper Eq. 9 and the Table I
+// baseline columns), built in internal/mcf as node-arc LPs with one
+// equality row per flow-conservation constraint — and for
+// internal/explicit's path LP, the restricted master that column
+// generation re-solves as it grows.
 //
-// The two solvers split the problem space:
-//
-//   - Problem/Solve: a dense two-phase tableau over general {<=,=,>=}
-//     rows — simple, deterministic, right for the fixed-size baselines.
-//   - SparseProblem/SparseSolver: a revised simplex over <= rows with
-//     column-major sparse storage, warm-started re-solves on an
-//     incrementally grown problem (append-only AddColumn/AddRow), and
-//     row duals in the result for pricing. This is the
-//     column-generation path.
-//
-// Non-optimal outcomes carry the typed sentinels ErrInfeasible and
-// ErrUnbounded: the sparse solver returns them directly, the dense
-// solver's Status translates via Status.Err/Result.Err.
+// A SparseProblem stores its columns compressed (one start, one index
+// and one value slice) and grows append-only (AddRow, AddEqRow,
+// AddColumn); a SparseSolver bound to it keeps its basis across Solve
+// calls, so a re-solve after appending warm-starts from the previous
+// optimum, and reports the row duals pricing needs. Non-optimal
+// outcomes are the typed sentinels ErrInfeasible and ErrUnbounded.
 //
 // # Usage
 //
-// Build a Problem (NewProblem allocates the objective vector, Obj is
-// filled in place, AddConstraint appends rows), then Solve it:
+// Declare rows, add columns with their nonzero entries, then solve:
 //
-//	p := lp.NewProblem(2)
-//	p.Obj = []float64{-1, -1}                        // maximize x+y
-//	p.AddConstraint([]float64{1, 0}, lp.LE, 2)
-//	p.AddConstraint([]float64{0, 1}, lp.LE, 3)
-//	res, err := lp.Solve(p)                          // res.X, res.Obj
+//	p := lp.NewSparseProblem()
+//	rx, _ := p.AddRow(2)                               // x <= 2
+//	sum, _ := p.AddEqRow(3)                            // x + y = 3
+//	p.AddColumn(-1, []int{rx, sum}, []float64{1, 1})   // x, cost -1
+//	p.AddColumn(0, []int{sum}, []float64{1})           // y, cost 0
+//	res, err := lp.NewSparseSolver(p).Solve()          // res.X, res.Obj, res.Y
 //
-// Solve returns Result.Status Optimal, Infeasible or Unbounded; X and
-// Obj are meaningful only for Optimal.
+// # Method
 //
-// # Scope
-//
-// Sizes here are modest (hundreds of variables), so a dense tableau
-// with Dantzig pricing and a Bland anti-cycling fallback is simple and
-// fast enough; phase one drives artificial variables out of the basis,
-// phase two optimizes the real objective. The solver is deterministic:
-// identical problems pivot identically, which keeps every LP-backed
-// baseline bit-reproducible across runs and worker counts.
+// The basis inverse is kept dense in product form and refactorized
+// periodically. Phase 1 is composite: no artificial variables, just
+// the sum of infeasibilities minimized until the basis is feasible;
+// phase 2 optimizes the real objective. An equality row's slack is
+// fixed at zero: it starts basic, phase 1 counts it infeasible on
+// either side of zero, both ratio tests stop it at zero, and once it
+// leaves the basis it never re-enters (a redundant equality keeps its
+// slack basic at zero). Pricing is Dantzig's rule with a Bland
+// anti-cycling fallback. The solver is deterministic: identical
+// problems pivot identically, which keeps every LP-backed result
+// bit-reproducible across runs and worker counts.
 package lp

@@ -1,25 +1,30 @@
 package lp_test
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/lp"
 )
 
-// ExampleSolve maximizes x + y inside a box — minimization of the
-// negated objective, the form every baseline LP in internal/mcf uses.
-func ExampleSolve() {
-	p := lp.NewProblem(2)
-	p.Obj = []float64{-1, -1} // minimize -(x + y)
-	p.AddConstraint([]float64{1, 0}, lp.LE, 2)
-	p.AddConstraint([]float64{0, 1}, lp.LE, 3)
-	res, err := lp.Solve(p)
+// ExampleSparseSolver_Solve maximizes x + y inside a box under a
+// budget equality — minimization of the negated objective, the form
+// every LP in internal/mcf and internal/explicit uses.
+func ExampleSparseSolver_Solve() {
+	p := lp.NewSparseProblem()
+	rx, _ := p.AddRow(2)       // x <= 2
+	ry, _ := p.AddRow(3)       // y <= 3
+	budget, _ := p.AddEqRow(4) // x + y + s = 4
+	p.AddColumn(-1, []int{rx, budget}, []float64{1, 1})
+	p.AddColumn(-1, []int{ry, budget}, []float64{1, 1})
+	p.AddColumn(0, []int{budget}, []float64{1})
+	res, err := lp.NewSparseSolver(p).Solve()
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(res.Status, res.X, -res.Obj)
+	fmt.Println(res.X[0]+res.X[1], -res.Obj)
 	// Output:
-	// optimal [2 3] 5
+	// 4 4
 }
 
 // ExampleSparseSolver builds a small master problem column by column,
@@ -53,17 +58,15 @@ func ExampleSparseSolver() {
 	// 8 [0 0 4]
 }
 
-// ExampleSolve_infeasible shows the status for contradictory
-// constraints: no error, Status Infeasible.
-func ExampleSolve_infeasible() {
-	p := lp.NewProblem(1)
-	p.AddConstraint([]float64{1}, lp.GE, 2)
-	p.AddConstraint([]float64{1}, lp.LE, 1)
-	res, err := lp.Solve(p)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(res.Status)
+// ExampleSparseSolver_Solve_infeasible shows the typed error for
+// contradictory rows: x = 2 and x <= 1.
+func ExampleSparseSolver_Solve_infeasible() {
+	p := lp.NewSparseProblem()
+	eq, _ := p.AddEqRow(2)
+	le, _ := p.AddRow(1)
+	p.AddColumn(0, []int{eq, le}, []float64{1, 1})
+	_, err := lp.NewSparseSolver(p).Solve()
+	fmt.Println(errors.Is(err, lp.ErrInfeasible))
 	// Output:
-	// infeasible
+	// true
 }

@@ -1,46 +1,57 @@
 package lp
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
-// This file is the sparse revised-simplex path of the package: a solver
-// for the restricted-master shape column generation produces — many
-// sparse columns over a modest number of <= rows, re-solved every time a
-// few columns (and occasionally rows) are appended. Unlike the dense
-// tableau in lp.go it stores the constraint matrix column-major and
-// sparse, keeps the basis inverse across Solve calls (a warm re-solve
-// after AddColumn continues from the previous optimal basis instead of
-// starting over), and exposes the row duals the pricing step needs.
+// ErrBadProblem reports a malformed linear program.
+var ErrBadProblem = errors.New("lp: bad problem")
 
-// Solver tolerances and budgets for the sparse path. The reduced-cost
-// and feasibility tolerances match the dense solver's eps; the pivot
-// tolerance is looser because an accepted pivot element divides a whole
-// basis-inverse row.
+// Typed solver outcomes, so callers can branch with errors.Is instead of
+// matching on error text.
+var (
+	// ErrInfeasible reports that no point satisfies every row.
+	ErrInfeasible = errors.New("lp: infeasible")
+	// ErrUnbounded reports that the objective decreases without bound.
+	ErrUnbounded = errors.New("lp: unbounded")
+)
+
+// Solver tolerances and budgets. The pivot tolerance is looser than the
+// others because an accepted pivot element divides a whole basis-inverse
+// row.
 const (
-	spxRcTol    = 1e-9 // reduced cost must beat this to enter
-	spxFeasTol  = 1e-9 // basic values below -spxFeasTol are infeasible
-	spxPivTol   = 1e-8 // smallest acceptable pivot element
-	spxRefactor = 512  // pivots between basis refactorizations
+	spxRcTol     = 1e-9 // reduced cost must beat this to enter
+	spxFeasTol   = 1e-9 // basic values below -spxFeasTol are infeasible
+	spxPivTol    = 1e-8 // smallest acceptable pivot element
+	spxRefactor  = 512  // pivots between basis refactorizations
+	maxPivotMult = 200  // pivot budget per phase = maxPivotMult * (rows + cols + 1)
 )
 
 // SparseProblem is a linear program in computational standard form
 //
 //	minimize    c . x
-//	subject to  a_i . x <= b_i   for every row i
+//	subject to  a_i . x <= b_i   for every <= row i
+//	            a_i . x  = b_i   for every equality row i
 //	            x >= 0,
 //
 // stored column-major and sparse: rows are declared up front (or
-// appended later), columns carry only their nonzero entries. Both rows
-// and columns are append-only, which is what lets a SparseSolver keep
-// its factorization valid while a column-generation loop grows the
-// problem between solves.
+// appended later), columns carry only their nonzero entries, packed
+// into one compressed-column store. Both rows and columns are
+// append-only, which is what lets a SparseSolver keep its factorization
+// valid while a column-generation loop grows the problem between
+// solves.
 type SparseProblem struct {
-	rhs  []float64   // per row
-	obj  []float64   // per column
-	cind [][]int     // per column: row indices of nonzeros
-	cval [][]float64 // per column: values of nonzeros
+	rhs []float64 // per row
+	eq  []bool    // per row: an equality row (its slack is fixed at zero)
+	obj []float64 // per column
+	// Column j's nonzeros are ind[start[j]:start[j+1]] (row indices,
+	// strictly increasing) with values val[start[j]:start[j+1]].
+	start []int
+	ind   []int
+	val   []float64
 }
 
 // NewSparseProblem returns an empty problem with no rows or columns.
@@ -52,14 +63,27 @@ func (p *SparseProblem) NumRows() int { return len(p.rhs) }
 // NumCols returns the current structural-column count.
 func (p *SparseProblem) NumCols() int { return len(p.obj) }
 
+// col returns column j's row indices and values.
+func (p *SparseProblem) col(j int) ([]int, []float64) {
+	lo, hi := p.start[j], p.start[j+1]
+	return p.ind[lo:hi], p.val[lo:hi]
+}
+
 // AddRow appends the row  (new row) . x <= rhs  and returns its index.
 // The row starts empty: only columns added afterwards may have entries
 // in it, which keeps every already-factorized basis valid.
-func (p *SparseProblem) AddRow(rhs float64) (int, error) {
+func (p *SparseProblem) AddRow(rhs float64) (int, error) { return p.addRow(rhs, false) }
+
+// AddEqRow appends the equality row  (new row) . x = rhs  and returns
+// its index; like AddRow, it starts empty.
+func (p *SparseProblem) AddEqRow(rhs float64) (int, error) { return p.addRow(rhs, true) }
+
+func (p *SparseProblem) addRow(rhs float64, eq bool) (int, error) {
 	if math.IsNaN(rhs) || math.IsInf(rhs, 0) {
 		return 0, fmt.Errorf("%w: row rhs = %v", ErrBadProblem, rhs)
 	}
 	p.rhs = append(p.rhs, rhs)
+	p.eq = append(p.eq, eq)
 	return len(p.rhs) - 1, nil
 }
 
@@ -84,9 +108,13 @@ func (p *SparseProblem) AddColumn(obj float64, rows []int, vals []float64) (int,
 			return 0, fmt.Errorf("%w: column entry value %v at row %d", ErrBadProblem, v, r)
 		}
 	}
+	if p.start == nil {
+		p.start = []int{0} // column 0 starts at offset 0
+	}
 	p.obj = append(p.obj, obj)
-	p.cind = append(p.cind, append([]int(nil), rows...))
-	p.cval = append(p.cval, append([]float64(nil), vals...))
+	p.ind = append(p.ind, rows...)
+	p.val = append(p.val, vals...)
+	p.start = append(p.start, len(p.ind))
 	return len(p.obj) - 1, nil
 }
 
@@ -97,10 +125,11 @@ type SparseResult struct {
 	// Obj is the optimal objective value.
 	Obj float64
 	// Y holds the row duals (length NumRows): y = cB . B^-1, the simplex
-	// multipliers. For a minimization with <= rows every Y[i] <= 0 at
-	// optimality (up to tolerance); a column's reduced cost is
-	// c_j - sum_i Y[i] a_ij, which is what a column-generation pricing
-	// step evaluates for candidate columns.
+	// multipliers. For a minimization, Y[i] <= 0 on every <= row at
+	// optimality (up to tolerance); an equality row's dual may have
+	// either sign. A column's reduced cost is c_j - sum_i Y[i] a_ij,
+	// which is what a column-generation pricing step evaluates for
+	// candidate columns.
 	Y []float64
 	// Pivots is the number of simplex pivots this Solve performed.
 	Pivots int
@@ -140,6 +169,7 @@ func NewSparseSolver(p *SparseProblem) *SparseSolver {
 // in previously added (hence possibly basic) columns.
 func (s *SparseSolver) sync() {
 	p := s.p
+	s.inBasis = slices.Grow(s.inBasis, p.NumCols()-len(s.inBasis))
 	for len(s.inBasis) < p.NumCols() {
 		s.inBasis = append(s.inBasis, -1)
 	}
@@ -148,6 +178,8 @@ func (s *SparseSolver) sync() {
 	}
 	old := s.m
 	s.m = p.NumRows()
+	s.basis = slices.Grow(s.basis, s.m-old)
+	s.xb = slices.Grow(s.xb, s.m-old)
 	binv := make([]float64, s.m*s.m)
 	for i := 0; i < old; i++ {
 		copy(binv[i*s.m:i*s.m+old], s.binv[i*old:(i+1)*old])
@@ -172,8 +204,9 @@ func (s *SparseSolver) refactorize() {
 			b[(-ref-1)*m+j] = 1
 			continue
 		}
-		for t, r := range s.p.cind[ref] {
-			b[r*m+j] = s.p.cval[ref][t]
+		rows, vals := s.p.col(ref)
+		for t, r := range rows {
+			b[r*m+j] = vals[t]
 		}
 	}
 	inv := make([]float64, m*m)
@@ -277,8 +310,9 @@ func (s *SparseSolver) direction(ref int) {
 		}
 		return
 	}
-	for t, r := range s.p.cind[ref] {
-		v := s.p.cval[ref][t]
+	rows, vals := s.p.col(ref)
+	for t, r := range rows {
+		v := vals[t]
 		for i := 0; i < m; i++ {
 			s.d[i] += s.binv[i*m+r] * v
 		}
@@ -319,15 +353,16 @@ func (s *SparseSolver) reducedCost(ref int, phase1 bool) float64 {
 	if !phase1 {
 		rc = s.p.obj[ref]
 	}
-	for t, r := range s.p.cind[ref] {
-		rc -= s.y[r] * s.p.cval[ref][t]
+	rows, vals := s.p.col(ref)
+	for t, r := range rows {
+		rc -= s.y[r] * vals[t]
 	}
 	return rc
 }
 
 // basicCosts fills s.cb with the cost of each basic variable: the real
-// objective in phase 2, or the composite infeasibility costs (-1 on rows
-// currently below zero) in phase 1.
+// objective in phase 2, or the composite infeasibility costs in phase 1
+// (-1 on rows currently below zero, +1 on equality slacks above zero).
 func (s *SparseSolver) basicCosts(phase1 bool) []float64 {
 	if cap(s.cb) < s.m {
 		s.cb = make([]float64, s.m)
@@ -337,6 +372,8 @@ func (s *SparseSolver) basicCosts(phase1 bool) []float64 {
 		switch {
 		case phase1 && s.xb[i] < -spxFeasTol:
 			s.cb[i] = -1
+		case phase1 && s.xb[i] > spxFeasTol && s.eqSlack(ref):
+			s.cb[i] = 1
 		case phase1 || ref < 0:
 			s.cb[i] = 0
 		default:
@@ -386,6 +423,10 @@ func (s *SparseSolver) pivot(leave, ref int) {
 	}
 }
 
+// eqSlack reports whether ref is the slack of an equality row: a
+// variable fixed at zero that may leave the basis but never enter it.
+func (s *SparseSolver) eqSlack(ref int) bool { return ref < 0 && s.p.eq[-ref-1] }
+
 // bland returns the fixed Bland ordering of a reference: structural
 // columns first by index, then slacks by row. The ordering is stable
 // within one Solve call, which is all Bland's rule needs.
@@ -399,10 +440,10 @@ func (s *SparseSolver) bland(ref int) int {
 // noRef marks "no entering candidate" (all reduced costs nonnegative).
 const noRef = math.MinInt
 
-// chooseEntering prices every nonbasic column and slack: Dantzig (most
-// negative reduced cost, first in Bland order on ties) normally, Bland's
-// rule (first negative in the fixed order) once the iteration count
-// suggests cycling.
+// chooseEntering prices every nonbasic column and <= slack (equality
+// slacks never enter): Dantzig (most negative reduced cost, first in
+// Bland order on ties) normally, Bland's rule (first negative in the
+// fixed order) once the iteration count suggests cycling.
 func (s *SparseSolver) chooseEntering(phase1, useBland bool) int {
 	if cap(s.slackAt) < s.m {
 		s.slackAt = make([]int, s.m)
@@ -431,7 +472,7 @@ func (s *SparseSolver) chooseEntering(phase1, useBland bool) int {
 		}
 	}
 	for r := 0; r < s.m; r++ {
-		if s.slackAt[r] >= 0 {
+		if s.slackAt[r] >= 0 || s.p.eq[r] {
 			continue
 		}
 		ref := -(r + 1)
@@ -459,8 +500,8 @@ func (s *SparseSolver) Solve() (*SparseResult, error) {
 	blandAfter := budget / 2
 
 	infeasible := func() bool {
-		for _, v := range s.xb {
-			if v < -spxFeasTol {
+		for i, v := range s.xb {
+			if v < -spxFeasTol || (v > spxFeasTol && s.eqSlack(s.basis[i])) {
 				return true
 			}
 		}
@@ -477,11 +518,14 @@ restart:
 	}
 	s.reset = false
 
-	// Phase 1 (composite): while some basic value is negative, minimize
-	// the total infeasibility sum over negative rows of -xb_i. No
-	// artificial variables: the piecewise-linear costs are re-derived
-	// after every pivot, and the ratio test lets negative basic values
-	// rise through zero (where the composite objective changes slope).
+	// Phase 1 (composite): while some basic value is negative, or some
+	// equality slack is off zero, minimize the total infeasibility — the
+	// sum of -xb_i over negative rows plus xb_i over equality slacks
+	// above zero. No artificial variables: the piecewise-linear costs are
+	// re-derived after every pivot, and the ratio test stops infeasible
+	// basic values where they reach zero (where the composite objective
+	// changes slope). An equality slack at zero is stopped there from
+	// either side.
 	for iter := 0; infeasible(); iter++ {
 		if iter >= budget {
 			return nil, fmt.Errorf("%w: phase 1 pivot budget exhausted", ErrInfeasible)
@@ -501,6 +545,8 @@ restart:
 				ratio = math.Max(s.xb[i], 0) / s.d[i]
 			case s.xb[i] < -spxFeasTol && s.d[i] < -spxPivTol:
 				ratio = s.xb[i] / s.d[i]
+			case s.xb[i] <= spxFeasTol && s.d[i] < -spxPivTol && s.eqSlack(s.basis[i]):
+				ratio = math.Max(-s.xb[i], 0) / -s.d[i]
 			default:
 				continue
 			}
@@ -525,7 +571,7 @@ restart:
 	// Phase 2: minimize the real objective from the feasible basis.
 	for iter := 0; ; iter++ {
 		if iter >= budget {
-			break // report the current feasible point (mirrors the dense solver)
+			break // report the current feasible point
 		}
 		s.duals(s.basicCosts(false))
 		enter := s.chooseEntering(false, iter >= blandAfter)
@@ -536,13 +582,19 @@ restart:
 		leave := -1
 		best := math.Inf(1)
 		for i := 0; i < s.m; i++ {
-			if s.d[i] > spxPivTol {
-				ratio := math.Max(s.xb[i], 0) / s.d[i]
-				if ratio < best-spxFeasTol ||
-					(ratio < best+spxFeasTol && (leave < 0 || s.bland(s.basis[i]) < s.bland(s.basis[leave]))) {
-					best = ratio
-					leave = i
-				}
+			var ratio float64
+			switch {
+			case s.d[i] > spxPivTol:
+				ratio = math.Max(s.xb[i], 0) / s.d[i]
+			case s.d[i] < -spxPivTol && s.eqSlack(s.basis[i]):
+				ratio = math.Max(-s.xb[i], 0) / -s.d[i]
+			default:
+				continue
+			}
+			if ratio < best-spxFeasTol ||
+				(ratio < best+spxFeasTol && (leave < 0 || s.bland(s.basis[i]) < s.bland(s.basis[leave]))) {
+				best = ratio
+				leave = i
 			}
 		}
 		if leave < 0 {

@@ -2,144 +2,68 @@ package lp
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
-// Rel is a constraint relation.
-type Rel int
+// This file keeps the package's former dense two-phase tableau simplex
+// as a test oracle: an independent implementation (artificial
+// variables, explicit tableau rows) that the property tests solve every
+// generated problem with, to cross-check the sparse solver's status and
+// optimal value.
 
-// Constraint relations.
+// rel is a dense constraint relation.
+type rel int
+
 const (
-	LE Rel = iota + 1 // a.x <= b
-	EQ                // a.x == b
-	GE                // a.x >= b
+	relLE rel = iota + 1 // a.x <= b
+	relEQ                // a.x == b
+	relGE                // a.x >= b
 )
 
-// Constraint is one linear constraint with dense coefficients over the
-// problem's variables (missing trailing coefficients are treated as 0).
-type Constraint struct {
+// denseCon is one dense constraint (missing trailing coefficients are 0).
+type denseCon struct {
 	Coeffs []float64
-	Rel    Rel
+	Rel    rel
 	RHS    float64
 }
 
-// Problem is a linear program over NumVars non-negative variables.
-type Problem struct {
+// denseProblem is a linear program over NumVars nonnegative variables.
+type denseProblem struct {
 	NumVars int
-	// Obj is the minimization objective (dense, length NumVars).
-	Obj  []float64
-	Cons []Constraint
+	Obj     []float64 // minimization objective, length NumVars
+	Cons    []denseCon
 }
 
-// Status reports the outcome of Solve.
-type Status int
+func newDenseProblem(n int) *denseProblem {
+	return &denseProblem{NumVars: n, Obj: make([]float64, n)}
+}
 
-// Solver outcomes.
+func (p *denseProblem) add(coeffs []float64, r rel, rhs float64) {
+	p.Cons = append(p.Cons, denseCon{Coeffs: coeffs, Rel: r, RHS: rhs})
+}
+
+// denseStatus is the oracle's outcome.
+type denseStatus int
+
 const (
-	Optimal Status = iota + 1
-	Infeasible
-	Unbounded
+	statusOptimal denseStatus = iota + 1
+	statusInfeasible
+	statusUnbounded
 )
 
-func (s Status) String() string {
-	switch s {
-	case Optimal:
-		return "optimal"
-	case Infeasible:
-		return "infeasible"
-	case Unbounded:
-		return "unbounded"
-	default:
-		return fmt.Sprintf("status(%d)", int(s))
-	}
+func (s denseStatus) String() string {
+	return [...]string{"", "optimal", "infeasible", "unbounded"}[s]
 }
 
-// Result is the solver output. X and Obj are meaningful only when Status
-// is Optimal.
-type Result struct {
-	Status Status
+// denseResult is the oracle's output; X and Obj are meaningful only when
+// Status is statusOptimal.
+type denseResult struct {
+	Status denseStatus
 	X      []float64
 	Obj    float64
 }
 
-// ErrBadProblem reports a malformed linear program.
-var ErrBadProblem = errors.New("lp: bad problem")
-
-// Typed solver outcomes for the two non-optimal statuses, so callers can
-// branch with errors.Is instead of matching on Status or error text.
-// Solve itself keeps its status-based contract (a non-optimal Result with
-// a nil error); Status.Err and Result.Err translate to these sentinels.
-var (
-	// ErrInfeasible reports that no point satisfies every constraint.
-	ErrInfeasible = errors.New("lp: infeasible")
-	// ErrUnbounded reports that the objective decreases without bound.
-	ErrUnbounded = errors.New("lp: unbounded")
-)
-
-// Err maps a status to its sentinel: nil for Optimal, ErrInfeasible and
-// ErrUnbounded otherwise (unknown statuses map to ErrBadProblem).
-func (s Status) Err() error {
-	switch s {
-	case Optimal:
-		return nil
-	case Infeasible:
-		return ErrInfeasible
-	case Unbounded:
-		return ErrUnbounded
-	default:
-		return fmt.Errorf("%w: unknown status %d", ErrBadProblem, int(s))
-	}
-}
-
-// Err reports the result's status as a typed sentinel (nil when Optimal).
-func (r *Result) Err() error { return r.Status.Err() }
-
-const (
-	eps          = 1e-9
-	maxPivotMult = 200 // pivot budget = maxPivotMult * (rows + cols)
-)
-
-// NewProblem returns an empty minimization problem with n variables.
-func NewProblem(n int) *Problem {
-	return &Problem{NumVars: n, Obj: make([]float64, n)}
-}
-
-// AddConstraint appends a constraint; coeffs may be shorter than NumVars.
-func (p *Problem) AddConstraint(coeffs []float64, rel Rel, rhs float64) {
-	p.Cons = append(p.Cons, Constraint{Coeffs: coeffs, Rel: rel, RHS: rhs})
-}
-
-func (p *Problem) validate() error {
-	if p.NumVars <= 0 {
-		return fmt.Errorf("%w: %d variables", ErrBadProblem, p.NumVars)
-	}
-	if len(p.Obj) != p.NumVars {
-		return fmt.Errorf("%w: objective has %d coefficients for %d variables", ErrBadProblem, len(p.Obj), p.NumVars)
-	}
-	for i, c := range p.Cons {
-		if len(c.Coeffs) > p.NumVars {
-			return fmt.Errorf("%w: constraint %d has %d coefficients for %d variables", ErrBadProblem, i, len(c.Coeffs), p.NumVars)
-		}
-		if c.Rel != LE && c.Rel != EQ && c.Rel != GE {
-			return fmt.Errorf("%w: constraint %d has relation %d", ErrBadProblem, i, c.Rel)
-		}
-		for j, v := range c.Coeffs {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("%w: constraint %d coefficient %d = %v", ErrBadProblem, i, j, v)
-			}
-		}
-		if math.IsNaN(c.RHS) || math.IsInf(c.RHS, 0) {
-			return fmt.Errorf("%w: constraint %d rhs = %v", ErrBadProblem, i, c.RHS)
-		}
-	}
-	for j, v := range p.Obj {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w: objective coefficient %d = %v", ErrBadProblem, j, v)
-		}
-	}
-	return nil
-}
+const denseEps = 1e-9
 
 // tableau is the dense simplex tableau: rows are constraints, columns are
 // structural + slack/surplus + artificial variables, with the right-hand
@@ -152,11 +76,8 @@ type tableau struct {
 	nArt  int   // number of artificial columns (last nArt columns)
 }
 
-// Solve runs two-phase primal simplex on the problem.
-func Solve(p *Problem) (*Result, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
+// denseSolve runs two-phase primal simplex on the problem.
+func denseSolve(p *denseProblem) (*denseResult, error) {
 	t := build(p)
 	// Phase 1: minimize the sum of artificial variables.
 	if t.nArt > 0 {
@@ -165,11 +86,11 @@ func Solve(p *Problem) (*Result, error) {
 			phase1[j] = 1
 		}
 		status, val := t.run(phase1)
-		if status == Unbounded {
+		if status == statusUnbounded {
 			return nil, errors.New("lp: phase 1 unbounded (internal error)")
 		}
 		if val > 1e-7 {
-			return &Result{Status: Infeasible}, nil
+			return &denseResult{Status: statusInfeasible}, nil
 		}
 		t.driveOutArtificials()
 	}
@@ -177,8 +98,8 @@ func Solve(p *Problem) (*Result, error) {
 	obj := make([]float64, t.n)
 	copy(obj, p.Obj)
 	status, _ := t.run(obj)
-	if status == Unbounded {
-		return &Result{Status: Unbounded}, nil
+	if status == statusUnbounded {
+		return &denseResult{Status: statusUnbounded}, nil
 	}
 	x := make([]float64, p.NumVars)
 	for i, col := range t.basis {
@@ -190,28 +111,27 @@ func Solve(p *Problem) (*Result, error) {
 	for j, c := range p.Obj {
 		objVal += c * x[j]
 	}
-	return &Result{Status: Optimal, X: x, Obj: objVal}, nil
+	return &denseResult{Status: statusOptimal, X: x, Obj: objVal}, nil
 }
 
 // build converts the problem into a canonical tableau with slack,
 // surplus, and artificial columns and an initial basic feasible basis.
-func build(p *Problem) *tableau {
+func build(p *denseProblem) *tableau {
 	m := len(p.Cons)
 	// Count extra columns.
 	var nSlack, nArt int
 	for _, c := range p.Cons {
-		rhs := c.RHS
-		rel := c.Rel
-		if rhs < 0 {
-			rel = flip(rel)
+		r := c.Rel
+		if c.RHS < 0 {
+			r = flip(r)
 		}
-		switch rel {
-		case LE:
+		switch r {
+		case relLE:
 			nSlack++
-		case GE:
+		case relGE:
 			nSlack++
 			nArt++
-		case EQ:
+		case relEQ:
 			nArt++
 		}
 	}
@@ -229,27 +149,27 @@ func build(p *Problem) *tableau {
 	for i, c := range p.Cons {
 		row := make([]float64, n)
 		sign := 1.0
-		rel := c.Rel
+		r := c.Rel
 		if c.RHS < 0 {
 			sign = -1
-			rel = flip(rel)
+			r = flip(r)
 		}
 		for j, v := range c.Coeffs {
 			row[j] = sign * v
 		}
 		t.b[i] = sign * c.RHS
-		switch rel {
-		case LE:
+		switch r {
+		case relLE:
 			row[slackCol] = 1
 			t.basis[i] = slackCol
 			slackCol++
-		case GE:
+		case relGE:
 			row[slackCol] = -1
 			slackCol++
 			row[artCol] = 1
 			t.basis[i] = artCol
 			artCol++
-		case EQ:
+		case relEQ:
 			row[artCol] = 1
 			t.basis[i] = artCol
 			artCol++
@@ -259,14 +179,14 @@ func build(p *Problem) *tableau {
 	return t
 }
 
-func flip(r Rel) Rel {
+func flip(r rel) rel {
 	switch r {
-	case LE:
-		return GE
-	case GE:
-		return LE
+	case relLE:
+		return relGE
+	case relGE:
+		return relLE
 	default:
-		return EQ
+		return relEQ
 	}
 }
 
@@ -274,7 +194,7 @@ func flip(r Rel) Rel {
 // the achieved objective value. Artificial columns are never re-entered
 // once phase 1 completes (enforced by the caller zeroing their cost and
 // driveOutArtificials removing them from the basis).
-func (t *tableau) run(obj []float64) (Status, float64) {
+func (t *tableau) run(obj []float64) (denseStatus, float64) {
 	// Reduced costs: z_j = obj_j - sum_i y_i a_ij with y from the basis.
 	// Maintain them implicitly by recomputing the objective row once and
 	// updating it during pivots (standard tableau form).
@@ -296,7 +216,7 @@ func (t *tableau) run(obj []float64) (Status, float64) {
 		// Bland's rule (first negative) after a while to break cycles.
 		enter := -1
 		if iter < blandAfter {
-			best := -eps
+			best := -denseEps
 			for j := 0; j < t.n; j++ {
 				if z[j] < best {
 					best = z[j]
@@ -305,36 +225,36 @@ func (t *tableau) run(obj []float64) (Status, float64) {
 			}
 		} else {
 			for j := 0; j < t.n; j++ {
-				if z[j] < -eps {
+				if z[j] < -denseEps {
 					enter = j
 					break
 				}
 			}
 		}
 		if enter < 0 {
-			return Optimal, val
+			return statusOptimal, val
 		}
 		// Ratio test (Bland ties on the leaving row's basic column).
 		leave := -1
 		bestRatio := math.Inf(1)
 		for i := 0; i < t.m; i++ {
-			if t.a[i][enter] > eps {
+			if t.a[i][enter] > denseEps {
 				ratio := t.b[i] / t.a[i][enter]
-				if ratio < bestRatio-eps || (ratio < bestRatio+eps && (leave < 0 || t.basis[i] < t.basis[leave])) {
+				if ratio < bestRatio-denseEps || (ratio < bestRatio+denseEps && (leave < 0 || t.basis[i] < t.basis[leave])) {
 					bestRatio = ratio
 					leave = i
 				}
 			}
 		}
 		if leave < 0 {
-			return Unbounded, math.Inf(-1)
+			return statusUnbounded, math.Inf(-1)
 		}
 		val += z[enter] * bestRatio
 		t.pivot(leave, enter, z)
 	}
 	// Pivot budget exhausted: report the current (feasible) point as
 	// optimal-so-far; with Bland's rule this should not happen.
-	return Optimal, val
+	return statusOptimal, val
 }
 
 // pivot performs a standard tableau pivot making column enter basic in

@@ -15,6 +15,10 @@ import (
 // network's capacities (or cannot be routed at all).
 var ErrInfeasible = errors.New("mcf: infeasible")
 
+// ErrBadInput reports arguments of mismatched shape: a weight vector or
+// demand matrix sized for another graph.
+var ErrBadInput = errors.New("mcf: bad input")
+
 // Flow is a destination-aggregated multi-commodity flow: PerDest[t][e]
 // is the flow of commodity t (traffic destined to node t) on link e, and
 // Total[e] the aggregate f_e.

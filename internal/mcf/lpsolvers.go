@@ -1,6 +1,7 @@
 package mcf
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -16,16 +17,20 @@ type MLUResult struct {
 	MLU float64
 }
 
-// lpLayout maps (destination index, link) pairs to LP variables and
-// builds the shared per-destination flow-conservation constraints.
+// lpLayout maps (destination index, link) pairs to LP columns and builds
+// the node-arc LP that MinMLU, MinCostMCF and LexMinMax share.
 type lpLayout struct {
 	g     *graph.Graph
+	tm    *traffic.Matrix
 	dests []int
 	e     int // links
 }
 
-func newLayout(g *graph.Graph, tm *traffic.Matrix) *lpLayout {
-	return &lpLayout{g: g, dests: tm.Destinations(), e: g.NumLinks()}
+func newLayout(g *graph.Graph, tm *traffic.Matrix) (*lpLayout, error) {
+	if tm.Size() != g.NumNodes() {
+		return nil, fmt.Errorf("%w: %d-node demand matrix for a %d-node graph", ErrBadInput, tm.Size(), g.NumNodes())
+	}
+	return &lpLayout{g: g, tm: tm, dests: tm.Destinations(), e: g.NumLinks()}, nil
 }
 
 // vars returns the number of flow variables.
@@ -34,27 +39,102 @@ func (ly *lpLayout) vars() int { return len(ly.dests) * ly.e }
 // varOf returns the LP column of commodity index ti on link e.
 func (ly *lpLayout) varOf(ti, e int) int { return ti*ly.e + e }
 
-// addConservation appends the flow-conservation equalities for every
-// commodity and every node except the commodity's destination (whose row
-// is redundant). extra is the number of additional trailing LP variables
-// (e.g. the MLU variable) so coefficient rows are sized correctly.
-func (ly *lpLayout) addConservation(p *lp.Problem, tm *traffic.Matrix, extra int) {
-	n := ly.vars() + extra
-	for ti, t := range ly.dests {
-		for s := 0; s < ly.g.NumNodes(); s++ {
+// problem builds the node-arc LP. Rows: one flow-conservation equality
+// per commodity and node other than the commodity's destination (whose
+// row is redundant), then one capacity row per link,
+//
+//	sum_t f_e^t + theta[e] * theta  <=  capRHS[e].
+//
+// Columns: the per-commodity link flows in varOf order, each costing
+// flowCost[e] (nil: zero), then — when theta is non-nil — a trailing
+// theta column costing thetaCost.
+func (ly *lpLayout) problem(flowCost, capRHS, theta []float64, thetaCost float64) (*lp.SparseProblem, error) {
+	n := ly.g.NumNodes()
+	consRow := func(ti, t, s int) int {
+		if s > t {
+			s--
+		}
+		return ti*(n-1) + s
+	}
+	capRow := len(ly.dests) * (n - 1)
+	p := lp.NewSparseProblem()
+	for _, t := range ly.dests {
+		for s := 0; s < n; s++ {
 			if s == t {
 				continue
 			}
-			row := make([]float64, n)
-			for _, id := range ly.g.OutLinks(s) {
-				row[ly.varOf(ti, id)] += 1
+			if _, err := p.AddEqRow(ly.tm.At(s, t)); err != nil {
+				return nil, err
 			}
-			for _, id := range ly.g.InLinks(s) {
-				row[ly.varOf(ti, id)] -= 1
-			}
-			p.AddConstraint(row, lp.EQ, tm.At(s, t))
 		}
 	}
+	for e := 0; e < ly.e; e++ {
+		if _, err := p.AddRow(capRHS[e]); err != nil {
+			return nil, err
+		}
+	}
+	rows := make([]int, 0, 3)
+	vals := make([]float64, 0, 3)
+	for ti, t := range ly.dests {
+		for _, l := range ly.g.Links() {
+			rows, vals = rows[:0], vals[:0]
+			// Out of the tail (+1), into the head (-1), in row order.
+			out, in := -1, -1
+			if l.From != t {
+				out = consRow(ti, t, l.From)
+			}
+			if l.To != t {
+				in = consRow(ti, t, l.To)
+			}
+			if in >= 0 && in < out {
+				rows, vals = append(rows, in), append(vals, -1)
+				in = -1
+			}
+			if out >= 0 {
+				rows, vals = append(rows, out), append(vals, 1)
+			}
+			if in >= 0 {
+				rows, vals = append(rows, in), append(vals, -1)
+			}
+			rows, vals = append(rows, capRow+l.ID), append(vals, 1)
+			var c float64
+			if flowCost != nil {
+				c = flowCost[l.ID]
+			}
+			if _, err := p.AddColumn(c, rows, vals); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if theta != nil {
+		rows, vals = rows[:0], vals[:0]
+		for e, v := range theta {
+			if v != 0 {
+				rows, vals = append(rows, capRow+e), append(vals, v)
+			}
+		}
+		if _, err := p.AddColumn(thetaCost, rows, vals); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// solve builds and solves the node-arc LP (see problem), reporting an
+// infeasible LP as ErrInfeasible with the given reason.
+func (ly *lpLayout) solve(name, infeasible string, flowCost, capRHS, theta []float64, thetaCost float64) (*lp.SparseResult, error) {
+	p, err := ly.problem(flowCost, capRHS, theta, thetaCost)
+	if err != nil {
+		return nil, fmt.Errorf("mcf: %s LP: %w", name, err)
+	}
+	r, err := lp.NewSparseSolver(p).Solve()
+	switch {
+	case errors.Is(err, lp.ErrInfeasible):
+		return nil, fmt.Errorf("%w: %s", ErrInfeasible, infeasible)
+	case err != nil:
+		return nil, fmt.Errorf("mcf: %s LP: %w", name, err)
+	}
+	return r, nil
 }
 
 // extract converts an LP solution into a Flow.
@@ -76,35 +156,22 @@ func (ly *lpLayout) extract(x []float64) *Flow {
 // (paper Eq. 2): minimize theta subject to multi-commodity flow
 // conservation and f_e <= theta * c_e.
 func MinMLU(g *graph.Graph, tm *traffic.Matrix) (*MLUResult, error) {
-	ly := newLayout(g, tm)
-	if len(ly.dests) == 0 {
-		return &MLUResult{Flow: NewFlow(g, nil), MLU: 0}, nil
-	}
-	nv := ly.vars() + 1 // + theta
-	theta := nv - 1
-	p := lp.NewProblem(nv)
-	p.Obj[theta] = 1
-	ly.addConservation(p, tm, 1)
-	for _, l := range g.Links() {
-		row := make([]float64, nv)
-		for ti := range ly.dests {
-			row[ly.varOf(ti, l.ID)] = 1
-		}
-		row[theta] = -l.Cap
-		p.AddConstraint(row, lp.LE, 0)
-	}
-	r, err := lp.Solve(p)
+	ly, err := newLayout(g, tm)
 	if err != nil {
 		return nil, err
 	}
-	switch r.Status {
-	case lp.Optimal:
-	case lp.Infeasible:
-		return nil, fmt.Errorf("%w: demands cannot be routed", ErrInfeasible)
-	default:
-		return nil, fmt.Errorf("mcf: MinMLU LP: %w", r.Err())
+	if len(ly.dests) == 0 {
+		return &MLUResult{Flow: NewFlow(g, nil), MLU: 0}, nil
 	}
-	return &MLUResult{Flow: ly.extract(r.X), MLU: r.X[theta]}, nil
+	theta := make([]float64, g.NumLinks()) // f_e - c_e theta <= 0
+	for _, l := range g.Links() {
+		theta[l.ID] = -l.Cap
+	}
+	r, err := ly.solve("MinMLU", "demands cannot be routed", nil, make([]float64, g.NumLinks()), theta, 1)
+	if err != nil {
+		return nil, err
+	}
+	return &MLUResult{Flow: ly.extract(r.X), MLU: r.X[ly.vars()]}, nil
 }
 
 // MinCostMCF solves the capacitated minimum-cost multi-commodity flow of
@@ -114,37 +181,22 @@ func MinMLU(g *graph.Graph, tm *traffic.Matrix) (*MLUResult, error) {
 // Algorithm 1.
 func MinCostMCF(g *graph.Graph, tm *traffic.Matrix, weights []float64) (*Flow, float64, error) {
 	if len(weights) != g.NumLinks() {
-		return nil, 0, fmt.Errorf("mcf: got %d weights for %d links", len(weights), g.NumLinks())
+		return nil, 0, fmt.Errorf("%w: got %d weights for %d links", ErrBadInput, len(weights), g.NumLinks())
 	}
-	ly := newLayout(g, tm)
-	if len(ly.dests) == 0 {
-		return NewFlow(g, nil), 0, nil
-	}
-	nv := ly.vars()
-	p := lp.NewProblem(nv)
-	for ti := range ly.dests {
-		for e := 0; e < ly.e; e++ {
-			p.Obj[ly.varOf(ti, e)] = weights[e]
-		}
-	}
-	ly.addConservation(p, tm, 0)
-	for _, l := range g.Links() {
-		row := make([]float64, nv)
-		for ti := range ly.dests {
-			row[ly.varOf(ti, l.ID)] = 1
-		}
-		p.AddConstraint(row, lp.LE, l.Cap)
-	}
-	r, err := lp.Solve(p)
+	ly, err := newLayout(g, tm)
 	if err != nil {
 		return nil, 0, err
 	}
-	switch r.Status {
-	case lp.Optimal:
-	case lp.Infeasible:
-		return nil, 0, fmt.Errorf("%w: demands exceed capacities", ErrInfeasible)
-	default:
-		return nil, 0, fmt.Errorf("mcf: MinCostMCF LP: %w", r.Err())
+	if len(ly.dests) == 0 {
+		return NewFlow(g, nil), 0, nil
+	}
+	caps := make([]float64, g.NumLinks())
+	for _, l := range g.Links() {
+		caps[l.ID] = l.Cap
+	}
+	r, err := ly.solve("MinCostMCF", "demands exceed capacities", weights, caps, nil, 0)
+	if err != nil {
+		return nil, 0, err
 	}
 	return ly.extract(r.X), r.Obj, nil
 }
@@ -167,7 +219,10 @@ type LexMinMaxResult struct {
 // small illustration networks (Table I).
 func LexMinMax(g *graph.Graph, tm *traffic.Matrix) (*LexMinMaxResult, error) {
 	const tol = 1e-7
-	ly := newLayout(g, tm)
+	ly, err := newLayout(g, tm)
+	if err != nil {
+		return nil, err
+	}
 	if len(ly.dests) == 0 {
 		return &LexMinMaxResult{Flow: NewFlow(g, nil), Bound: make([]float64, g.NumLinks())}, nil
 	}
@@ -177,43 +232,37 @@ func LexMinMax(g *graph.Graph, tm *traffic.Matrix) (*LexMinMaxResult, error) {
 	var lastX []float64
 
 	// solveLevel minimizes theta over non-frozen links, with frozen links
-	// bounded by their recorded utilization.
+	// bounded by their recorded utilization; with minimizeLink >= 0 it
+	// instead minimizes that link's utilization, every other non-frozen
+	// link held at the last level.
 	solveLevel := func(minimizeLink int) (float64, []float64, error) {
-		nv := ly.vars() + 1
-		theta := nv - 1
-		p := lp.NewProblem(nv)
-		if minimizeLink < 0 {
-			p.Obj[theta] = 1
-		} else {
-			for ti := range ly.dests {
-				p.Obj[ly.varOf(ti, minimizeLink)] = 1 / g.Link(minimizeLink).Cap
-			}
+		var cost []float64
+		capRHS := make([]float64, g.NumLinks())
+		theta := make([]float64, g.NumLinks())
+		if minimizeLink >= 0 {
+			cost = make([]float64, g.NumLinks())
+			cost[minimizeLink] = 1 / g.Link(minimizeLink).Cap
 		}
-		ly.addConservation(p, tm, 1)
 		for _, l := range g.Links() {
-			row := make([]float64, nv)
-			for ti := range ly.dests {
-				row[ly.varOf(ti, l.ID)] = 1
-			}
-			if frozen[l.ID] {
-				p.AddConstraint(row, lp.LE, bound[l.ID]*l.Cap)
-			} else if minimizeLink < 0 {
-				row[theta] = -l.Cap
-				p.AddConstraint(row, lp.LE, 0)
-			} else {
-				// When probing a single link, others keep the last level.
-				p.AddConstraint(row, lp.LE, levels[len(levels)-1]*l.Cap)
+			switch {
+			case frozen[l.ID]:
+				capRHS[l.ID] = bound[l.ID] * l.Cap
+			case minimizeLink < 0:
+				theta[l.ID] = -l.Cap
+			default:
+				capRHS[l.ID] = levels[len(levels)-1] * l.Cap
 			}
 		}
-		r, err := lp.Solve(p)
+		thetaCost := 0.0
+		if minimizeLink < 0 {
+			thetaCost = 1
+		}
+		r, err := ly.solve("LexMinMax", "lexicographic level LP", cost, capRHS, theta, thetaCost)
 		if err != nil {
 			return 0, nil, err
 		}
-		if r.Status != lp.Optimal {
-			return 0, nil, fmt.Errorf("%w: lexicographic level LP %v", ErrInfeasible, r.Status)
-		}
 		if minimizeLink < 0 {
-			return r.X[theta], r.X, nil
+			return r.X[ly.vars()], r.X, nil
 		}
 		return r.Obj, r.X, nil
 	}

@@ -259,8 +259,29 @@ func TestMinCostMCFFig1(t *testing.T) {
 
 func TestMinCostMCFWeightMismatch(t *testing.T) {
 	g, tm := fig1TM(t)
-	if _, _, err := MinCostMCF(g, tm, []float64{1}); err == nil {
-		t.Error("short weight vector accepted")
+	if _, _, err := MinCostMCF(g, tm, []float64{1}); !errors.Is(err, ErrBadInput) {
+		t.Errorf("short weight vector: err = %v, want ErrBadInput", err)
+	}
+}
+
+// TestLPsRejectMatrixForAnotherGraph hands each LP a demand matrix one
+// node smaller and one node larger than the graph.
+func TestLPsRejectMatrixForAnotherGraph(t *testing.T) {
+	g, _ := fig1TM(t)
+	for _, n := range []int{g.NumNodes() - 1, g.NumNodes() + 1} {
+		tm := traffic.NewMatrix(n)
+		if err := tm.Set(0, n-1, 0.1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := MinMLU(g, tm); !errors.Is(err, ErrBadInput) {
+			t.Errorf("%d nodes: MinMLU err = %v, want ErrBadInput", n, err)
+		}
+		if _, _, err := MinCostMCF(g, tm, make([]float64, g.NumLinks())); !errors.Is(err, ErrBadInput) {
+			t.Errorf("%d nodes: MinCostMCF err = %v, want ErrBadInput", n, err)
+		}
+		if _, err := LexMinMax(g, tm); !errors.Is(err, ErrBadInput) {
+			t.Errorf("%d nodes: LexMinMax err = %v, want ErrBadInput", n, err)
+		}
 	}
 }
 

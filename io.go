@@ -114,6 +114,11 @@ func ParseNetworkAndDemands(r io.Reader) (*Network, *Demands, error) {
 
 // WriteNetworkAndDemands emits the text format. d may be nil.
 func WriteNetworkAndDemands(w io.Writer, n *Network, d *Demands) error {
+	if d != nil {
+		if err := checkDemands(n, d); err != nil {
+			return err
+		}
+	}
 	bw := bufio.NewWriter(w)
 	name := n.nodeLabel
 	for i := 0; i < n.NumNodes(); i++ {

@@ -2,6 +2,8 @@ package spef
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -109,13 +111,12 @@ func TestLadderOrdering(t *testing.T) {
 	}
 }
 
-// TestLadderColGenMatchesDense pins the tentpole equivalence at the
-// router level: MPLS-kSP with colgen=on (column generation over all
-// simple paths) must land on the same MLU as the dense enumeration
-// within LP tolerance on every ladder instance, and screen=on must not
-// move either. Colgen's optimum can only be <= dense's (it optimizes
-// over a superset of paths), so the check is two-sided with a small
-// tolerance rather than an inequality.
+// TestLadderColGenMatchesDense pins the equivalence at the router
+// level: MPLS-kSP with colgen=on (column generation over all simple
+// paths) must land on the same MLU as the k-path LP within LP tolerance
+// on every ladder instance. Colgen's optimum can only be <= the k-path
+// LP's (it optimizes over a superset of paths), so the check is
+// two-sided with a small tolerance rather than an inequality.
 func TestLadderColGenMatchesDense(t *testing.T) {
 	const evals = 300
 	for _, inst := range ladderInstances(t) {
@@ -135,11 +136,6 @@ func TestLadderColGenMatchesDense(t *testing.T) {
 				// fixture no longer pins equality — flag it.
 				t.Errorf("colgen MLU %v strictly below dense %v (k too small to certify equality)", colgen, dense)
 			}
-			scrOpts := cgOpts
-			scrOpts.Screen = true
-			if screened := mluOf(t, MPLSKSP(scrOpts), inst.n, inst.d); screened != colgen {
-				t.Errorf("screen=on changed MLU: %v vs %v", screened, colgen)
-			}
 		})
 	}
 }
@@ -156,14 +152,13 @@ func TestLadderSpecsMatchConstructors(t *testing.T) {
 		{"mpls-ksp:k=8", "MPLS-kSP(k=8)"},
 		{"mpls-ksp:base=invcap", "MPLS-kSP(base=invcap)"},
 		{"mpls-ksp:k=6,base=invcap", "MPLS-kSP(k=6,base=invcap)"},
-		// colgen/screen change the solve strategy, not the model, so they
-		// stay out of the display name (golden row names are stable).
+		// colgen changes the solve strategy, not the model, so it stays
+		// out of the display name (golden row names are stable).
 		{"mpls-ksp:colgen=on", "MPLS-kSP"},
-		{"mpls-ksp:colgen=off,screen=on", "MPLS-kSP"},
+		{"mpls-ksp:colgen=off", "MPLS-kSP"},
 		{"sr", "SR-2seg"},
 		{"sr:segs=1", "SR-1seg"},
 		{"sr:segs=2,base=invcap", "SR-2seg(base=invcap)"},
-		{"sr:screen=on", "SR-2seg"},
 	} {
 		r, err := ResolveRouter(tc.spec, 0)
 		if err != nil {
@@ -182,10 +177,17 @@ func TestLadderSpecsMatchConstructors(t *testing.T) {
 		{"mpls-ksp:wmax=0", "wmax"},
 		{"mpls-ksp:colgen=maybe", "colgen"},
 		{"sr:colgen=on", "colgen is mpls-ksp only"},
-		{"sr:screen=2", "screen"},
 	} {
 		if _, err := ResolveRouter(bad.spec, 0); err == nil {
 			t.Errorf("%s (%s) resolved, want error", bad.spec, bad.hint)
+		}
+	}
+	// The midpoint screen is always on; its former switch is now an
+	// unknown parameter.
+	for _, spec := range []string{"sr:screen=on", "mpls-ksp:screen=off"} {
+		_, err := ResolveRouter(spec, 0)
+		if !errors.Is(err, ErrBadInput) || !strings.Contains(fmt.Sprint(err), `unknown parameter "screen"`) {
+			t.Errorf("%s: err = %v, want the unknown-parameter error", spec, err)
 		}
 	}
 	// The did-you-mean machinery covers the new parameter names.

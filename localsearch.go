@@ -96,6 +96,9 @@ func (r ospfLSRouter) Name() string {
 }
 
 func (r ospfLSRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Routes, error) {
+	if err := checkDemands(n, d); err != nil {
+		return nil, err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("spef: %s routes canceled: %w", r.Name(), err)
 	}

@@ -132,6 +132,9 @@ type Protocol struct {
 // exponential splitting. Cancelling ctx aborts whichever stage is
 // running with an error wrapping the context's error.
 func Optimize(ctx context.Context, n *Network, d *Demands, opts ...Option) (*Protocol, error) {
+	if err := checkDemands(n, d); err != nil {
+		return nil, err
+	}
 	o := resolveOptions(opts)
 	obj, err := o.objective(n.NumLinks())
 	if err != nil {
@@ -253,6 +256,9 @@ func reportFor(n *Network, total []float64) *TrafficReport {
 // Evaluate computes the deterministic traffic distribution SPEF induces
 // for the demands (destinations must be covered by the optimized state).
 func (p *Protocol) Evaluate(d *Demands) (*TrafficReport, error) {
+	if err := checkDemands(p.net, d); err != nil {
+		return nil, err
+	}
 	flow, err := p.p.Flow(d.m)
 	if err != nil {
 		return nil, err
@@ -270,6 +276,9 @@ func InvCapWeights(n *Network) []float64 {
 // MinMLU returns the minimum achievable maximum link utilization for the
 // demands (an LP bound; intended for small and medium networks).
 func MinMLU(n *Network, d *Demands) (float64, error) {
+	if err := checkDemands(n, d); err != nil {
+		return 0, err
+	}
 	r, err := mcf.MinMLU(n.g, d.m)
 	if err != nil {
 		return 0, err
@@ -321,6 +330,9 @@ func simReport(r *netsim.Result) *SimulationReport {
 // Simulate runs the packet-level simulator with SPEF's forwarding state
 // (per-packet probabilistic next hops drawn from the split ratios).
 func (p *Protocol) Simulate(d *Demands, cfg SimulationConfig) (*SimulationReport, error) {
+	if err := checkDemands(p.net, d); err != nil {
+		return nil, err
+	}
 	return simulateSplits(p.net, d, p.p.Splits, cfg)
 }
 

@@ -273,6 +273,9 @@ func (r ospfRouter) reindexLinks(keep []int) Router {
 }
 
 func (r ospfRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Routes, error) {
+	if err := checkDemands(n, d); err != nil {
+		return nil, err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("spef: OSPF routes canceled: %w", err)
 	}
@@ -327,6 +330,9 @@ func (r peftRouter) reindexLinks(keep []int) Router {
 }
 
 func (r peftRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Routes, error) {
+	if err := checkDemands(n, d); err != nil {
+		return nil, err
+	}
 	w := r.weights
 	if w == nil {
 		o := resolveOptions(r.opts)
@@ -387,6 +393,9 @@ func (r spefWeightsRouter) reindexLinks(keep []int) Router {
 }
 
 func (r spefWeightsRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Routes, error) {
+	if err := checkDemands(n, d); err != nil {
+		return nil, err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("spef: fixed-weight routes canceled: %w", err)
 	}
@@ -466,6 +475,9 @@ func (r optimalRouter) reindexLinks(keep []int) Router {
 }
 
 func (r optimalRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Routes, error) {
+	if err := checkDemands(n, d); err != nil {
+		return nil, err
+	}
 	o := resolveOptions(r.opts)
 	obj, err := o.objective(n.NumLinks())
 	if err != nil {
@@ -595,6 +607,9 @@ func (r *Routes) SplitRatios(dst int) ([]float64, error) {
 // demand-specific and evaluate exactly the demand set they were
 // computed for.
 func (r *Routes) Evaluate(d *Demands) (*TrafficReport, error) {
+	if err := checkDemands(r.net, d); err != nil {
+		return nil, err
+	}
 	if r.flow != nil {
 		if !r.demands.equals(d) {
 			return nil, fmt.Errorf("%w: optimal routes are specific to the demands they were computed for; call Routes again for a new demand set", ErrBadInput)
@@ -614,6 +629,9 @@ func (r *Routes) Evaluate(d *Demands) (*TrafficReport, error) {
 // optimal reference) only simulate the demand set they were computed
 // for — their splits carry no forwarding state for other sources.
 func (r *Routes) Simulate(d *Demands, cfg SimulationConfig) (*SimulationReport, error) {
+	if err := checkDemands(r.net, d); err != nil {
+		return nil, err
+	}
 	if r.flow != nil && !r.demands.equals(d) {
 		return nil, fmt.Errorf("%w: optimal routes are specific to the demands they were computed for; call Routes again for a new demand set", ErrBadInput)
 	}

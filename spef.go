@@ -175,6 +175,20 @@ type Demands struct {
 	m *traffic.Matrix
 }
 
+// checkDemands rejects demands sized for a network other than n (and a
+// nil network or demand set). Every public entry point that takes
+// demands together with a network, or with routes computed on one,
+// calls it before indexing either by the other's node IDs.
+func checkDemands(n *Network, d *Demands) error {
+	if n == nil || d == nil {
+		return fmt.Errorf("%w: nil network or demands", ErrBadInput)
+	}
+	if got, want := d.m.Size(), n.NumNodes(); got != want {
+		return fmt.Errorf("%w: demands over %d nodes for a %d-node network", ErrBadInput, got, want)
+	}
+	return nil
+}
+
 // NewDemands returns an empty demand set for the network.
 func NewDemands(n *Network) *Demands {
 	return &Demands{m: traffic.NewMatrix(n.NumNodes())}

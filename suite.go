@@ -302,7 +302,7 @@ func ResolveRouter(spec string, defaultIters int) (Router, error) {
 			TabuTenure:     tenure,
 		}), nil
 	case "mpls-ksp", "sr":
-		allowed := []string{"seed", "wmax", "base", "screen"}
+		allowed := []string{"seed", "wmax", "base"}
 		if name == "mpls-ksp" {
 			allowed = append(allowed, "k", "colgen")
 		} else {
@@ -334,13 +334,6 @@ func ResolveRouter(spec string, defaultIters int) (Router, error) {
 			opts.InvCapBase = true
 		default:
 			return nil, fmt.Errorf("%w: spec %q: base=%q must be ospf-ls or invcap", ErrBadInput, spec, base)
-		}
-		switch params["screen"] {
-		case "", "off":
-		case "on":
-			opts.Screen = true
-		default:
-			return nil, fmt.Errorf("%w: spec %q: screen=%q must be on or off", ErrBadInput, spec, params["screen"])
 		}
 		if name == "mpls-ksp" {
 			k, err := intParam(params, "k", defaultMPLSPaths)
