@@ -31,10 +31,10 @@ func benchGrid(b *testing.B) []spef.Scenario {
 		}
 	}
 	grid := spef.Grid{
-		Topologies:         []spef.Topology{{Name: "bench6", Network: n, Demands: d}},
-		Loads:              []float64{0.05, 0.1},
-		Routers:            []spef.Router{spef.OSPF(nil), spef.SPEF(spef.WithMaxIterations(200))},
-		SingleLinkFailures: true,
+		Topologies: []spef.Topology{{Name: "bench6", Network: n, Demands: d}},
+		Loads:      []float64{0.05, 0.1},
+		Routers:    []spef.Router{spef.OSPF(nil), spef.SPEF(spef.WithMaxIterations(200))},
+		Failures:   "single",
 	}
 	cells, err := grid.Scenarios()
 	if err != nil {

@@ -1,5 +1,6 @@
-// Command spef regenerates the paper's tables and figures and runs
-// declarative scenario suites. Usage:
+// Command spef regenerates the paper's tables and figures, runs
+// declarative scenario suites, and optimizes or generates single
+// networks. Usage:
 //
 //	spef [-quick] [-workers N] <experiment> [<experiment> ...]
 //	spef [-quick] all
@@ -10,6 +11,9 @@
 //	spef serve [-addr HOST:PORT] [-load SPEC,...]
 //	spef critlinks -topology SPEC [-failures single|dual|srlg:file=F] [-router SPEC]
 //	spef catalog [-markdown]
+//	spef bench [-quick] [-o FILE] [-check BASELINE [-tol F] [-abs]]
+//	spef optimize [-in FILE] [-beta B] [-iters N] [-load L] [-integer]
+//	spef topogen [-net SPEC] [-demands SPEC] [-load L]
 //
 // Experiments: table1 fig2 fig3 fig6 fig7 table3 fig9 fig10 fig11
 // table5 fig12 fig13. fig6 and fig7 share one runner and print both.
@@ -25,9 +29,14 @@
 // ECMP weights — see the "Multi-failure robustness" section of
 // DESIGN.md. The catalog subcommand lists every registered topology,
 // generator, importer, demand generator, temporal demand sequence,
-// router, failure set and metric with its parameters. Interrupting the process (SIGINT/SIGTERM) cancels the
-// running experiment cleanly; an interrupted shard resumes from its
-// last checkpoint.
+// router, failure set and metric with its parameters. The bench
+// subcommand runs the kernel timing harness. The topogen subcommand
+// writes a registry topology and its demands in the package's text
+// network format, and optimize reads that format, optimizes SPEF's two
+// weights per link and compares the result with InvCap OSPF.
+// Interrupting the process (SIGINT/SIGTERM) cancels the running
+// experiment cleanly; an interrupted shard resumes from its last
+// checkpoint.
 package main
 
 import (
@@ -77,48 +86,35 @@ var order = []string{
 	"fig11", "table5", "fig12", "fig13", "control", "failure",
 }
 
+// commands are the subcommands `spef <name> [flags]` dispatches to, in
+// the order usage lists them. usage holds each one's synopses.
+var commands = []struct {
+	name  string
+	usage []string
+	run   func(args []string) error
+}{
+	{"suite", []string{
+		"suite -spec FILE | -topologies T,... -routers R,... [flags]",
+		"suite ... -shard I/N -o SHARD.jsonl [-checkpoint N]",
+	}, suiteMain},
+	{"merge", []string{"merge [-format jsonl|csv|table] [-o FILE] SHARD.jsonl ..."}, mergeMain},
+	{"serve", []string{"serve [-addr HOST:PORT] [-load SPEC,...]"}, serveMain},
+	{"critlinks", []string{"critlinks -topology SPEC [-failures single|dual|srlg:file=F] [-router SPEC]"}, critlinksMain},
+	{"catalog", []string{"catalog [-markdown]"}, catalogMain},
+	{"bench", []string{"bench [-quick] [-o FILE] [-check BASELINE [-tol F] [-abs]]"}, benchMain},
+	{"optimize", []string{"optimize [-in FILE] [-beta B] [-iters N] [-load L] [-integer]"}, optimizeMain},
+	{"topogen", []string{"topogen [-net SPEC] [-demands SPEC] [-load L] [-seed S] [-nodes N -links L -clusters C]"}, topogenMain},
+}
+
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "suite" {
-		if err := suiteMain(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "spef suite:", err)
-			os.Exit(1)
+	for _, c := range commands {
+		if len(os.Args) > 1 && os.Args[1] == c.name {
+			if err := c.run(os.Args[2:]); err != nil {
+				fmt.Fprintf(os.Stderr, "spef %s: %v\n", c.name, err)
+				os.Exit(1)
+			}
+			return
 		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "merge" {
-		if err := mergeMain(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "spef merge:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "bench" {
-		if err := benchMain(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "spef bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "serve" {
-		if err := serveMain(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "spef serve:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "critlinks" {
-		if err := critlinksMain(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "spef critlinks:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "catalog" {
-		if err := catalogMain(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "spef catalog:", err)
-			os.Exit(1)
-		}
-		return
 	}
 	quick := flag.Bool("quick", false, "reduced-fidelity run (fast)")
 	workers := flag.Int("workers", 0, "concurrent cells in sweeping experiments (0 = GOMAXPROCS)")
@@ -168,5 +164,11 @@ func known() []string {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: spef [-quick] [-workers N] <experiment>... | all\n       spef suite -spec FILE | -topologies T,... -routers R,... [flags]\n       spef suite ... -shard I/N -o SHARD.jsonl [-checkpoint N]\n       spef merge [-format jsonl|csv|table] [-o FILE] SHARD.jsonl ...\n       spef serve [-addr HOST:PORT] [-load SPEC,...]\n       spef critlinks -topology SPEC [-failures single|dual|srlg:file=F] [-router SPEC]\n       spef catalog [-markdown]\nexperiments: %v\n", known())
+	fmt.Fprintln(os.Stderr, "usage: spef [-quick] [-workers N] <experiment>... | all")
+	for _, c := range commands {
+		for _, u := range c.usage {
+			fmt.Fprintln(os.Stderr, "       spef", u)
+		}
+	}
+	fmt.Fprintf(os.Stderr, "experiments: %v\n", known())
 }

@@ -88,17 +88,7 @@ func suiteMain(args []string) error {
 		}
 	}
 	if failures.set {
-		suite.SingleLinkFailures = false
-		suite.Failures = ""
-		switch failures.spec {
-		case "":
-		case "single":
-			// The historic boolean axis: bare -failures and
-			// -failures=single run identical cells and hash identically.
-			suite.SingleLinkFailures = true
-		default:
-			suite.Failures = failures.spec
-		}
+		suite.Failures = failures.spec
 	}
 	if *iters > 0 {
 		suite.MaxIterations = *iters
@@ -225,8 +215,9 @@ func runOutcome(ctx context.Context, failed int) error {
 }
 
 // failureFlag is the -failures flag: boolean-style bare "-failures"
-// keeps the historic single-link axis, while "-failures=dual" and
-// "-failures=srlg:file=..." select the multi-failure sets.
+// selects the single-link axis (failures "single"), while
+// "-failures=dual" and "-failures=srlg:file=..." select the
+// multi-failure sets.
 type failureFlag struct {
 	spec string
 	set  bool

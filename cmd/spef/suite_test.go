@@ -51,8 +51,8 @@ func TestSuiteRejectsPositionalArgs(t *testing.T) {
 }
 
 // TestFailureFlag covers the -failures flag's dual nature: boolean-style
-// bare use keeps the historic single-link axis, and explicit values
-// select the multi-failure sets.
+// bare use selects the single-link axis, and explicit values select the
+// multi-failure sets.
 func TestFailureFlag(t *testing.T) {
 	var f failureFlag
 	if f.set || f.String() != "" {

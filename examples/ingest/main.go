@@ -40,14 +40,14 @@ func main() {
 	// boosted 4x in the middle of the cycle. The load anchors the peak
 	// step; failure variants are generated per duplex pair.
 	suite := &spef.Suite{
-		Name:               "testnet-day",
-		Topologies:         []string{"zoo:file=internal/topoio/testdata/testnet.graphml"},
-		Demands:            "gravity-diurnal:steps=8,peak=1,trough=0.25,hotspots=2,boost=4,seed=3",
-		Loads:              []float64{0.05},
-		Routers:            []string{"invcap", "spef"},
-		Metrics:            []string{"mlu", "p95_util"},
-		SingleLinkFailures: true,
-		MaxIterations:      50,
+		Name:          "testnet-day",
+		Topologies:    []string{"zoo:file=internal/topoio/testdata/testnet.graphml"},
+		Demands:       "gravity-diurnal:steps=8,peak=1,trough=0.25,hotspots=2,boost=4,seed=3",
+		Loads:         []float64{0.05},
+		Routers:       []string{"invcap", "spef"},
+		Metrics:       []string{"mlu", "p95_util"},
+		Failures:      "single",
+		MaxIterations: 50,
 		// One optimization per (failure variant, router) at t00,
 		// re-simulated across the whole day: the deployed-weights
 		// question.

@@ -43,8 +43,7 @@ type srlgGroup struct {
 
 // ResolveFailureSet resolves a failure-set spec string:
 //
-//   - "single" — one variant per failed duplex pair (the classic
-//     SingleLinkFailures axis).
+//   - "single" — one variant per failed duplex pair.
 //   - "dual" — every single variant plus one variant per unordered
 //     pair of duplex-pair failures, named "A-B+C-D".
 //   - "srlg:file=PATH" — shared-risk link groups: one variant per
@@ -158,7 +157,7 @@ func (f *FailureSet) variants(n *Network, d *Demands) ([]failureVariant, error) 
 // pairLabel names one duplex pair by its endpoint nodes ("A-B").
 func pairLabel(n *Network, pair [2]int) string {
 	from, to, _ := n.Link(pair[0])
-	return fmt.Sprintf("%s-%s", n.nodeLabel(from), n.nodeLabel(to))
+	return n.nodeLabel(from) + "-" + n.nodeLabel(to)
 }
 
 // dualFailureVariants generates every routable single-duplex-pair

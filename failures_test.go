@@ -234,37 +234,33 @@ func TestGridSRLGVariants(t *testing.T) {
 	}
 }
 
-// TestGridFailuresSpecSupersedesBool: Grid.Failures="single" expands
-// exactly the cells SingleLinkFailures=true does, and takes precedence
-// over the boolean when both are set.
-func TestGridFailuresSpecSupersedesBool(t *testing.T) {
+// TestGridFailuresSpec: Grid.Failures="single" expands the intact cell
+// plus one cell per duplex-pair failure (every one keeps gridNetwork's
+// demands routable), "dual" adds pair failures on top, and a bad spec
+// fails the whole expansion.
+func TestGridFailuresSpec(t *testing.T) {
 	n, d := gridNetwork(t)
-	boolGrid := Grid{
-		Topologies:         []Topology{{Name: "ring5", Network: n, Demands: d}},
-		Routers:            []Router{OSPF(nil)},
-		SingleLinkFailures: true,
+	single := Grid{
+		Topologies: []Topology{{Name: "ring5", Network: n, Demands: d}},
+		Routers:    []Router{OSPF(nil)},
+		Failures:   "single",
 	}
-	specGrid := boolGrid
-	specGrid.Failures = "single"
-	a, err := boolGrid.Scenarios()
+	a, err := single.Scenarios()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := specGrid.Scenarios()
-	if err != nil {
-		t.Fatal(err)
+	pairs := n.DuplexPairs()
+	if len(a) != 1+len(pairs) {
+		t.Fatalf("single grid has %d cells, want 1 intact + %d failures", len(a), len(pairs))
 	}
-	if len(a) != len(b) {
-		t.Fatalf("spec grid has %d cells, bool grid %d", len(b), len(a))
-	}
-	for i := range a {
-		if a[i].Name != b[i].Name {
-			t.Fatalf("cell %d: %q vs %q", i, a[i].Name, b[i].Name)
+	for i, pair := range pairs {
+		if want := "/fail=" + pairLabel(n, pair) + "/"; !strings.Contains(a[i+1].Name, want) {
+			t.Errorf("cell %d is %q, want failure %q", i+1, a[i+1].Name, pairLabel(n, pair))
 		}
 	}
-	dualGrid := boolGrid // SingleLinkFailures still true
-	dualGrid.Failures = "dual"
-	c, err := dualGrid.Scenarios()
+	dual := single
+	dual.Failures = "dual"
+	c, err := dual.Scenarios()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +268,7 @@ func TestGridFailuresSpecSupersedesBool(t *testing.T) {
 		t.Fatalf("dual grid has %d cells, want more than single's %d", len(c), len(a))
 	}
 	// A bad spec fails the whole expansion.
-	bad := boolGrid
+	bad := single
 	bad.Failures = "duel"
 	if _, err := bad.Scenarios(); !errors.Is(err, ErrBadInput) {
 		t.Errorf("bad failure spec err = %v, want ErrBadInput", err)
@@ -370,8 +366,8 @@ func TestSuiteFailuresField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := &Suite{Topologies: []string{"fig1"}, Routers: []string{"invcap"}, SingleLinkFailures: true}
-	hLegacy, err := legacy.Hash()
+	single := &Suite{Topologies: []string{"fig1"}, Routers: []string{"invcap"}, Failures: "single"}
+	hSingle, err := single.Hash()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +376,7 @@ func TestSuiteFailuresField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h0 == hDual || hLegacy == hDual {
+	if h0 == hDual || hSingle == hDual {
 		t.Error("failure-set spec does not move the suite hash")
 	}
 	// ParseSuite round trip keeps the field.

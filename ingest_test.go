@@ -258,15 +258,15 @@ func TestResolveDemandSequence(t *testing.T) {
 // single-link failures on, all four routers, streamed to JSONL.
 func TestSuiteOverZooFixtureEndToEnd(t *testing.T) {
 	suite := &Suite{
-		Name:               "zoo-e2e",
-		Topologies:         []string{"zoo:file=internal/topoio/testdata/testnet.graphml"},
-		Demands:            "gravity-diurnal:steps=3,peak=1,trough=0.5,seed=1",
-		Loads:              []float64{0.05},
-		Routers:            []string{"spef", "invcap", "peft", "optimal"},
-		Metrics:            []string{"mlu", "utility"},
-		SingleLinkFailures: true,
-		MaxIterations:      40,
-		ReuseWeights:       true,
+		Name:          "zoo-e2e",
+		Topologies:    []string{"zoo:file=internal/topoio/testdata/testnet.graphml"},
+		Demands:       "gravity-diurnal:steps=3,peak=1,trough=0.5,seed=1",
+		Loads:         []float64{0.05},
+		Routers:       []string{"spef", "invcap", "peft", "optimal"},
+		Metrics:       []string{"mlu", "utility"},
+		Failures:      "single",
+		MaxIterations: 40,
+		ReuseWeights:  true,
 	}
 	seq, err := suite.Stream(context.Background())
 	if err != nil {

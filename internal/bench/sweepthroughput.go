@@ -37,14 +37,14 @@ func sweepSuite() (*spef.Suite, error) {
 		return nil, err
 	}
 	return &spef.Suite{
-		Name:               "bench-sweep",
-		Topologies:         []string{"zoo:file=" + zoo},
-		Demands:            "gravity:seed=3",
-		Loads:              []float64{0.05, 0.08, 0.12},
-		Routers:            []string{"invcap", "spef:iters=60"},
-		Metrics:            []string{"mlu", "utility"},
-		SingleLinkFailures: true,
-		Workers:            2,
+		Name:       "bench-sweep",
+		Topologies: []string{"zoo:file=" + zoo},
+		Demands:    "gravity:seed=3",
+		Loads:      []float64{0.05, 0.08, 0.12},
+		Routers:    []string{"invcap", "spef:iters=60"},
+		Metrics:    []string{"mlu", "utility"},
+		Failures:   "single",
+		Workers:    2,
 	}, nil
 }
 

@@ -152,28 +152,12 @@ func (en *Engine) SetWeight(link int, w float64) error {
 // surviving topology with the weights projected onto it. A failure that
 // would strand a positive demand is rejected with the previous state
 // restored.
-func (en *Engine) LinkDown(link int) error {
-	if err := en.checkLink(link); err != nil {
-		return err
-	}
-	if en.down[link] {
-		return fmt.Errorf("%w: link %d is already down", ErrBadInput, link)
-	}
-	return en.flip(link, true)
-}
+func (en *Engine) LinkDown(link int) error { return en.flipAll([]int{link}, true) }
 
 // LinkUp restores one failed link under its recorded weight. Restoring
 // capacity can only improve reachability, so LinkUp of a known link
 // only fails if the remaining failures were already unroutable.
-func (en *Engine) LinkUp(link int) error {
-	if err := en.checkLink(link); err != nil {
-		return err
-	}
-	if !en.down[link] {
-		return fmt.Errorf("%w: link %d is not down", ErrBadInput, link)
-	}
-	return en.flip(link, false)
-}
+func (en *Engine) LinkUp(link int) error { return en.flipAll([]int{link}, false) }
 
 // FailLinks fails a set of intact links as one event: the whole set is
 // validated, then the evaluator is rebound once onto the surviving
@@ -238,32 +222,6 @@ func (en *Engine) flipAll(links []int, toDown bool) error {
 			// Cannot happen: the pre-event state evaluated successfully.
 			return fmt.Errorf("delta: state restore after rejected event failed: %v (event: %w)", rerr, err)
 		}
-	}
-	return err
-}
-
-// flip toggles one link's failure state and remaps, rolling back on
-// rejection so a refused event leaves the state untouched.
-func (en *Engine) flip(link int, toDown bool) error {
-	en.down[link] = toDown
-	if toDown {
-		en.ndown++
-	} else {
-		en.ndown--
-	}
-	err := en.remap()
-	if err == nil {
-		return nil
-	}
-	en.down[link] = !toDown
-	if toDown {
-		en.ndown--
-	} else {
-		en.ndown++
-	}
-	if rerr := en.remap(); rerr != nil {
-		// Cannot happen: the pre-event state evaluated successfully.
-		return fmt.Errorf("delta: state restore after rejected event failed: %v (event: %w)", rerr, err)
 	}
 	return err
 }

@@ -18,6 +18,7 @@ import (
 	"math"
 	"text/tabwriter"
 
+	spef "repro"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/objective"
@@ -117,6 +118,22 @@ func buildSPEF(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, beta flo
 		First:  core.FirstWeightOptions{MaxIters: it1},
 		Second: core.SecondWeightOptions{MaxIters: it2},
 	})
+}
+
+// optimizeSPEF runs spef.Optimize with the experiment's iteration
+// budget and the given beta.
+func optimizeSPEF(ctx context.Context, n *spef.Network, d *spef.Demands, beta float64, opts Options) (*spef.Protocol, error) {
+	it1, it2 := opts.iters(n.NumNodes())
+	return spef.Optimize(ctx, n, d, spef.WithBeta(beta), spef.WithMaxIterations(it1), spef.WithSplitIterations(it2))
+}
+
+// evaluateOSPF reports the traffic distribution of d under InvCap OSPF.
+func evaluateOSPF(ctx context.Context, n *spef.Network, d *spef.Demands) (*spef.TrafficReport, error) {
+	routes, err := spef.OSPF(nil).Routes(ctx, n, d)
+	if err != nil {
+		return nil, err
+	}
+	return routes.Evaluate(d)
 }
 
 // table3Net returns one Table III network by ID.

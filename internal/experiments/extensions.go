@@ -136,7 +136,7 @@ func RunFailure(ctx context.Context, opts Options) (*FailureResult, error) {
 			spef.Named(routerStale, spef.SPEFWithWeights(p.FirstWeights(), p.SecondWeights())),
 			spef.Named(routerReopt, spef.SPEF(spefOpts...)),
 		},
-		SingleLinkFailures: true,
+		Failures: "single",
 	}
 	cells, err := grid.Scenarios()
 	if err != nil {

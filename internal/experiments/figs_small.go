@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"io"
 
+	spef "repro"
 	"repro/internal/core"
 	"repro/internal/objective"
-	"repro/internal/routing"
 	"repro/internal/topo"
 	"repro/internal/traffic"
 )
@@ -123,13 +123,12 @@ type Fig67Result struct {
 
 // RunFig67 regenerates Figs. 6 and 7.
 func RunFig67(ctx context.Context, opts Options) (*Fig67Result, error) {
-	g := topo.Simple()
-	tm, err := traffic.FromDemands(g.NumNodes(), topo.SimpleDemands())
+	n, d, err := spef.SimpleExample()
 	if err != nil {
 		return nil, err
 	}
 	res := &Fig67Result{
-		Links:         make([]int, g.NumLinks()),
+		Links:         make([]int, n.NumLinks()),
 		Util:          make(map[string][]float64),
 		FirstWeights:  make(map[string][]float64),
 		SecondWeights: make(map[string][]float64),
@@ -138,29 +137,25 @@ func RunFig67(ctx context.Context, opts Options) (*Fig67Result, error) {
 		res.Links[e] = e + 1
 	}
 
-	ospf, err := routing.BuildOSPF(g, tm.Destinations(), nil, 0)
+	ospf, err := evaluateOSPF(ctx, n, d)
 	if err != nil {
 		return nil, err
 	}
-	oFlow, err := ospf.Flow(tm)
-	if err != nil {
-		return nil, err
-	}
-	res.Util["OSPF"] = objective.Utilizations(g, oFlow.Total)
+	res.Util["OSPF"] = ospf.LinkUtilization
 
 	for _, beta := range []float64{0, 1, 5} {
 		name := fmt.Sprintf("SPEF%g", beta)
-		p, err := buildSPEF(ctx, g, tm, beta, opts)
+		p, err := optimizeSPEF(ctx, n, d, beta, opts)
 		if err != nil {
 			return nil, fmt.Errorf("fig67 %s: %w", name, err)
 		}
-		flow, err := p.Flow(tm)
+		report, err := p.Evaluate(d)
 		if err != nil {
 			return nil, err
 		}
-		res.Util[name] = objective.Utilizations(g, flow.Total)
-		res.FirstWeights[name] = p.W
-		res.SecondWeights[name] = p.V
+		res.Util[name] = report.LinkUtilization
+		res.FirstWeights[name] = p.FirstWeights()
+		res.SecondWeights[name] = p.SecondWeights()
 	}
 	return res, nil
 }

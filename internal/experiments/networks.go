@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 	"strings"
 	"text/tabwriter"
 
@@ -82,44 +83,44 @@ func RunFig9(ctx context.Context, opts Options) (*Fig9Result, error) {
 		{id: "Cernet2", load: 0.21},
 	}
 	for _, panel := range panels {
-		g, err := table3Net(panel.id)
+		t, err := spef.ResolveTopology(strings.ToLower(panel.id))
 		if err != nil {
 			return nil, err
 		}
-		base, err := networkTM(panel.id, g)
+		n := t.Network
+		d, err := t.Demands.ScaledToLoad(n, panel.load)
 		if err != nil {
 			return nil, err
 		}
-		tm, err := base.ScaledToLoad(g, panel.load)
+		ospf, err := evaluateOSPF(ctx, n, d)
 		if err != nil {
 			return nil, err
 		}
-		ospf, err := routing.BuildOSPF(g, tm.Destinations(), nil, 0)
-		if err != nil {
-			return nil, err
-		}
-		oFlow, err := ospf.Flow(tm)
-		if err != nil {
-			return nil, err
-		}
-		p, err := buildSPEF(ctx, g, tm, 1, opts)
+		p, err := optimizeSPEF(ctx, n, d, 1, opts)
 		if err != nil {
 			return nil, fmt.Errorf("fig9 %s: %w", panel.id, err)
 		}
-		sFlow, err := p.Flow(tm)
+		report, err := p.Evaluate(d)
 		if err != nil {
 			return nil, err
 		}
-		ranks := make([]float64, g.NumLinks())
+		ranks := make([]float64, n.NumLinks())
 		for i := range ranks {
 			ranks[i] = float64(i + 1)
 		}
 		res.Panels[panel.id] = []Series{
-			{Name: "OSPF", X: ranks, Y: objective.SortedUtilizations(g, oFlow.Total)},
-			{Name: "SPEF", X: ranks, Y: objective.SortedUtilizations(g, sFlow.Total)},
+			{Name: "OSPF", X: ranks, Y: sortedDesc(ospf.LinkUtilization)},
+			{Name: "SPEF", X: ranks, Y: sortedDesc(report.LinkUtilization)},
 		}
 	}
 	return res, nil
+}
+
+// sortedDesc sorts u in decreasing order, the x-axis presentation of
+// the paper's Fig. 9, and returns it.
+func sortedDesc(u []float64) []float64 {
+	sort.Sort(sort.Reverse(sort.Float64Slice(u)))
+	return u
 }
 
 // Format prints both panels.

@@ -6,9 +6,7 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"repro/internal/graph"
-	"repro/internal/netsim"
-	"repro/internal/routing"
+	spef "repro"
 	"repro/internal/topo"
 	"repro/internal/traffic"
 )
@@ -41,7 +39,7 @@ type Fig11Panel struct {
 // fig11Case describes one simulation scenario.
 type fig11Case struct {
 	name         string
-	g            *graph.Graph
+	net          *spef.Network
 	demands      []traffic.Demand
 	capacityUnit float64 // bits/s per capacity unit
 	unitName     string
@@ -53,12 +51,14 @@ type fig11Case struct {
 // vs all downward links) and split ratios (second weights vs exponential
 // extra-length penalty).
 func RunFig11(ctx context.Context, opts Options) (*Fig11Result, error) {
-	simple := topo.Simple()
-	cernet := topo.Cernet2()
+	simple, _, err := spef.SimpleExample()
+	if err != nil {
+		return nil, err
+	}
 	cases := []fig11Case{
 		{
 			name:         "simple network (Fig. 4), 5 Mb/s links",
-			g:            simple,
+			net:          simple,
 			demands:      topo.SimpleTableIVDemands(),
 			capacityUnit: 1e6, // capacity 5 -> 5 Mb/s
 			unitName:     "kbps",
@@ -66,7 +66,7 @@ func RunFig11(ctx context.Context, opts Options) (*Fig11Result, error) {
 		},
 		{
 			name:    "Cernet2 backbone, Table IV demands",
-			g:       cernet,
+			net:     spef.Cernet2(),
 			demands: topo.Cernet2TableIVDemands(),
 			// 1 Gbps of real capacity is simulated at 1e6 bit/s; loads
 			// scale linearly, so measured bit/s * 1e-6 = real Gbps and
@@ -83,48 +83,47 @@ func RunFig11(ctx context.Context, opts Options) (*Fig11Result, error) {
 	}
 	res := &Fig11Result{}
 	for _, c := range cases {
-		tm, err := traffic.FromDemands(c.g.NumNodes(), c.demands)
-		if err != nil {
-			return nil, err
+		d := spef.NewDemands(c.net)
+		for _, dem := range c.demands {
+			if err := d.Add(dem.Src, dem.Dst, dem.Volume); err != nil {
+				return nil, err
+			}
 		}
-		p, err := buildSPEF(ctx, c.g, tm, 1, opts)
+		p, err := optimizeSPEF(ctx, c.net, d, 1, opts)
 		if err != nil {
 			return nil, fmt.Errorf("fig11 %s: %w", c.name, err)
 		}
-		peft, err := routing.BuildPEFT(c.g, tm.Destinations(), p.W)
+		peft, err := spef.PEFT(p.FirstWeights()).Routes(ctx, c.net, d)
 		if err != nil {
 			return nil, err
 		}
 		panel := Fig11Panel{Name: c.name, Unit: c.unitName}
-		for e := 0; e < c.g.NumLinks(); e++ {
+		for e := 0; e < c.net.NumLinks(); e++ {
 			panel.Links = append(panel.Links, e+1)
 		}
 		runs := []struct {
-			splits map[int][]float64
+			routes *spef.Routes
 			out    *[]float64
 			used   *int
 			seed   int64
 		}{
-			{splits: p.Splits, out: &panel.SPEF, used: &panel.SPEFLinksUsed, seed: 21},
-			{splits: peft.Splits, out: &panel.PEFT, used: &panel.PEFTLinksUsed, seed: 22},
+			{routes: p.Routes(), out: &panel.SPEF, used: &panel.SPEFLinksUsed, seed: 21},
+			{routes: peft, out: &panel.PEFT, used: &panel.PEFTLinksUsed, seed: 22},
 		}
 		for _, r := range runs {
-			simRes, err := netsim.Run(netsim.Config{
-				G:            c.g,
-				CapacityUnit: c.capacityUnit,
-				Demands:      tm.Demands(),
-				Splits:       r.splits,
-				Duration:     duration,
-				Seed:         r.seed,
+			sim, err := r.routes.Simulate(d, spef.SimulationConfig{
+				CapacityBitsPerUnit: c.capacityUnit,
+				DurationSeconds:     duration,
+				Seed:                r.seed,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("fig11 %s: %w", c.name, err)
 			}
-			loads := make([]float64, c.g.NumLinks())
+			loads := make([]float64, c.net.NumLinks())
 			used := 0
 			for e := range loads {
-				loads[e] = simRes.LinkLoad[e] * c.unitScale
-				if simRes.LinkLoad[e] > 0.001*c.capacityUnit {
+				loads[e] = sim.LinkLoadBits[e] * c.unitScale
+				if sim.LinkLoadBits[e] > 0.001*c.capacityUnit {
 					used++
 				}
 			}

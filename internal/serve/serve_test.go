@@ -166,6 +166,11 @@ func TestServeBadRequests(t *testing.T) {
 		{"missing topology spec", "POST", "/v1/topologies", serve.LoadRequest{}, http.StatusBadRequest},
 		{"duplicate name", "POST", "/v1/topologies", serve.LoadRequest{Name: "a", Topology: "abilene"}, http.StatusBadRequest},
 		{"unknown weights", "POST", "/v1/topologies", serve.LoadRequest{Topology: "fig1", Weights: "nope"}, http.StatusBadRequest},
+		{"odd fat-tree", "POST", "/v1/topologies", serve.LoadRequest{Topology: "fattree:k=3"}, http.StatusBadRequest},
+		{"negative node count", "POST", "/v1/topologies", serve.LoadRequest{Topology: "rand:n=-3"}, http.StatusBadRequest},
+		{"negative uniform demand", "POST", "/v1/topologies", serve.LoadRequest{Topology: "abilene", Demands: "uniform:v=-1"}, http.StatusBadRequest},
+		{"NaN gravity sigma", "POST", "/v1/topologies", serve.LoadRequest{Topology: "abilene", Demands: "gravity:sigma=NaN"}, http.StatusBadRequest},
+		{"GraphML read as SNDlib", "POST", "/v1/topologies", serve.LoadRequest{Topology: "sndlib:file=../topoio/testdata/testnet.graphml"}, http.StatusBadRequest},
 		{"unknown json field", "POST", "/v1/topologies", map[string]string{"topolgy": "abilene"}, http.StatusBadRequest},
 		{"events on missing topology", "POST", "/v1/topologies/nope/events",
 			serve.EventsRequest{Events: []serve.Event{{Type: "set-weight", Link: 0, Weight: 1}}}, http.StatusNotFound},
@@ -219,9 +224,9 @@ func TestServeReplayMatchesBatch(t *testing.T) {
 	topo.Steps = steps
 	topo.Demands = nil
 	grid := spef.Grid{
-		Topologies:         []spef.Topology{topo},
-		Routers:            []spef.Router{spef.OSPF(nil)},
-		SingleLinkFailures: true,
+		Topologies: []spef.Topology{topo},
+		Routers:    []spef.Router{spef.OSPF(nil)},
+		Failures:   "single",
 	}
 	cells, err := grid.Scenarios()
 	if err != nil {

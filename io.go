@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// The text format shared by cmd/topogen and cmd/teopt. Lines:
+// The text format `spef topogen` writes and `spef optimize` reads. Lines:
 //
 //	# comment
 //	node <name>

@@ -108,20 +108,14 @@ func (r ospfLSRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Rout
 	opts := r.searchOptions()
 	if r.opts.Robust {
 		// Score candidates against every single-link-failure variant
-		// that keeps the demands routable — the same variant set (and
-		// the same skip rule) the scenario engine's failure axis uses.
-		for _, pair := range n.DuplexPairs() {
-			n2, keep, err := n.WithoutLinks(pair[0], pair[1])
-			if err != nil {
-				return nil, err
-			}
-			ok, err := demandsRoutable(n2, d)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				opts.Failures = append(opts.Failures, localsearch.Failure{G: n2.g, Keep: keep})
-			}
+		// that keeps the demands routable: the scenario engine's
+		// failure axis.
+		variants, err := failureVariants(n, d)
+		if err != nil {
+			return nil, err
+		}
+		for _, v := range variants {
+			opts.Failures = append(opts.Failures, localsearch.Failure{G: v.net.g, Keep: v.keep})
 		}
 		if r.opts.SampleFailures > 0 {
 			opts.Failures = sampleFailures(opts.Failures, r.opts.SampleFailures, r.opts.SampleSeed)
@@ -131,23 +125,15 @@ func (r ospfLSRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Rout
 	if err != nil {
 		return nil, fmt.Errorf("spef: %s: %w", r.Name(), err)
 	}
-	o, err := routing.BuildOSPF(n.g, d.m.Destinations(), weights, 0)
+	routes, err := OSPF(weights).Routes(ctx, n, d)
 	if err != nil {
 		return nil, err
 	}
-	w := append([]float64(nil), weights...)
-	return &Routes{
-		router: r.Name(),
-		net:    n,
-		dags:   o.DAGs,
-		splits: o.Splits,
-		// Record the optimized weights so the scenario engine's
-		// weight-reuse cache can re-simulate them across load factors,
-		// and as the ECMP vector failure analysis re-routes on degraded
-		// variants.
-		weights:     w,
-		ecmpWeights: w,
-	}, nil
+	routes.router = r.Name()
+	// Record the optimized weights so the scenario engine's weight-reuse
+	// cache can re-simulate them across load factors.
+	routes.weights = routes.ecmpWeights
+	return routes, nil
 }
 
 // searchOptions maps the router's options onto the search's.

@@ -254,8 +254,8 @@ func TestSuiteAllSixRouters(t *testing.T) {
 			"invcap", "spef:iters=40", "peft:iters=40", "optimal:iters=40",
 			"ospf-ls:iters=60", "ospf-ls-robust:iters=40",
 		},
-		Metrics:            []string{"mlu", "fortz", "fortz_norm"},
-		SingleLinkFailures: true,
+		Metrics:  []string{"mlu", "fortz", "fortz_norm"},
+		Failures: "single",
 	}
 	results, err := suite.Collect(context.Background())
 	if err != nil {

@@ -1,6 +1,7 @@
 package spef
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,7 +15,7 @@ import (
 )
 
 // This file is the topology and demand registry: the string-addressable
-// catalog Suite specs, cmd/spef suite and cmd/topogen resolve networks
+// catalog Suite specs, `spef suite` and `spef topogen` resolve networks
 // and workloads through. Topology specs are registered names
 // ("abilene", "cernet2", "fig1", "simple", "hier50a", "hier50b",
 // "rand50a", "rand50b", "rand100" — the paper's Table III set plus the
@@ -102,6 +103,15 @@ func resolveTopology(spec string, withDemands bool) (Topology, error) {
 	if err != nil {
 		return Topology{}, err
 	}
+	// generated finishes a generator case: the generator's rejection of
+	// the spec's values is bad input, and its network gets the generic
+	// canonical workload.
+	generated := func(n *Network, err error) (Topology, error) {
+		if err != nil {
+			return Topology{}, badSpec(spec, err)
+		}
+		return canonicalTopology(spec, "", n, withDemands)
+	}
 	switch name {
 	case "fig1":
 		return builtinExample(name, params, Fig1Example)
@@ -115,11 +125,7 @@ func resolveTopology(spec string, withDemands bool) (Topology, error) {
 		if err != nil {
 			return Topology{}, err
 		}
-		n, err := RandomNetwork(seed, nodes, links)
-		if err != nil {
-			return Topology{}, err
-		}
-		return canonicalTopology(spec, "", n, withDemands)
+		return generated(RandomNetwork(seed, nodes, links))
 	case "hier":
 		if err := onlyParams(spec, params, "n", "clusters", "links", "seed"); err != nil {
 			return Topology{}, err
@@ -132,11 +138,7 @@ func resolveTopology(spec string, withDemands bool) (Topology, error) {
 		if err != nil {
 			return Topology{}, err
 		}
-		n, err := HierarchicalNetwork(seed, nodes, int(clusters), links)
-		if err != nil {
-			return Topology{}, err
-		}
-		return canonicalTopology(spec, "", n, withDemands)
+		return generated(HierarchicalNetwork(seed, nodes, int(clusters), links))
 	case "waxman":
 		if err := onlyParams(spec, params, "n", "alpha", "beta", "seed"); err != nil {
 			return Topology{}, err
@@ -157,11 +159,7 @@ func resolveTopology(spec string, withDemands bool) (Topology, error) {
 		if err != nil {
 			return Topology{}, err
 		}
-		n, err := WaxmanNetwork(seed, int(nodes), alpha, beta)
-		if err != nil {
-			return Topology{}, err
-		}
-		return canonicalTopology(spec, "", n, withDemands)
+		return generated(WaxmanNetwork(seed, int(nodes), alpha, beta))
 	case "ba":
 		if err := onlyParams(spec, params, "n", "m", "seed"); err != nil {
 			return Topology{}, err
@@ -178,11 +176,7 @@ func resolveTopology(spec string, withDemands bool) (Topology, error) {
 		if err != nil {
 			return Topology{}, err
 		}
-		n, err := BarabasiAlbertNetwork(seed, int(nodes), int(m))
-		if err != nil {
-			return Topology{}, err
-		}
-		return canonicalTopology(spec, "", n, withDemands)
+		return generated(BarabasiAlbertNetwork(seed, int(nodes), int(m)))
 	case "fattree":
 		if err := onlyParams(spec, params, "k"); err != nil {
 			return Topology{}, err
@@ -191,11 +185,7 @@ func resolveTopology(spec string, withDemands bool) (Topology, error) {
 		if err != nil {
 			return Topology{}, err
 		}
-		n, err := FatTreeNetwork(int(k))
-		if err != nil {
-			return Topology{}, err
-		}
-		return canonicalTopology(spec, "", n, withDemands)
+		return generated(FatTreeNetwork(int(k)))
 	case "grid":
 		if err := onlyParams(spec, params, "rows", "cols", "wrap"); err != nil {
 			return Topology{}, err
@@ -212,11 +202,7 @@ func resolveTopology(spec string, withDemands bool) (Topology, error) {
 		if err != nil {
 			return Topology{}, err
 		}
-		n, err := GridNetwork(int(rows), int(cols), wrap != 0)
-		if err != nil {
-			return Topology{}, err
-		}
-		return canonicalTopology(spec, "", n, withDemands)
+		return generated(GridNetwork(int(rows), int(cols), wrap != 0))
 	case "zoo", "sndlib":
 		return importedTopology(name, spec, params, withDemands)
 	}
@@ -283,7 +269,7 @@ func importedTopology(kind, spec string, params map[string]string, withDemands b
 		imp, err = ReadSNDlib(f, opts)
 	}
 	if err != nil {
-		return Topology{}, fmt.Errorf("spec %q: %w", spec, err)
+		return Topology{}, badSpec(spec, err)
 	}
 	name := imp.Name
 	if name == "" {
@@ -382,7 +368,8 @@ func ResolveDemands(spec string, n *Network) (*Demands, error) {
 		if err != nil {
 			return nil, err
 		}
-		return FortzThorupDemands(seed, n)
+		d, err := FortzThorupDemands(seed, n)
+		return d, badSpec(spec, err)
 	case "gravity":
 		if err := onlyParams(spec, params, "seed", "sigma"); err != nil {
 			return nil, err
@@ -396,7 +383,8 @@ func ResolveDemands(spec string, n *Network) (*Demands, error) {
 			return nil, err
 		}
 		vols := traffic.SyntheticVolumes(seed, n.NumNodes(), sigma)
-		return GravityDemands(n, vols, n.TotalCapacity())
+		d, err := GravityDemands(n, vols, n.TotalCapacity())
+		return d, badSpec(spec, err)
 	case "uniform":
 		if err := onlyParams(spec, params, "v"); err != nil {
 			return nil, err
@@ -407,7 +395,7 @@ func ResolveDemands(spec string, n *Network) (*Demands, error) {
 		}
 		m, err := traffic.UniformMesh(n.NumNodes(), v)
 		if err != nil {
-			return nil, err
+			return nil, badSpec(spec, err)
 		}
 		return &Demands{m: m}, nil
 	}
@@ -485,14 +473,14 @@ func ResolveDemandSequence(spec string, n *Network) ([]DemandStep, bool, error) 
 		}
 		vols := traffic.SyntheticVolumes(seed, n.NumNodes(), sigma)
 		if base, err = GravityDemands(n, vols, n.TotalCapacity()); err != nil {
-			return nil, false, err
+			return nil, false, badSpec(spec, err)
 		}
 	case "ft-diurnal":
 		if err := onlyParams(spec, params, allowed...); err != nil {
 			return nil, false, err
 		}
 		if base, err = FortzThorupDemands(seed, n); err != nil {
-			return nil, false, err
+			return nil, false, badSpec(spec, err)
 		}
 	default:
 		// isSequenceSpec and this switch must agree; a sequenceDocs
@@ -514,11 +502,14 @@ func ResolveDemandSequence(spec string, n *Network) ([]DemandStep, bool, error) 
 	}
 	seq, err := traffic.Diurnal(base.m, int(steps), peak, trough)
 	if err != nil {
-		return nil, false, fmt.Errorf("%w: spec %q: %v", ErrBadInput, spec, err)
+		return nil, false, badSpec(spec, err)
 	}
 	hotspots, err := intParam(params, "hotspots", 0)
 	if err != nil {
 		return nil, false, err
+	}
+	if hotspots < 0 {
+		return nil, false, fmt.Errorf("%w: spec %q: hotspots=%d must be >= 0", ErrBadInput, spec, hotspots)
 	}
 	if hotspots > 0 {
 		boost, err := floatParam(params, "boost", 4)
@@ -526,7 +517,7 @@ func ResolveDemandSequence(spec string, n *Network) ([]DemandStep, bool, error) 
 			return nil, false, err
 		}
 		if seq, err = traffic.Hotspots(seq, seed, int(hotspots), boost); err != nil {
-			return nil, false, fmt.Errorf("%w: spec %q: %v", ErrBadInput, spec, err)
+			return nil, false, badSpec(spec, err)
 		}
 	}
 	out := make([]DemandStep, len(seq))
@@ -556,6 +547,16 @@ func parseSpec(spec string) (string, map[string]string, error) {
 		params[strings.ToLower(strings.TrimSpace(k))] = strings.TrimSpace(v)
 	}
 	return name, params, nil
+}
+
+// badSpec reports a generator's, demand constructor's or importer's
+// rejection of the values a spec carries as ErrBadInput, keeping its
+// text. Errors that already are ErrBadInput, and nil, pass through.
+func badSpec(spec string, err error) error {
+	if err == nil || errors.Is(err, ErrBadInput) {
+		return err
+	}
+	return fmt.Errorf("%w: spec %q: %v", ErrBadInput, spec, err)
 }
 
 // onlyParams rejects unknown spec parameters so typos fail loudly,

@@ -1,6 +1,7 @@
 package spef
 
 import (
+	"errors"
 	"sort"
 	"strings"
 	"testing"
@@ -104,5 +105,47 @@ func TestKnownTopologiesCachedStable(t *testing.T) {
 	}
 	if got := knownTopologies(); got != first {
 		t.Fatalf("knownTopologies changed across error-path calls:\n first: %s\n later: %s", first, got)
+	}
+}
+
+// TestBadSpecValuesAreBadInput: values a generator, demand constructor
+// or importer rejects, and negative budgets, are ErrBadInput like
+// unknown names and malformed pairs, so `spef serve` answers 400 for
+// them.
+// iters=0 still means the automatic budget.
+func TestBadSpecValuesAreBadInput(t *testing.T) {
+	n := Abilene()
+	topology := func(s string) error { _, err := ResolveTopology(s); return err }
+	demands := func(s string) error { _, err := ResolveDemands(s, n); return err }
+	sequence := func(s string) error { _, _, err := ResolveDemandSequence(s, n); return err }
+	router := func(s string) error { _, err := ResolveRouter(s, 0); return err }
+	suiteIters := func(s string) error {
+		_, err := (&Suite{Topologies: []string{"fig1"}, Routers: []string{s}, MaxIterations: -1}).Grid()
+		return err
+	}
+	for _, tc := range []struct {
+		spec    string
+		resolve func(string) error
+	}{
+		{"fattree:k=3", topology},
+		{"rand:n=-3", topology},
+		{"sndlib:file=internal/topoio/testdata/testnet.graphml", topology},
+		{"uniform:v=-1", demands},
+		{"gravity:sigma=NaN", demands},
+		{"gravity-diurnal:hotspots=-2", sequence},
+		{"spef:iters=-5", router},
+		{"peft:iters=-1", router},
+		{"optimal:iters=-1", router},
+		{"ospf-ls:iters=-5", router},
+		{"sr:iters=-5", router},
+		{"mpls-ksp:iters=-5", router},
+		{"invcap", suiteIters},
+	} {
+		if err := tc.resolve(tc.spec); !errors.Is(err, ErrBadInput) {
+			t.Errorf("%s: err = %v, want ErrBadInput", tc.spec, err)
+		}
+	}
+	if err := router("spef:iters=0"); err != nil {
+		t.Errorf("spef:iters=0: %v", err)
 	}
 }

@@ -114,9 +114,9 @@ func (r ScenarioResult) metricOrNaN(name string) float64 {
 }
 
 // Grid declares a comparison sweep: every combination of topology ×
-// load × beta × router, optionally augmented with single-link-failure
-// variants of each topology. Scenarios expands the grid into concrete
-// cells for RunScenarios.
+// load × beta × router, optionally augmented with failure variants of
+// each topology. Scenarios expands the grid into concrete cells for
+// RunScenarios.
 type Grid struct {
 	// Topologies lists the networks with their base demand matrices.
 	Topologies []Topology
@@ -130,23 +130,19 @@ type Grid struct {
 	Betas []float64
 	// Routers lists the schemes under comparison.
 	Routers []Router
-	// SingleLinkFailures adds, for every topology, one variant per
-	// failed duplex pair. Failures that disconnect a demand are
-	// skipped: no routing scheme can be compared on them. Routers
-	// configured with explicit per-link weight vectors (OSPF(w),
+	// Failures adds failure variants of every topology, selected by a
+	// failure-set spec ("single", "dual", "srlg:file=PATH" — see
+	// ResolveFailureSet); empty runs the intact topologies only.
+	// "single" adds one variant per failed duplex pair; "dual" also
+	// adds every unordered pair of duplex-pair failures; "srlg" fails
+	// shared-risk groups from a file. Failures that disconnect a
+	// demand are skipped: no routing scheme can be compared on them.
+	// Routers configured with explicit per-link weight vectors (OSPF(w),
 	// PEFT(w)) forward on the survivors with their configured weights
 	// projected onto the renumbered links — the stale-weight behavior
 	// of a real deployment between failure and re-optimization.
 	// Optimizing routers (SPEF, Optimal, PEFT(nil)) re-optimize on
 	// each variant.
-	SingleLinkFailures bool
-	// Failures selects a failure-set spec ("single", "dual",
-	// "srlg:file=PATH" — see ResolveFailureSet) and supersedes
-	// SingleLinkFailures when non-empty. "single" is exactly the
-	// SingleLinkFailures axis; "dual" adds every unordered pair of
-	// duplex-pair failures; "srlg" fails shared-risk groups from a
-	// file. The same routability screening and stale-weight projection
-	// rules apply to every mode.
 	Failures string
 }
 
@@ -172,11 +168,7 @@ func (g Grid) Scenarios() ([]Scenario, error) {
 	if len(loads) == 0 {
 		loads = []float64{0}
 	}
-	fspec := g.Failures
-	if fspec == "" && g.SingleLinkFailures {
-		fspec = failureModeSingle
-	}
-	fset, err := ResolveFailureSet(fspec)
+	fset, err := ResolveFailureSet(g.Failures)
 	if err != nil {
 		return nil, err
 	}
@@ -345,23 +337,13 @@ type failureVariant struct {
 func failureVariants(n *Network, d *Demands) ([]failureVariant, error) {
 	var out []failureVariant
 	for _, pair := range n.DuplexPairs() {
-		n2, keep, err := n.WithoutLinks(pair[0], pair[1])
+		v, ok, err := multiFailureVariant(n, d, pairLabel(n, pair), pair[:])
 		if err != nil {
 			return nil, err
 		}
-		routable, err := demandsRoutable(n2, d)
-		if err != nil {
-			return nil, err
+		if ok {
+			out = append(out, v)
 		}
-		if !routable {
-			continue
-		}
-		from, to, _ := n.Link(pair[0])
-		out = append(out, failureVariant{
-			net:        n2,
-			failedLink: fmt.Sprintf("%s-%s", n2.nodeLabel(from), n2.nodeLabel(to)),
-			keep:       keep,
-		})
 	}
 	return out, nil
 }

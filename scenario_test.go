@@ -52,9 +52,9 @@ func gridRouters() []Router {
 func TestScenarioGridDeterministicAcrossWorkerCounts(t *testing.T) {
 	n, d := gridNetwork(t)
 	grid := Grid{
-		Topologies:         []Topology{{Name: "ring5", Network: n, Demands: d}},
-		Routers:            gridRouters(),
-		SingleLinkFailures: true,
+		Topologies: []Topology{{Name: "ring5", Network: n, Demands: d}},
+		Routers:    gridRouters(),
+		Failures:   "single",
 	}
 	cells, err := grid.Scenarios()
 	if err != nil {
@@ -183,7 +183,7 @@ func TestGridFailureVariantsRemapExplicitWeights(t *testing.T) {
 			OSPF(w),
 			Named("peft-w", PEFT(w)),
 		},
-		SingleLinkFailures: true,
+		Failures: "single",
 	}
 	cells, err := grid.Scenarios()
 	if err != nil {
@@ -216,7 +216,7 @@ func TestGridFailureVariantsRemapQCoefficients(t *testing.T) {
 			Optimal(WithQ(q)),
 			PEFT(nil, WithQ(q), WithMaxIterations(300)),
 		},
-		SingleLinkFailures: true,
+		Failures: "single",
 	}
 	cells, err := grid.Scenarios()
 	if err != nil {

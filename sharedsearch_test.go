@@ -79,10 +79,10 @@ func TestFailureGridRunsOneSearchPerVariant(t *testing.T) {
 	net, d := lsTestInstance(t)
 	eo := ExplicitOptions{MaxEvals: 40, Seed: 1}
 	grid := Grid{
-		Topologies:         []Topology{{Name: "rand8", Network: net, Demands: d}},
-		Loads:              []float64{0.15, 0.3},
-		Routers:            []Router{OSPFLocalSearch(LocalSearchOptions{MaxEvals: 40, Seed: 1}), SegmentRouting(eo), MPLSKSP(eo)},
-		SingleLinkFailures: true,
+		Topologies: []Topology{{Name: "rand8", Network: net, Demands: d}},
+		Loads:      []float64{0.15, 0.3},
+		Routers:    []Router{OSPFLocalSearch(LocalSearchOptions{MaxEvals: 40, Seed: 1}), SegmentRouting(eo), MPLSKSP(eo)},
+		Failures:   "single",
 	}
 	cells, err := grid.Scenarios()
 	if err != nil {
@@ -132,10 +132,10 @@ func TestRunStorePrePass(t *testing.T) {
 	// variant (the campaign's shape) shares nothing.
 	net, d := lsTestInstance(t)
 	grid := Grid{
-		Topologies:         []Topology{{Name: "rand8", Network: net, Demands: d}},
-		Loads:              []float64{0.15, 0.3},
-		Routers:            []Router{OSPF(nil), OSPFLocalSearch(LocalSearchOptions{MaxEvals: 40})},
-		SingleLinkFailures: true,
+		Topologies: []Topology{{Name: "rand8", Network: net, Demands: d}},
+		Loads:      []float64{0.15, 0.3},
+		Routers:    []Router{OSPF(nil), OSPFLocalSearch(LocalSearchOptions{MaxEvals: 40})},
+		Failures:   "single",
 	}
 	cells, err = grid.Scenarios()
 	if err != nil {
@@ -327,10 +327,10 @@ func TestSharedSearchGridProperty(t *testing.T) {
 			routers[j] = sp.router()
 		}
 		cells, err := Grid{
-			Topologies:         []Topology{{Name: "rand8", Network: net, Demands: d}},
-			Loads:              []float64{0.15, 0.3},
-			Routers:            routers,
-			SingleLinkFailures: true,
+			Topologies: []Topology{{Name: "rand8", Network: net, Demands: d}},
+			Loads:      []float64{0.15, 0.3},
+			Routers:    routers,
+			Failures:   "single",
 		}.Scenarios()
 		if err != nil {
 			t.Fatal(err)

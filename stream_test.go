@@ -26,9 +26,9 @@ func streamToSlice(ctx context.Context, t *testing.T, cells []Scenario, opts Run
 func TestStreamMatchesBatchAcrossWorkerCounts(t *testing.T) {
 	n, d := gridNetwork(t)
 	grid := Grid{
-		Topologies:         []Topology{{Name: "ring5", Network: n, Demands: d}},
-		Routers:            []Router{OSPF(nil), SPEF(WithMaxIterations(300))},
-		SingleLinkFailures: true,
+		Topologies: []Topology{{Name: "ring5", Network: n, Demands: d}},
+		Routers:    []Router{OSPF(nil), SPEF(WithMaxIterations(300))},
+		Failures:   "single",
 	}
 	cells, err := grid.Scenarios()
 	if err != nil {

@@ -30,14 +30,12 @@ type Suite struct {
 	// load-over-time axis (one cell per step; see Grid.Scenarios).
 	// Empty keeps each topology's registry default.
 	Demands string `json:"demands,omitempty"`
-	// Loads, Betas and SingleLinkFailures are the Grid axes.
-	Loads              []float64 `json:"loads,omitempty"`
-	Betas              []float64 `json:"betas,omitempty"`
-	SingleLinkFailures bool      `json:"single_link_failures,omitempty"`
-	// Failures selects a failure-set spec ("single", "dual",
-	// "srlg:file=PATH" — see ResolveFailureSet) and supersedes
-	// SingleLinkFailures when non-empty.
-	Failures string `json:"failures,omitempty"`
+	// Loads, Betas and Failures are the Grid axes. Failures is a
+	// failure-set spec ("single", "dual", "srlg:file=PATH" — see
+	// ResolveFailureSet).
+	Loads    []float64 `json:"loads,omitempty"`
+	Betas    []float64 `json:"betas,omitempty"`
+	Failures string    `json:"failures,omitempty"`
 	// Routers lists router specs: "spef", "invcap" (or "ospf"),
 	// "peft", "optimal", "ospf-ls", "ospf-ls-robust", "sr",
 	// "mpls-ksp", each optionally parameterized ("spef:iters=N",
@@ -82,11 +80,13 @@ func (s *Suite) Grid() (Grid, error) {
 	if len(s.Routers) == 0 {
 		return Grid{}, fmt.Errorf("%w: suite has no routers", ErrBadInput)
 	}
+	if s.MaxIterations < 0 {
+		return Grid{}, fmt.Errorf("%w: suite max_iterations %d must be >= 0 (0 = automatic)", ErrBadInput, s.MaxIterations)
+	}
 	grid := Grid{
-		Loads:              s.Loads,
-		Betas:              s.Betas,
-		SingleLinkFailures: s.SingleLinkFailures,
-		Failures:           s.Failures,
+		Loads:    s.Loads,
+		Betas:    s.Betas,
+		Failures: s.Failures,
 	}
 	// Resolve the failure spec eagerly so a bad spec fails at suite
 	// resolution (with the registry's inventory error), not mid-run.
@@ -222,7 +222,11 @@ func ResolveRouter(spec string, defaultIters int) (Router, error) {
 		if err := onlyParams(spec, params, append([]string{"iters"}, allowed...)...); err != nil {
 			return 0, err
 		}
-		return intParam(params, "iters", int64(defaultIters))
+		iters, err := intParam(params, "iters", int64(defaultIters))
+		if err == nil && iters < 0 {
+			err = fmt.Errorf("%w: spec %q: iters=%d must be >= 0 (0 = automatic)", ErrBadInput, spec, iters)
+		}
+		return iters, err
 	}
 	switch name {
 	case "spef", "peft", "optimal":

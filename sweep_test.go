@@ -96,9 +96,9 @@ func runShards(t *testing.T, cells []Scenario, opts RunOptions, hash string, nam
 func TestShardMergeBitIdenticalToSingleProcess(t *testing.T) {
 	n, d := gridNetwork(t)
 	grid := Grid{
-		Topologies:         []Topology{{Name: "ring5", Network: n, Demands: d}},
-		Routers:            []Router{OSPF(nil), SPEF(WithMaxIterations(100))},
-		SingleLinkFailures: true,
+		Topologies: []Topology{{Name: "ring5", Network: n, Demands: d}},
+		Routers:    []Router{OSPF(nil), SPEF(WithMaxIterations(100))},
+		Failures:   "single",
 	}
 	cells, err := grid.Scenarios()
 	if err != nil {
@@ -165,8 +165,8 @@ func TestShardMergeBitIdenticalWithReuseWeights(t *testing.T) {
 			SPEF(WithMaxIterations(100)), OSPF(nil),
 			OSPFLocalSearch(LocalSearchOptions{MaxEvals: 60}), SegmentRouting(ExplicitOptions{MaxEvals: 60}),
 		},
-		Loads:              []float64{0.5, 0.8, 1.1},
-		SingleLinkFailures: true,
+		Loads:    []float64{0.5, 0.8, 1.1},
+		Failures: "single",
 	}
 	cells, err := grid.Scenarios()
 	if err != nil {
@@ -196,9 +196,9 @@ func TestShardMergeBitIdenticalWithReuseWeights(t *testing.T) {
 func TestShardKillAndResume(t *testing.T) {
 	n, d := gridNetwork(t)
 	grid := Grid{
-		Topologies:         []Topology{{Name: "ring5", Network: n, Demands: d}},
-		Routers:            []Router{OSPF(nil), SPEF(WithMaxIterations(100))},
-		SingleLinkFailures: true,
+		Topologies: []Topology{{Name: "ring5", Network: n, Demands: d}},
+		Routers:    []Router{OSPF(nil), SPEF(WithMaxIterations(100))},
+		Failures:   "single",
 	}
 	cells, err := grid.Scenarios()
 	if err != nil {
