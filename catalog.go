@@ -7,19 +7,24 @@ import (
 	"text/tabwriter"
 )
 
-// This file is the registry's self-description: one SpecDoc per
-// resolvable spec, consumed by the `spef catalog` subcommand, the
-// generated README catalog section, and the unknown-spec error
-// messages of ResolveTopology/ResolveDemands/ResolveRouter. Adding a
-// spec to the registry means adding its SpecDoc here — the catalog
-// sync check in CI keeps the committed docs honest.
+// This file renders the registry's self-description. Every spec is one
+// entry of its table (topologySpecs, demandSpecs and sequenceSpecs in
+// registry.go, routerSpecs in suite.go, failureSpecs in failures.go,
+// metricSpecs in metrics.go): its name, summary, parameters with their
+// defaults, and builder. The same entry is the SpecDoc that `spef
+// catalog`, the generated README catalog section and the unknown-spec
+// errors show, and the declaration the spec parser enforces: it rejects
+// keys the entry does not document and reads omitted numeric parameters
+// as their documented defaults. Adding a spec means adding its entry;
+// the catalog sync check in CI keeps the committed README honest.
 
 // ParamDoc documents one spec parameter.
 type ParamDoc struct {
 	// Name is the parameter key ("seed").
 	Name string
 	// Default renders the value used when the parameter is omitted
-	// ("1", "required").
+	// ("1", "required"). A numeric default is what the spec parser
+	// reads; a word default describes what the zero value selects.
 	Default string
 	// Doc is the one-line description.
 	Doc string
@@ -46,241 +51,6 @@ func (s SpecDoc) Spec() string {
 		parts[i] = p.Name + "=..."
 	}
 	return s.Name + ":" + strings.Join(parts, ",")
-}
-
-var topologyGeneratorDocs = []SpecDoc{
-	{
-		Name:    "rand",
-		Summary: "Connected uniform random network, unit capacities (the paper's \"Random\" class).",
-		Params: []ParamDoc{
-			{Name: "n", Default: "50", Doc: "node count"},
-			{Name: "links", Default: "242", Doc: "directed link count (even: duplex pairs)"},
-			{Name: "seed", Default: "1", Doc: "generator seed"},
-		},
-	},
-	{
-		Name:    "hier",
-		Summary: "GT-ITM style 2-level hierarchy: capacity-1 local links, capacity-5 long-distance links.",
-		Params: []ParamDoc{
-			{Name: "n", Default: "50", Doc: "node count"},
-			{Name: "clusters", Default: "5", Doc: "cluster count"},
-			{Name: "links", Default: "222", Doc: "directed link count (even: duplex pairs)"},
-			{Name: "seed", Default: "1", Doc: "generator seed"},
-		},
-	},
-	{
-		Name:    "waxman",
-		Summary: "Connected Waxman random geometric network: link probability alpha*exp(-d/(beta*L)), unit capacities.",
-		Params: []ParamDoc{
-			{Name: "n", Default: "50", Doc: "node count"},
-			{Name: "alpha", Default: "0.4", Doc: "density parameter in (0, 1]"},
-			{Name: "beta", Default: "0.2", Doc: "characteristic link length (fraction of the diameter)"},
-			{Name: "seed", Default: "1", Doc: "generator seed"},
-		},
-	},
-	{
-		Name:    "ba",
-		Summary: "Connected Barabási–Albert scale-free network (preferential attachment), unit capacities.",
-		Params: []ParamDoc{
-			{Name: "n", Default: "50", Doc: "node count"},
-			{Name: "m", Default: "2", Doc: "links added per new node"},
-			{Name: "seed", Default: "1", Doc: "generator seed"},
-		},
-	},
-	{
-		Name:    "fattree",
-		Summary: "k-ary fat-tree data-center fabric: (k/2)^2 cores, k pods of k/2 aggregation + k/2 edge switches.",
-		Params: []ParamDoc{
-			{Name: "k", Default: "4", Doc: "arity (even)"},
-		},
-	},
-	{
-		Name:    "grid",
-		Summary: "rows x cols lattice of unit-capacity duplex links, optionally closed into a torus.",
-		Params: []ParamDoc{
-			{Name: "rows", Default: "5", Doc: "row count"},
-			{Name: "cols", Default: "5", Doc: "column count"},
-			{Name: "wrap", Default: "0", Doc: "1 closes the torus"},
-		},
-	},
-	{
-		Name:    "zoo",
-		Summary: "Topology Zoo GraphML import; speeds from LinkSpeedRaw/LinkSpeed/LinkLabel, inference for the rest.",
-		Params: []ParamDoc{
-			{Name: "file", Default: "required", Doc: "path to the .graphml file"},
-			{Name: "cap", Default: "inferred", Doc: "capacity for unannotated links (default: median of annotated)"},
-			{Name: "unit", Default: "1e9", Doc: "bit/s per topology capacity unit (1e9 = Gbps)"},
-		},
-	},
-	{
-		Name:    "sndlib",
-		Summary: "SNDlib native-format import; the file's DEMANDS section becomes the canonical workload.",
-		Params: []ParamDoc{
-			{Name: "file", Default: "required", Doc: "path to the SNDlib native file"},
-			{Name: "cap", Default: "inferred", Doc: "capacity for unannotated links (default: median of annotated)"},
-		},
-	},
-}
-
-var demandDocs = []SpecDoc{
-	{
-		Name:    "ft",
-		Summary: "Fortz-Thorup synthetic demands: D(s,t) = O_s * I_t * C_st with uniform random factors.",
-		Params: []ParamDoc{
-			{Name: "seed", Default: "1", Doc: "generator seed"},
-		},
-	},
-	{
-		Name:    "gravity",
-		Summary: "Gravity model over log-normal synthetic per-node volumes, normalized to total network capacity.",
-		Params: []ParamDoc{
-			{Name: "seed", Default: "1", Doc: "volume seed"},
-			{Name: "sigma", Default: "0.5", Doc: "log-normal volume spread"},
-		},
-	},
-	{
-		Name:    "uniform",
-		Summary: "Volume v between every ordered node pair.",
-		Params: []ParamDoc{
-			{Name: "v", Default: "1", Doc: "per-pair volume"},
-		},
-	},
-	{
-		Name:    "none",
-		Summary: "No demands (topology only).",
-	},
-}
-
-var sequenceDocs = []SpecDoc{
-	{
-		Name:    "gravity-diurnal",
-		Summary: "Gravity matrix swept through a sinusoidal day cycle, optional hotspot burst in the middle third.",
-		Params: []ParamDoc{
-			{Name: "seed", Default: "1", Doc: "volume and hotspot seed"},
-			{Name: "sigma", Default: "0.5", Doc: "log-normal volume spread"},
-			{Name: "steps", Default: "24", Doc: "steps per cycle"},
-			{Name: "peak", Default: "1", Doc: "peak multiplier (midday)"},
-			{Name: "trough", Default: "0.2", Doc: "trough multiplier (midnight)"},
-			{Name: "hotspots", Default: "0", Doc: "boosted source-destination pairs (0 disables the burst)"},
-			{Name: "boost", Default: "4", Doc: "volume multiplier on hotspot pairs during the burst"},
-		},
-	},
-	{
-		Name:    "ft-diurnal",
-		Summary: "Fortz-Thorup matrix swept through the same diurnal cycle and optional hotspot burst.",
-		Params: []ParamDoc{
-			{Name: "seed", Default: "1", Doc: "demand and hotspot seed"},
-			{Name: "steps", Default: "24", Doc: "steps per cycle"},
-			{Name: "peak", Default: "1", Doc: "peak multiplier (midday)"},
-			{Name: "trough", Default: "0.2", Doc: "trough multiplier (midnight)"},
-			{Name: "hotspots", Default: "0", Doc: "boosted source-destination pairs (0 disables the burst)"},
-			{Name: "boost", Default: "4", Doc: "volume multiplier on hotspot pairs during the burst"},
-		},
-	},
-}
-
-var routerDocs = []SpecDoc{
-	{
-		Name:    "spef",
-		Summary: "The paper's SPEF scheme: two weights per link, exponential penalty flow splitting.",
-		Params: []ParamDoc{
-			{Name: "iters", Default: "auto", Doc: "Algorithm 1 iteration budget"},
-		},
-	},
-	{
-		Name:    "invcap",
-		Summary: "OSPF with inverse-capacity weights and ECMP splitting (alias: ospf).",
-	},
-	{
-		Name:    "peft",
-		Summary: "PEFT: one weight per link, exponential penalty over path costs.",
-		Params: []ParamDoc{
-			{Name: "iters", Default: "auto", Doc: "optimization iteration budget"},
-		},
-	},
-	{
-		Name:    "optimal",
-		Summary: "The Frank-Wolfe optimal traffic engineering reference (not weight-realizable).",
-		Params: []ParamDoc{
-			{Name: "iters", Default: "auto", Doc: "Frank-Wolfe iteration budget"},
-		},
-	},
-	{
-		Name:    "ospf-ls",
-		Summary: "Fortz-Thorup local search over OSPF link weights (incremental re-evaluation, InvCap start).",
-		Params: []ParamDoc{
-			{Name: "iters", Default: "2000", Doc: "candidate-evaluation budget"},
-			{Name: "wmax", Default: "20", Doc: "largest integer weight"},
-			{Name: "seed", Default: "0", Doc: "neighborhood sampling seed"},
-			{Name: "accept", Default: "hill", Doc: "move acceptance: hill, or tabu:tenure=N (best move each round, changed link tabu for N rounds)"},
-		},
-	},
-	{
-		Name:    "mpls-ksp",
-		Summary: "MPLS explicit paths: per-demand splits over the k cheapest simple paths, LP-optimized for min MLU.",
-		Params: []ParamDoc{
-			{Name: "k", Default: "4", Doc: "candidate paths per demand (with colgen=on: pricing-oracle scan width)"},
-			{Name: "iters", Default: "2000", Doc: "base-weight local-search budget"},
-			{Name: "wmax", Default: "20", Doc: "largest base integer weight"},
-			{Name: "seed", Default: "0", Doc: "base-weight search seed"},
-			{Name: "base", Default: "ospf-ls", Doc: "base weights: ospf-ls or invcap"},
-			{Name: "colgen", Default: "off", Doc: "solve the split LP by column generation over all simple paths (on/off)"},
-		},
-	},
-	{
-		Name:    "sr",
-		Summary: "Segment routing: each demand detours through at most one greedily chosen ECMP midpoint.",
-		Params: []ParamDoc{
-			{Name: "segs", Default: "2", Doc: "segment budget (1 = direct shortest paths)"},
-			{Name: "iters", Default: "2000", Doc: "base-weight local-search budget"},
-			{Name: "wmax", Default: "20", Doc: "largest base integer weight"},
-			{Name: "seed", Default: "0", Doc: "base-weight search seed"},
-			{Name: "base", Default: "ospf-ls", Doc: "base weights: ospf-ls or invcap"},
-		},
-	},
-	{
-		Name:    "ospf-ls-robust",
-		Summary: "Failure-aware local search: candidates scored against every single-link-failure variant.",
-		Params: []ParamDoc{
-			{Name: "iters", Default: "2000", Doc: "candidate-evaluation budget"},
-			{Name: "wmax", Default: "20", Doc: "largest integer weight"},
-			{Name: "seed", Default: "0", Doc: "neighborhood sampling seed"},
-			{Name: "rho", Default: "1", Doc: "weight of the mean failure-variant cost in the score"},
-			{Name: "sample", Default: "all", Doc: "score k seeded sampled failure variants per candidate instead of all (k >= total is exactly exhaustive)"},
-			{Name: "sampleseed", Default: "0", Doc: "failure-variant sample seed"},
-			{Name: "accept", Default: "hill", Doc: "move acceptance: hill, or tabu:tenure=N (best move each round, changed link tabu for N rounds)"},
-		},
-	},
-}
-
-var failureDocs = []SpecDoc{
-	{
-		Name:    "single",
-		Summary: "One failure variant per duplex pair — the classic single-link-failure axis.",
-	},
-	{
-		Name:    "dual",
-		Summary: "Every single-link variant plus one variant per unordered pair of duplex-pair failures.",
-	},
-	{
-		Name:    "srlg",
-		Summary: "Shared-risk link groups: one variant per named group from a JSON file, all of its links failing together.",
-		Params: []ParamDoc{
-			{Name: "file", Default: "required", Doc: `JSON group file: {"groups":[{"name":...,"links":[["A","B"],...]}]}`},
-		},
-	},
-}
-
-var metricDocs = []SpecDoc{
-	{Name: MetricMLU, Summary: "Maximum link utilization — the paper's primary congestion measure."},
-	{Name: MetricUtility, Summary: "Normalized utility sum log(1-u) of Fig. 10; -inf past saturation."},
-	{Name: MetricMeanUtilization, Summary: "Mean per-link utilization."},
-	{Name: MetricP95Utilization, Summary: "95th-percentile link utilization (any \"p<n>_util\" percentile resolves)."},
-	{Name: MetricMM1Delay, Summary: "Total M/M/1 queueing delay sum f/(c-f); +inf once a link saturates."},
-	{Name: MetricMaxStretch, Summary: "Maximum volume-weighted path stretch over destinations (1.0 = hop-shortest)."},
-	{Name: MetricFortz, Summary: "Total Fortz-Thorup piecewise-linear congestion cost (the ospf-ls objective)."},
-	{Name: MetricFortzNorm, Summary: "Fortz-Thorup cost normalized by uncapacitated hop-shortest routing (Phi*; 1.0 = uncongested optimum)."},
-	{Name: MetricFailMLU, Summary: "Worst MLU of the cell's weights over the intact state and every single duplex-pair failure (+inf when a failure strands demand; OSPF/ECMP weight-backed routers only)."},
 }
 
 // Catalog is the full registry inventory: every named topology, every
@@ -313,12 +83,12 @@ func NewCatalog() (*Catalog, error) {
 	}
 	return &Catalog{
 		Topologies: topos,
-		Generators: topologyGeneratorDocs,
-		Demands:    demandDocs,
-		Sequences:  sequenceDocs,
-		Routers:    routerDocs,
-		Failures:   failureDocs,
-		Metrics:    metricDocs,
+		Generators: docsOf(topologySpecs),
+		Demands:    docsOf(demandSpecs),
+		Sequences:  docsOf(sequenceSpecs),
+		Routers:    docsOf(routerSpecs),
+		Failures:   docsOf(failureSpecs),
+		Metrics:    docsOf(metricSpecs),
 	}, nil
 }
 
@@ -407,17 +177,6 @@ func specNames(docs []SpecDoc) []string {
 		if len(d.Params) > 0 {
 			out[i] += ":..."
 		}
-	}
-	return out
-}
-
-// docNames lists the bare spec names — what suggest compares typos
-// against (the ":..." display suffix of specNames would inflate every
-// edit distance past the threshold).
-func docNames(docs []SpecDoc) []string {
-	out := make([]string, len(docs))
-	for i, d := range docs {
-		out[i] = d.Name
 	}
 	return out
 }

@@ -2,81 +2,193 @@ package spef
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// TestCatalogSpecsResolve: the catalog is the registry's
-// self-description, so every documented spec must actually resolve —
-// with its defaults, and with every documented parameter spelled out.
-func TestCatalogSpecsResolve(t *testing.T) {
-	c, err := NewCatalog()
-	if err != nil {
-		t.Fatal(err)
+// numericDefaults spells every parameter of d whose documented default
+// is a number at that default ("n=50"), and returns the iters default
+// (0 when iters is absent or a word such as "auto").
+func numericDefaults(d SpecDoc) (parts []string, iters int) {
+	for _, p := range d.Params {
+		if _, err := strconv.ParseFloat(p.Default, 64); err != nil {
+			continue
+		}
+		parts = append(parts, p.Name+"="+p.Default)
+		if p.Name == "iters" {
+			iters, _ = strconv.Atoi(p.Default)
+		}
 	}
+	return parts, iters
+}
+
+// matrixBits renders demands bit for bit (nil for no demands).
+func matrixBits(d *Demands, nodes int) []uint64 {
+	if d == nil {
+		return nil
+	}
+	var out []uint64
+	for s := 0; s < nodes; s++ {
+		for t := 0; t < nodes; t++ {
+			out = append(out, math.Float64bits(d.At(s, t)))
+		}
+	}
+	return out
+}
+
+// topologyBits renders a resolved topology's nodes, links, capacities
+// and canonical demands bit for bit.
+func topologyBits(t Topology) []uint64 {
+	n := t.Network
+	out := []uint64{uint64(n.NumNodes()), uint64(n.NumLinks())}
+	for id := 0; id < n.NumLinks(); id++ {
+		from, to, c := n.Link(id)
+		out = append(out, uint64(from), uint64(to), math.Float64bits(c))
+	}
+	return append(out, matrixBits(t.Demands, n.NumNodes())...)
+}
+
+// TestCatalogSpecsResolve: the catalog is the registry's
+// self-description and the parser's declaration, so for every entry of
+// every table:
+//   - the bare spec resolves;
+//   - every numeric-default parameter spelled at its documented default
+//     resolves to exactly what the bare spec does (the same router
+//     value and name; the same nodes, links and capacities with
+//     bit-identical canonical demands; bit-identical matrices);
+//   - an undocumented key, and a documented key given twice, are
+//     ErrBadInput.
+//
+// A router's iters default is the caller's budget, so the bare router
+// resolves with its documented iters default as defaultIters.
+func TestCatalogSpecsResolve(t *testing.T) {
+	c := testCatalog(t)
 	for _, info := range c.Topologies {
 		if _, err := ResolveTopology(info.Name); err != nil {
 			t.Errorf("named topology %q does not resolve: %v", info.Name, err)
 		}
 	}
-	// Generator specs resolve with their documented defaults. The
-	// importers need a file; use the committed fixtures.
-	fileFor := map[string]string{
+	// The importers and the SRLG failure set need a file to resolve at
+	// all; specWith renders a spec with it and the given parameters.
+	srlg := filepath.Join(t.TempDir(), "srlg.json")
+	if err := os.WriteFile(srlg, []byte(`{"groups":[{"name":"g","links":[["A","B"]]}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{
 		"zoo":    "internal/topoio/testdata/testnet.graphml",
 		"sndlib": "internal/topoio/testdata/testnet.txt",
+		"srlg":   srlg,
 	}
-	for _, d := range c.Generators {
-		spec := d.Name
-		if f, ok := fileFor[d.Name]; ok {
-			spec = fmt.Sprintf("%s:file=%s", d.Name, f)
+	specWith := func(d SpecDoc, parts ...string) string {
+		if f, ok := files[d.Name]; ok {
+			parts = append([]string{"file=" + f}, parts...)
 		}
-		if _, err := resolveTopology(spec, false); err != nil {
-			t.Errorf("generator spec %q does not resolve: %v", spec, err)
+		if len(parts) == 0 {
+			return d.Name
 		}
-		// Every documented parameter is accepted (with its default
-		// where renderable; file params keep the fixture).
-		withParams := d.Name + ":"
-		var parts []string
-		for _, p := range d.Params {
-			switch {
-			case p.Name == "file":
-				parts = append(parts, "file="+fileFor[d.Name])
-			case p.Default == "required" || p.Default == "inferred" || p.Default == "auto":
-				continue
-			default:
-				parts = append(parts, p.Name+"="+p.Default)
-			}
-		}
-		withParams += strings.Join(parts, ",")
-		if _, err := resolveTopology(withParams, false); err != nil {
-			t.Errorf("generator spec %q does not resolve: %v", withParams, err)
-		}
+		return d.Name + ":" + strings.Join(parts, ",")
 	}
 	n, err := RandomNetwork(1, 10, 26)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range c.Demands {
-		if _, err := ResolveDemands(d.Name, n); err != nil {
-			t.Errorf("demand spec %q does not resolve: %v", d.Name, err)
-		}
+	// Each section resolves a spec into bits to compare, or an error.
+	// Small step counts keep the sequences fast.
+	sections := []struct {
+		name    string
+		docs    []SpecDoc
+		resolve func(spec string, iters int) (any, error)
+	}{
+		{"generator", c.Generators, func(spec string, _ int) (any, error) {
+			tp, err := ResolveTopology(spec)
+			if err != nil {
+				return nil, err
+			}
+			return topologyBits(tp), nil
+		}},
+		{"demand", c.Demands, func(spec string, _ int) (any, error) {
+			d, err := ResolveDemands(spec, n)
+			return matrixBits(d, n.NumNodes()), err
+		}},
+		{"sequence", c.Sequences, func(spec string, _ int) (any, error) {
+			steps, ok, err := ResolveDemandSequence(spec, n)
+			if err == nil && !ok {
+				err = fmt.Errorf("not a sequence")
+			}
+			var out []any
+			for _, st := range steps {
+				out = append(out, st.Label, matrixBits(st.Demands, n.NumNodes()))
+			}
+			return out, err
+		}},
+		{"router", c.Routers, func(spec string, iters int) (any, error) {
+			r, err := ResolveRouter(spec, iters)
+			if err != nil {
+				return nil, err
+			}
+			return []any{r.Name(), r}, nil
+		}},
+		{"failure set", c.Failures, func(spec string, _ int) (any, error) {
+			f, err := ResolveFailureSet(spec)
+			return f, err
+		}},
+		{"metric", c.Metrics, func(spec string, _ int) (any, error) {
+			m, err := MetricsByName(spec)
+			if err != nil {
+				return nil, err
+			}
+			return m[0].Name(), nil
+		}},
 	}
-	for _, d := range c.Sequences {
-		// Small step counts keep the test fast.
-		if _, ok, err := ResolveDemandSequence(d.Name+":steps=2", n); err != nil || !ok {
-			t.Errorf("sequence spec %q does not resolve: ok=%v err=%v", d.Name, ok, err)
-		}
-	}
-	for _, d := range c.Routers {
-		if _, err := ResolveRouter(d.Name, 0); err != nil {
-			t.Errorf("router spec %q does not resolve: %v", d.Name, err)
-		}
-	}
-	for _, d := range c.Metrics {
-		if _, err := MetricsByName(d.Name); err != nil {
-			t.Errorf("metric %q does not resolve: %v", d.Name, err)
+	for _, sec := range sections {
+		for _, d := range sec.docs {
+			defaults, iters := numericDefaults(d)
+			bare, err := sec.resolve(specWith(d), iters)
+			if err != nil {
+				t.Errorf("%s %q does not resolve: %v", sec.name, specWith(d), err)
+				continue
+			}
+			if name := d.Name; sec.name == "sequence" {
+				// The full default cycle is covered above; compare
+				// spelled defaults on a short one.
+				defaults = append(slices.DeleteFunc(defaults, func(p string) bool { return strings.HasPrefix(p, "steps=") }), "steps=2")
+				if bare, err = sec.resolve(specWith(d, "steps=2"), iters); err != nil {
+					t.Errorf("sequence %q: %v", name, err)
+					continue
+				}
+			}
+			if len(defaults) > 0 {
+				spelled := specWith(d, defaults...)
+				got, err := sec.resolve(spelled, 0)
+				if err != nil {
+					t.Errorf("%s %q does not resolve: %v", sec.name, spelled, err)
+				} else if !reflect.DeepEqual(got, bare) {
+					t.Errorf("%s %q resolves differently from %q", sec.name, spelled, specWith(d))
+				}
+			}
+			undocumented := specWith(d, "bogus=1")
+			if _, err := sec.resolve(undocumented, 0); !errors.Is(err, ErrBadInput) {
+				t.Errorf("%s %q: err = %v, want ErrBadInput", sec.name, undocumented, err)
+			}
+			if len(d.Params) > 0 {
+				p := d.Params[len(d.Params)-1]
+				v := p.Default
+				if p.Name == "file" {
+					v = files[d.Name]
+				}
+				twice := specWith(d, p.Name+"="+v, p.Name+"="+v)
+				if _, err := sec.resolve(twice, 0); !errors.Is(err, ErrBadInput) {
+					t.Errorf("%s %q: err = %v, want ErrBadInput", sec.name, twice, err)
+				}
+			}
 		}
 	}
 }
@@ -138,30 +250,35 @@ func TestReadmeCatalogSectionInSync(t *testing.T) {
 }
 
 // TestRouterInventoryMatchesCatalog: the unknown-router error's
-// inventory and the catalog must both be views of routerDocs — a router
-// registered in one place but not the other would document specs that
-// don't resolve (or resolve specs that aren't documented).
+// inventory and the catalog must both be views of routerSpecs — a
+// router registered in one place but not the other would document
+// specs that don't resolve (or resolve specs that aren't documented).
+// The error lists every catalog router, and a one-letter typo of any
+// router name or alias is suggested back.
 func TestRouterInventoryMatchesCatalog(t *testing.T) {
-	c, err := NewCatalog()
-	if err != nil {
-		t.Fatal(err)
+	c := testCatalog(t)
+	_, err := ResolveRouter("nosuchrouter", 0)
+	if err == nil {
+		t.Fatal("ResolveRouter(nosuchrouter) succeeded")
 	}
-	inv := routerInventory()
-	known := make(map[string]bool, len(inv.known))
-	for _, name := range inv.known {
-		known[name] = true
+	_, list, ok := strings.Cut(err.Error(), "(known: ")
+	if !ok {
+		t.Fatalf("unknown-router error has no inventory: %v", err)
 	}
-	for _, d := range c.Routers {
-		if !known[d.Name] {
-			t.Errorf("catalog router %q missing from the unknown-router inventory", d.Name)
+	listed := map[string]bool{}
+	for _, spec := range strings.Split(strings.TrimSuffix(list, ")"), ", ") {
+		listed[strings.TrimSuffix(spec, ":...")] = true
+	}
+	if len(listed) != len(c.Routers) {
+		t.Errorf("inventory %q lists %d routers, the catalog %d", list, len(listed), len(c.Routers))
+	}
+	for _, name := range append(docNames(c.Routers), "ospf") {
+		if name != "ospf" && !listed[name] {
+			t.Errorf("catalog router %q missing from the inventory list %q", name, list)
 		}
-		if !strings.Contains(inv.list, d.Name) {
-			t.Errorf("catalog router %q missing from the inventory list %q", d.Name, inv.list)
-		}
-	}
-	for _, name := range []string{"mpls-ksp", "sr"} {
-		if !known[name] {
-			t.Errorf("explicit-path router %q not in the inventory", name)
+		_, err := ResolveRouter(name+"x", 0)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("did you mean %q?", name)) {
+			t.Errorf("ResolveRouter(%q) = %v, want a suggestion of %q", name+"x", err, name)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -82,4 +83,30 @@ func TestFailureFlag(t *testing.T) {
 			t.Fatalf("Set(%q) recorded %q", spec, f.spec)
 		}
 	}
+}
+
+// FuzzSplitList: the comma re-attachment never yields an empty spec,
+// and re-splitting its joined output gives the same specs back.
+func FuzzSplitList(f *testing.F) {
+	for _, s := range []string{
+		"invcap,spef",
+		"rand:n=50,links=242,seed=1,abilene",
+		"ospf-ls:accept=tabu:tenure=8,iters=100,invcap",
+		" a , b ,, c ",
+		"iters=5,invcap",
+		"zoo:file=net.graphml,cap=10,unit=1e9,gravity-diurnal:steps=3,peak=1",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got := splitList(s)
+		for _, spec := range got {
+			if spec == "" {
+				t.Fatalf("splitList(%q) = %q has an empty spec", s, got)
+			}
+		}
+		if again := splitList(strings.Join(got, ",")); !slices.Equal(again, got) {
+			t.Fatalf("splitList(%q) = %q, but re-splitting its join gives %q", s, got, again)
+		}
+	})
 }

@@ -148,7 +148,7 @@ func RankCriticalLinks(ctx context.Context, n *Network, d *Demands, opts Critica
 	engines := make(chan *delta.Engine, workers)
 	var base float64
 	for i := 0; i < workers; i++ {
-		en, err := delta.NewEngine(n.g, d.m, w, 0)
+		en, err := delta.NewEngine(n.g, d.m, w)
 		if err != nil {
 			return nil, err
 		}

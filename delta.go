@@ -45,7 +45,7 @@ func NewDeltaEngine(n *Network, d *Demands, weights []float64) (*DeltaEngine, er
 	if weights == nil {
 		weights = routing.InvCapWeights(n.g)
 	}
-	en, err := delta.NewEngine(n.g, d.m, weights, 0)
+	en, err := delta.NewEngine(n.g, d.m, weights)
 	if err != nil {
 		return nil, err
 	}

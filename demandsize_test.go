@@ -31,7 +31,7 @@ func TestDemandsForAnotherNetworkAreBadInput(t *testing.T) {
 	// Every registered family, with small budgets, plus the InvCap-based
 	// explicit-path variants and the fixed-weight routers.
 	var specs []string
-	for _, doc := range routerDocs {
+	for _, doc := range testCatalog(t).Routers {
 		spec := doc.Name
 		for _, p := range doc.Params {
 			if p.Name == "iters" {

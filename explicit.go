@@ -154,7 +154,7 @@ func (r srRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Routes, 
 	if err != nil {
 		return nil, fmt.Errorf("spef: %s: %w", r.Name(), err)
 	}
-	sr, err := explicit.TwoSegment(ctx, uf, d.m, r.segments(), 0)
+	sr, err := explicit.TwoSegmentOpt(ctx, uf, d.m, explicit.SROptions{Segments: r.segments()})
 	if err != nil {
 		return nil, fmt.Errorf("spef: %s: %w", r.Name(), err)
 	}
@@ -214,7 +214,7 @@ func (r mplsRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Routes
 	}
 	bestMLU := explicit.MaxUtil(n.g, best.Total)
 	// Candidate 2: two-segment greedy detours.
-	sr, err := explicit.TwoSegment(ctx, uf, d.m, 2, 0)
+	sr, err := explicit.TwoSegmentOpt(ctx, uf, d.m, explicit.SROptions{Segments: 2})
 	if err != nil {
 		return nil, fmt.Errorf("spef: %s: %w", r.Name(), err)
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"sync"
 )
 
 // This file is the multi-failure layer of the Grid: registry resolution
@@ -41,6 +40,47 @@ type srlgGroup struct {
 	links [][2]string
 }
 
+// failureSpecs are the failure-set modes.
+var failureSpecs = []specEntry[struct{}, *FailureSet]{
+	{
+		name:    failureModeSingle,
+		summary: "One failure variant per duplex pair — the classic single-link-failure axis.",
+		build:   failureMode,
+	},
+	{
+		name:    failureModeDual,
+		summary: "Every single-link variant plus one variant per unordered pair of duplex-pair failures.",
+		build:   failureMode,
+	},
+	{
+		name:    failureModeSRLG,
+		summary: "Shared-risk link groups: one variant per named group from a JSON file, all of its links failing together.",
+		params: []ParamDoc{
+			{Name: "file", Default: "required", Doc: `JSON group file: {"groups":[{"name":...,"links":[["A","B"],...]}]}`},
+		},
+		build: func(a *specArgs, _ struct{}) (*FailureSet, error) {
+			path := a.word("file")
+			if path == "" {
+				return nil, fmt.Errorf("%w: spec %q needs file=PATH (a JSON SRLG group file)", ErrBadInput, a.spec)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return nil, fmt.Errorf("%w: spec %q: %v", ErrBadInput, a.spec, err)
+			}
+			groups, err := parseSRLGGroups(data)
+			if err != nil {
+				return nil, fmt.Errorf("%w: spec %q: %v", ErrBadInput, a.spec, err)
+			}
+			return &FailureSet{mode: failureModeSRLG, file: path, groups: groups}, nil
+		},
+	},
+}
+
+// failureMode builds a mode that takes no parameters.
+func failureMode(a *specArgs, _ struct{}) (*FailureSet, error) {
+	return &FailureSet{mode: a.name}, nil
+}
+
 // ResolveFailureSet resolves a failure-set spec string:
 //
 //   - "single" — one variant per failed duplex pair.
@@ -58,49 +98,16 @@ func ResolveFailureSet(spec string) (*FailureSet, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, nil
 	}
-	name, params, err := parseSpec(spec)
-	if err != nil {
+	e, a, err := lookup(failureSpecs, spec)
+	switch {
+	case err != nil:
 		return nil, err
+	case e == nil:
+		return nil, fmt.Errorf("%w: unknown failure set %q%s (known: %s)",
+			ErrBadInput, spec, suggest(a.name, names(failureSpecs)), inventory(failureSpecs))
 	}
-	switch name {
-	case failureModeSingle, failureModeDual:
-		if err := onlyParams(spec, params); err != nil {
-			return nil, err
-		}
-		return &FailureSet{mode: name}, nil
-	case failureModeSRLG:
-		if err := onlyParams(spec, params, "file"); err != nil {
-			return nil, err
-		}
-		path := params["file"]
-		if path == "" {
-			return nil, fmt.Errorf("%w: spec %q needs file=PATH (a JSON SRLG group file)", ErrBadInput, spec)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("%w: spec %q: %v", ErrBadInput, spec, err)
-		}
-		groups, err := parseSRLGGroups(data)
-		if err != nil {
-			return nil, fmt.Errorf("%w: spec %q: %v", ErrBadInput, spec, err)
-		}
-		return &FailureSet{mode: name, file: path, groups: groups}, nil
-	}
-	inv := failureInventory()
-	return nil, fmt.Errorf("%w: unknown failure set %q%s (known: %s)",
-		ErrBadInput, spec, suggest(name, inv.known), inv.list)
+	return e.resolve(a, struct{}{})
 }
-
-// failureInventory caches the name lists of the unknown-failure-set
-// error, mirroring routerInventory.
-var failureInventory = sync.OnceValue(func() (inv struct {
-	known []string
-	list  string
-}) {
-	inv.known = docNames(failureDocs)
-	inv.list = strings.Join(specNames(failureDocs), ", ")
-	return inv
-})
 
 // parseSRLGGroups parses and validates the SRLG file format: at least
 // one group, unique non-empty names, at least one link per group.

@@ -90,8 +90,8 @@ func TestUnknownFailureSetErrorTextUnchanged(t *testing.T) {
 		t.Fatal("ResolveFailureSet(duel) succeeded, want error")
 	}
 	want := "spef: bad input: unknown failure set \"duel\"" +
-		suggest("duel", docNames(failureDocs)) +
-		" (known: " + strings.Join(specNames(failureDocs), ", ") + ")"
+		suggest("duel", docNames(testCatalog(t).Failures)) +
+		" (known: " + strings.Join(specNames(testCatalog(t).Failures), ", ") + ")"
 	if got := err.Error(); got != want {
 		t.Fatalf("unknown-failure-set error text changed:\n got: %s\nwant: %s", got, want)
 	}
@@ -299,7 +299,7 @@ func TestDeltaParityOnEveryMultiFailureVariant(t *testing.T) {
 		if len(vs) == 0 {
 			t.Fatalf("%s: no variants to check", spec)
 		}
-		en, err := delta.NewEngine(n.g, d.m, w, 0)
+		en, err := delta.NewEngine(n.g, d.m, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +325,7 @@ func TestDeltaParityOnEveryMultiFailureVariant(t *testing.T) {
 			for newID, oldID := range v.keep {
 				wf[newID] = w[oldID]
 			}
-			cold, err := delta.NewEvaluator(v.net.g, d.m, wf, 0)
+			cold, err := delta.NewEvaluator(v.net.g, d.m, wf)
 			if err != nil {
 				t.Fatalf("%s/%s: from-scratch: %v", spec, v.failedLink, err)
 			}

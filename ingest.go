@@ -3,6 +3,7 @@ package spef
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,7 +14,7 @@ import (
 
 // ImportOptions tune how imported files' capacity annotations are
 // interpreted; the zero value selects the defaults documented on
-// each field.
+// each field. A negative or non-finite value is bad input.
 type ImportOptions struct {
 	// DefaultCapacity, when positive, is assigned to links the file
 	// does not annotate. Zero infers it: the median of the file's
@@ -25,8 +26,16 @@ type ImportOptions struct {
 	CapacityUnit float64
 }
 
-func (o ImportOptions) internal() topoio.Options {
-	return topoio.Options{DefaultCapacity: o.DefaultCapacity, CapacityUnit: o.CapacityUnit}
+// internal checks and converts the options: zero selects a default,
+// and a negative or non-finite value is bad input.
+func (o ImportOptions) internal() (topoio.Options, error) {
+	for _, v := range []float64{o.DefaultCapacity, o.CapacityUnit} {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return topoio.Options{}, fmt.Errorf("%w: import options DefaultCapacity=%v and CapacityUnit=%v must be finite and >= 0 (0 selects the default)",
+				ErrBadInput, o.DefaultCapacity, o.CapacityUnit)
+		}
+	}
+	return topoio.Options{DefaultCapacity: o.DefaultCapacity, CapacityUnit: o.CapacityUnit}, nil
 }
 
 // ImportedNetwork is a topology read from an external dataset file.
@@ -51,7 +60,11 @@ type ImportedNetwork struct {
 // parsable LinkLabel, and unannotated links through the inference rule
 // of ImportOptions.
 func ReadTopologyZoo(r io.Reader, opts ImportOptions) (*ImportedNetwork, error) {
-	imp, err := topoio.ReadGraphML(r, opts.internal())
+	o, err := opts.internal()
+	if err != nil {
+		return nil, err
+	}
+	imp, err := topoio.ReadGraphML(r, o)
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +74,11 @@ func ReadTopologyZoo(r io.Reader, opts ImportOptions) (*ImportedNetwork, error) 
 // ReadSNDlib parses an SNDlib native-format network (see
 // sndlib.zib.de), including its DEMANDS section when present.
 func ReadSNDlib(r io.Reader, opts ImportOptions) (*ImportedNetwork, error) {
-	imp, err := topoio.ReadSNDlib(r, opts.internal())
+	o, err := opts.internal()
+	if err != nil {
+		return nil, err
+	}
+	imp, err := topoio.ReadSNDlib(r, o)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
+	"io"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -121,6 +124,67 @@ func TestResolveTopologyImportSpecs(t *testing.T) {
 	}
 	if _, err := ResolveTopology("zoo:"); err == nil {
 		t.Error("zoo spec without file= resolved without error")
+	}
+}
+
+// TestLibraryOptionsRejectBadValues: option values the registry's spec
+// parser rejects are bad input through the library API too. A
+// non-finite robust FailurePenalty made every robust score NaN or +Inf,
+// so the search accepted no move and returned the InvCap weights; an
+// infinite CapacityUnit imported every link at capacity 1, and a NaN or
+// negative one, or a negative DefaultCapacity, silently fell back to
+// the default.
+func TestLibraryOptionsRejectBadValues(t *testing.T) {
+	n := Abilene()
+	d, err := ResolveDemands("gravity", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, err = d.ScaledToLoad(n, 0.2); err != nil {
+		t.Fatal(err)
+	}
+	robust := func(rho float64) func() error {
+		return func() error {
+			r := OSPFLocalSearch(LocalSearchOptions{Robust: true, MaxEvals: 50, FailurePenalty: rho})
+			_, err := r.Routes(context.Background(), n, d)
+			return err
+		}
+	}
+	read := func(path string, opts ImportOptions, parse func(io.Reader, ImportOptions) (*ImportedNetwork, error)) func() error {
+		return func() error {
+			f, err := os.Open(path)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			_, err = parse(f, opts)
+			return err
+		}
+	}
+	load := func(path string, opts ImportOptions) func() error {
+		return func() error { _, err := LoadTopologyFile(path, opts); return err }
+	}
+	const zoo, snd = "internal/topoio/testdata/testnet.graphml", "internal/topoio/testdata/testnet.txt"
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"robust FailurePenalty NaN", robust(math.NaN())},
+		{"robust FailurePenalty +Inf", robust(math.Inf(1))},
+		{"zoo CapacityUnit +Inf", read(zoo, ImportOptions{CapacityUnit: math.Inf(1)}, ReadTopologyZoo)},
+		{"zoo CapacityUnit NaN", read(zoo, ImportOptions{CapacityUnit: math.NaN()}, ReadTopologyZoo)},
+		{"zoo CapacityUnit -5", read(zoo, ImportOptions{CapacityUnit: -5}, ReadTopologyZoo)},
+		{"zoo DefaultCapacity -1", read(zoo, ImportOptions{DefaultCapacity: -1}, ReadTopologyZoo)},
+		{"zoo DefaultCapacity +Inf", read(zoo, ImportOptions{DefaultCapacity: math.Inf(1)}, ReadTopologyZoo)},
+		{"sndlib DefaultCapacity NaN", read(snd, ImportOptions{DefaultCapacity: math.NaN()}, ReadSNDlib)},
+		{"sndlib DefaultCapacity -1", read(snd, ImportOptions{DefaultCapacity: -1}, ReadSNDlib)},
+		{"sndlib CapacityUnit -Inf", read(snd, ImportOptions{CapacityUnit: math.Inf(-1)}, ReadSNDlib)},
+		{"load zoo CapacityUnit -5", load(zoo, ImportOptions{CapacityUnit: -5})},
+		{"load sndlib DefaultCapacity NaN", load(snd, ImportOptions{DefaultCapacity: math.NaN()})},
+	} {
+		if err := tc.call(); !errors.Is(err, ErrBadInput) {
+			t.Errorf("%s: err = %v, want ErrBadInput", tc.name, err)
+		}
 	}
 }
 

@@ -372,11 +372,11 @@ func kernelSuite(in *instance, budget time.Duration) ([]Kernel, error) {
 	for i := range lsw {
 		lsw[i] = 1
 	}
-	evFull, err := delta.NewEvaluator(g, in.tm, lsw, 0)
+	evFull, err := delta.NewEvaluator(g, in.tm, lsw)
 	if err != nil {
 		return nil, err
 	}
-	evInc, err := delta.NewEvaluator(g, in.tm, lsw, 0)
+	evInc, err := delta.NewEvaluator(g, in.tm, lsw)
 	if err != nil {
 		return nil, err
 	}
@@ -491,7 +491,7 @@ func parityChecks(in *instance) ([]Parity, error) {
 	for i := range lsw {
 		lsw[i] = 1
 	}
-	inc, err := delta.NewEvaluator(g, in.tm, lsw, 0)
+	inc, err := delta.NewEvaluator(g, in.tm, lsw)
 	if err != nil {
 		return nil, err
 	}
@@ -500,7 +500,7 @@ func parityChecks(in *instance) ([]Parity, error) {
 			return nil, err
 		}
 	}
-	full, err := delta.NewEvaluator(g, in.tm, inc.Weights(), 0)
+	full, err := delta.NewEvaluator(g, in.tm, inc.Weights())
 	if err != nil {
 		return nil, err
 	}

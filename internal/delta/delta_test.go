@@ -45,7 +45,7 @@ func fromScratch(t *testing.T, en *Engine) *Evaluator {
 		}
 		g, w = vg, wf
 	}
-	full, err := NewEvaluator(g, en.Evaluator().Matrix().Clone(), w, 0)
+	full, err := NewEvaluator(g, en.Evaluator().Matrix().Clone(), w)
 	if err != nil {
 		t.Fatalf("from-scratch evaluation: %v", err)
 	}
@@ -81,7 +81,7 @@ func TestEngineEventSequencesBitIdenticalToFromScratch(t *testing.T) {
 		for i := range w {
 			w[i] = float64(1 + rng.Intn(20))
 		}
-		en, err := NewEngine(g, base, w, 0)
+		en, err := NewEngine(g, base, w)
 		if err != nil {
 			t.Fatalf("seed %d: NewEngine: %v", seed, err)
 		}
@@ -198,7 +198,7 @@ func TestSetDemandInsertRemove(t *testing.T) {
 	for i := range w {
 		w[i] = 1
 	}
-	en, err := NewEngine(g, tm, w, 0)
+	en, err := NewEngine(g, tm, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestStepDemandsChangesDestinationSet(t *testing.T) {
 	for i := range w {
 		w[i] = 1
 	}
-	en, err := NewEngine(g, tm, w, 0)
+	en, err := NewEngine(g, tm, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestLinkFlapAppliesWeightSetWhileDown(t *testing.T) {
 	for i := range w {
 		w[i] = 1
 	}
-	en, err := NewEngine(g, tm, w, 0)
+	en, err := NewEngine(g, tm, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestLinkFlapAppliesWeightSetWhileDown(t *testing.T) {
 	checkOracle(t, en, "after flap with weight push")
 	// And the whole state must equal a cold engine built at the final
 	// configuration.
-	fresh, err := NewEngine(g, en.Evaluator().Matrix(), en.Weights(), 0)
+	fresh, err := NewEngine(g, en.Evaluator().Matrix(), en.Weights())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,6 @@ import (
 // with its own Scratch) but not with events.
 type Engine struct {
 	g     *graph.Graph
-	tol   float64
 	w     []float64 // intact link ID space, authoritative
 	down  []bool
 	ndown int
@@ -47,16 +46,14 @@ type Engine struct {
 
 // NewEngine fully evaluates (g, tm, weights) and returns the warm
 // state. The engine clones tm, so the caller keeps ownership of its
-// matrix; weights are copied too. tol is the equal-cost tolerance of
-// the shortest-path DAGs (0 = exact, the OSPF router's configuration).
-func NewEngine(g *graph.Graph, tm *traffic.Matrix, weights []float64, tol float64) (*Engine, error) {
-	ev, err := NewEvaluator(g, tm.Clone(), weights, tol)
+// matrix; weights are copied too.
+func NewEngine(g *graph.Graph, tm *traffic.Matrix, weights []float64) (*Engine, error) {
+	ev, err := NewEvaluator(g, tm.Clone(), weights)
 	if err != nil {
 		return nil, err
 	}
 	return &Engine{
 		g:    g,
-		tol:  tol,
 		w:    append([]float64(nil), weights...),
 		down: make([]bool, g.NumLinks()),
 		ev:   ev,
@@ -337,7 +334,7 @@ func (en *Engine) variantMetrics(add, remove int) (Metrics, error) {
 		}
 	}
 	if len(drop) == 0 {
-		ev, err := NewEvaluator(en.g, en.ev.tm, en.w, en.tol)
+		ev, err := NewEvaluator(en.g, en.ev.tm, en.w)
 		if err != nil {
 			return Metrics{}, err
 		}
@@ -351,7 +348,7 @@ func (en *Engine) variantMetrics(add, remove int) (Metrics, error) {
 	for newID, oldID := range keep {
 		wf[newID] = en.w[oldID]
 	}
-	ev, err := NewEvaluator(vg, en.ev.tm, wf, en.tol)
+	ev, err := NewEvaluator(vg, en.ev.tm, wf)
 	if err != nil {
 		return Metrics{}, err
 	}

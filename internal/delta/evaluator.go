@@ -36,8 +36,6 @@ var ErrBadInput = errors.New("delta: bad input")
 type Evaluator struct {
 	g     *graph.Graph
 	tm    *traffic.Matrix
-	tol   float64   // equal-cost tolerance handed to BuildDAG
-	eps   float64   // the effective slack BuildDAG applies for tol
 	caps  []float64 // per-link capacities, cached to keep cost sums alloc-free
 	w     []float64
 	dests []int
@@ -64,15 +62,18 @@ type Metrics struct {
 	Utility float64 `json:"utility"`
 }
 
+// dagTol is the equal-cost tolerance of every shortest-path DAG the
+// package builds: 0, exact shortest paths, the OSPF router's
+// configuration. dagEps is the slack BuildDAG applies for it.
+const dagTol = 0
+
+var dagEps = graph.EffectiveDAGTol(dagTol)
+
 // NewEvaluator fully evaluates the weight vector and returns the
-// resulting state. tol is the equal-cost tolerance of the shortest-path
-// DAGs (0 = exact, the OSPF router's configuration). Every positive
-// demand must be routable under the weights; an unreachable demand is
-// an error, mirroring the forwarding engine.
-func NewEvaluator(g *graph.Graph, tm *traffic.Matrix, weights []float64, tol float64) (*Evaluator, error) {
-	if tol < 0 {
-		return nil, fmt.Errorf("%w: negative tolerance %v", ErrBadInput, tol)
-	}
+// resulting state. Every positive demand must be routable under the
+// weights; an unreachable demand is an error, mirroring the forwarding
+// engine.
+func NewEvaluator(g *graph.Graph, tm *traffic.Matrix, weights []float64) (*Evaluator, error) {
 	if g.NumLinks() == 0 {
 		return nil, fmt.Errorf("%w: graph has no links", ErrBadInput)
 	}
@@ -86,8 +87,6 @@ func NewEvaluator(g *graph.Graph, tm *traffic.Matrix, weights []float64, tol flo
 	ev := &Evaluator{
 		g:     g,
 		tm:    tm,
-		tol:   tol,
-		eps:   graph.EffectiveDAGTol(tol),
 		dests: dests,
 		caps:  g.Capacities(),
 		w:     make([]float64, g.NumLinks()),
@@ -403,7 +402,7 @@ func (ev *Evaluator) buildDestFrom(m *traffic.Matrix, t int) (destState, error) 
 		split:  make([]float64, links),
 		flow:   make([]float64, links),
 	}
-	built, err := ev.ws.BuildDAG(ev.g, ev.w, t, ev.tol)
+	built, err := ev.ws.BuildDAG(ev.g, ev.w, t, dagTol)
 	if err != nil {
 		return destState{}, err
 	}
@@ -531,11 +530,11 @@ func (ev *Evaluator) appendAffected(buf []int, e int, w float64) []int {
 			continue
 		}
 		if w < old {
-			if du == graph.Unreachable || dv+w-du <= ev.eps {
+			if du == graph.Unreachable || dv+w-du <= dagEps {
 				buf = append(buf, i)
 			}
 		} else {
-			if du != graph.Unreachable && dv < du && dv+old-du <= ev.eps {
+			if du != graph.Unreachable && dv < du && dv+old-du <= dagEps {
 				buf = append(buf, i)
 			}
 		}
@@ -547,7 +546,7 @@ func (ev *Evaluator) appendAffected(buf []int, e int, w float64) []int {
 // ECMP ratios, and the propagated per-link flow, written into the given
 // owned storage.
 func (ev *Evaluator) evalDestInto(ws *graph.Workspace, w []float64, i int, dag *graph.DAG, ratio, flow []float64) error {
-	built, err := ws.BuildDAG(ev.g, w, ev.dests[i], ev.tol)
+	built, err := ws.BuildDAG(ev.g, w, ev.dests[i], dagTol)
 	if err != nil {
 		return err
 	}
@@ -738,7 +737,7 @@ func (ev *Evaluator) tryWeightTotal(s *Scratch, link int, w float64) (changed bo
 	s.w[link] = w
 	for k, i := range s.affected {
 		flow := s.flowRow(k, ev.g.NumLinks())
-		built, err := s.ws.BuildDAG(ev.g, s.w, ev.dests[i], ev.tol)
+		built, err := s.ws.BuildDAG(ev.g, s.w, ev.dests[i], dagTol)
 		if err != nil {
 			return false, err
 		}
@@ -811,7 +810,7 @@ func (ev *Evaluator) TryDemand(s *Scratch, src, dst int, v float64) (Metrics, er
 			s.demand[j] = 0
 		}
 		s.demand[src] = v
-		built, err := s.ws.BuildDAG(ev.g, ev.w, dst, ev.tol)
+		built, err := s.ws.BuildDAG(ev.g, ev.w, dst, dagTol)
 		if err != nil {
 			return Metrics{}, err
 		}

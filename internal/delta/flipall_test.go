@@ -18,11 +18,11 @@ func TestFailLinksBatchedMatchesSequential(t *testing.T) {
 		for i := range w {
 			w[i] = float64(1 + rng.Intn(20))
 		}
-		batched, err := NewEngine(g, tm, w, 0)
+		batched, err := NewEngine(g, tm, w)
 		if err != nil {
 			t.Fatalf("seed %d: NewEngine: %v", seed, err)
 		}
-		stepped, err := NewEngine(g, tm, w, 0)
+		stepped, err := NewEngine(g, tm, w)
 		if err != nil {
 			t.Fatalf("seed %d: NewEngine: %v", seed, err)
 		}
@@ -78,7 +78,7 @@ func TestFailLinksRejectedBatchRollsBack(t *testing.T) {
 	for i := range w {
 		w[i] = 1
 	}
-	en, err := NewEngine(g, tm, w, 0)
+	en, err := NewEngine(g, tm, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestFailLinksEmptyAndInvalid(t *testing.T) {
 	for i := range w {
 		w[i] = 1
 	}
-	en, err := NewEngine(g, tm, w, 0)
+	en, err := NewEngine(g, tm, w)
 	if err != nil {
 		t.Fatal(err)
 	}

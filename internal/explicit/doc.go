@@ -24,7 +24,7 @@
 // oracle until no simple path has negative reduced cost — an exact
 // optimum over all simple paths, certified at termination by dual
 // feasibility, so its MLU is at most Solve's. Both build columns with
-// one builder and assemble the flow in one place. TwoSegment's sweeps
+// one builder and assemble the flow in one place. TwoSegmentOpt's sweeps
 // prune midpoint candidates whose unit-flow support touches a link
 // already at the acceptance threshold; the screen is exact (adding
 // nonnegative flow cannot lower a utilization, and acceptance requires

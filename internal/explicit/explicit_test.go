@@ -100,7 +100,7 @@ func TestTwoSegmentNeverWorseThanDirect(t *testing.T) {
 			t.Fatal(err)
 		}
 		directMLU := MaxUtil(g, direct.Total)
-		sr, err := TwoSegment(ctx, uf, tm, 2, 0)
+		sr, err := TwoSegmentOpt(ctx, uf, tm, SROptions{Segments: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestTwoSegmentNeverWorseThanDirect(t *testing.T) {
 		}
 		detoured += sr.Detoured
 		// segments=1 must reproduce direct routing bitwise.
-		one, err := TwoSegment(ctx, uf, tm, 1, 0)
+		one, err := TwoSegmentOpt(ctx, uf, tm, SROptions{Segments: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestTwoSegmentDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := TwoSegment(context.Background(), uf, tm, 2, 0)
+	ref, err := TwoSegmentOpt(context.Background(), uf, tm, SROptions{Segments: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestTwoSegmentDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := TwoSegment(context.Background(), uf2, tm, 2, 0)
+		got, err := TwoSegmentOpt(context.Background(), uf2, tm, SROptions{Segments: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +261,7 @@ func TestExplicitErrors(t *testing.T) {
 	if _, err := uf.DirectFlow(tm); err == nil {
 		t.Fatal("DirectFlow accepted unroutable demand")
 	}
-	if _, err := TwoSegment(context.Background(), uf, tm, 3, 0); err == nil {
+	if _, err := TwoSegmentOpt(context.Background(), uf, tm, SROptions{Segments: 3}); err == nil {
 		t.Fatal("segments=3 accepted")
 	}
 	if _, err := NewPathLP(g, w, 0); err == nil {
@@ -285,8 +285,8 @@ func TestExplicitErrors(t *testing.T) {
 	if err := tm.Set(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := TwoSegment(ctx, uf, tm, 2, 0); err == nil {
-		t.Fatal("cancelled context not propagated by TwoSegment")
+	if _, err := TwoSegmentOpt(ctx, uf, tm, SROptions{Segments: 2}); err == nil {
+		t.Fatal("cancelled context not propagated by TwoSegmentOpt")
 	}
 	if _, err := solver.Solve(ctx, tm); err == nil {
 		t.Fatal("cancelled context not propagated by Solve")

@@ -8,7 +8,7 @@ import (
 	"repro/internal/traffic"
 )
 
-// SRResult is the output of TwoSegment.
+// SRResult is the output of TwoSegmentOpt.
 type SRResult struct {
 	// Flow is the final routing, assembled in demand order.
 	Flow *mcf.Flow
@@ -31,8 +31,6 @@ type SROptions struct {
 	// Segments is the maximum number of shortest-path legs per demand
 	// (1 or 2).
 	Segments int
-	// MaxPasses bounds the greedy sweeps (<= 0: default 4).
-	MaxPasses int
 	// unscreened turns the bottleneck-support screen off; only the test
 	// pinning the screen's exactness sets it, as its reference.
 	unscreened bool
@@ -44,25 +42,23 @@ type SROptions struct {
 // makes the greedy terminate and prefer direct routing.
 const relEps = 1e-12
 
-// TwoSegment greedily routes each demand of tm through at most segments
-// ECMP-shortest-path legs under the weights baked into uf: segments == 1
-// keeps every demand on its direct shortest paths; segments == 2 may
-// detour a demand through one midpoint m (s -> m, then m -> t), choosing
-// per demand the midpoint that minimizes the network's maximum link
-// utilization given all other demands' current routes. Sweeps repeat in
-// fixed demand order until a sweep changes nothing or maxPasses (<= 0:
-// default 4) is reached.
+// maxPasses bounds the greedy sweeps of TwoSegmentOpt.
+const maxPasses = 4
+
+// TwoSegmentOpt greedily routes each demand of tm through at most
+// opts.Segments ECMP-shortest-path legs under the weights baked into
+// uf: one segment keeps every demand on its direct shortest paths; two
+// may detour a demand through one midpoint m (s -> m, then m -> t),
+// choosing per demand the midpoint that minimizes the network's maximum
+// link utilization given all other demands' current routes. Sweeps
+// repeat in fixed demand order until a sweep changes nothing or
+// maxPasses is reached.
 //
 // Starting from the all-direct routing and accepting only strict
 // improvements makes the result's MLU at most the direct (OSPF) MLU —
 // the ladder inequality the property tests pin.
-func TwoSegment(ctx context.Context, uf *UnitFlows, tm *traffic.Matrix, segments, maxPasses int) (*SRResult, error) {
-	return TwoSegmentOpt(ctx, uf, tm, SROptions{Segments: segments, MaxPasses: maxPasses})
-}
-
-// TwoSegmentOpt is TwoSegment with the options in a struct.
 //
-// Both prune with the bottleneck-support screen: before scoring a
+// The sweep prunes with the bottleneck-support screen: before scoring a
 // candidate, its legs' unit-flow supports are tested against the set of
 // links already at or above the incumbent's utilization on background
 // load alone — a candidate touching one can only raise that link
@@ -71,12 +67,9 @@ func TwoSegment(ctx context.Context, uf *UnitFlows, tm *traffic.Matrix, segments
 // positive capacity are monotone, and acceptance requires strict
 // improvement), so the routing is the one the unscreened sweep finds.
 func TwoSegmentOpt(ctx context.Context, uf *UnitFlows, tm *traffic.Matrix, opts SROptions) (*SRResult, error) {
-	segments, maxPasses := opts.Segments, opts.MaxPasses
+	segments := opts.Segments
 	if segments != 1 && segments != 2 {
 		return nil, fmt.Errorf("%w: segments=%d must be 1 or 2", ErrBadInput, segments)
-	}
-	if maxPasses <= 0 {
-		maxPasses = 4
 	}
 	if err := uf.CheckRoutable(tm); err != nil {
 		return nil, err

@@ -65,7 +65,7 @@ func TestIncrementalBitIdenticalToFull(t *testing.T) {
 			for i := range w {
 				w[i] = float64(1 + rng.Intn(20))
 			}
-			inc, err := delta.NewEvaluator(in.g, tm, w, 0)
+			inc, err := delta.NewEvaluator(in.g, tm, w)
 			if err != nil {
 				t.Fatalf("seed %d %s: NewEvaluator: %v", seed, in.name, err)
 			}
@@ -84,7 +84,7 @@ func TestIncrementalBitIdenticalToFull(t *testing.T) {
 					t.Fatalf("seed %d %s step %d: TryWeight predicted cost %v, SetWeight produced %v",
 						seed, in.name, step, predicted, got)
 				}
-				full, err := delta.NewEvaluator(in.g, tm, inc.Weights(), 0)
+				full, err := delta.NewEvaluator(in.g, tm, inc.Weights())
 				if err != nil {
 					t.Fatalf("seed %d %s step %d: full re-evaluation: %v", seed, in.name, step, err)
 				}
@@ -123,7 +123,7 @@ func TestEvaluatorMatchesBuildOSPF(t *testing.T) {
 	for i := range w {
 		w[i] = float64(1 + rng.Intn(20))
 	}
-	ev, err := delta.NewEvaluator(g, tm, w, 0)
+	ev, err := delta.NewEvaluator(g, tm, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestSetWeightNoAllocSteadyState(t *testing.T) {
 	for i := range w {
 		w[i] = 1
 	}
-	ev, err := delta.NewEvaluator(g, tm, w, 0)
+	ev, err := delta.NewEvaluator(g, tm, w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 
@@ -45,9 +46,6 @@ type Options struct {
 	// Seed drives the randomized neighborhood sampling and plateau
 	// perturbations.
 	Seed int64
-	// Tol is the equal-cost tolerance of the shortest-path DAGs
-	// (default 0 = exact, matching the OSPF router).
-	Tol float64
 	// InitWeights is the starting weight vector (default all-1). The
 	// hill climb never accepts a worsening move, so the result is never
 	// costlier than the start — seeding with InvCap weights guarantees
@@ -61,9 +59,9 @@ type Options struct {
 	Failures []Failure
 	// FailurePenalty is the weight rho of the mean failure-variant cost
 	// in the robust score, cost_intact + rho * mean(cost_failures)
-	// (> 0; 0 selects the default 1, negative is an error — to score
-	// the intact topology only, configure no Failures). Ignored without
-	// Failures.
+	// (> 0; 0 selects the default 1, negative or non-finite is an
+	// error — to score the intact topology only, configure no
+	// Failures). Ignored without Failures.
 	FailurePenalty float64
 	// Accept selects the move-acceptance rule. "" or "hill" is strict
 	// hill climbing: only improving moves are applied, with random
@@ -132,8 +130,8 @@ func Search(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, opts Option
 	if opts.Neighborhood <= 0 {
 		opts.Neighborhood = 16
 	}
-	if opts.FailurePenalty < 0 {
-		return nil, fmt.Errorf("%w: negative FailurePenalty %v", ErrBadInput, opts.FailurePenalty)
+	if !(opts.FailurePenalty >= 0) || math.IsInf(opts.FailurePenalty, 1) {
+		return nil, fmt.Errorf("%w: FailurePenalty %v must be finite and >= 0", ErrBadInput, opts.FailurePenalty)
 	}
 	if opts.FailurePenalty == 0 {
 		opts.FailurePenalty = 1
@@ -162,7 +160,7 @@ func Search(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, opts Option
 		return nil, fmt.Errorf("%w: got %d initial weights for %d links", ErrBadInput, len(w0), g.NumLinks())
 	}
 
-	intact, err := delta.NewEvaluator(g, tm, w0, opts.Tol)
+	intact, err := delta.NewEvaluator(g, tm, w0)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +178,7 @@ func Search(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, opts Option
 			rev[oldID] = newID
 			wf[newID] = w0[oldID]
 		}
-		ev, err := delta.NewEvaluator(f.G, tm, wf, opts.Tol)
+		ev, err := delta.NewEvaluator(f.G, tm, wf)
 		if err != nil {
 			return nil, fmt.Errorf("localsearch: failure variant %d: %w", fi, err)
 		}

@@ -173,7 +173,7 @@ type searchKey struct {
 	maxEvals, weightMax  int
 	neighborhood, tenure int
 	seed                 int64
-	tol, failurePenalty  float64
+	failurePenalty       float64
 	accept               string
 }
 
@@ -187,7 +187,7 @@ func newSearchKey(n *Network, d *Demands, o localsearch.Options) (searchKey, boo
 		g: n.g, m: d.m,
 		maxEvals: o.MaxEvals, weightMax: o.WeightMax,
 		neighborhood: o.Neighborhood, tenure: o.TabuTenure,
-		seed: o.Seed, tol: o.Tol, failurePenalty: o.FailurePenalty,
+		seed: o.Seed, failurePenalty: o.FailurePenalty,
 		accept: o.Accept,
 	}
 	// localsearch.Search's defaults, as it applies them; a negative

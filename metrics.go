@@ -257,7 +257,7 @@ func WorstFailureMLUMetric() Metric {
 		if w == nil {
 			return 0, fmt.Errorf("%w: fail_mlu needs OSPF/ECMP weight-backed routes (%s records no single weight vector)", ErrBadInput, routes.router)
 		}
-		en, err := delta.NewEngine(routes.net.g, d.m, w, 0)
+		en, err := delta.NewEngine(routes.net.g, d.m, w)
 		if err != nil {
 			return 0, err
 		}
@@ -309,24 +309,28 @@ func MetricsByName(names ...string) ([]Metric, error) {
 	return out, nil
 }
 
+// metricSpecs are the named metrics. They take no parameters; the
+// "p<n>_util" percentiles beyond p95_util resolve in metricByName.
+var metricSpecs = []specEntry[struct{}, Metric]{
+	{name: MetricMLU, summary: "Maximum link utilization — the paper's primary congestion measure.", build: metric(MLUMetric)},
+	{name: MetricUtility, summary: "Normalized utility sum log(1-u) of Fig. 10; -inf past saturation.", build: metric(UtilityMetric)},
+	{name: MetricMeanUtilization, summary: "Mean per-link utilization.", build: metric(MeanUtilizationMetric)},
+	{name: MetricP95Utilization, summary: "95th-percentile link utilization (any \"p<n>_util\" percentile resolves).", build: metric(func() Metric { return UtilizationPercentileMetric(95) })},
+	{name: MetricMM1Delay, summary: "Total M/M/1 queueing delay sum f/(c-f); +inf once a link saturates.", build: metric(MM1DelayMetric)},
+	{name: MetricMaxStretch, summary: "Maximum volume-weighted path stretch over destinations (1.0 = hop-shortest).", build: metric(MaxStretchMetric)},
+	{name: MetricFortz, summary: "Total Fortz-Thorup piecewise-linear congestion cost (the ospf-ls objective).", build: metric(FortzCostMetric)},
+	{name: MetricFortzNorm, summary: "Fortz-Thorup cost normalized by uncapacitated hop-shortest routing (Phi*; 1.0 = uncongested optimum).", build: metric(NormalizedFortzCostMetric)},
+	{name: MetricFailMLU, summary: "Worst MLU of the cell's weights over the intact state and every single duplex-pair failure (+inf when a failure strands demand; OSPF/ECMP weight-backed routers only).", build: metric(WorstFailureMLUMetric)},
+}
+
+// metric adapts a metric constructor to a metricSpecs builder.
+func metric(m func() Metric) func(*specArgs, struct{}) (Metric, error) {
+	return func(*specArgs, struct{}) (Metric, error) { return m(), nil }
+}
+
 func metricByName(name string) (Metric, error) {
-	switch name {
-	case MetricMLU:
-		return MLUMetric(), nil
-	case MetricUtility:
-		return UtilityMetric(), nil
-	case MetricMeanUtilization:
-		return MeanUtilizationMetric(), nil
-	case MetricMM1Delay:
-		return MM1DelayMetric(), nil
-	case MetricMaxStretch:
-		return MaxStretchMetric(), nil
-	case MetricFortz:
-		return FortzCostMetric(), nil
-	case MetricFortzNorm:
-		return NormalizedFortzCostMetric(), nil
-	case MetricFailMLU:
-		return WorstFailureMLUMetric(), nil
+	if e := find(metricSpecs, name); e != nil {
+		return e.build(nil, struct{}{})
 	}
 	if rest, ok := strings.CutPrefix(name, "p"); ok {
 		if pct, ok := strings.CutSuffix(rest, "_util"); ok {

@@ -8,7 +8,6 @@ import (
 	"iter"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Suite is a declarative scenario sweep: topologies and demand
@@ -203,6 +202,116 @@ func (s *Suite) MetricNames() ([]string, error) {
 	return names, nil
 }
 
+// routerSpecs are the router families. Their builders take the
+// caller's default iteration budget (see ResolveRouter).
+var routerSpecs = []specEntry[int, Router]{
+	{
+		name:    "spef",
+		summary: "The paper's SPEF scheme: two weights per link, exponential penalty flow splitting.",
+		params: []ParamDoc{
+			{Name: "iters", Default: "auto", Doc: "Algorithm 1 iteration budget"},
+		},
+		build: func(a *specArgs, defaultIters int) (Router, error) {
+			return SPEF(a.budget(defaultIters)...), nil
+		},
+	},
+	{
+		name:    "invcap",
+		summary: "OSPF with inverse-capacity weights and ECMP splitting (alias: ospf).",
+		aliases: []string{"ospf"},
+		build:   func(*specArgs, int) (Router, error) { return OSPF(nil), nil },
+	},
+	{
+		name:    "peft",
+		summary: "PEFT: one weight per link, exponential penalty over path costs.",
+		params: []ParamDoc{
+			{Name: "iters", Default: "auto", Doc: "optimization iteration budget"},
+		},
+		build: func(a *specArgs, defaultIters int) (Router, error) {
+			return PEFT(nil, a.budget(defaultIters)...), nil
+		},
+	},
+	{
+		name:    "optimal",
+		summary: "The Frank-Wolfe optimal traffic engineering reference (not weight-realizable).",
+		params: []ParamDoc{
+			{Name: "iters", Default: "auto", Doc: "Frank-Wolfe iteration budget"},
+		},
+		build: func(a *specArgs, defaultIters int) (Router, error) {
+			return Optimal(a.budget(defaultIters)...), nil
+		},
+	},
+	{
+		name:    "ospf-ls",
+		summary: "Fortz-Thorup local search over OSPF link weights (incremental re-evaluation, InvCap start).",
+		params: []ParamDoc{
+			{Name: "iters", Default: "2000", Doc: "candidate-evaluation budget"},
+			{Name: "wmax", Default: "20", Doc: "largest integer weight"},
+			{Name: "seed", Default: "0", Doc: "neighborhood sampling seed"},
+			{Name: "accept", Default: "hill", Doc: acceptDoc},
+		},
+		build: func(a *specArgs, defaultIters int) (Router, error) {
+			return localSearchRouter(a, defaultIters, false)
+		},
+	},
+	{
+		name:    "mpls-ksp",
+		summary: "MPLS explicit paths: per-demand splits over the k cheapest simple paths, LP-optimized for min MLU.",
+		params: []ParamDoc{
+			{Name: "k", Default: "4", Doc: "candidate paths per demand (with colgen=on: pricing-oracle scan width)"},
+			{Name: "iters", Default: "2000", Doc: "base-weight local-search budget"},
+			{Name: "wmax", Default: "20", Doc: "largest base integer weight"},
+			{Name: "seed", Default: "0", Doc: "base-weight search seed"},
+			{Name: "base", Default: "ospf-ls", Doc: "base weights: ospf-ls or invcap"},
+			{Name: "colgen", Default: "off", Doc: "solve the split LP by column generation over all simple paths (on/off)"},
+		},
+		build: func(a *specArgs, defaultIters int) (Router, error) {
+			opts := a.explicitOptions(defaultIters)
+			opts.K = a.int("k")
+			a.check(opts.K >= 1, "k=%d must be >= 1", opts.K)
+			colgen := a.word("colgen")
+			a.check(colgen == "" || colgen == "off" || colgen == "on", "colgen=%q must be on or off", colgen)
+			opts.ColGen = colgen == "on"
+			return MPLSKSP(opts), nil
+		},
+	},
+	{
+		name:    "sr",
+		summary: "Segment routing: each demand detours through at most one greedily chosen ECMP midpoint.",
+		params: []ParamDoc{
+			{Name: "segs", Default: "2", Doc: "segment budget (1 = direct shortest paths)"},
+			{Name: "iters", Default: "2000", Doc: "base-weight local-search budget"},
+			{Name: "wmax", Default: "20", Doc: "largest base integer weight"},
+			{Name: "seed", Default: "0", Doc: "base-weight search seed"},
+			{Name: "base", Default: "ospf-ls", Doc: "base weights: ospf-ls or invcap"},
+		},
+		build: func(a *specArgs, defaultIters int) (Router, error) {
+			opts := a.explicitOptions(defaultIters)
+			opts.Segments = a.int("segs")
+			a.check(opts.Segments == 1 || opts.Segments == 2, "segs=%d must be 1 or 2", opts.Segments)
+			return SegmentRouting(opts), nil
+		},
+	},
+	{
+		name:    "ospf-ls-robust",
+		summary: "Failure-aware local search: candidates scored against every single-link-failure variant.",
+		params: []ParamDoc{
+			{Name: "iters", Default: "2000", Doc: "candidate-evaluation budget"},
+			{Name: "wmax", Default: "20", Doc: "largest integer weight"},
+			{Name: "seed", Default: "0", Doc: "neighborhood sampling seed"},
+			{Name: "rho", Default: "1", Doc: "weight of the mean failure-variant cost in the score"},
+			{Name: "sample", Default: "all", Doc: "score k seeded sampled failure variants per candidate instead of all (k >= total is exactly exhaustive)"},
+			{Name: "sampleseed", Default: "0", Doc: "failure-variant sample seed"},
+			{Name: "accept", Default: "hill", Doc: acceptDoc},
+		},
+		build: func(a *specArgs, defaultIters int) (Router, error) {
+			return localSearchRouter(a, defaultIters, true)
+		},
+	},
+}
+
+const acceptDoc = "move acceptance: hill, or tabu:tenure=N (best move each round, changed link tabu for N rounds)"
+
 // ResolveRouter resolves a router spec ("spef", "invcap"/"ospf",
 // "peft", "optimal", "ospf-ls", "ospf-ls-robust", optionally with
 // parameters — see the Routers section of `spef catalog`) into a
@@ -213,163 +322,65 @@ func (s *Suite) MetricNames() ([]string, error) {
 // budget). Unknown parameter keys fail loudly, with a did-you-mean
 // hint for near-misses ("ospf-ls:iter=..." suggests iters).
 func ResolveRouter(spec string, defaultIters int) (Router, error) {
-	name, params, err := parseSpec(spec)
-	if err != nil {
+	e, a, err := lookup(routerSpecs, spec)
+	switch {
+	case err != nil:
 		return nil, err
+	case e == nil:
+		return nil, fmt.Errorf("%w: unknown router %q%s (known: %s)",
+			ErrBadInput, spec, suggest(a.name, names(routerSpecs)), inventory(routerSpecs))
 	}
-	name = strings.ToLower(name)
-	resolveIters := func(allowed ...string) (int64, error) {
-		if err := onlyParams(spec, params, append([]string{"iters"}, allowed...)...); err != nil {
-			return 0, err
-		}
-		iters, err := intParam(params, "iters", int64(defaultIters))
-		if err == nil && iters < 0 {
-			err = fmt.Errorf("%w: spec %q: iters=%d must be >= 0 (0 = automatic)", ErrBadInput, spec, iters)
-		}
-		return iters, err
+	return e.resolve(a, defaultIters)
+}
+
+// iters reads a router's iteration budget: the spec's iters, else the
+// caller's defaultIters; 0 is automatic.
+func (a *specArgs) iters(defaultIters int) int {
+	iters := defaultIters
+	if a.set("iters") {
+		iters = a.int("iters")
 	}
-	switch name {
-	case "spef", "peft", "optimal":
-		iters, err := resolveIters()
-		if err != nil {
-			return nil, err
-		}
-		var opts []Option
-		if iters > 0 {
-			opts = append(opts, WithMaxIterations(int(iters)))
-		}
-		switch name {
-		case "spef":
-			return SPEF(opts...), nil
-		case "peft":
-			return PEFT(nil, opts...), nil
-		default:
-			return Optimal(opts...), nil
-		}
-	case "invcap", "ospf":
-		if err := onlyParams(spec, params); err != nil {
-			return nil, err
-		}
-		return OSPF(nil), nil
-	case "ospf-ls", "ospf-ls-robust":
-		robust := name == "ospf-ls-robust"
-		allowed := []string{"seed", "wmax", "accept"}
-		if robust {
-			allowed = append(allowed, "rho", "sample", "sampleseed")
-		}
-		iters, err := resolveIters(allowed...)
-		if err != nil {
-			return nil, err
-		}
-		seed, err := intParam(params, "seed", 0)
-		if err != nil {
-			return nil, err
-		}
-		wmax, err := intParam(params, "wmax", 0)
-		if err != nil {
-			return nil, err
-		}
-		if _, set := params["wmax"]; set && wmax < 1 {
-			return nil, fmt.Errorf("%w: spec %q: wmax=%d must be >= 1", ErrBadInput, spec, wmax)
-		}
-		rho, err := floatParam(params, "rho", 0)
-		if err != nil {
-			return nil, err
-		}
-		if _, set := params["rho"]; set && rho <= 0 {
-			return nil, fmt.Errorf("%w: spec %q: rho=%v must be positive", ErrBadInput, spec, rho)
-		}
-		sample, err := intParam(params, "sample", 0)
-		if err != nil {
-			return nil, err
-		}
-		if _, set := params["sample"]; set && sample < 1 {
-			return nil, fmt.Errorf("%w: spec %q: sample=%d must be >= 1", ErrBadInput, spec, sample)
-		}
-		sampleSeed, err := intParam(params, "sampleseed", 0)
-		if err != nil {
-			return nil, err
-		}
-		accept, tenure, err := parseAcceptParam(spec, params["accept"])
-		if err != nil {
-			return nil, err
-		}
-		return OSPFLocalSearch(LocalSearchOptions{
-			MaxEvals:       int(iters),
-			WeightMax:      int(wmax),
-			Seed:           seed,
-			Robust:         robust,
-			FailurePenalty: rho,
-			SampleFailures: int(sample),
-			SampleSeed:     sampleSeed,
-			Accept:         accept,
-			TabuTenure:     tenure,
-		}), nil
-	case "mpls-ksp", "sr":
-		allowed := []string{"seed", "wmax", "base"}
-		if name == "mpls-ksp" {
-			allowed = append(allowed, "k", "colgen")
-		} else {
-			allowed = append(allowed, "segs")
-		}
-		iters, err := resolveIters(allowed...)
-		if err != nil {
-			return nil, err
-		}
-		seed, err := intParam(params, "seed", 0)
-		if err != nil {
-			return nil, err
-		}
-		wmax, err := intParam(params, "wmax", 0)
-		if err != nil {
-			return nil, err
-		}
-		if _, set := params["wmax"]; set && wmax < 1 {
-			return nil, fmt.Errorf("%w: spec %q: wmax=%d must be >= 1", ErrBadInput, spec, wmax)
-		}
-		opts := ExplicitOptions{
-			MaxEvals:  int(iters),
-			WeightMax: int(wmax),
-			Seed:      seed,
-		}
-		switch base := params["base"]; base {
-		case "", "ospf-ls":
-		case "invcap":
-			opts.InvCapBase = true
-		default:
-			return nil, fmt.Errorf("%w: spec %q: base=%q must be ospf-ls or invcap", ErrBadInput, spec, base)
-		}
-		if name == "mpls-ksp" {
-			k, err := intParam(params, "k", defaultMPLSPaths)
-			if err != nil {
-				return nil, err
-			}
-			if k < 1 {
-				return nil, fmt.Errorf("%w: spec %q: k=%d must be >= 1", ErrBadInput, spec, k)
-			}
-			opts.K = int(k)
-			switch params["colgen"] {
-			case "", "off":
-			case "on":
-				opts.ColGen = true
-			default:
-				return nil, fmt.Errorf("%w: spec %q: colgen=%q must be on or off", ErrBadInput, spec, params["colgen"])
-			}
-			return MPLSKSP(opts), nil
-		}
-		segs, err := intParam(params, "segs", 2)
-		if err != nil {
-			return nil, err
-		}
-		if segs != 1 && segs != 2 {
-			return nil, fmt.Errorf("%w: spec %q: segs=%d must be 1 or 2", ErrBadInput, spec, segs)
-		}
-		opts.Segments = int(segs)
-		return SegmentRouting(opts), nil
+	a.check(iters >= 0, "iters=%d must be >= 0 (0 = automatic)", iters)
+	return iters
+}
+
+// budget reads an optimizing router's iteration budget as its options.
+func (a *specArgs) budget(defaultIters int) []Option {
+	if iters := a.iters(defaultIters); iters > 0 {
+		return []Option{WithMaxIterations(iters)}
 	}
-	inv := routerInventory()
-	return nil, fmt.Errorf("%w: unknown router %q%s (known: %s)",
-		ErrBadInput, spec, suggest(name, inv.known), inv.list)
+	return nil
+}
+
+// localSearchRouter builds the ospf-ls and ospf-ls-robust routers.
+func localSearchRouter(a *specArgs, defaultIters int, robust bool) (Router, error) {
+	opts := LocalSearchOptions{MaxEvals: a.iters(defaultIters), Robust: robust}
+	opts.Seed = int64(a.int("seed"))
+	opts.WeightMax = a.int("wmax")
+	a.check(opts.WeightMax >= 1, "wmax=%d must be >= 1", opts.WeightMax)
+	if robust {
+		opts.FailurePenalty = a.float("rho")
+		a.check(opts.FailurePenalty > 0, "rho=%v must be positive", opts.FailurePenalty)
+		opts.SampleFailures = a.int("sample")
+		a.check(!a.set("sample") || opts.SampleFailures >= 1, "sample=%d must be >= 1", opts.SampleFailures)
+		opts.SampleSeed = int64(a.int("sampleseed"))
+	}
+	var err error
+	opts.Accept, opts.TabuTenure, err = parseAcceptParam(a.spec, a.word("accept"))
+	return OSPFLocalSearch(opts), err
+}
+
+// explicitOptions reads the base-weight search parameters the sr and
+// mpls-ksp routers share.
+func (a *specArgs) explicitOptions(defaultIters int) ExplicitOptions {
+	opts := ExplicitOptions{MaxEvals: a.iters(defaultIters)}
+	opts.Seed = int64(a.int("seed"))
+	opts.WeightMax = a.int("wmax")
+	a.check(opts.WeightMax >= 1, "wmax=%d must be >= 1", opts.WeightMax)
+	base := a.word("base")
+	a.check(base == "" || base == "ospf-ls" || base == "invcap", "base=%q must be ospf-ls or invcap", base)
+	opts.InvCapBase = base == "invcap"
+	return opts
 }
 
 // parseAcceptParam parses a router spec's accept=... value: "" (keep
@@ -403,15 +414,3 @@ func parseAcceptParam(spec, v string) (accept string, tenure int, err error) {
 	}
 	return "", 0, fmt.Errorf("%w: spec %q: accept=%q must be hill or tabu[:tenure=N]", ErrBadInput, spec, v)
 }
-
-// routerInventory caches the router name lists the unknown-spec error
-// renders, so a server's bad-request path doesn't rebuild and re-join
-// them per request.
-var routerInventory = sync.OnceValue(func() (inv struct {
-	known []string
-	list  string
-}) {
-	inv.known = append(docNames(routerDocs), "ospf")
-	inv.list = strings.Join(specNames(routerDocs), ", ")
-	return inv
-})
