@@ -99,37 +99,19 @@ func RankCriticalLinks(ctx context.Context, n *Network, d *Demands, opts Critica
 	if w == nil {
 		w = routing.InvCapWeights(n.g)
 	}
-	spec := opts.Failures
-	if spec == "" {
-		spec = failureModeSingle
-	}
-	fset, err := ResolveFailureSet(spec)
+	fset, err := ResolveFailureSet(opts.Failures)
 	if err != nil {
 		return nil, err
 	}
-
-	// Failure units: duplex pairs (single and dual — dual ranks each
-	// pair by its worst pairing) or SRLG groups.
-	type unit struct {
-		label string
-		links []int
+	// Dual ranks each duplex pair by its worst pairing: its units are
+	// the single ones.
+	dual := fset != nil && fset.mode == failureModeDual
+	if fset == nil || dual {
+		fset = singleFailures
 	}
-	var units []unit
-	pairs := n.DuplexPairs()
-	switch fset.mode {
-	case failureModeSingle, failureModeDual:
-		units = make([]unit, len(pairs))
-		for i, p := range pairs {
-			units[i] = unit{label: pairLabel(n, p), links: []int{p[0], p[1]}}
-		}
-	case failureModeSRLG:
-		for _, grp := range fset.groups {
-			links, err := fset.groupLinks(n, grp)
-			if err != nil {
-				return nil, err
-			}
-			units = append(units, unit{label: grp.name, links: links})
-		}
+	units, err := fset.units(n)
+	if err != nil {
+		return nil, err
 	}
 	if len(units) == 0 {
 		return nil, nil
@@ -167,24 +149,12 @@ func RankCriticalLinks(ctx context.Context, n *Network, d *Demands, opts Critica
 		row := CriticalLink{Link: units[i].label, BaseMLU: base}
 		en := <-engines
 		defer func() { engines <- en }()
-		fail := func(links []int) (float64, bool, error) {
-			if err := en.FailLinks(links...); err != nil {
-				// The failure strands a demand or isolates a node: an
-				// outage. The engine rolled itself back.
-				return math.Inf(1), false, nil
-			}
-			mlu := en.Metrics().MLU
-			if err := en.RestoreLinks(links...); err != nil {
-				return 0, false, err
-			}
-			return mlu, true, nil
-		}
-		mlu, routable, err := fail(units[i].links)
+		worst, routable, err := failMLU(en, units[i].links)
 		if err != nil {
 			return outcome{err: err}
 		}
-		worst, worstWith := mlu, ""
-		if fset.mode == failureModeDual && routable {
+		worstWith := ""
+		if dual && routable {
 			// Worst pairing: scan partners in enumeration order; the
 			// first unroutable partner is conclusive (+Inf beats any
 			// finite MLU), strict > keeps ties on the earliest partner.
@@ -192,7 +162,7 @@ func RankCriticalLinks(ctx context.Context, n *Network, d *Demands, opts Critica
 				if j == i {
 					continue
 				}
-				m, ok, err := fail(append(append([]int(nil), units[i].links...), units[j].links...))
+				m, ok, err := failMLU(en, append(append([]int(nil), units[i].links...), units[j].links...))
 				if err != nil {
 					return outcome{err: err}
 				}
@@ -228,39 +198,19 @@ func RankCriticalLinks(ctx context.Context, n *Network, d *Demands, opts Critica
 	return rows, nil
 }
 
-// groupLinks resolves one SRLG group's node-name link list into the
-// topology's link IDs, deduplicated, in file order.
-func (f *FailureSet) groupLinks(n *Network, grp srlgGroup) ([]int, error) {
-	type ends struct{ a, b int }
-	pairs := make(map[ends][2]int)
-	for _, p := range n.DuplexPairs() {
-		from, to, _ := n.Link(p[0])
-		pairs[ends{from, to}] = p
-		pairs[ends{to, from}] = p
+// failMLU fails links on a warm engine, reads the MLU and restores
+// them. A failure the engine refuses strands a demand or isolates a
+// node: an outage, +Inf and not routable (the engine rolled itself
+// back).
+func failMLU(en *delta.Engine, links []int) (mlu float64, routable bool, err error) {
+	if err := en.FailLinks(links...); err != nil {
+		return math.Inf(1), false, nil
 	}
-	drop := make([]int, 0, 2*len(grp.links))
-	seen := make(map[int]bool, 2*len(grp.links))
-	for _, lk := range grp.links {
-		a, ok := n.NodeByName(lk[0])
-		if !ok {
-			return nil, fmt.Errorf("%w: SRLG group %q (%s): unknown node %q", ErrBadInput, grp.name, f.file, lk[0])
-		}
-		b, ok := n.NodeByName(lk[1])
-		if !ok {
-			return nil, fmt.Errorf("%w: SRLG group %q (%s): unknown node %q", ErrBadInput, grp.name, f.file, lk[1])
-		}
-		p, ok := pairs[ends{a, b}]
-		if !ok {
-			return nil, fmt.Errorf("%w: SRLG group %q (%s): no duplex link %s-%s", ErrBadInput, grp.name, f.file, lk[0], lk[1])
-		}
-		for _, e := range p {
-			if !seen[e] {
-				seen[e] = true
-				drop = append(drop, e)
-			}
-		}
+	mlu = en.Metrics().MLU
+	if err := en.RestoreLinks(links...); err != nil {
+		return 0, false, err
 	}
-	return drop, nil
+	return mlu, true, nil
 }
 
 // criticalLinkRecord is the JSONL row schema of WriteCriticalLinksJSONL

@@ -217,9 +217,17 @@ func TestCriticalLinksRouterWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A blank failure spec, like the empty one, ranks the single units.
+	blank, err := RankCriticalLinks(t.Context(), n, d, CriticalLinksOptions{Weights: routes.ecmpWeights, Failures: "  "})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range opt {
 		if opt[i].Link != explicit[i].Link || opt[i].MLU != explicit[i].MLU {
 			t.Fatalf("row %d: router path %+v, explicit weights %+v", i, opt[i], explicit[i])
+		}
+		if blank[i].Link != explicit[i].Link || blank[i].MLU != explicit[i].MLU {
+			t.Fatalf("row %d: blank failure spec %+v, empty %+v", i, blank[i], explicit[i])
 		}
 	}
 	// PEFT forwards by exponential penalties, not one ECMP vector.
@@ -293,7 +301,7 @@ func TestWorstFailureMLUMetric(t *testing.T) {
 	// Oracle: evaluate every single-failure variant from scratch with
 	// the same weights projected onto the survivors.
 	want := report.MLU
-	vs, err := failureVariants(n, d)
+	vs, err := singleFailures.variants(n, d)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,10 +9,11 @@ import (
 )
 
 // This file is the multi-failure layer of the Grid: registry resolution
-// of `failures=single|dual|srlg:file=...` specs and the deterministic
-// expansion of each mode into per-topology failure variants, with
-// routability pre-screening on the surviving graph (no routing scheme
-// can be compared on a variant that strands a positive demand).
+// of `failures=single|dual|srlg:file=...` specs, the one deterministic
+// enumeration of each mode's failure units on a topology, and their
+// expansion into failure variants, with routability pre-screening on
+// the surviving graph (no routing scheme can be compared on a variant
+// that strands a positive demand).
 
 // Failure-set modes.
 const (
@@ -144,21 +145,98 @@ func parseSRLGGroups(data []byte) ([]srlgGroup, error) {
 	return out, nil
 }
 
-// variants expands the failure set into a topology's failure variants,
-// pre-screened against d's positivity pattern. The order is
-// deterministic: single variants in duplex-pair order, dual pairs in
-// lexicographic (i, j>i) pair order after the singles, SRLG groups in
-// file order — the property the sharded sweep's bit-identity relies on.
-func (f *FailureSet) variants(n *Network, d *Demands) ([]failureVariant, error) {
-	switch f.mode {
-	case failureModeSingle:
-		return failureVariants(n, d)
-	case failureModeDual:
-		return dualFailureVariants(n, d)
-	case failureModeSRLG:
-		return f.srlgVariants(n, d)
+// groupLinks resolves one SRLG group's node-name link list into the
+// topology's link IDs, deduplicated, in file order.
+func (f *FailureSet) groupLinks(n *Network, grp srlgGroup) ([]int, error) {
+	type ends struct{ a, b int }
+	pairs := make(map[ends][2]int)
+	for _, p := range n.DuplexPairs() {
+		from, to, _ := n.Link(p[0])
+		pairs[ends{from, to}] = p
+		pairs[ends{to, from}] = p
 	}
-	return nil, fmt.Errorf("%w: unknown failure mode %q", ErrBadInput, f.mode)
+	drop := make([]int, 0, 2*len(grp.links))
+	seen := make(map[int]bool, 2*len(grp.links))
+	for _, lk := range grp.links {
+		a, ok := n.NodeByName(lk[0])
+		if !ok {
+			return nil, fmt.Errorf("%w: SRLG group %q (%s): unknown node %q", ErrBadInput, grp.name, f.file, lk[0])
+		}
+		b, ok := n.NodeByName(lk[1])
+		if !ok {
+			return nil, fmt.Errorf("%w: SRLG group %q (%s): unknown node %q", ErrBadInput, grp.name, f.file, lk[1])
+		}
+		p, ok := pairs[ends{a, b}]
+		if !ok {
+			return nil, fmt.Errorf("%w: SRLG group %q (%s): no duplex link %s-%s", ErrBadInput, grp.name, f.file, lk[0], lk[1])
+		}
+		for _, e := range p {
+			if !seen[e] {
+				seen[e] = true
+				drop = append(drop, e)
+			}
+		}
+	}
+	return drop, nil
+}
+
+// singleFailures is the "single" failure set: the failure axis of the
+// robust local search and of fail_mlu, and the units a dual ranking
+// pairs up.
+var singleFailures = &FailureSet{mode: failureModeSingle}
+
+// failureUnit is one set of links that fail together.
+type failureUnit struct {
+	label string
+	links []int // intact link IDs
+}
+
+// units enumerates the failure set's units on n: the duplex pairs in
+// DuplexPairs order, then, for dual, every pair of them (i, j>i)
+// labelled "A-B+C-D"; for srlg, the groups in file order instead. The
+// grid, the critical-link ranking, fail_mlu and the robust search all
+// read this one list, and the sharded sweep's bit-identity relies on
+// its order.
+func (f *FailureSet) units(n *Network) ([]failureUnit, error) {
+	if f.mode == failureModeSRLG {
+		out := make([]failureUnit, len(f.groups))
+		for i, grp := range f.groups {
+			links, err := f.groupLinks(n, grp)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = failureUnit{label: grp.name, links: links}
+		}
+		return out, nil
+	}
+	pairs := n.DuplexPairs()
+	count, size := len(pairs), 2*len(pairs)
+	if f.mode == failureModeDual {
+		dual := len(pairs) * (len(pairs) - 1) / 2
+		count, size = count+dual, size+4*dual
+	}
+	// One backing array holds every unit's links, one allocation in
+	// all; each unit's window is cap-limited, so appending to it copies
+	// instead of overwriting the next unit's links.
+	out := make([]failureUnit, 0, count)
+	ids := make([]int, 0, size)
+	for _, p := range pairs {
+		ids = append(ids, p[0], p[1])
+		out = append(out, failureUnit{label: pairLabel(n, p), links: ids[len(ids)-2 : len(ids) : len(ids)]})
+	}
+	if f.mode == failureModeDual {
+		for i, a := range pairs {
+			for j := i + 1; j < len(pairs); j++ {
+				b := pairs[j]
+				ids = append(ids, a[0], a[1], b[0], b[1])
+				out = append(out, failureUnit{
+					label: out[i].label + "+" + out[j].label,
+					links: ids[len(ids)-4 : len(ids) : len(ids)],
+				})
+			}
+		}
+	}
+	return out, nil
 }
 
 // pairLabel names one duplex pair by its endpoint nodes ("A-B").
@@ -167,65 +245,28 @@ func pairLabel(n *Network, pair [2]int) string {
 	return n.nodeLabel(from) + "-" + n.nodeLabel(to)
 }
 
-// dualFailureVariants generates every routable single-duplex-pair
-// variant plus every routable unordered pair of duplex-pair failures.
-func dualFailureVariants(n *Network, d *Demands) ([]failureVariant, error) {
-	out, err := failureVariants(n, d)
+// variants expands the failure set into n's failure variants: its units
+// in order, less those whose failure strands a positive demand of d
+// (no routing scheme can be compared on them, so grids never carry
+// dead cells).
+func (f *FailureSet) variants(n *Network, d *Demands) ([]failureVariant, error) {
+	units, err := f.units(n)
 	if err != nil {
 		return nil, err
 	}
-	pairs := n.DuplexPairs()
-	for i := 0; i < len(pairs); i++ {
-		for j := i + 1; j < len(pairs); j++ {
-			label := pairLabel(n, pairs[i]) + "+" + pairLabel(n, pairs[j])
-			drop := []int{pairs[i][0], pairs[i][1], pairs[j][0], pairs[j][1]}
-			v, ok, err := multiFailureVariant(n, d, label, drop)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out = append(out, v)
-			}
-		}
-	}
-	return out, nil
-}
-
-// srlgVariants generates one variant per shared-risk link group,
-// resolving each group's node-name link list against the topology
-// (see FailureSet.groupLinks in critlinks.go).
-func (f *FailureSet) srlgVariants(n *Network, d *Demands) ([]failureVariant, error) {
 	var out []failureVariant
-	for _, grp := range f.groups {
-		drop, err := f.groupLinks(n, grp)
+	for _, u := range units {
+		n2, keep, err := n.WithoutLinks(u.links...)
 		if err != nil {
 			return nil, err
 		}
-		v, ok, err := multiFailureVariant(n, d, grp.name, drop)
+		routable, err := demandsRoutable(n2, d)
 		if err != nil {
 			return nil, err
 		}
-		if ok {
-			out = append(out, v)
+		if routable {
+			out = append(out, failureVariant{net: n2, failedLink: u.label, keep: keep})
 		}
 	}
 	return out, nil
-}
-
-// multiFailureVariant builds one degraded variant with the given links
-// dropped, reporting ok=false when the failure strands a positive
-// demand (such variants are skipped, matching the single-failure rule).
-func multiFailureVariant(n *Network, d *Demands, label string, drop []int) (failureVariant, bool, error) {
-	n2, keep, err := n.WithoutLinks(drop...)
-	if err != nil {
-		return failureVariant{}, false, err
-	}
-	routable, err := demandsRoutable(n2, d)
-	if err != nil {
-		return failureVariant{}, false, err
-	}
-	if !routable {
-		return failureVariant{}, false, nil
-	}
-	return failureVariant{net: n2, failedLink: label, keep: keep}, true, nil
 }

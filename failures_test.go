@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -129,6 +130,98 @@ func ring5SRLG(t *testing.T) string {
 	]}`)
 }
 
+// TestFailureUnitsAbilene pins the one failure-unit enumeration on
+// Abilene: the single units in duplex-pair order, the dual units after
+// them in (i, j>i) order, and an SRLG file's groups in file order with
+// their links deduplicated in file order. variants must be exactly the
+// units whose failure keeps the demands routable, in order; the delta
+// engine, which refuses a stranding failure, is the oracle.
+func TestFailureUnitsAbilene(t *testing.T) {
+	n := Abilene()
+	d, err := ResolveDemands("gravity", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	singles := []failureUnit{
+		{"Seattle-Sunnyvale", []int{0, 1}},
+		{"Seattle-Denver", []int{2, 3}},
+		{"Sunnyvale-LosAngeles", []int{4, 5}},
+		{"Sunnyvale-Denver", []int{6, 7}},
+		{"LosAngeles-Houston", []int{8, 9}},
+		{"Denver-KansasCity", []int{10, 11}},
+		{"KansasCity-Houston", []int{12, 13}},
+		{"KansasCity-Indianapolis", []int{14, 15}},
+		{"Houston-Atlanta", []int{16, 17}},
+		{"Indianapolis-Chicago", []int{18, 19}},
+		{"Indianapolis-Atlanta", []int{20, 21}},
+		{"Chicago-NewYork", []int{22, 23}},
+		{"Atlanta-Washington", []int{24, 25}},
+		{"NewYork-Washington", []int{26, 27}},
+	}
+	dual := slices.Clone(singles)
+	for i, a := range singles {
+		for _, b := range singles[i+1:] {
+			dual = append(dual, failureUnit{a.label + "+" + b.label, slices.Concat(a.links, b.links)})
+		}
+	}
+	if got := dual[len(singles)]; got.label != "Seattle-Sunnyvale+Seattle-Denver" || !slices.Equal(got.links, []int{0, 1, 2, 3}) {
+		t.Fatalf("first dual unit = %v", got)
+	}
+	srlg := writeSRLGFile(t, `{"groups":[
+		{"name":"west","links":[["Sunnyvale","Seattle"],["Seattle","Denver"]]},
+		{"name":"south","links":[["Houston","Atlanta"],["Atlanta","Houston"],["LosAngeles","Houston"]]},
+		{"name":"east","links":[["NewYork","Washington"]]}
+	]}`)
+	groups := []failureUnit{{"west", []int{0, 1, 2, 3}}, {"south", []int{16, 17, 8, 9}}, {"east", []int{26, 27}}}
+
+	for _, c := range []struct {
+		spec string
+		want []failureUnit
+	}{{"single", singles}, {"dual", dual}, {"srlg:file=" + srlg, groups}} {
+		fset, err := ResolveFailureSet(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		units, err := fset.units(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.EqualFunc(units, c.want, func(a, b failureUnit) bool {
+			return a.label == b.label && slices.Equal(a.links, b.links)
+		}) {
+			t.Fatalf("%s units = %v, want %v", c.spec, units, c.want)
+		}
+		vs, err := fset.variants(n, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		en, err := delta.NewEngine(n.g, d.m, InvCapWeights(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for _, u := range units {
+			if en.FailLinks(u.links...) != nil {
+				continue
+			}
+			if err := en.RestoreLinks(u.links...); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, u.label)
+		}
+		got := make([]string, len(vs))
+		for i, v := range vs {
+			got[i] = v.failedLink
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s variants = %v, want the routable units %v", c.spec, got, want)
+		}
+		if c.spec != "single" && len(want) == len(units) {
+			t.Errorf("%s: no unit strands a demand; Seattle's two links should", c.spec)
+		}
+	}
+}
+
 // TestGridDualFailureVariants checks the dual axis's deterministic
 // expansion: all routable singles first (in duplex-pair order), then
 // routable unordered pairs in (i, j>i) order, with "A-B+C-D" labels.
@@ -142,7 +235,7 @@ func TestGridDualFailureVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	singles, err := failureVariants(n, d)
+	singles, err := singleFailures.variants(n, d)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,11 +20,6 @@ type Options struct {
 	First FirstWeightOptions
 	// Second tunes Algorithm 2.
 	Second SecondWeightOptions
-	// DijkstraTol is the absolute equal-cost tolerance used when building
-	// the shortest-path DAGs from the first weights (Section V-G). 0
-	// selects the paper's default: 0.3 in the normalized weight space
-	// where the maximum-spare link has weight 1, i.e. 0.3 * min_e w_e.
-	DijkstraTol float64
 }
 
 // Protocol is a fully built SPEF routing state: the first and second
@@ -50,7 +45,8 @@ type Protocol struct {
 
 // Build runs the complete SPEF pipeline (paper Algorithm 4) for the given
 // network, traffic matrix, and (q,beta) objective:
-// Algorithm 1 -> per-destination Dijkstra DAGs -> Algorithm 2.
+// Algorithm 1 -> per-destination Dijkstra DAGs (BuildWithWeights's
+// automatic equal-cost tolerance) -> Algorithm 2.
 // Cancelling ctx aborts whichever stage is running with the context's
 // error.
 func Build(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, obj *objective.QBeta, opts Options) (*Protocol, error) {
@@ -58,7 +54,7 @@ func Build(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, obj *objecti
 	if err != nil {
 		return nil, fmt.Errorf("core: algorithm 1: %w", err)
 	}
-	p, err := BuildWithWeights(ctx, g, tm, first.W, first.Flow, opts.DijkstraTol, opts.Second)
+	p, err := BuildWithWeights(ctx, g, tm, first.W, first.Flow, 0, opts.Second)
 	if err != nil {
 		return nil, err
 	}

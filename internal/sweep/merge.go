@@ -1,10 +1,7 @@
 package sweep
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"strings"
@@ -83,9 +80,10 @@ type mergeEntry struct {
 // Merge streams every shard file once to index it, verifies exact
 // coverage of the cell space, then emits each cell's raw JSONL line in
 // global index order — the batch order a single-process run writes.
-// Checkpoint records are skipped. A shard with a torn tail (killed
-// before finishing) fails the coverage check with the missing cells
-// named; resume that shard first.
+// Checkpoint records are skipped. A shard killed before finishing is
+// refused at the byte offset of its torn tail, or, when it was cut at a
+// line boundary, by the coverage check naming the missing cells; resume
+// that shard first.
 func (mg *Merger) Merge(emit func(line []byte) error) error {
 	total := mg.manifests[0].TotalCells
 	entries := make([]mergeEntry, total)
@@ -106,9 +104,14 @@ func (mg *Merger) Merge(emit func(line []byte) error) error {
 			return err
 		}
 		files[fi] = f
-		m := mg.manifests[fi]
-		if err := indexShard(f, fi, m, entries); err != nil {
+		valid, trailing, err := scanShard(f, mg.manifests[fi], func(cell int, off int64, n int) {
+			entries[cell] = mergeEntry{file: fi, off: off, n: n}
+		})
+		if err != nil {
 			return fmt.Errorf("sweep: shard %s: %w", path, err)
+		}
+		if trailing {
+			return fmt.Errorf("sweep: shard %s: torn or invalid record at byte offset %d (killed mid-write? resume it with the same `spef suite -shard` command before merging)", path, valid)
 		}
 	}
 	var missing []int
@@ -134,44 +137,6 @@ func (mg *Merger) Merge(emit func(line []byte) error) error {
 		}
 	}
 	return nil
-}
-
-// indexShard scans one shard file, recording each result line's
-// location and validating ownership and uniqueness.
-func indexShard(r io.Reader, fi int, m *Manifest, entries []mergeEntry) error {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var off int64
-	seen := 0
-	for {
-		line, rerr := br.ReadBytes('\n')
-		if rerr == io.EOF {
-			if len(line) > 0 {
-				return fmt.Errorf("unterminated final line (killed mid-write? resume the shard before merging)")
-			}
-			return nil
-		}
-		if rerr != nil {
-			return rerr
-		}
-		var p lineProbe
-		if json.Unmarshal(line, &p) != nil || (p.Index == nil) == (p.Checkpoint == nil) {
-			return fmt.Errorf("invalid record at byte offset %d", off)
-		}
-		if p.Index != nil {
-			i := *p.Index
-			if i < 0 || i >= m.TotalCells || !m.Shard().Owns(i) {
-				return fmt.Errorf("records cell %d, which shard %s does not own", i, m.Shard())
-			}
-			if prev := entries[i]; prev.file != -1 {
-				return fmt.Errorf("cell %d appears more than once", i)
-			}
-			entries[i] = mergeEntry{file: fi, off: off, n: len(line)}
-			seen++
-		} else if p.Checkpoint.Done != seen {
-			return fmt.Errorf("checkpoint records %d cells done, file has %d — file was edited or mixed", p.Checkpoint.Done, seen)
-		}
-		off += int64(len(line))
-	}
 }
 
 // cellList renders the first few missing cell indices.

@@ -261,40 +261,45 @@ type lineProbe struct {
 	} `json:"checkpoint"`
 }
 
-// scanShard walks a shard file collecting the completed global cell
-// indices, validating ownership and checkpoint counters. It returns
-// the byte offset after the last complete, valid line — everything
-// beyond it is a torn tail from a killed run and is safe to truncate
-// (only cells after the last durable flush can live there).
-func scanShard(r io.Reader, m *Manifest) (done map[int]bool, validOff int64, err error) {
-	done = make(map[int]bool)
+// scanShard walks a shard file: the one reader of the shard-file
+// grammar, shared by resume and merge. It checks that shard m owns
+// every recorded cell, that no cell is recorded twice and that every
+// checkpoint counts the result lines before it, and calls visit with
+// each result line's cell, byte offset and length. It returns the byte
+// offset after the last complete, valid line and whether anything
+// follows it: a torn or foreign tail, which only a killed run leaves
+// (only cells after the last durable flush can live there). Resume
+// truncates such a tail; merge refuses the file.
+func scanShard(r io.Reader, m *Manifest, visit func(cell int, off int64, n int)) (valid int64, trailing bool, err error) {
+	seen := make(map[int]bool)
 	br := bufio.NewReaderSize(r, 1<<16)
 	for {
 		line, rerr := br.ReadBytes('\n')
 		if rerr == io.EOF {
-			return done, validOff, nil // unterminated tail: torn write
+			return valid, len(line) > 0, nil // an unterminated line is a torn write
 		}
 		if rerr != nil {
-			return nil, 0, rerr
+			return 0, false, rerr
 		}
 		var p lineProbe
 		if json.Unmarshal(line, &p) != nil || (p.Index == nil) == (p.Checkpoint == nil) {
-			return done, validOff, nil // torn or foreign line: stop here
+			return valid, true, nil // torn or foreign line: stop here
 		}
 		if p.Index != nil {
 			i := *p.Index
 			if i < 0 || i >= m.TotalCells || !m.Shard().Owns(i) {
-				return nil, 0, fmt.Errorf("sweep: shard %s file records cell %d, which it does not own", m.Shard(), i)
+				return 0, false, fmt.Errorf("records cell %d, which shard %s does not own", i, m.Shard())
 			}
-			if done[i] {
-				return nil, 0, fmt.Errorf("sweep: shard %s file records cell %d twice", m.Shard(), i)
+			if seen[i] {
+				return 0, false, fmt.Errorf("records cell %d twice", i)
 			}
-			done[i] = true
-		} else if p.Checkpoint.Done != len(done) {
-			return nil, 0, fmt.Errorf("sweep: shard %s checkpoint records %d cells done, file has %d — file was edited or mixed",
-				m.Shard(), p.Checkpoint.Done, len(done))
+			seen[i] = true
+			visit(i, valid, len(line))
+		} else if p.Checkpoint.Done != len(seen) {
+			return 0, false, fmt.Errorf("checkpoint records %d cells done, file has %d — file was edited or mixed",
+				p.Checkpoint.Done, len(seen))
 		}
-		validOff += int64(len(line))
+		valid += int64(len(line))
 	}
 }
 
@@ -346,10 +351,11 @@ func NewWriter(path string, m Manifest, every int) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	done, off, err := scanShard(f, &m)
+	done := make(map[int]bool)
+	off, _, err := scanShard(f, &m, func(cell int, _ int64, _ int) { done[cell] = true })
 	if err != nil {
 		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("sweep: refusing to resume %s: %w", path, err)
 	}
 	// The progress sidecar is advisory (the scan is the truth), but its
 	// identity must match: a cursor from another sweep means the caller

@@ -202,7 +202,7 @@ func TestWriterCheckpointAndResume(t *testing.T) {
 }
 
 // writeShard runs a complete shard to disk for the merge tests.
-func writeShard(t *testing.T, path string, sh Shard, total int, order []int) {
+func writeShard(t testing.TB, path string, sh Shard, total int, order []int) {
 	t.Helper()
 	w, err := NewWriter(path, testManifest(sh, total), 3)
 	if err != nil {

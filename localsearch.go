@@ -110,7 +110,7 @@ func (r ospfLSRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Rout
 		// Score candidates against every single-link-failure variant
 		// that keeps the demands routable: the scenario engine's
 		// failure axis.
-		variants, err := failureVariants(n, d)
+		variants, err := singleFailures.variants(n, d)
 		if err != nil {
 			return nil, err
 		}
@@ -130,9 +130,6 @@ func (r ospfLSRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Rout
 		return nil, err
 	}
 	routes.router = r.Name()
-	// Record the optimized weights so the scenario engine's weight-reuse
-	// cache can re-simulate them across load factors.
-	routes.weights = routes.ecmpWeights
 	return routes, nil
 }
 
@@ -273,10 +270,3 @@ func sampleFailures(all []localsearch.Failure, k int, seed int64) []localsearch.
 }
 
 func (r ospfLSRouter) reusable() bool { return true }
-
-func (r ospfLSRouter) reuseFrom(routes *Routes) (Router, bool) {
-	if routes.weights == nil {
-		return nil, false
-	}
-	return Named(r.Name(), OSPF(routes.weights)), true
-}

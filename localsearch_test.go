@@ -75,12 +75,12 @@ func TestOSPFLocalSearchRouterNamesAndReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if routes.weights == nil {
+	if routes.ecmpWeights == nil {
 		t.Fatal("optimized routes must record their weights for the reuse cache")
 	}
-	fixed, ok := wr.reuseFrom(routes)
+	fixed, ok := fixedRouter(routes)
 	if !ok {
-		t.Fatal("reuseFrom failed on optimized routes")
+		t.Fatal("fixedRouter failed on optimized routes")
 	}
 	if fixed.Name() != r.Name() {
 		t.Fatalf("reused router renamed to %q", fixed.Name())
@@ -164,7 +164,7 @@ func TestOSPFLocalSearchIgnoresFailurePenaltyWithoutRobust(t *testing.T) {
 		if err != nil {
 			t.Fatalf("FailurePenalty %v: %v", rho, err)
 		}
-		return routes.weights
+		return routes.ecmpWeights
 	}
 	got, want := weights(-1), weights(0)
 	for e := range want {

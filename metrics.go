@@ -1,12 +1,13 @@
 package spef
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
-	"repro/internal/delta"
 	"repro/internal/graph"
 	"repro/internal/objective"
 	"repro/internal/routing"
@@ -241,38 +242,32 @@ func MaxStretchMetric() Metric {
 
 // WorstFailureMLUMetric returns the worst maximum link utilization the
 // cell's deployed weights suffer across the intact state and every
-// single duplex-pair failure: per pair, the routes' OSPF/ECMP weight
-// vector is re-routed on the surviving topology via the delta engine
-// and the largest MLU wins. +Inf when some failure strands a positive
-// demand — the regret surface RankCriticalLinks sorts, available here
-// as a plain per-cell metric so suite sweeps can tabulate it. It
-// requires a single-weight-vector ECMP scheme (invcap/ospf, ospf-ls
-// families); schemes without one (spef, peft, optimal, explicit paths)
-// cannot be re-routed on a variant from their Routes alone and report
-// an error. Cost is one full evaluation per duplex pair per cell — an
-// analysis metric, not a default.
+// single duplex-pair failure: the largest of the cell's MLU and every
+// MLU RankCriticalLinks reports when it re-routes the routes' OSPF/ECMP
+// weight vector on the single failures. +Inf when some failure strands
+// a positive demand — the regret surface RankCriticalLinks sorts,
+// available here as a plain per-cell metric so suite sweeps can
+// tabulate it. It requires a single-weight-vector ECMP scheme
+// (invcap/ospf, ospf-ls families); schemes without one (spef, peft,
+// optimal, explicit paths) cannot be re-routed on a variant from their
+// Routes alone and report an error. Cost is one full evaluation per
+// duplex pair per cell — an analysis metric, not a default.
 func WorstFailureMLUMetric() Metric {
 	return funcMetric{name: MetricFailMLU, fn: func(routes *Routes, d *Demands, report *TrafficReport) (float64, error) {
 		w := routes.ecmpWeights
 		if w == nil {
 			return 0, fmt.Errorf("%w: fail_mlu needs OSPF/ECMP weight-backed routes (%s records no single weight vector)", ErrBadInput, routes.router)
 		}
-		en, err := delta.NewEngine(routes.net.g, d.m, w)
+		rows, err := RankCriticalLinks(context.TODO(), routes.net, d, CriticalLinksOptions{Weights: w, Workers: 1})
 		if err != nil {
 			return 0, err
 		}
+		// Every row, not rows[0]: the rows are sorted by regret, which
+		// can round a larger MLU into a tie.
 		worst := report.MLU
-		for _, p := range routes.net.DuplexPairs() {
-			if err := en.FailLinks(p[0], p[1]); err != nil {
-				// The failure strands a demand (or isolates a node):
-				// an outage, the worst possible answer.
-				return math.Inf(1), nil
-			}
-			if m := en.Metrics().MLU; m > worst {
-				worst = m
-			}
-			if err := en.RestoreLinks(p[0], p[1]); err != nil {
-				return 0, err
+		for _, r := range rows {
+			if r.MLU > worst {
+				worst = r.MLU
 			}
 		}
 		return worst, nil
@@ -300,7 +295,7 @@ func DefaultMetrics() []Metric {
 func MetricsByName(names ...string) ([]Metric, error) {
 	out := make([]Metric, 0, len(names))
 	for _, name := range names {
-		m, err := metricByName(strings.TrimSpace(name))
+		m, err := metricByName(name)
 		if err != nil {
 			return nil, err
 		}
@@ -328,19 +323,25 @@ func metric(m func() Metric) func(*specArgs, struct{}) (Metric, error) {
 	return func(*specArgs, struct{}) (Metric, error) { return m(), nil }
 }
 
-func metricByName(name string) (Metric, error) {
+// metricByName resolves one metric name, lowercased and trimmed like
+// every spec name. A "p<n>_util" name resolves only when it is exactly
+// the name UtilizationPercentileMetric gives its n, for n in (0, 100].
+func metricByName(spec string) (Metric, error) {
+	name := strings.ToLower(strings.TrimSpace(spec))
 	if e := find(metricSpecs, name); e != nil {
 		return e.build(nil, struct{}{})
 	}
 	if rest, ok := strings.CutPrefix(name, "p"); ok {
 		if pct, ok := strings.CutSuffix(rest, "_util"); ok {
-			var p float64
-			if _, err := fmt.Sscanf(pct, "%g", &p); err == nil && p > 0 && p <= 100 {
-				return UtilizationPercentileMetric(p), nil
+			if p, err := strconv.ParseFloat(pct, 64); err == nil && p > 0 && p <= 100 {
+				if m := UtilizationPercentileMetric(p); m.Name() == name {
+					return m, nil
+				}
 			}
 		}
 	}
-	return nil, fmt.Errorf("%w: unknown metric %q", ErrBadInput, name)
+	return nil, fmt.Errorf("%w: unknown metric %q%s (known: %s)",
+		ErrBadInput, spec, suggest(name, names(metricSpecs)), inventory(metricSpecs))
 }
 
 // perDestFlows returns the per-destination link-flow vectors the routes

@@ -2,7 +2,9 @@ package spef
 
 import (
 	"context"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -113,6 +115,25 @@ func TestMetricsByName(t *testing.T) {
 	}
 	if _, err := MetricsByName("p0_util"); err == nil {
 		t.Error("zero percentile accepted")
+	}
+	// Names fold case and spacing like every spec name.
+	for name, want := range map[string]string{"MLU": "mlu", " P95_Util ": "p95_util", "Fail_MLU": "fail_mlu"} {
+		if ms, err := MetricsByName(name); err != nil || ms[0].Name() != want {
+			t.Errorf("MetricsByName(%q) = %v, want %s", name, err, want)
+		}
+	}
+	// A percentile resolves only under its own name: no trailing junk,
+	// spacing, sign, exponent or padding.
+	for _, name := range []string{"p50x_util", "p 50_util", "p+50_util", "p1e2_util", "p050_util", "p50.0_util"} {
+		if ms, err := MetricsByName(name); !errors.Is(err, ErrBadInput) {
+			t.Errorf("MetricsByName(%q) = %v, %v; want ErrBadInput", name, ms, err)
+		}
+	}
+	// An unknown name gets the did-you-mean hint and the inventory.
+	_, err = MetricsByName("mlux")
+	if !errors.Is(err, ErrBadInput) || !strings.Contains(err.Error(), `(did you mean "mlu"?)`) ||
+		!strings.Contains(err.Error(), "(known: "+inventory(metricSpecs)+")") {
+		t.Errorf("MetricsByName(mlux) err = %v, want ErrBadInput with a hint and the inventory", err)
 	}
 }
 

@@ -29,14 +29,14 @@ const (
 
 // options collects the resolved functional options of Optimize and the
 // Router constructors. The defaults are the paper's: beta = 1
-// (proportional load balance), q = 1 on every link, automatic iteration
-// budgets and equal-cost tolerance.
+// (proportional load balance), q = 1 on every link, and automatic
+// iteration budgets. The shortest-path DAGs always use the paper's
+// automatic equal-cost tolerance (see core.BuildWithWeights).
 type options struct {
 	beta            float64
 	q               []float64
 	maxIterations   int
 	splitIterations int
-	equalCostTol    float64
 	progress        func(Progress)
 }
 
@@ -52,9 +52,8 @@ func resolveOptions(opts []Option) options {
 // pipeline configuration.
 func (o options) coreOptions() core.Options {
 	c := core.Options{
-		First:       core.FirstWeightOptions{MaxIters: o.maxIterations, Progress: o.stageProgress(StageFirstWeights)},
-		Second:      core.SecondWeightOptions{MaxIters: o.splitIterations, Progress: o.stageProgress(StageSecondWeights)},
-		DijkstraTol: o.equalCostTol,
+		First:  core.FirstWeightOptions{MaxIters: o.maxIterations, Progress: o.stageProgress(StageFirstWeights)},
+		Second: core.SecondWeightOptions{MaxIters: o.splitIterations, Progress: o.stageProgress(StageSecondWeights)},
 	}
 	return c
 }
@@ -101,13 +100,6 @@ func WithMaxIterations(n int) Option {
 // the pipeline's automatic budget).
 func WithSplitIterations(n int) Option {
 	return func(o *options) { o.splitIterations = n }
-}
-
-// WithEqualCostTolerance sets the Dijkstra equal-cost tolerance used to
-// build the shortest-path DAGs (default: the paper's 0.3 in the
-// normalized weight space).
-func WithEqualCostTolerance(tol float64) Option {
-	return func(o *options) { o.equalCostTol = tol }
 }
 
 // WithProgress installs a progress callback invoked once per iteration

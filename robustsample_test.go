@@ -18,7 +18,7 @@ func lsWeightsOf(t *testing.T, opts LocalSearchOptions, n *Network, d *Demands) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return routes.weights
+	return routes.ecmpWeights
 }
 
 func sameWeights(a, b []float64) bool {

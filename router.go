@@ -137,49 +137,25 @@ func reindexRouter(r Router, keep []int) Router {
 }
 
 // weightReuser is implemented by optimizing routers whose computed link
-// weights can be extracted from a finished Routes and replayed as a
-// fixed-weight router. The scenario engine's weight-reuse cache
-// (RunOptions.ReuseWeights) optimizes such a router once per
+// weights can be extracted from a finished Routes (see fixedRouter) and
+// replayed as a fixed-weight router. The scenario engine's weight-reuse
+// cache (RunOptions.ReuseWeights) optimizes such a router once per
 // (topology, failure, router) group and re-simulates the extracted
 // weights across the group's load factors.
 type weightReuser interface {
-	Router
 	// reusable reports, without running anything, whether the router
-	// actually optimizes weights that reuseFrom can extract. The cache
+	// actually optimizes weights that fixedRouter can extract. The cache
 	// only creates a group — and only ever runs a reference
 	// optimization — for routers that return true; fixed-weight
 	// variants (PEFT(w)) and wrapped non-optimizers run unchanged.
 	reusable() bool
-	// reuseFrom returns a fixed-weight router replaying the weights
-	// captured in routes, reporting whether extraction succeeded. The
-	// returned router keeps the original display name so result rows
-	// line up across the load axis.
-	reuseFrom(routes *Routes) (Router, bool)
 }
 
 func (r spefRouter) reusable() bool { return true }
 
-func (r spefRouter) reuseFrom(routes *Routes) (Router, bool) {
-	p := routes.Protocol()
-	if p == nil {
-		return nil, false
-	}
-	return Named(r.Name(), SPEFWithWeights(p.FirstWeights(), p.SecondWeights())), true
-}
-
 // reusable: only the optimizing form (nil weights) computes anything
 // worth caching.
 func (r peftRouter) reusable() bool { return r.weights == nil }
-
-func (r peftRouter) reuseFrom(routes *Routes) (Router, bool) {
-	if r.weights != nil {
-		return nil, false // already fixed: nothing to reuse
-	}
-	if routes.weights == nil {
-		return nil, false
-	}
-	return Named(r.Name(), PEFT(routes.weights)), true
-}
 
 func (n namedRouter) reusable() bool {
 	wr, ok := n.r.(weightReuser)
@@ -193,16 +169,24 @@ func (n namedRouter) searchKey(net *Network, d *Demands) (searchKey, bool) {
 	return searchKey{}, false
 }
 
-func (n namedRouter) reuseFrom(routes *Routes) (Router, bool) {
-	wr, ok := n.r.(weightReuser)
-	if !ok {
+// fixedRouter returns a fixed-weight router replaying the weights the
+// routes record: SPEF's two vectors, the ECMP vector of OSPF-LS, or the
+// weights an optimizing PEFT computed. It keeps the routes' display name
+// so result rows line up across the load axis, and reports false when
+// the routes record no weights.
+func fixedRouter(routes *Routes) (Router, bool) {
+	var fixed Router
+	switch {
+	case routes.protocol != nil:
+		fixed = SPEFWithWeights(routes.protocol.FirstWeights(), routes.protocol.SecondWeights())
+	case routes.ecmpWeights != nil:
+		fixed = OSPF(routes.ecmpWeights)
+	case routes.weights != nil:
+		fixed = PEFT(routes.weights)
+	default:
 		return nil, false
 	}
-	fixed, ok := wr.reuseFrom(routes)
-	if !ok {
-		return nil, false
-	}
-	return Named(n.name, fixed), true
+	return Named(routes.router, fixed), true
 }
 
 // remapLinkVector projects an intact-topology per-link vector onto the
@@ -550,7 +534,8 @@ type Routes struct {
 	// InvCap, OSPF-LS). PEFT weights do not qualify — their splits are
 	// exponential, not even — so this stays nil for every non-ECMP
 	// scheme. Failure analysis (fail_mlu, RankCriticalLinks) re-routes
-	// these weights on degraded variants via the delta engine.
+	// these weights on degraded variants via the delta engine, and the
+	// weight-reuse cache replays OSPF-LS's (see fixedRouter).
 	ecmpWeights []float64
 }
 

@@ -332,22 +332,6 @@ type failureVariant struct {
 	keep []int
 }
 
-// failureVariants generates one degraded network per duplex pair,
-// skipping failures that leave a demand unroutable.
-func failureVariants(n *Network, d *Demands) ([]failureVariant, error) {
-	var out []failureVariant
-	for _, pair := range n.DuplexPairs() {
-		v, ok, err := multiFailureVariant(n, d, pairLabel(n, pair), pair[:])
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, v)
-		}
-	}
-	return out, nil
-}
-
 // nodeLabel names a node for scenario labels, falling back to the ID.
 func (n *Network) nodeLabel(node int) string {
 	if s := n.NodeName(node); s != "" {

@@ -354,7 +354,7 @@ func TestSharedSearchGridProperty(t *testing.T) {
 			if !ok {
 				ref[g], r = i, i
 			}
-			fixed, ok := c.Router.(weightReuser).reuseFrom(aloneRoutes[r])
+			fixed, ok := fixedRouter(aloneRoutes[r])
 			if !ok {
 				t.Fatalf("%s: no fixed-weight router", cells[r].Name)
 			}

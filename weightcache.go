@@ -166,7 +166,7 @@ func (st *runStore) router(ctx context.Context, idx int, s Scenario) (Router, er
 		if err != nil {
 			return nil, fmt.Errorf("spef: weight reuse: optimizing reference cell %q: %w", g.ref.Name, err)
 		}
-		fixed, _ := g.ref.Router.(weightReuser).reuseFrom(routes)
+		fixed, _ := fixedRouter(routes)
 		return fixed, nil
 	})
 	if err != nil {
