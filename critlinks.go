@@ -75,9 +75,10 @@ type CriticalLink struct {
 // MLU regret the deployed weights suffer under its failure and returns
 // the units sorted by regret, descending — Balon & Leduc's observation
 // that links are not equally critical, as an analysis surface. Each
-// variant is an incremental delta-engine event on a warm routing state
-// (fail, read MLU, restore), not a from-scratch evaluation, which is
-// what makes the dual mode's O(pairs^2) sweep affordable. Units whose
+// variant is a failure what-if on one shared warm delta engine: the
+// failed links go to weight +Inf in a per-worker scratch, and only the
+// destinations whose DAG held them are re-routed, which is what makes
+// the dual mode's O(pairs^2) sweep affordable. Units whose
 // failure strands a positive demand rank with +Inf regret: where the
 // scenario Grid must skip unroutable variants (no scheme can be
 // compared on them), a criticality ranking wants them on top.
@@ -117,27 +118,20 @@ func RankCriticalLinks(ctx context.Context, n *Network, d *Demands, opts Critica
 		return nil, nil
 	}
 
-	// One warm engine per worker, checked in and out of a channel; every
-	// job restores the engine to the intact state before returning it,
-	// so engines are interchangeable and results deterministic.
+	// One warm engine shared by every worker, which only reads it; each
+	// worker checks a private scratch in and out of a channel.
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(units) {
-		workers = len(units)
+	en, err := delta.NewEngine(n.g, d.m, w)
+	if err != nil {
+		return nil, err
 	}
-	engines := make(chan *delta.Engine, workers)
-	var base float64
-	for i := 0; i < workers; i++ {
-		en, err := delta.NewEngine(n.g, d.m, w)
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			base = en.Metrics().MLU
-		}
-		engines <- en
+	base := en.Metrics().MLU
+	scratches := make(chan *delta.Scratch, min(workers, len(units)))
+	for range cap(scratches) {
+		scratches <- en.NewScratch()
 	}
 
 	type outcome struct {
@@ -147,25 +141,21 @@ func RankCriticalLinks(ctx context.Context, n *Network, d *Demands, opts Critica
 	job := func(ctx context.Context, i int) outcome {
 		start := time.Now()
 		row := CriticalLink{Link: units[i].label, BaseMLU: base}
-		en := <-engines
-		defer func() { engines <- en }()
-		worst, routable, err := failMLU(en, units[i].links)
-		if err != nil {
-			return outcome{err: err}
-		}
+		s := <-scratches
+		defer func() { scratches <- s }()
+		worst, routable := failMLU(en, s, units[i].links)
 		worstWith := ""
 		if dual && routable {
 			// Worst pairing: scan partners in enumeration order; the
 			// first unroutable partner is conclusive (+Inf beats any
 			// finite MLU), strict > keeps ties on the earliest partner.
+			var pair []int
 			for j := range units {
 				if j == i {
 					continue
 				}
-				m, ok, err := failMLU(en, append(append([]int(nil), units[i].links...), units[j].links...))
-				if err != nil {
-					return outcome{err: err}
-				}
+				pair = append(append(pair[:0], units[i].links...), units[j].links...)
+				m, ok := failMLU(en, s, pair)
 				if m > worst {
 					worst, worstWith = m, units[j].label
 				}
@@ -198,19 +188,16 @@ func RankCriticalLinks(ctx context.Context, n *Network, d *Demands, opts Critica
 	return rows, nil
 }
 
-// failMLU fails links on a warm engine, reads the MLU and restores
-// them. A failure the engine refuses strands a demand or isolates a
-// node: an outage, +Inf and not routable (the engine rolled itself
-// back).
-func failMLU(en *delta.Engine, links []int) (mlu float64, routable bool, err error) {
-	if err := en.FailLinks(links...); err != nil {
-		return math.Inf(1), false, nil
+// failMLU is the MLU the warm engine would report with links failed, a
+// what-if into s that leaves the engine untouched. A failure the engine
+// refuses strands a demand or isolates a node: an outage, +Inf and not
+// routable.
+func failMLU(en *delta.Engine, s *delta.Scratch, links []int) (mlu float64, routable bool) {
+	m, err := en.WhatIfFailLinks(s, links...)
+	if err != nil {
+		return math.Inf(1), false
 	}
-	mlu = en.Metrics().MLU
-	if err := en.RestoreLinks(links...); err != nil {
-		return 0, false, err
-	}
-	return mlu, true, nil
+	return m.MLU, true
 }
 
 // criticalLinkRecord is the JSONL row schema of WriteCriticalLinksJSONL

@@ -87,9 +87,10 @@ func TestCriticalLinksGolden(t *testing.T) {
 	}
 }
 
-// TestCriticalLinksDeterministicAcrossWorkerCounts: the engine-pool
-// fan-out must not leak scheduling into results — any worker count
-// produces byte-identical JSONL (runtimes normalized).
+// TestCriticalLinksDeterministicAcrossWorkerCounts: the workers'
+// concurrent what-ifs on one shared engine must not leak scheduling
+// into results — any worker count produces byte-identical JSONL
+// (runtimes normalized).
 func TestCriticalLinksDeterministicAcrossWorkerCounts(t *testing.T) {
 	n, d := critlinksFixture(t)
 	var baseline string

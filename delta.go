@@ -82,15 +82,21 @@ func (e *DeltaEngine) Footprint() int64 { return e.en.Footprint() }
 // NewScratch returns a scratch for the WhatIf queries.
 func (e *DeltaEngine) NewScratch() *DeltaScratch { return e.en.NewScratch() }
 
+// Rerouted returns how many destinations the engine's weight and
+// failure events and what-ifs have re-routed so far — the work its
+// exact screen did not save; `spef serve` reports it per event type in
+// /statz. Demand events and rejected events count nothing.
+func (e *DeltaEngine) Rerouted() uint64 { return e.en.Rerouted() }
+
 // SetWeight records one link's weight (intact link ID). An up link is
 // re-routed incrementally — only destinations the change can affect are
 // recomputed; a down link's weight takes effect when LinkUp restores
 // it.
 func (e *DeltaEngine) SetWeight(link int, w float64) error { return e.en.SetWeight(link, w) }
 
-// LinkDown fails one intact link, rebinding the warm state onto the
-// surviving topology. A failure that would strand a positive demand is
-// rejected with the state untouched.
+// LinkDown fails one intact link: its weight goes to +Inf, and only
+// the destinations whose routing used it are re-routed. A failure that
+// would strand a positive demand is rejected with the state untouched.
 func (e *DeltaEngine) LinkDown(link int) error { return e.en.LinkDown(link) }
 
 // LinkUp restores one failed link under its recorded weight.
@@ -125,16 +131,15 @@ func (e *DeltaEngine) WhatIfDemand(s *DeltaScratch, src, dst int, volume float64
 }
 
 // WhatIfLinkDown returns the metrics the engine would report after
-// LinkDown(link), without committing it. Unlike the scratch-based
-// what-ifs this rebuilds the hypothetical variant from scratch — a
-// failure invalidates every destination's routing — so expect it to
-// cost as much as the original warm-up.
+// LinkDown(link), without committing it: the same screened re-route as
+// the event, into a scratch the engine draws from an internal pool, so
+// it costs about what the event costs.
 func (e *DeltaEngine) WhatIfLinkDown(link int) (DeltaMetrics, error) {
 	return e.en.WhatIfLinkDown(link)
 }
 
 // WhatIfLinkUp returns the metrics the engine would report after
-// LinkUp(link), without committing it. Same cost caveat as
+// LinkUp(link), without committing it, on a pooled scratch like
 // WhatIfLinkDown.
 func (e *DeltaEngine) WhatIfLinkUp(link int) (DeltaMetrics, error) {
 	return e.en.WhatIfLinkUp(link)

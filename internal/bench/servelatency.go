@@ -191,7 +191,8 @@ func serveLatency(quick bool) ([]ServeLatency, error) {
 				return eng.StepDemands(in.steps[i%len(in.steps)].Demands)
 			}},
 			// Fail and restore one duplex pair, alternating: every event is
-			// a LinkDown or LinkUp remap of the warm state.
+			// a LinkDown or LinkUp weight event (+Inf, then the recorded
+			// weight) on the warm state.
 			{"link-flap", func(i int) error {
 				link := in.pair[i%2]
 				if i%4 < 2 {
@@ -203,8 +204,8 @@ func serveLatency(quick bool) ([]ServeLatency, error) {
 		for _, st := range streams {
 			count := n
 			if st.event == "link-flap" {
-				// Remaps rebuild every destination; keep the budget sane on
-				// full runs.
+				// The budget dates from when a flap re-evaluated every
+				// destination; it is kept so reports stay comparable.
 				count = min(n, 128)
 			}
 			m, err := measureEvents(sp.name+"/"+st.event, count, warmup, st.step)

@@ -6,30 +6,32 @@
 // recomputing from cold state:
 //
 //   - SetWeight re-routes only the destinations an exact screen over
-//     cached distances proves the change can affect (the machinery
-//     PR 5 built for local search, extracted here for general use);
+//     cached distances proves the change can affect (the machinery the
+//     local search uses, extracted here for general use);
 //   - SetDemand re-propagates a single destination's flow without
 //     touching any shortest-path state;
 //   - StepDemands advances to the next matrix of a temporal sequence,
 //     re-propagating only the destinations whose columns changed;
-//   - LinkDown/LinkUp remap the topology onto the surviving links (the
-//     scenario engine's failure-variant transform) and rebind the
-//     arenas in place, so a warm engine survives a failure event
-//     without reallocating its state;
+//   - LinkDown/LinkUp and the FailLinks/RestoreLinks batches are atomic
+//     weight events: a down link weighs +Inf, so a failure re-routes
+//     only the destinations whose DAG held a failed link, in place and
+//     allocation-free;
 //   - the WhatIf queries score any of those events against the current
-//     state without committing it, bit-identical to applying the event.
+//     state into a scratch without committing it, bit-identical to
+//     applying the event.
 //
 // Every update is bit-identical to a from-scratch evaluation of the
-// resulting state — the oracle Evaluator.Equal checks and the property
-// tests enforce — which is what lets a long-running control plane
-// (internal/serve, `spef serve`) answer event streams from warm state
-// with the same numbers a batch run would produce.
+// resulting state — for a failure, through the link projection onto the
+// graph.WithoutLinks variant — which the property tests and the
+// FuzzEngineEvents target enforce, and which is what lets a long-running
+// control plane (internal/serve, `spef serve`) answer event streams
+// from warm state with the same numbers a batch run would produce.
 //
-// The split of responsibilities: Evaluator is the single-variant state
-// (one concrete graph, one weight vector, one demand matrix) with
-// incremental updates; Engine layers the intact-topology view on top
-// (intact link IDs, a down-link set, the remapping between the two)
-// and is what servers hold per topology. internal/localsearch's
-// Evaluator is an alias of this package's — the search trajectories
-// are bit-identical to the pre-extraction implementation.
+// The split of responsibilities: Evaluator is the routing state of one
+// graph, one weight vector and one demand matrix, with incremental
+// updates; Engine layers the control-plane view on top (the recorded
+// weights, a down-link set, failures as +Inf weights, pooled what-if
+// scratches, a re-routed-destination counter) and is what servers hold
+// per topology. internal/localsearch scores its candidates on this
+// package's Evaluator directly.
 package delta

@@ -3,45 +3,53 @@ package delta
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/traffic"
 )
 
 // Engine is the control-plane view of one warm routing state: it keeps
-// the intact topology, the operator-facing weight vector in intact link
-// IDs, and the set of links currently down, and drives an Evaluator
-// over whatever variant topology those failures leave. Events arrive in
-// intact link IDs and node IDs; the engine handles the remapping, so a
-// client never sees the renumbered variant space.
+// the operator-facing weight vector, the set of links currently down,
+// and an Evaluator that stays in intact link IDs for the engine's whole
+// life, a down link carrying weight +Inf. Such a link never relaxes in
+// Dijkstra (d + Inf is never < Unreachable) and never passes the DAG
+// slack test, so distances, settle order, DAG membership and node order
+// equal those of the failure variant (graph.WithoutLinks) under its
+// monotone link renumbering; the link carries exactly zero flow, which
+// adds exact zeros to the Fortz sum, the MLU maximum and the utility
+// sum, all taken in intact link order.
 //
 // Event semantics:
 //
-//   - SetWeight records the weight always; if the link is up it
-//     re-routes incrementally, if it is down the weight simply takes
-//     effect when LinkUp restores the link.
-//   - LinkDown/LinkUp rebuild the variant topology (graph.WithoutLinks)
-//     and rebind the evaluator's arenas onto it in place. A failure
-//     that would strand a positive demand is rejected and the previous
-//     state restored.
+//   - SetWeight records the weight always; if the link is up it is a
+//     one-link weight event, if it is down the weight takes effect when
+//     LinkUp restores the link.
+//   - LinkDown/LinkUp and FailLinks/RestoreLinks are one atomic weight
+//     event each: the links go to +Inf, or back to their recorded
+//     weights, together, and only the destinations the exact screen
+//     admits are re-routed. An event that would strand a positive
+//     demand is rejected with ErrBadInput and the state untouched.
 //   - SetDemand/StepDemands are forwarded in node space, untouched by
 //     failures.
 //
-// After any accepted event the state is bit-identical to a from-scratch
-// evaluation of (variant topology, projected weights, current demands)
-// — the invariant the package property tests enforce.
+// After any accepted event the state equals, through the link
+// projection, a from-scratch evaluation of (variant topology, projected
+// weights, current demands) bit for bit — the invariant the package
+// property tests enforce.
 //
 // An Engine is single-writer: one goroutine applies events. The WhatIf
 // queries are pure reads and may run concurrently with each other (each
 // with its own Scratch) but not with events.
 type Engine struct {
-	g     *graph.Graph
-	w     []float64 // intact link ID space, authoritative
-	down  []bool
-	ndown int
-	keep  []int // variant link -> intact link; nil when intact
-	rev   []int // intact link -> variant link or -1; nil when intact
-	ev    *Evaluator
+	g        *graph.Graph
+	w        []float64 // operator-facing weights, authoritative
+	down     []bool
+	ev       *Evaluator    // intact link IDs; a down link weighs +Inf
+	nw       []float64     // the new weights of the event being applied
+	scratch  sync.Pool     // *Scratch for the what-ifs that bring none
+	rerouted atomic.Uint64 // destinations re-routed by events and what-ifs
 }
 
 // NewEngine fully evaluates (g, tm, weights) and returns the warm
@@ -52,12 +60,14 @@ func NewEngine(g *graph.Graph, tm *traffic.Matrix, weights []float64) (*Engine, 
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{
+	en := &Engine{
 		g:    g,
 		w:    append([]float64(nil), weights...),
 		down: make([]bool, g.NumLinks()),
 		ev:   ev,
-	}, nil
+	}
+	en.scratch.New = func() any { return ev.NewScratch() }
+	return en, nil
 }
 
 // Graph returns the intact topology.
@@ -79,7 +89,7 @@ func (en *Engine) Weights() []float64 { return append([]float64(nil), en.w...) }
 
 // Down returns the intact IDs of the links currently down, increasing.
 func (en *Engine) Down() []int {
-	out := make([]int, 0, en.ndown)
+	out := []int{}
 	for e, d := range en.down {
 		if d {
 			out = append(out, e)
@@ -102,22 +112,19 @@ func (en *Engine) Metrics() Metrics { return en.ev.Metrics() }
 // Footprint approximates the bytes held by the warm evaluator arenas.
 func (en *Engine) Footprint() int64 { return en.ev.Footprint() }
 
-// Evaluator exposes the underlying variant-space evaluator — the batch
-// oracle tests compare against. Callers must not mutate it.
+// Rerouted returns how many destinations the engine's weight and
+// failure events and what-ifs have re-routed since it was built — the
+// work the exact screen did not save. Demand events re-propagate flows
+// without re-routing and count nothing; rejected events count nothing.
+func (en *Engine) Rerouted() uint64 { return en.rerouted.Load() }
+
+// Evaluator exposes the underlying evaluator, in intact link IDs with
+// every down link at weight +Inf — the state the oracle tests project
+// onto the failure variant. Callers must not mutate it.
 func (en *Engine) Evaluator() *Evaluator { return en.ev }
 
-// NewScratch returns a scratch for the WhatIf queries, sized for the
-// current variant (it refits itself if the shape changes later).
+// NewScratch returns a scratch for the WhatIf queries.
 func (en *Engine) NewScratch() *Scratch { return en.ev.NewScratch() }
-
-// mapLink translates an intact link ID into the current variant's
-// space (-1 when the link is down).
-func (en *Engine) mapLink(e int) int {
-	if en.rev == nil {
-		return e
-	}
-	return en.rev[e]
-}
 
 func (en *Engine) checkLink(link int) error {
 	if link < 0 || link >= en.g.NumLinks() {
@@ -137,7 +144,7 @@ func (en *Engine) SetWeight(link int, w float64) error {
 		return fmt.Errorf("%w: weight %v for link %d", ErrBadInput, w, link)
 	}
 	if !en.down[link] {
-		if err := en.ev.SetWeight(en.mapLink(link), w); err != nil {
+		if err := en.apply([]int{link}, []float64{w}); err != nil {
 			return err
 		}
 	}
@@ -145,10 +152,9 @@ func (en *Engine) SetWeight(link int, w float64) error {
 	return nil
 }
 
-// LinkDown fails one intact link: the evaluator is rebound onto the
-// surviving topology with the weights projected onto it. A failure that
-// would strand a positive demand is rejected with the previous state
-// restored.
+// LinkDown fails one intact link: its weight goes to +Inf, re-routing
+// the destinations whose DAG holds it. A failure that would strand a
+// positive demand is rejected with the state untouched.
 func (en *Engine) LinkDown(link int) error { return en.flipAll([]int{link}, true) }
 
 // LinkUp restores one failed link under its recorded weight. Restoring
@@ -156,113 +162,87 @@ func (en *Engine) LinkDown(link int) error { return en.flipAll([]int{link}, true
 // only fails if the remaining failures were already unroutable.
 func (en *Engine) LinkUp(link int) error { return en.flipAll([]int{link}, false) }
 
-// FailLinks fails a set of intact links as one event: the whole set is
-// validated, then the evaluator is rebound once onto the surviving
-// topology — the batched form of LinkDown that SRLG groups and dual
-// failures apply per variant instead of paying one remap per link. A
-// set that would strand a positive demand is rejected with the previous
-// state restored. An empty set is a no-op.
+// FailLinks fails a set of intact links as one atomic event — the
+// batched form of LinkDown that SRLG groups and dual failures apply: an
+// intermediate state of a link-by-link sequence may strand demand even
+// when the end state is routable. A set that would strand a positive
+// demand, or lists a link twice, is rejected with the state untouched.
+// An empty set is a no-op.
 func (en *Engine) FailLinks(links ...int) error { return en.flipAll(links, true) }
 
 // RestoreLinks restores a set of failed links under their recorded
 // weights as one event — the batched inverse of FailLinks.
 func (en *Engine) RestoreLinks(links ...int) error { return en.flipAll(links, false) }
 
-// flipAll toggles a set of links' failure state with one remap,
-// rolling back the applied prefix on rejection so a refused event
-// leaves the state untouched.
+// flipAll fails (toDown) or restores a set of links as one weight
+// event, validated as a whole before anything changes.
 func (en *Engine) flipAll(links []int, toDown bool) error {
-	applied := 0
-	var err error
+	if err := en.checkFlip(links, toDown); err != nil {
+		return err
+	}
+	en.nw = en.flipWeights(en.nw, links, toDown)
+	if err := en.apply(links, en.nw); err != nil {
+		return err
+	}
 	for _, l := range links {
-		if err = en.checkLink(l); err != nil {
-			break
-		}
-		if en.down[l] == toDown {
-			if toDown {
-				err = fmt.Errorf("%w: link %d is already down", ErrBadInput, l)
-			} else {
-				err = fmt.Errorf("%w: link %d is not down", ErrBadInput, l)
-			}
-			break
-		}
 		en.down[l] = toDown
-		if toDown {
-			en.ndown++
-		} else {
-			en.ndown--
-		}
-		applied++
 	}
-	remapped := false
-	if err == nil {
-		if applied == 0 {
-			return nil
-		}
-		if err = en.remap(); err == nil {
-			return nil
-		}
-		remapped = true
-	}
-	for _, l := range links[:applied] {
-		en.down[l] = !toDown
-		if toDown {
-			en.ndown--
-		} else {
-			en.ndown++
-		}
-	}
-	// Validation failures never touched the evaluator; a failed remap
-	// did, so rebind it onto the restored down-set.
-	if remapped {
-		if rerr := en.remap(); rerr != nil {
-			// Cannot happen: the pre-event state evaluated successfully.
-			return fmt.Errorf("delta: state restore after rejected event failed: %v (event: %w)", rerr, err)
-		}
-	}
-	return err
-}
-
-// remap rebinds the evaluator onto the topology the current down-set
-// leaves: the intact graph when nothing is down, graph.WithoutLinks
-// otherwise, with the intact weight vector projected onto the
-// survivors.
-func (en *Engine) remap() error {
-	if en.ndown == 0 {
-		if err := en.ev.Rebind(en.g, en.w); err != nil {
-			return err
-		}
-		en.keep, en.rev = nil, nil
-		return nil
-	}
-	drop := make([]int, 0, en.ndown)
-	for e, d := range en.down {
-		if d {
-			drop = append(drop, e)
-		}
-	}
-	vg, keep, err := en.g.WithoutLinks(drop...)
-	if err != nil {
-		return err
-	}
-	rev := make([]int, en.g.NumLinks())
-	for i := range rev {
-		rev[i] = -1
-	}
-	wf := make([]float64, vg.NumLinks())
-	for newID, oldID := range keep {
-		rev[oldID] = newID
-		wf[newID] = en.w[oldID]
-	}
-	if err := en.ev.Rebind(vg, wf); err != nil {
-		return err
-	}
-	en.keep, en.rev = keep, rev
 	return nil
 }
 
+// checkFlip validates a failure (toDown) or restoration batch: every
+// link in range and currently in the other state.
+func (en *Engine) checkFlip(links []int, toDown bool) error {
+	for _, l := range links {
+		if err := en.checkLink(l); err != nil {
+			return err
+		}
+		if en.down[l] == toDown {
+			if toDown {
+				return fmt.Errorf("%w: link %d is already down", ErrBadInput, l)
+			}
+			return fmt.Errorf("%w: link %d is not down", ErrBadInput, l)
+		}
+	}
+	return nil
+}
+
+// flipWeights fills buf with the weights the links take when failed
+// (+Inf) or restored (their recorded weights).
+func (en *Engine) flipWeights(buf []float64, links []int, toDown bool) []float64 {
+	buf = buf[:0]
+	for _, l := range links {
+		w := math.Inf(1)
+		if !toDown {
+			w = en.w[l]
+		}
+		buf = append(buf, w)
+	}
+	return buf
+}
+
+// apply commits one weight event and counts the destinations it
+// re-routed.
+func (en *Engine) apply(links []int, w []float64) error {
+	if err := en.ev.setWeights(links, w); err != nil {
+		return err
+	}
+	en.rerouted.Add(uint64(len(en.ev.affected)))
+	return nil
+}
+
+// whatIf scores one weight event into s without committing it and
+// counts the destinations it re-routed.
+func (en *Engine) whatIf(s *Scratch, links []int, w []float64) (Metrics, error) {
+	m, err := en.ev.tryWeights(s, links, w)
+	if err == nil {
+		en.rerouted.Add(uint64(len(s.affected)))
+	}
+	return m, err
+}
+
 // SetDemand updates one demand entry, re-propagating only the affected
-// destination (node IDs are failure-invariant, so no remapping).
+// destination.
 func (en *Engine) SetDemand(src, dst int, v float64) error {
 	return en.ev.SetDemand(src, dst, v)
 }
@@ -287,7 +267,7 @@ func (en *Engine) WhatIfWeight(s *Scratch, link int, w float64) (Metrics, error)
 	if en.down[link] {
 		return en.ev.Metrics(), nil
 	}
-	return en.ev.TryWeightMetrics(s, en.mapLink(link), w)
+	return en.whatIf(s, []int{link}, []float64{w})
 }
 
 // WhatIfDemand returns the Metrics the engine would report after
@@ -296,61 +276,35 @@ func (en *Engine) WhatIfDemand(s *Scratch, src, dst int, v float64) (Metrics, er
 	return en.ev.TryDemand(s, src, dst, v)
 }
 
+// WhatIfFailLinks returns the Metrics the engine would report after
+// FailLinks(links...), without committing it: the same screened
+// re-route, into the scratch, bit-identical to applying the event.
+func (en *Engine) WhatIfFailLinks(s *Scratch, links ...int) (Metrics, error) {
+	return en.whatIfFlip(s, links, true)
+}
+
 // WhatIfLinkDown returns the Metrics the engine would report after
-// LinkDown(link), without committing it. Unlike the scratch-based
-// what-ifs this builds a fresh evaluator on the hypothetical variant —
-// a failure invalidates every destination's DAG, so there is no cheaper
-// exact answer; expect it to cost as much as the original warm-up.
+// LinkDown(link), without committing it — WhatIfFailLinks of one link
+// on a scratch drawn from the engine's own pool.
 func (en *Engine) WhatIfLinkDown(link int) (Metrics, error) {
-	if err := en.checkLink(link); err != nil {
-		return Metrics{}, err
-	}
-	if en.down[link] {
-		return Metrics{}, fmt.Errorf("%w: link %d is already down", ErrBadInput, link)
-	}
-	return en.variantMetrics(link, -1)
+	s := en.scratch.Get().(*Scratch)
+	defer en.scratch.Put(s)
+	return en.whatIfFlip(s, []int{link}, true)
 }
 
 // WhatIfLinkUp returns the Metrics the engine would report after
-// LinkUp(link), without committing it. Same cost caveat as
+// LinkUp(link), without committing it, on a pooled scratch like
 // WhatIfLinkDown.
 func (en *Engine) WhatIfLinkUp(link int) (Metrics, error) {
-	if err := en.checkLink(link); err != nil {
-		return Metrics{}, err
-	}
-	if !en.down[link] {
-		return Metrics{}, fmt.Errorf("%w: link %d is not down", ErrBadInput, link)
-	}
-	return en.variantMetrics(-1, link)
+	s := en.scratch.Get().(*Scratch)
+	defer en.scratch.Put(s)
+	return en.whatIfFlip(s, []int{link}, false)
 }
 
-// variantMetrics evaluates the hypothetical down-set (the current one
-// plus add, minus remove) from scratch and returns its metrics.
-func (en *Engine) variantMetrics(add, remove int) (Metrics, error) {
-	var drop []int
-	for e, d := range en.down {
-		if (d && e != remove) || e == add {
-			drop = append(drop, e)
-		}
-	}
-	if len(drop) == 0 {
-		ev, err := NewEvaluator(en.g, en.ev.tm, en.w)
-		if err != nil {
-			return Metrics{}, err
-		}
-		return ev.Metrics(), nil
-	}
-	vg, keep, err := en.g.WithoutLinks(drop...)
-	if err != nil {
+func (en *Engine) whatIfFlip(s *Scratch, links []int, toDown bool) (Metrics, error) {
+	if err := en.checkFlip(links, toDown); err != nil {
 		return Metrics{}, err
 	}
-	wf := make([]float64, vg.NumLinks())
-	for newID, oldID := range keep {
-		wf[newID] = en.w[oldID]
-	}
-	ev, err := NewEvaluator(vg, en.ev.tm, wf)
-	if err != nil {
-		return Metrics{}, err
-	}
-	return ev.Metrics(), nil
+	s.nw = en.flipWeights(s.nw, links, toDown)
+	return en.whatIf(s, links, s.nw)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -18,11 +19,10 @@ var ErrBadInput = errors.New("delta: bad input")
 // on one (graph, demand matrix) pair — per-destination shortest-path
 // DAGs, even split ratios, per-destination link flows, the aggregate
 // flow and its Fortz-Thorup cost — and updates it incrementally:
-// SetWeight re-routes only the destinations the change can affect,
-// SetDemand/ReplaceDemands re-propagate only the destinations whose
-// demand columns changed, and Rebind re-anchors the whole state onto a
-// failure-variant topology while reusing every arena. The rest of the
-// state is kept bit-for-bit.
+// weight events (one link or an atomic set) re-route only the
+// destinations the change can affect, and SetDemand/ReplaceDemands
+// re-propagate only the destinations whose demand columns changed. The
+// rest of the state is kept bit-for-bit.
 //
 // The Evaluator owns the traffic matrix handed to NewEvaluator for its
 // lifetime: demand events mutate it so it always describes the current
@@ -48,7 +48,8 @@ type Evaluator struct {
 	cost    float64      // Fortz-Thorup cost of total
 
 	ws       *graph.Workspace
-	affected []int // scratch for SetWeight's affected-destination screen
+	affected []int     // scratch for the weight events' affected-destination screen
+	prev     []float64 // scratch: the weights a weight event replaced
 }
 
 // Metrics is the engine's read-out of one routing state: the
@@ -180,67 +181,65 @@ func (ev *Evaluator) Reevaluate(weights []float64) error {
 	return nil
 }
 
-// Rebind re-anchors the evaluator onto a different topology with the
-// same node set — a failure variant of the intact graph, or the intact
-// graph restored — and fully re-evaluates under the given weights (in
-// the new graph's link ID space). Demand state carries over untouched:
-// demand columns are node-indexed and every per-destination arena is
-// resized in place, so after the first flap a warm engine survives
-// LinkDown/LinkUp without reallocating its state. If re-evaluation
-// fails (a demand the new topology cannot route), the state is left
-// inconsistent and the caller must Rebind back to a routable topology.
-func (ev *Evaluator) Rebind(g *graph.Graph, weights []float64) error {
-	if g.NumNodes() != ev.g.NumNodes() {
-		return fmt.Errorf("%w: rebind changes node count %d to %d", ErrBadInput, ev.g.NumNodes(), g.NumNodes())
-	}
-	if g.NumLinks() == 0 {
-		return fmt.Errorf("%w: graph has no links", ErrBadInput)
-	}
-	if len(weights) != g.NumLinks() {
-		return fmt.Errorf("%w: got %d weights for %d links", ErrBadInput, len(weights), g.NumLinks())
-	}
-	ev.g = g
-	m := g.NumLinks()
-	ev.caps = growFloats(ev.caps, m)
-	for e := 0; e < m; e++ {
-		ev.caps[e] = g.Link(e).Cap
-	}
-	ev.w = growFloats(ev.w, m)
-	ev.total = growFloats(ev.total, m)
-	for i := range ev.dests {
-		ev.splits[i] = growFloats(ev.splits[i], m)
-		ev.flows[i] = growFloats(ev.flows[i], m)
-	}
-	ev.ws.Reset(g)
-	return ev.Reevaluate(weights)
+// SetWeight applies one single-link weight change incrementally — the
+// one-link case of setWeights. Allocation-free in steady state.
+func (ev *Evaluator) SetWeight(link int, w float64) error {
+	return ev.setWeights([]int{link}, []float64{w})
 }
 
-// SetWeight applies one single-link weight change incrementally:
-// destinations the change cannot affect (see appendAffected) keep their
-// DAGs, splits and flows untouched; affected ones are re-routed in
-// place. The aggregate flow is then re-summed over every destination in
-// order, so the resulting state — flows, total and cost — is
-// bit-identical to Reevaluate on the modified vector. Allocation-free
-// in steady state.
-func (ev *Evaluator) SetWeight(link int, w float64) error {
-	if link < 0 || link >= ev.g.NumLinks() {
-		return fmt.Errorf("%w: link %d out of range", ErrBadInput, link)
+// setWeights applies one atomic weight event: link links[k] takes
+// weight w[k]. Destinations the change cannot affect (see
+// appendAffected) keep their DAGs, splits and flows untouched; affected
+// ones are re-routed in place. The aggregate flow is then re-summed
+// over every destination in order, so the resulting state — flows,
+// total and cost — is bit-identical to Reevaluate on the modified
+// vector. If an affected destination cannot be routed under the new
+// weights (a stranded demand), the old weights come back and the
+// destinations already re-routed are evaluated again under them, which
+// rebuilds them bit for bit: the event is rejected with ErrBadInput and
+// the state is untouched. Allocation-free in steady state.
+func (ev *Evaluator) setWeights(links []int, w []float64) error {
+	if err := ev.checkEvent(links, w); err != nil {
+		return err
 	}
-	if math.IsNaN(w) || w < 0 {
-		return fmt.Errorf("%w: weight %v for link %d", ErrBadInput, w, link)
+	ev.affected = ev.appendAffected(ev.affected[:0], links, w)
+	ev.prev = ev.prev[:0]
+	for k, l := range links {
+		ev.prev = append(ev.prev, ev.w[l])
+		ev.w[l] = w[k]
 	}
-	if w == ev.w[link] {
-		return nil
-	}
-	ev.affected = ev.appendAffected(ev.affected[:0], link, w)
-	ev.w[link] = w
-	for _, i := range ev.affected {
+	for k, i := range ev.affected {
 		if err := ev.evalDestInto(ev.ws, ev.w, i, ev.dags[i], ev.splits[i], ev.flows[i]); err != nil {
+			for j, l := range links {
+				ev.w[l] = ev.prev[j]
+			}
+			for _, i := range ev.affected[:k+1] {
+				// Cannot fail: the old weights routed every destination.
+				_ = ev.evalDestInto(ev.ws, ev.w, i, ev.dags[i], ev.splits[i], ev.flows[i])
+			}
+			ev.affected = ev.affected[:0]
 			return err
 		}
 	}
 	if len(ev.affected) > 0 {
 		ev.recomputeCost()
+	}
+	return nil
+}
+
+// checkEvent validates one weight event: every link in range and listed
+// once, every weight non-negative and not NaN (+Inf is a failed link).
+func (ev *Evaluator) checkEvent(links []int, w []float64) error {
+	for k, l := range links {
+		if l < 0 || l >= ev.g.NumLinks() {
+			return fmt.Errorf("%w: link %d out of range", ErrBadInput, l)
+		}
+		if math.IsNaN(w[k]) || w[k] < 0 {
+			return fmt.Errorf("%w: weight %v for link %d", ErrBadInput, w[k], l)
+		}
+		if slices.Contains(links[:k], l) {
+			return fmt.Errorf("%w: link %d listed twice", ErrBadInput, l)
+		}
 	}
 	return nil
 }
@@ -367,7 +366,7 @@ func (ev *Evaluator) ReplaceDemands(m *traffic.Matrix) error {
 	for _, i := range changed {
 		m.ToDestinationInto(ev.dests[i], ev.demands[i])
 		if err := ev.ws.PropagateDownInto(ev.g, ev.dags[i], ev.demands[i], ev.splits[i], ev.flows[i]); err != nil {
-			return fmt.Errorf("delta: destination %d: %w", ev.dests[i], err)
+			return unroutable(ev.dests[i], err)
 		}
 	}
 	if len(removed) > 0 || len(fresh) > 0 {
@@ -409,7 +408,7 @@ func (ev *Evaluator) buildDestFrom(m *traffic.Matrix, t int) (destState, error) 
 	st.dag.CopyFrom(built)
 	graph.EvenSplitsInto(ev.g, st.dag, st.split)
 	if err := ev.ws.PropagateDownInto(ev.g, st.dag, st.demand, st.split, st.flow); err != nil {
-		return destState{}, fmt.Errorf("delta: destination %d: %w", t, err)
+		return destState{}, unroutable(t, err)
 	}
 	return st, nil
 }
@@ -500,11 +499,12 @@ func equalColumn(a, b []float64) bool {
 	return true
 }
 
-// appendAffected appends the indices (into Destinations order) of the
-// destinations whose shortest-path state can change when link e's
-// weight moves from its current value to w. The screen is exact, not
-// heuristic: for an unlisted destination the distances, the DAG, the
-// splits and the propagated flow are all bitwise unchanged.
+// appendAffected appends the indices (into Destinations order,
+// increasing and distinct) of the destinations whose shortest-path
+// state can change when each link links[k] moves from its current
+// weight to w[k]. The screen is exact, not heuristic: for an unlisted
+// destination the distances, the DAG, the splits and the propagated
+// flow are all bitwise unchanged.
 //
 // Let e = (u,v) with destination-rooted distances du, dv.
 //
@@ -515,29 +515,46 @@ func equalColumn(a, b []float64) bool {
 //     vector, realized by paths that avoid e, remains optimal — and
 //     every membership test other than e's reads unchanged inputs while
 //     e's slack stays above the band.
-//   - Increase: only current members of the equal-cost band
-//     (dv < du and dv + w_old - du <= eps) can change; a non-member's
-//     slack only grows and no shortest path uses it.
+//   - Increase: only links on a shortest path (dv + w_old - du <= eps)
+//     can change anything; any other link's slack only grows and no
+//     shortest path uses it. Those are the DAG's members plus the
+//     zero-weight links between equidistant nodes, which the DAG leaves
+//     out (dv < du fails) but which may still carry u's only shortest
+//     path. A failure is the increase to +Inf, so under positive
+//     weights it re-routes exactly the destinations whose DAG holds the
+//     link.
 //
 // If v cannot reach the destination, no path through e ever reaches it
-// and the destination is unaffected either way.
-func (ev *Evaluator) appendAffected(buf []int, e int, w float64) []int {
-	l := ev.g.Link(e)
-	old := ev.w[e]
-	for i, dag := range ev.dags {
-		du, dv := dag.Dist[l.From], dag.Dist[l.To]
-		if dv == graph.Unreachable {
+// and the destination is unaffected either way. Each link's test reads
+// only the old distances, so for a set of links the union of the
+// per-link screens is exact too: a destination none of them admits
+// keeps every Bellman inequality and every membership test at once.
+func (ev *Evaluator) appendAffected(buf []int, links []int, w []float64) []int {
+	start := len(buf)
+	for k, e := range links {
+		l, old, nw := ev.g.Link(e), ev.w[e], w[k]
+		if nw == old {
 			continue
 		}
-		if w < old {
-			if du == graph.Unreachable || dv+w-du <= dagEps {
-				buf = append(buf, i)
+		for i, dag := range ev.dags {
+			du, dv := dag.Dist[l.From], dag.Dist[l.To]
+			if dv == graph.Unreachable {
+				continue
 			}
-		} else {
-			if du != graph.Unreachable && dv < du && dv+old-du <= dagEps {
-				buf = append(buf, i)
+			if nw < old {
+				if du == graph.Unreachable || dv+nw-du <= dagEps {
+					buf = append(buf, i)
+				}
+			} else {
+				if du != graph.Unreachable && dv+old-du <= dagEps {
+					buf = append(buf, i)
+				}
 			}
 		}
+	}
+	if len(links) > 1 {
+		slices.Sort(buf[start:])
+		buf = buf[:start+len(slices.Compact(buf[start:]))]
 	}
 	return buf
 }
@@ -553,9 +570,16 @@ func (ev *Evaluator) evalDestInto(ws *graph.Workspace, w []float64, i int, dag *
 	dag.CopyFrom(built)
 	graph.EvenSplitsInto(ev.g, dag, ratio)
 	if err := ws.PropagateDownInto(ev.g, dag, ev.demands[i], ratio, flow); err != nil {
-		return fmt.Errorf("delta: destination %d: %w", ev.dests[i], err)
+		return unroutable(ev.dests[i], err)
 	}
 	return nil
+}
+
+// unroutable reports a destination the event's inputs leave unroutable
+// (a stranded demand, or a node with traffic but no DAG out-link): the
+// client's inputs, not the engine, are at fault.
+func unroutable(dst int, err error) error {
+	return fmt.Errorf("%w: destination %d: %w", ErrBadInput, dst, err)
 }
 
 // recomputeCost re-sums the aggregate flow over every destination in
@@ -611,15 +635,6 @@ func utilityOf(caps, flows []float64) float64 {
 	return total
 }
 
-// growFloats returns a slice of length n, reusing s's storage when it
-// is large enough.
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
 // Scratch is the private arena one worker needs to score candidates
 // against a shared Evaluator with the Try* queries: a workspace, a
 // trial weight vector, demand/ratio/total buffers and
@@ -628,6 +643,7 @@ func growFloats(s []float64, n int) []float64 {
 type Scratch struct {
 	ws       *graph.Workspace
 	w        []float64
+	nw       []float64 // the new weights of an engine what-if's links
 	demand   []float64
 	ratio    []float64
 	total    []float64
@@ -646,9 +662,8 @@ func (ev *Evaluator) NewScratch() *Scratch {
 	}
 }
 
-// fit re-sizes the scratch for the evaluator's shape (scratches may be
-// pooled across the intact and failure-variant evaluators, whose link
-// counts differ).
+// fit re-sizes the scratch for the evaluator's shape (a scratch may be
+// handed to evaluators of different topologies).
 func (s *Scratch) fit(ev *Evaluator) {
 	m := ev.g.NumLinks()
 	if cap(s.w) < m {
@@ -685,7 +700,7 @@ func (s *Scratch) flowRow(k, links int) []float64 {
 // goroutines may call TryWeight on one Evaluator concurrently as long
 // as each brings its own Scratch and nothing mutates the evaluator.
 func (ev *Evaluator) TryWeight(s *Scratch, link int, w float64) (float64, error) {
-	changed, err := ev.tryWeightTotal(s, link, w)
+	changed, err := ev.tryWeightsTotal(s, []int{link}, []float64{w})
 	if err != nil {
 		return 0, err
 	}
@@ -699,7 +714,13 @@ func (ev *Evaluator) TryWeight(s *Scratch, link int, w float64) (float64, error)
 // the Metrics the evaluator would report after SetWeight(link, w),
 // bit-identical to applying the change, without mutating shared state.
 func (ev *Evaluator) TryWeightMetrics(s *Scratch, link int, w float64) (Metrics, error) {
-	changed, err := ev.tryWeightTotal(s, link, w)
+	return ev.tryWeights(s, []int{link}, []float64{w})
+}
+
+// tryWeights is the Metrics the evaluator would report after
+// setWeights(links, w), computed into s without mutating shared state.
+func (ev *Evaluator) tryWeights(s *Scratch, links []int, w []float64) (Metrics, error) {
+	changed, err := ev.tryWeightsTotal(s, links, w)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -713,28 +734,24 @@ func (ev *Evaluator) TryWeightMetrics(s *Scratch, link int, w float64) (Metrics,
 	}, nil
 }
 
-// tryWeightTotal is the shared core of the weight what-ifs: it fills
+// tryWeightsTotal is the shared core of the weight what-ifs: it fills
 // s.total with the aggregate flow the evaluator would hold after
-// SetWeight(link, w). changed is false when the hypothetical state is
-// the current one (same weight, or no affected destination) and s.total
-// was not filled.
-func (ev *Evaluator) tryWeightTotal(s *Scratch, link int, w float64) (changed bool, err error) {
-	if link < 0 || link >= ev.g.NumLinks() {
-		return false, fmt.Errorf("%w: link %d out of range", ErrBadInput, link)
-	}
-	if math.IsNaN(w) || w < 0 {
-		return false, fmt.Errorf("%w: weight %v for link %d", ErrBadInput, w, link)
-	}
-	if w == ev.w[link] {
-		return false, nil
+// setWeights(links, w), and s.affected with the destinations that
+// event re-routes. changed is false when the hypothetical state is the
+// current one (no affected destination) and s.total was not filled.
+func (ev *Evaluator) tryWeightsTotal(s *Scratch, links []int, w []float64) (changed bool, err error) {
+	if err := ev.checkEvent(links, w); err != nil {
+		return false, err
 	}
 	s.fit(ev)
-	s.affected = ev.appendAffected(s.affected[:0], link, w)
+	s.affected = ev.appendAffected(s.affected[:0], links, w)
 	if len(s.affected) == 0 {
 		return false, nil
 	}
 	copy(s.w, ev.w)
-	s.w[link] = w
+	for k, l := range links {
+		s.w[l] = w[k]
+	}
 	for k, i := range s.affected {
 		flow := s.flowRow(k, ev.g.NumLinks())
 		built, err := s.ws.BuildDAG(ev.g, s.w, ev.dests[i], dagTol)
@@ -743,7 +760,7 @@ func (ev *Evaluator) tryWeightTotal(s *Scratch, link int, w float64) (changed bo
 		}
 		graph.EvenSplitsInto(ev.g, built, s.ratio)
 		if err := s.ws.PropagateDownInto(ev.g, built, ev.demands[i], s.ratio, flow); err != nil {
-			return false, fmt.Errorf("delta: destination %d: %w", ev.dests[i], err)
+			return false, unroutable(ev.dests[i], err)
 		}
 	}
 	for j := range s.total {
@@ -816,7 +833,7 @@ func (ev *Evaluator) TryDemand(s *Scratch, src, dst int, v float64) (Metrics, er
 		}
 		graph.EvenSplitsInto(ev.g, built, s.ratio)
 		if err := s.ws.PropagateDownInto(ev.g, built, s.demand, s.ratio, flow); err != nil {
-			return Metrics{}, fmt.Errorf("delta: destination %d: %w", dst, err)
+			return Metrics{}, unroutable(dst, err)
 		}
 		insertAt = i
 	}

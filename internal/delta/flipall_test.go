@@ -1,15 +1,24 @@
 package delta
 
 import (
+	"errors"
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/routing"
+	"repro/internal/topo"
+	"repro/internal/traffic"
 )
 
 // TestFailLinksBatchedMatchesSequential: failing a set of links in one
 // FailLinks event must land on exactly the state a sequence of
-// single-link LinkDown events reaches (set semantics — one remap at the
-// end cannot differ from remap-per-flip), and RestoreLinks must undo it
-// the same way. Both paths are checked against from-scratch evaluation.
+// single-link LinkDown events reaches (set semantics — one weight event
+// for the whole set cannot differ from one per link), and RestoreLinks
+// must undo it the same way. Both paths are checked against
+// from-scratch evaluation.
 func TestFailLinksBatchedMatchesSequential(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		g, tm := randomInstance(t, seed, 9, 30)
@@ -69,9 +78,9 @@ func TestFailLinksBatchedMatchesSequential(t *testing.T) {
 }
 
 // TestFailLinksRejectedBatchRollsBack: a batch that strands a demand
-// (here: every link at once) must be rejected with the engine restored
-// to its pre-event state bit-for-bit, even though some flags were
-// already applied when the remap failed.
+// (here: every link at once) must be rejected with ErrBadInput and the
+// engine restored to its pre-event state bit-for-bit, whatever it had
+// re-routed before it met the stranded destination.
 func TestFailLinksRejectedBatchRollsBack(t *testing.T) {
 	g, tm := randomInstance(t, 2, 8, 24)
 	w := make([]float64, g.NumLinks())
@@ -86,8 +95,12 @@ func TestFailLinksRejectedBatchRollsBack(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	if err := en.FailLinks(all...); err == nil {
-		t.Fatal("failing every link succeeded, want rejection")
+	before := snapshot(en.Evaluator())
+	if err := en.FailLinks(all...); !errors.Is(err, ErrBadInput) {
+		t.Fatalf("failing every link: %v, want ErrBadInput", err)
+	}
+	if err := en.Evaluator().Equal(before); err != nil {
+		t.Fatalf("rejected whole-graph failure changed the state: %v", err)
 	}
 	if len(en.Down()) != 0 {
 		t.Fatalf("%d links down after rejected batch, want 0", len(en.Down()))
@@ -165,4 +178,182 @@ func TestFailLinksEmptyAndInvalid(t *testing.T) {
 		t.Fatalf("%d links down after invalid batches", len(en.Down()))
 	}
 	checkOracle(t, en, "after invalid batches")
+}
+
+// TestRejectedInfiniteWeightLeavesStateUntouched: on the line 0↔1↔2
+// with demands 0→2 and 2→0, pushing weight +Inf onto link 1→2 strands
+// 0→2. The push must be rejected with ErrBadInput and leave the state
+// bitwise untouched — evaluator weights included — and equal to
+// from-scratch.
+func TestRejectedInfiniteWeightLeavesStateUntouched(t *testing.T) {
+	g := graph.New(3)
+	for _, p := range [][2]int{{0, 1}, {1, 2}} {
+		if _, _, err := g.AddDuplex(p[0], p[1], 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tm := traffic.NewMatrix(3)
+	if err := tm.Set(0, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := tm.Set(2, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	en, err := NewEngine(g, tm, []float64{1, 1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := snapshot(en.Evaluator())
+	if l := g.Link(2); l.From != 1 || l.To != 2 {
+		t.Fatalf("link 2 is %d->%d, want 1->2", l.From, l.To)
+	}
+	if err := en.SetWeight(2, math.Inf(1)); !errors.Is(err, ErrBadInput) {
+		t.Fatalf("SetWeight(2, +Inf) = %v, want ErrBadInput", err)
+	}
+	if err := en.Evaluator().Equal(before); err != nil {
+		t.Fatalf("rejected +Inf push changed the state: %v", err)
+	}
+	if w := en.Weights()[2]; w != 1 {
+		t.Fatalf("recorded weight of link 2 is %v, want 1", w)
+	}
+	checkOracle(t, en, "after rejected +Inf push")
+}
+
+// abileneEngine is a warm engine on Abilene's canonical demands under
+// InvCap weights, with a link whose failure keeps every demand
+// routable.
+func abileneEngine(t *testing.T) (*Engine, int) {
+	t.Helper()
+	g := topo.Abilene()
+	tm, err := traffic.CanonicalMatrix("Abilene", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	en, err := NewEngine(g, tm, routing.InvCapWeights(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < g.NumLinks(); e++ {
+		if en.LinkDown(e) == nil {
+			if err := en.LinkUp(e); err != nil {
+				t.Fatal(err)
+			}
+			return en, e
+		}
+	}
+	t.Fatal("no single Abilene link can fail without stranding demand")
+	return nil, 0
+}
+
+// TestFailureEventsAllocationFree pins the failure hot paths: on a warm
+// Abilene engine, LinkDown, LinkUp and WhatIfLinkDown allocate nothing
+// in steady state.
+func TestFailureEventsAllocationFree(t *testing.T) {
+	en, link := abileneEngine(t)
+	cases := []struct {
+		name   string
+		pooled bool // draws its scratch from the engine's sync.Pool
+		op     func()
+	}{
+		{"LinkDown+LinkUp", false, func() {
+			if err := en.LinkDown(link); err != nil {
+				t.Fatal(err)
+			}
+			if err := en.LinkUp(link); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"WhatIfLinkDown", true, func() {
+			if _, err := en.WhatIfLinkDown(link); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, c := range cases {
+		if c.pooled && raceEnabled {
+			continue // -race makes sync.Pool drop scratches at random
+		}
+		c.op() // warm the arenas and the scratch pool
+		if allocs := testing.AllocsPerRun(100, c.op); allocs > 0 {
+			t.Errorf("%s allocates %v allocs/op in steady state, want 0", c.name, allocs)
+		}
+	}
+}
+
+// TestReroutedCountsScreenedDestinations: a single link-down re-routes
+// exactly the destinations whose shortest-path DAG held the link,
+// counted here independently on fresh DAGs; its what-if counts the
+// same, and a rejected failure counts nothing.
+func TestReroutedCountsScreenedDestinations(t *testing.T) {
+	en, _ := abileneEngine(t)
+	g, w := en.Graph(), en.Weights()
+	dests := en.Evaluator().Matrix().Destinations()
+	for e := 0; e < g.NumLinks(); e++ {
+		want := 0
+		for _, d := range dests {
+			dag, err := graph.BuildDAG(g, w, d, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dag.HasLink(g, e) {
+				want++
+			}
+		}
+		before := en.Rerouted()
+		_, werr := en.WhatIfLinkDown(e)
+		whatIf := en.Rerouted() - before
+		err := en.LinkDown(e)
+		event := en.Rerouted() - before - whatIf
+		if err != nil {
+			if werr == nil || whatIf != 0 || event != 0 {
+				t.Fatalf("link %d: rejected failure (%v, what-if %v) counted %d+%d re-routes", e, err, werr, whatIf, event)
+			}
+			continue
+		}
+		if whatIf != uint64(want) || event != uint64(want) {
+			t.Fatalf("link %d: what-if re-routed %d and LinkDown %d destinations, %d DAGs hold the link",
+				e, whatIf, event, want)
+		}
+		if err := en.LinkUp(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestConcurrentWhatIfsMatchSequential: failure what-ifs on pooled
+// scratches and weight what-ifs on private ones may run from several
+// goroutines against one engine; each answer must equal the sequential
+// one (run under -race, this also checks they share no unsynchronized
+// state).
+func TestConcurrentWhatIfsMatchSequential(t *testing.T) {
+	en, _ := abileneEngine(t)
+	m := en.NumLinks()
+	type answer struct {
+		m  Metrics
+		ok bool
+	}
+	ask := func(s *Scratch, e int) [2]answer {
+		down, derr := en.WhatIfLinkDown(e)
+		weight, werr := en.WhatIfWeight(s, e, 3*en.Weights()[e])
+		return [2]answer{{down, derr == nil}, {weight, werr == nil}}
+	}
+	want := make([][2]answer, m)
+	s := en.NewScratch()
+	for e := range want {
+		want[e] = ask(s, e)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := en.NewScratch()
+			for e := range want {
+				if got := ask(s, e); got != want[e] {
+					t.Errorf("link %d: concurrent what-ifs %+v, sequential %+v", e, got, want[e])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -159,12 +159,15 @@ type MetricsResponse struct {
 	Links        int     `json:"links"`
 }
 
-// EventStats summarizes one event type's latency distribution.
+// EventStats summarizes one event type's latency distribution and how
+// many destinations its events re-routed in total (diagnostics: how
+// much work the engine's exact screen left to do).
 type EventStats struct {
-	Count   uint64 `json:"count"`
-	TotalNs int64  `json:"total_ns"`
-	P50Ns   int64  `json:"p50_ns"`
-	P99Ns   int64  `json:"p99_ns"`
+	Count    uint64 `json:"count"`
+	TotalNs  int64  `json:"total_ns"`
+	P50Ns    int64  `json:"p50_ns"`
+	P99Ns    int64  `json:"p99_ns"`
+	Rerouted uint64 `json:"rerouted"`
 }
 
 // TopoStats is one topology's /statz entry.
@@ -196,16 +199,18 @@ const latSamples = 4096
 // latRecorder accumulates one event type's latencies. It is only
 // touched from the instance's event loop.
 type latRecorder struct {
-	count   uint64
-	totalNs int64
-	ring    []int64
-	next    int
-	full    bool
+	count    uint64
+	totalNs  int64
+	rerouted uint64
+	ring     []int64
+	next     int
+	full     bool
 }
 
-func (r *latRecorder) record(d time.Duration) {
+func (r *latRecorder) record(d time.Duration, rerouted uint64) {
 	r.count++
 	r.totalNs += d.Nanoseconds()
+	r.rerouted += rerouted
 	if r.ring == nil {
 		r.ring = make([]int64, 0, 64)
 	}
@@ -221,7 +226,7 @@ func (r *latRecorder) record(d time.Duration) {
 }
 
 func (r *latRecorder) stats() EventStats {
-	s := EventStats{Count: r.count, TotalNs: r.totalNs}
+	s := EventStats{Count: r.count, TotalNs: r.totalNs, Rerouted: r.rerouted}
 	if len(r.ring) == 0 {
 		return s
 	}
@@ -294,16 +299,18 @@ func (in *instance) run(f func()) bool {
 func (in *instance) close() { in.once.Do(func() { close(in.closed) }) }
 
 // timed runs one event body on the calling (loop) goroutine and
-// records its latency under the event type.
+// records its latency and re-routed destinations under the event type.
 func (in *instance) timed(typ string, f func() error) error {
+	rerouted := in.eng.Rerouted()
 	start := time.Now()
 	err := f()
+	d := time.Since(start)
 	rec := in.lat[typ]
 	if rec == nil {
 		rec = &latRecorder{}
 		in.lat[typ] = rec
 	}
-	rec.record(time.Since(start))
+	rec.record(d, in.eng.Rerouted()-rerouted)
 	return err
 }
 

@@ -139,6 +139,10 @@ func TestServeLifecycle(t *testing.T) {
 	if st.Events["set-weight"].Count != 1 || st.Events["whatif"].Count != 1 {
 		t.Fatalf("statz event counts: %+v", st.Events)
 	}
+	// The what-if re-routes exactly the destinations its event then does.
+	if r := st.Events["set-weight"].Rerouted; r == 0 || r != st.Events["whatif"].Rerouted {
+		t.Fatalf("statz re-routed destinations: %+v", st.Events)
+	}
 	if st.FootprintBytes <= 0 {
 		t.Fatalf("statz footprint: %d", st.FootprintBytes)
 	}
@@ -199,6 +203,30 @@ func TestServeBadRequests(t *testing.T) {
 	}}, &resp)
 	if code != http.StatusBadRequest || resp.Applied != 1 || resp.Error == "" {
 		t.Fatalf("partial batch: code=%d applied=%d error=%q", code, resp.Applied, resp.Error)
+	}
+
+	// A failure that strands a demand is the client's error too: the
+	// batch keeps its committed prefix (links 0 and 1 down), and neither
+	// the rejected link-down nor the same what-if changes the state.
+	loadTopology(t, ts.URL, serve.LoadRequest{Name: "b", Topology: "abilene"})
+	resp = serve.EventsResponse{}
+	code = doJSON(t, "POST", ts.URL+"/v1/topologies/b/events", serve.EventsRequest{Events: []serve.Event{
+		{Type: "link-down", Link: 0}, {Type: "link-down", Link: 1}, {Type: "link-down", Link: 2},
+	}}, &resp)
+	if code != http.StatusBadRequest || resp.Applied != 2 || resp.Error == "" {
+		t.Fatalf("stranding batch: code=%d applied=%d error=%q", code, resp.Applied, resp.Error)
+	}
+	var before, after serve.MetricsResponse
+	doJSON(t, "GET", ts.URL+"/v1/topologies/b/metrics", nil, &before)
+	if before.Metrics != resp.Metrics || fmt.Sprint(before.Down) != "[0 1]" {
+		t.Fatalf("after stranding batch: metrics %+v down %v, batch reported %+v", before.Metrics, before.Down, resp.Metrics)
+	}
+	if code := doJSON(t, "POST", ts.URL+"/v1/topologies/b/whatif", serve.Event{Type: "link-down", Link: 2}, nil); code != http.StatusBadRequest {
+		t.Fatalf("stranding whatif: status %d, want %d", code, http.StatusBadRequest)
+	}
+	doJSON(t, "GET", ts.URL+"/v1/topologies/b/metrics", nil, &after)
+	if after.Metrics != before.Metrics || fmt.Sprint(after.Down) != fmt.Sprint(before.Down) {
+		t.Fatalf("stranding whatif changed the state: %+v, was %+v", after, before)
 	}
 }
 
