@@ -1,7 +1,7 @@
 package spef_test
 
-// One benchmark per table and figure of the paper's evaluation, driving
-// the same runners as cmd/spef at full fidelity, plus ablation benches
+// One sub-benchmark per table and figure of the paper's evaluation,
+// driving the same table as cmd/spef at full fidelity, plus ablation benches
 // for the design choices called out in DESIGN.md. Regenerate the
 // recorded numbers with:
 //
@@ -9,7 +9,6 @@ package spef_test
 
 import (
 	"context"
-	"io"
 	"math"
 	"testing"
 
@@ -23,60 +22,20 @@ import (
 	"repro/internal/traffic"
 )
 
-func benchExperiment[T interface{ Format(io.Writer) }](b *testing.B, run func(context.Context, experiments.Options) (T, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		if _, err := run(context.Background(), experiments.Options{}); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkExperiments regenerates each table and figure of the
+// experiment table at full fidelity, one sub-benchmark per entry
+// (BenchmarkExperiments/fig10 is the heaviest).
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.All {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(context.Background(), experiments.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
-
-// BenchmarkTable1 regenerates TABLE I (weights & utilizations per
-// objective on the Fig. 1 network).
-func BenchmarkTable1(b *testing.B) { benchExperiment(b, experiments.RunTable1) }
-
-// BenchmarkFig2 regenerates Fig. 2 (link-cost curves).
-func BenchmarkFig2(b *testing.B) { benchExperiment(b, experiments.RunFig2) }
-
-// BenchmarkFig3 regenerates Fig. 3 (weights/utilizations vs beta).
-func BenchmarkFig3(b *testing.B) { benchExperiment(b, experiments.RunFig3) }
-
-// BenchmarkFig6 regenerates Fig. 6 (per-link utilizations, simple net).
-func BenchmarkFig6(b *testing.B) { benchExperiment(b, experiments.RunFig67) }
-
-// BenchmarkFig7 regenerates Fig. 7 (first & second weights, simple net;
-// shares the Fig. 6 runner).
-func BenchmarkFig7(b *testing.B) { benchExperiment(b, experiments.RunFig67) }
-
-// BenchmarkTable3 regenerates TABLE III (network inventory).
-func BenchmarkTable3(b *testing.B) { benchExperiment(b, experiments.RunTable3) }
-
-// BenchmarkFig9 regenerates Fig. 9 (sorted link utilizations).
-func BenchmarkFig9(b *testing.B) { benchExperiment(b, experiments.RunFig9) }
-
-// BenchmarkFig10 regenerates Fig. 10 (utility vs load on 7 networks —
-// the heaviest experiment).
-func BenchmarkFig10(b *testing.B) { benchExperiment(b, experiments.RunFig10) }
-
-// BenchmarkFig11 regenerates Fig. 11 (packet-level SPEF vs PEFT).
-func BenchmarkFig11(b *testing.B) { benchExperiment(b, experiments.RunFig11) }
-
-// BenchmarkTable5 regenerates TABLE V (equal-cost path counts).
-func BenchmarkTable5(b *testing.B) { benchExperiment(b, experiments.RunTable5) }
-
-// BenchmarkFig12 regenerates Fig. 12 (dual-objective convergence).
-func BenchmarkFig12(b *testing.B) { benchExperiment(b, experiments.RunFig12) }
-
-// BenchmarkFig13 regenerates Fig. 13 (integer vs real weights).
-func BenchmarkFig13(b *testing.B) { benchExperiment(b, experiments.RunFig13) }
-
-// BenchmarkControl regenerates the control-plane overhead extension
-// (LSA flooding cost of the second weight).
-func BenchmarkControl(b *testing.B) { benchExperiment(b, experiments.RunControl) }
-
-// BenchmarkFailure regenerates the link-failure robustness extension.
-func BenchmarkFailure(b *testing.B) { benchExperiment(b, experiments.RunFailure) }
 
 // --- Ablation and primitive benches -----------------------------------
 

@@ -46,45 +46,11 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"sort"
 	"syscall"
 	"time"
 
 	"repro/internal/experiments"
 )
-
-type runner func(context.Context, experiments.Options) (interface{ Format(io.Writer) }, error)
-
-func wrap[T interface{ Format(io.Writer) }](f func(context.Context, experiments.Options) (T, error)) runner {
-	return func(ctx context.Context, o experiments.Options) (interface{ Format(io.Writer) }, error) {
-		return f(ctx, o)
-	}
-}
-
-var registry = map[string]runner{
-	"table1": wrap(experiments.RunTable1),
-	"fig2":   wrap(experiments.RunFig2),
-	"fig3":   wrap(experiments.RunFig3),
-	"fig6":   wrap(experiments.RunFig67),
-	"fig7":   wrap(experiments.RunFig67),
-	"table3": wrap(experiments.RunTable3),
-	"fig9":   wrap(experiments.RunFig9),
-	"fig10":  wrap(experiments.RunFig10),
-	"fig11":  wrap(experiments.RunFig11),
-	"table5": wrap(experiments.RunTable5),
-	"fig12":  wrap(experiments.RunFig12),
-	"fig13":  wrap(experiments.RunFig13),
-	// Extensions beyond the paper (see EXPERIMENTS.md):
-	"control": wrap(experiments.RunControl),
-	"failure": wrap(experiments.RunFailure),
-}
-
-// order lists experiments in the paper's presentation order; the
-// extensions run last.
-var order = []string{
-	"table1", "fig2", "fig3", "fig6", "table3", "fig9", "fig10",
-	"fig11", "table5", "fig12", "fig13", "control", "failure",
-}
 
 // commands are the subcommands `spef <name> [flags]` dispatches to, in
 // the order usage lists them. usage holds each one's synopses.
@@ -118,57 +84,52 @@ func main() {
 	}
 	quick := flag.Bool("quick", false, "reduced-fidelity run (fast)")
 	workers := flag.Int("workers", 0, "concurrent cells in sweeping experiments (0 = GOMAXPROCS)")
-	flag.Usage = usage
+	flag.Usage = func() { usage(os.Stderr) }
 	flag.Parse()
 	if flag.NArg() == 0 {
-		usage()
+		usage(os.Stderr)
 		os.Exit(2)
-	}
-	names := flag.Args()
-	if len(names) == 1 && names[0] == "all" {
-		names = order
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, names, experiments.Options{Quick: *quick, Workers: *workers}); err != nil {
+	if err := run(ctx, os.Stdout, flag.Args(), experiments.Options{Quick: *quick, Workers: *workers}); err != nil {
 		fmt.Fprintln(os.Stderr, "spef:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, names []string, opts experiments.Options) error {
+// run runs the named experiments in order, "all" alone naming the
+// whole table, and prints each under a "== name (N.Ns) ==" header.
+func run(ctx context.Context, w io.Writer, names []string, opts experiments.Options) error {
+	if len(names) == 1 && names[0] == "all" {
+		names = nil
+		for _, e := range experiments.All {
+			names = append(names, e.Name)
+		}
+	}
 	for _, name := range names {
-		r, ok := registry[name]
+		e, ok := experiments.Lookup(name)
 		if !ok {
-			return fmt.Errorf("unknown experiment %q (try: %v)", name, known())
+			return fmt.Errorf("unknown experiment %q (try: %v)", name, experiments.Names())
 		}
 		start := time.Now()
-		res, err := r(ctx, opts)
+		res, err := e.Run(ctx, opts)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		fmt.Printf("== %s (%.1fs) ==\n", name, time.Since(start).Seconds())
-		res.Format(os.Stdout)
-		fmt.Println()
+		fmt.Fprintf(w, "== %s (%.1fs) ==\n", name, time.Since(start).Seconds())
+		res.Format(w)
+		fmt.Fprintln(w)
 	}
 	return nil
 }
 
-func known() []string {
-	names := make([]string, 0, len(registry))
-	for k := range registry {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: spef [-quick] [-workers N] <experiment>... | all")
+func usage(w io.Writer) {
+	fmt.Fprintln(w, "usage: spef [-quick] [-workers N] <experiment>... | all")
 	for _, c := range commands {
 		for _, u := range c.usage {
-			fmt.Fprintln(os.Stderr, "       spef", u)
+			fmt.Fprintln(w, "       spef", u)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "experiments: %v\n", known())
+	fmt.Fprintf(w, "experiments: %v\n", experiments.Names())
 }

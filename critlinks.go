@@ -126,7 +126,7 @@ func RankCriticalLinks(ctx context.Context, n *Network, d *Demands, opts Critica
 	}
 	en, err := delta.NewEngine(n.g, d.m, w)
 	if err != nil {
-		return nil, err
+		return nil, asBadInput(err)
 	}
 	base := en.Metrics().MLU
 	scratches := make(chan *delta.Scratch, min(workers, len(units)))

@@ -47,7 +47,7 @@ func NewDeltaEngine(n *Network, d *Demands, weights []float64) (*DeltaEngine, er
 	}
 	en, err := delta.NewEngine(n.g, d.m, weights)
 	if err != nil {
-		return nil, err
+		return nil, asBadInput(err)
 	}
 	return &DeltaEngine{en: en}, nil
 }
@@ -92,20 +92,22 @@ func (e *DeltaEngine) Rerouted() uint64 { return e.en.Rerouted() }
 // re-routed incrementally — only destinations the change can affect are
 // recomputed; a down link's weight takes effect when LinkUp restores
 // it.
-func (e *DeltaEngine) SetWeight(link int, w float64) error { return e.en.SetWeight(link, w) }
+func (e *DeltaEngine) SetWeight(link int, w float64) error {
+	return asBadInput(e.en.SetWeight(link, w))
+}
 
 // LinkDown fails one intact link: its weight goes to +Inf, and only
 // the destinations whose routing used it are re-routed. A failure that
 // would strand a positive demand is rejected with the state untouched.
-func (e *DeltaEngine) LinkDown(link int) error { return e.en.LinkDown(link) }
+func (e *DeltaEngine) LinkDown(link int) error { return asBadInput(e.en.LinkDown(link)) }
 
 // LinkUp restores one failed link under its recorded weight.
-func (e *DeltaEngine) LinkUp(link int) error { return e.en.LinkUp(link) }
+func (e *DeltaEngine) LinkUp(link int) error { return asBadInput(e.en.LinkUp(link)) }
 
 // SetDemand updates one demand entry, re-propagating only the affected
 // destination.
 func (e *DeltaEngine) SetDemand(src, dst int, volume float64) error {
-	return e.en.SetDemand(src, dst, volume)
+	return asBadInput(e.en.SetDemand(src, dst, volume))
 }
 
 // StepDemands advances to the next demand matrix of a temporal
@@ -115,19 +117,21 @@ func (e *DeltaEngine) StepDemands(d *Demands) error {
 	if d == nil {
 		return fmt.Errorf("%w: nil demands", ErrBadInput)
 	}
-	return e.en.StepDemands(d.m)
+	return asBadInput(e.en.StepDemands(d.m))
 }
 
 // WhatIfWeight returns the metrics the engine would report after
 // SetWeight(link, w), without committing it.
 func (e *DeltaEngine) WhatIfWeight(s *DeltaScratch, link int, w float64) (DeltaMetrics, error) {
-	return e.en.WhatIfWeight(s, link, w)
+	m, err := e.en.WhatIfWeight(s, link, w)
+	return m, asBadInput(err)
 }
 
 // WhatIfDemand returns the metrics the engine would report after
 // SetDemand(src, dst, volume), without committing it.
 func (e *DeltaEngine) WhatIfDemand(s *DeltaScratch, src, dst int, volume float64) (DeltaMetrics, error) {
-	return e.en.WhatIfDemand(s, src, dst, volume)
+	m, err := e.en.WhatIfDemand(s, src, dst, volume)
+	return m, asBadInput(err)
 }
 
 // WhatIfLinkDown returns the metrics the engine would report after
@@ -135,12 +139,14 @@ func (e *DeltaEngine) WhatIfDemand(s *DeltaScratch, src, dst int, volume float64
 // the event, into a scratch the engine draws from an internal pool, so
 // it costs about what the event costs.
 func (e *DeltaEngine) WhatIfLinkDown(link int) (DeltaMetrics, error) {
-	return e.en.WhatIfLinkDown(link)
+	m, err := e.en.WhatIfLinkDown(link)
+	return m, asBadInput(err)
 }
 
 // WhatIfLinkUp returns the metrics the engine would report after
 // LinkUp(link), without committing it, on a pooled scratch like
 // WhatIfLinkDown.
 func (e *DeltaEngine) WhatIfLinkUp(link int) (DeltaMetrics, error) {
-	return e.en.WhatIfLinkUp(link)
+	m, err := e.en.WhatIfLinkUp(link)
+	return m, asBadInput(err)
 }

@@ -305,20 +305,6 @@ func TestForwardingTableFig1(t *testing.T) {
 	_ = g
 }
 
-func TestEqualCostPaths(t *testing.T) {
-	p, _, _ := buildFig1SPEF(t, 1)
-	n, err := p.EqualCostPaths(0, 2)
-	if err != nil {
-		t.Fatalf("EqualCostPaths: %v", err)
-	}
-	if n != 2 {
-		t.Errorf("equal-cost paths 1->3 = %d, want 2", n)
-	}
-	if _, err := p.EqualCostPaths(0, 1); !errors.Is(err, ErrBadInput) {
-		t.Errorf("missing dest: err = %v, want ErrBadInput", err)
-	}
-}
-
 func TestIntegerWeights(t *testing.T) {
 	w := []float64{3, 10, 1.5, 1.5}
 	spare := []float64{1.0 / 3.0, 0.1, 2.0 / 3.0, 2.0 / 3.0}

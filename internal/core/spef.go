@@ -62,10 +62,29 @@ func Build(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, obj *objecti
 	return p, nil
 }
 
+// EqualCostTol is the paper's equal-cost Dijkstra tolerance for first
+// weights w: 0.3 in the weight space normalized to the smallest weight,
+// that is 0.3 times the smallest weight. It is 0 when that product is
+// not a finite non-negative number (no weights, or an infinite or
+// negative smallest weight).
+func EqualCostTol(w []float64) float64 {
+	minW := math.Inf(1)
+	for _, x := range w {
+		if x < minW {
+			minW = x
+		}
+	}
+	tol := 0.3 * minW
+	if math.IsInf(tol, 0) || math.IsNaN(tol) || tol < 0 {
+		return 0
+	}
+	return tol
+}
+
 // BuildWithWeights assembles SPEF forwarding state from externally
 // supplied first weights and the optimal traffic distribution: it builds
 // the shortest-path DAGs under w (with the given equal-cost tolerance, 0
-// = auto) and runs Algorithm 2 for the second weights against the
+// = EqualCostTol(w)) and runs Algorithm 2 for the second weights against the
 // distribution's per-link budget. The per-destination tolerance widens
 // automatically until the DAG covers every link the optimal distribution
 // uses for that destination — Theorem 3.1 guarantees those links are on
@@ -80,13 +99,7 @@ func BuildWithWeights(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, w
 		return nil, fmt.Errorf("%w: optimal flow missing or sized wrong", ErrBadInput)
 	}
 	if tol == 0 {
-		minW := math.Inf(1)
-		for _, x := range w {
-			if x < minW {
-				minW = x
-			}
-		}
-		tol = 0.3 * minW
+		tol = EqualCostTol(w)
 	}
 	budget := flow.Total
 	var maxBudget float64
@@ -154,18 +167,6 @@ func (p *Protocol) Flow(tm *traffic.Matrix) (*mcf.Flow, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
 	return flow, err
-}
-
-// EqualCostPaths returns the number of equal-cost shortest paths the
-// protocol uses for the (src, dst) pair — the n_i statistic of the
-// paper's Table V.
-func (p *Protocol) EqualCostPaths(src, dst int) (int, error) {
-	d, ok := p.DAGs[dst]
-	if !ok {
-		return 0, fmt.Errorf("%w: no forwarding state for destination %d", ErrBadInput, dst)
-	}
-	counts := d.CountPaths(p.G)
-	return int(math.Round(counts[src])), nil
 }
 
 // NextHopEntry is one row of the SPEF forwarding table (paper Table II):

@@ -8,6 +8,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/objective"
+	"repro/internal/topo"
+	"repro/internal/traffic"
 )
 
 // Fig12Result reproduces paper Fig. 12: the evolution of the dual
@@ -24,11 +26,8 @@ type Fig12Result struct {
 // RunFig12 regenerates Fig. 12. Step ratios follow the paper's legends:
 // 2, 1, 0.5, 0.1 for Algorithm 1 and 2, 1, 0.5, 0.25 for Algorithm 2.
 func RunFig12(ctx context.Context, opts Options) (*Fig12Result, error) {
-	g, err := table3Net("Cernet2")
-	if err != nil {
-		return nil, err
-	}
-	base, err := networkTM("Cernet2", g)
+	g := topo.Cernet2()
+	base, err := traffic.CanonicalMatrix("Cernet2", g)
 	if err != nil {
 		return nil, err
 	}
@@ -73,15 +72,10 @@ func RunFig12(ctx context.Context, opts Options) (*Fig12Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	minW := first.W[0]
-	for _, w := range first.W {
-		if w < minW {
-			minW = w
-		}
-	}
+	tol := core.EqualCostTol(first.W)
 	dags := make(map[int]*graph.DAG)
 	for _, t := range tm.Destinations() {
-		d, err := graph.BuildDAG(g, first.W, t, 0.3*minW)
+		d, err := graph.BuildDAG(g, first.W, t, tol)
 		if err != nil {
 			return nil, err
 		}

@@ -2,10 +2,10 @@
 // evaluation (Section V). Each Run* function takes a context (cancelling
 // it aborts any optimization in flight) and produces a structured result
 // with a Format method that prints the same rows/series the paper
-// reports; cmd/spef and the top-level benchmarks drive them. Sweeps over
-// independent cells (Fig. 10's load grid, the failure study) execute
-// concurrently over Options.Workers workers with order-independent
-// results.
+// reports. All lists them in the paper's order; cmd/spef and the golden
+// test drive them through it. Sweeps over independent cells (Fig. 10's
+// load grid, the failure study) execute concurrently over
+// Options.Workers workers with order-independent results.
 //
 // The per-experiment index lives in DESIGN.md; paper-vs-measured numbers
 // are recorded in EXPERIMENTS.md.
@@ -16,15 +16,72 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"text/tabwriter"
 
 	spef "repro"
-	"repro/internal/core"
-	"repro/internal/graph"
-	"repro/internal/objective"
-	"repro/internal/topo"
-	"repro/internal/traffic"
 )
+
+// Result is a finished experiment; Format prints the rows or series
+// the paper reports.
+type Result interface{ Format(io.Writer) }
+
+// Experiment is one entry of the experiment table.
+type Experiment struct {
+	// Name selects the experiment on the command line.
+	Name string
+	// Alias, when set, is a second name for the same runner.
+	Alias string
+	// Run regenerates the experiment.
+	Run func(context.Context, Options) (Result, error)
+}
+
+// All is the experiment table in the paper's presentation order, the
+// extensions beyond the paper (see EXPERIMENTS.md) last. fig6 and fig7
+// share one runner, which prints both figures.
+var All = []Experiment{
+	{Name: "table1", Run: result(RunTable1)},
+	{Name: "fig2", Run: result(RunFig2)},
+	{Name: "fig3", Run: result(RunFig3)},
+	{Name: "fig6", Alias: "fig7", Run: result(RunFig67)},
+	{Name: "table3", Run: result(RunTable3)},
+	{Name: "fig9", Run: result(RunFig9)},
+	{Name: "fig10", Run: result(RunFig10)},
+	{Name: "fig11", Run: result(RunFig11)},
+	{Name: "table5", Run: result(RunTable5)},
+	{Name: "fig12", Run: result(RunFig12)},
+	{Name: "fig13", Run: result(RunFig13)},
+	{Name: "control", Run: result(RunControl)},
+	{Name: "failure", Run: result(RunFailure)},
+}
+
+// result adapts a runner returning its own result type to the table's.
+func result[T Result](run func(context.Context, Options) (T, error)) func(context.Context, Options) (Result, error) {
+	return func(ctx context.Context, o Options) (Result, error) { return run(ctx, o) }
+}
+
+// Lookup returns the experiment a name or alias selects.
+func Lookup(name string) (Experiment, bool) {
+	for _, e := range All {
+		if name == e.Name || (e.Alias != "" && name == e.Alias) {
+			return e, true
+		}
+	}
+	return Experiment{}, false
+}
+
+// Names returns every experiment name and alias, sorted.
+func Names() []string {
+	var names []string
+	for _, e := range All {
+		names = append(names, e.Name)
+		if e.Alias != "" {
+			names = append(names, e.Alias)
+		}
+	}
+	slices.Sort(names)
+	return names
+}
 
 // Options tunes experiment fidelity.
 type Options struct {
@@ -99,27 +156,6 @@ func fmtVal(v float64) string {
 	}
 }
 
-// networkTM builds the canonical traffic matrix of a Table III network;
-// the seeded construction lives in traffic.CanonicalMatrix so the public
-// topology registry serves the exact same workloads.
-func networkTM(id string, g *graph.Graph) (*traffic.Matrix, error) {
-	return traffic.CanonicalMatrix(id, g)
-}
-
-// buildSPEF runs the full SPEF pipeline with the experiment's iteration
-// budget and beta=1 (the evaluation's utility objective, Section V-B).
-func buildSPEF(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, beta float64, opts Options) (*core.Protocol, error) {
-	it1, it2 := opts.iters(g.NumNodes())
-	obj, err := objective.NewQBeta(beta, g.NumLinks(), nil)
-	if err != nil {
-		return nil, err
-	}
-	return core.Build(ctx, g, tm, obj, core.Options{
-		First:  core.FirstWeightOptions{MaxIters: it1},
-		Second: core.SecondWeightOptions{MaxIters: it2},
-	})
-}
-
 // optimizeSPEF runs spef.Optimize with the experiment's iteration
 // budget and the given beta.
 func optimizeSPEF(ctx context.Context, n *spef.Network, d *spef.Demands, beta float64, opts Options) (*spef.Protocol, error) {
@@ -134,18 +170,4 @@ func evaluateOSPF(ctx context.Context, n *spef.Network, d *spef.Demands) (*spef.
 		return nil, err
 	}
 	return routes.Evaluate(d)
-}
-
-// table3Net returns one Table III network by ID.
-func table3Net(id string) (*graph.Graph, error) {
-	nets, err := topo.Table3Networks()
-	if err != nil {
-		return nil, err
-	}
-	for _, n := range nets {
-		if n.ID == id {
-			return n.G, nil
-		}
-	}
-	return nil, fmt.Errorf("experiments: unknown network %q", id)
 }

@@ -59,51 +59,3 @@ func TestRunFailure(t *testing.T) {
 		t.Error("Format output missing stale column")
 	}
 }
-
-func TestFormatsDoNotPanic(t *testing.T) {
-	// Exercise the remaining Format implementations on cheap results.
-	var sb strings.Builder
-	if r, err := RunFig2(t.Context(), quick); err == nil {
-		r.Format(&sb)
-	} else {
-		t.Errorf("RunFig2: %v", err)
-	}
-	if r, err := RunFig3(t.Context(), quick); err == nil {
-		r.Format(&sb)
-	} else {
-		t.Errorf("RunFig3: %v", err)
-	}
-	if r, err := RunTable3(t.Context(), quick); err == nil {
-		r.Format(&sb)
-	} else {
-		t.Errorf("RunTable3: %v", err)
-	}
-	if r, err := RunFig9(t.Context(), quick); err == nil {
-		r.Format(&sb)
-	} else {
-		t.Errorf("RunFig9: %v", err)
-	}
-	if r, err := RunFig10(t.Context(), quick); err == nil {
-		r.Format(&sb)
-	} else {
-		t.Errorf("RunFig10: %v", err)
-	}
-	if r, err := RunTable5(t.Context(), quick); err == nil {
-		r.Format(&sb)
-	} else {
-		t.Errorf("RunTable5: %v", err)
-	}
-	if r, err := RunFig12(t.Context(), quick); err == nil {
-		r.Format(&sb)
-	} else {
-		t.Errorf("RunFig12: %v", err)
-	}
-	if r, err := RunFig13(t.Context(), quick); err == nil {
-		r.Format(&sb)
-	} else {
-		t.Errorf("RunFig13: %v", err)
-	}
-	if sb.Len() == 0 {
-		t.Error("no formatted output produced")
-	}
-}

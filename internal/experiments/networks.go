@@ -12,9 +12,10 @@ import (
 
 	spef "repro"
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/mcf"
 	"repro/internal/objective"
-	"repro/internal/routing"
+	"repro/internal/topo"
 	"repro/internal/traffic"
 )
 
@@ -248,97 +249,86 @@ type Table5Row struct {
 	N       [4]int
 }
 
-// RunTable5 regenerates TABLE V.
+// RunTable5 regenerates TABLE V on the public API: it counts paths on
+// the routes of InvCap OSPF and of spef.Optimize.
 func RunTable5(ctx context.Context, opts Options) (*Table5Result, error) {
-	g, err := table3Net("Cernet2")
+	t, err := spef.ResolveTopology("cernet2")
 	if err != nil {
 		return nil, err
 	}
-	base, err := networkTM("Cernet2", g)
-	if err != nil {
-		return nil, err
-	}
+	n := t.Network
 	loads := []float64{0.13, 0.17, 0.21}
 	if opts.Quick {
 		loads = loads[:1]
 	}
-	res := &Table5Result{}
-
-	// Full-mesh pair counting needs forwarding state for every node, so
-	// use a uniform mesh to enumerate all ordered pairs like the paper's
-	// 380 (= 20*19) pairs.
-	mesh, err := traffic.UniformMesh(g.NumNodes(), 1)
-	if err != nil {
-		return nil, err
-	}
-	ospf, err := routing.BuildOSPF(g, mesh.Destinations(), nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	ospfRow := Table5Row{Routing: "OSPF", Load: math.NaN()}
-	countPairs := func(paths func(s, t int) (int, error)) ([4]int, error) {
-		var n [4]int
-		for s := 0; s < g.NumNodes(); s++ {
-			for t := 0; t < g.NumNodes(); t++ {
-				if s == t {
+	countPairs := func(routes *spef.Routes) ([4]int, error) {
+		var c [4]int
+		for s := 0; s < n.NumNodes(); s++ {
+			for d := 0; d < n.NumNodes(); d++ {
+				if s == d {
 					continue
 				}
-				k, err := paths(s, t)
+				k, err := routes.EqualCostPaths(s, d)
 				if err != nil {
-					return n, err
+					return c, err
 				}
-				switch {
-				case k <= 1:
-					n[0]++
-				case k == 2:
-					n[1]++
-				case k == 3:
-					n[2]++
-				default:
-					n[3]++
-				}
+				c[min(max(k, 1), len(c))-1]++
 			}
 		}
-		return n, nil
+		return c, nil
 	}
-	ospfRow.N, err = countPairs(ospf.EqualCostPaths)
+
+	// Counting every ordered pair, like the paper's 380 (= 20*19), needs
+	// forwarding state toward every node: OSPF routes a uniform mesh, and
+	// SPEF's load-scaled gravity demands carry a tiny one.
+	mesh, err := withMesh(spef.NewDemands(n), n, 1)
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = append(res.Rows, ospfRow)
-
+	ospf, err := spef.OSPF(nil).Routes(ctx, n, mesh)
+	if err != nil {
+		return nil, err
+	}
+	res := &Table5Result{Rows: []Table5Row{{Routing: "OSPF", Load: math.NaN()}}}
+	if res.Rows[0].N, err = countPairs(ospf); err != nil {
+		return nil, err
+	}
 	for _, load := range loads {
-		tm, err := base.ScaledToLoad(g, load)
+		d, err := t.Demands.ScaledToLoad(n, load)
 		if err != nil {
 			return nil, err
 		}
-		// SPEF needs DAGs for all destinations to count all pairs: build
-		// with the mesh workload's destinations but the load-scaled
-		// gravity demands superimposed on a tiny mesh so every node is a
-		// destination.
-		mixed := tm.Clone()
-		tiny := tm.Total() * 1e-6 / float64(g.NumNodes()*g.NumNodes())
-		for s := 0; s < g.NumNodes(); s++ {
-			for t := 0; t < g.NumNodes(); t++ {
-				if s != t {
-					if err := mixed.Add(s, t, tiny); err != nil {
-						return nil, err
-					}
-				}
-			}
+		mixed, err := withMesh(d, n, d.Total()*1e-6/float64(n.NumNodes()*n.NumNodes()))
+		if err != nil {
+			return nil, err
 		}
-		p, err := buildSPEF(ctx, g, mixed, 1, opts)
+		p, err := optimizeSPEF(ctx, n, mixed, 1, opts)
 		if err != nil {
 			return nil, fmt.Errorf("table5 load %g: %w", load, err)
 		}
 		row := Table5Row{Routing: "SPEF", Load: load}
-		row.N, err = countPairs(p.EqualCostPaths)
-		if err != nil {
+		if row.N, err = countPairs(p.Routes()); err != nil {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
+}
+
+// withMesh returns a copy of d with v added to the demand of every
+// ordered pair of distinct nodes.
+func withMesh(d *spef.Demands, n *spef.Network, v float64) (*spef.Demands, error) {
+	out := d.Clone()
+	for s := 0; s < n.NumNodes(); s++ {
+		for t := 0; t < n.NumNodes(); t++ {
+			if s != t {
+				if err := out.Add(s, t, v); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	return out, nil
 }
 
 // Format prints the table.
@@ -366,21 +356,25 @@ func RunFig13(ctx context.Context, opts Options) (*Fig13Result, error) {
 	res := &Fig13Result{Panels: make(map[string][]Series)}
 	panels := []struct {
 		id    string
+		g     *graph.Graph
 		loads []float64
 	}{
-		{id: "Abilene", loads: []float64{0.12, 0.13, 0.14, 0.15, 0.16, 0.17, 0.18}},
-		{id: "Cernet2", loads: []float64{0.10, 0.12, 0.14, 0.16, 0.18}},
+		{id: "Abilene", g: topo.Abilene(), loads: []float64{0.12, 0.13, 0.14, 0.15, 0.16, 0.17, 0.18}},
+		{id: "Cernet2", g: topo.Cernet2(), loads: []float64{0.10, 0.12, 0.14, 0.16, 0.18}},
 	}
-	_, it2 := opts.iters(50)
+	// The integer rebuild runs Algorithm 2 on a fixed budget.
+	_, intIt2 := opts.iters(50)
 	for _, panel := range panels {
-		g, err := table3Net(panel.id)
+		g := panel.g
+		base, err := traffic.CanonicalMatrix(panel.id, g)
 		if err != nil {
 			return nil, err
 		}
-		base, err := networkTM(panel.id, g)
+		obj, err := objective.NewQBeta(1, g.NumLinks(), nil)
 		if err != nil {
 			return nil, err
 		}
+		it1, it2 := opts.iters(g.NumNodes())
 		loads := panel.loads
 		if opts.Quick {
 			loads = loads[:2]
@@ -392,7 +386,10 @@ func RunFig13(ctx context.Context, opts Options) (*Fig13Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			p, err := buildSPEF(ctx, g, tm, 1, opts)
+			p, err := core.Build(ctx, g, tm, obj, core.Options{
+				First:  core.FirstWeightOptions{MaxIters: it1},
+				Second: core.SecondWeightOptions{MaxIters: it2},
+			})
 			if err != nil {
 				return nil, fmt.Errorf("fig13 %s load %g: %w", panel.id, load, err)
 			}
@@ -409,7 +406,7 @@ func RunFig13(ctx context.Context, opts Options) (*Fig13Result, error) {
 			// Integer weights use the paper's Dijkstra tolerance of 1 in
 			// the integer weight space.
 			ip, err := core.BuildWithWeights(ctx, g, tm, iw, p.First.Flow, 1.0,
-				core.SecondWeightOptions{MaxIters: it2})
+				core.SecondWeightOptions{MaxIters: intIt2})
 			if err != nil {
 				return nil, err
 			}

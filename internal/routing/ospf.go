@@ -64,14 +64,3 @@ func BuildOSPF(g *graph.Graph, dests []int, weights []float64, tol float64) (*OS
 func (o *OSPF) Flow(tm *traffic.Matrix) (*mcf.Flow, error) {
 	return Flow(o.G, o.DAGs, o.Splits, tm)
 }
-
-// EqualCostPaths returns the number of equal-cost shortest paths OSPF
-// uses for the pair (Table V's n_i statistic).
-func (o *OSPF) EqualCostPaths(src, dst int) (int, error) {
-	d, ok := o.DAGs[dst]
-	if !ok {
-		return 0, fmt.Errorf("%w: no OSPF state for destination %d", ErrBadInput, dst)
-	}
-	counts := d.CountPaths(o.G)
-	return int(counts[src] + 0.5), nil
-}

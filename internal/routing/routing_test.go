@@ -77,13 +77,6 @@ func TestOSPFECMPSplitsEvenly(t *testing.T) {
 			t.Errorf("flow[%d] = %v, want 0.5", e, flow.Total[e])
 		}
 	}
-	n, err := o.EqualCostPaths(0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Errorf("EqualCostPaths = %d, want 2", n)
-	}
 }
 
 func TestOSPFErrors(t *testing.T) {
@@ -100,9 +93,6 @@ func TestOSPFErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := o.Flow(tm); !errors.Is(err, ErrBadInput) {
-		t.Errorf("missing dest: err = %v, want ErrBadInput", err)
-	}
-	if _, err := o.EqualCostPaths(0, 3); !errors.Is(err, ErrBadInput) {
 		t.Errorf("missing dest: err = %v, want ErrBadInput", err)
 	}
 }

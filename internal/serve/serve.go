@@ -30,7 +30,6 @@ import (
 	"time"
 
 	spef "repro"
-	"repro/internal/delta"
 )
 
 // Float is a float64 that survives JSON: encoding/json rejects
@@ -500,12 +499,11 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// writeError maps an error onto an HTTP status: bad input (from either
-// the public API or the delta engine) is the client's fault, the rest
-// is ours.
+// writeError maps an error onto an HTTP status: bad input is the
+// client's fault, the rest is ours.
 func writeError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
-	if errors.Is(err, spef.ErrBadInput) || errors.Is(err, delta.ErrBadInput) {
+	if errors.Is(err, spef.ErrBadInput) {
 		status = http.StatusBadRequest
 	}
 	writeJSON(w, status, errorBody{Error: err.Error()})
@@ -717,7 +715,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if failed != nil {
 		resp.Error = failed.Error()
 		status := http.StatusInternalServerError
-		if errors.Is(failed, spef.ErrBadInput) || errors.Is(failed, delta.ErrBadInput) {
+		if errors.Is(failed, spef.ErrBadInput) {
 			status = http.StatusBadRequest
 		}
 		writeJSON(w, status, resp)

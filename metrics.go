@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/objective"
-	"repro/internal/routing"
 )
 
 // Metric computes one named figure of merit for a completed scenario
@@ -193,10 +192,11 @@ func NormalizedFortzCostMetric() Metric {
 // load. +Inf when a positive demand has no path.
 func MaxStretchMetric() Metric {
 	return funcMetric{name: MetricMaxStretch, fn: func(routes *Routes, d *Demands, _ *TrafficReport) (float64, error) {
-		perDest, err := routes.perDestFlows(d)
+		flow, err := routes.flowFor(d)
 		if err != nil {
 			return 0, err
 		}
+		perDest := flow.PerDest
 		g := routes.net.g
 		unit := make([]float64, g.NumLinks())
 		for i := range unit {
@@ -342,22 +342,4 @@ func metricByName(spec string) (Metric, error) {
 	}
 	return nil, fmt.Errorf("%w: unknown metric %q%s (known: %s)",
 		ErrBadInput, spec, suggest(name, names(metricSpecs)), inventory(metricSpecs))
-}
-
-// perDestFlows returns the per-destination link-flow vectors the routes
-// induce for the demands: flow-backed routes (the optimal reference)
-// expose their precomputed distribution, protocol-backed routes
-// propagate the demands down their forwarding DAGs.
-func (r *Routes) perDestFlows(d *Demands) (map[int][]float64, error) {
-	if r.flow != nil {
-		if !r.demands.equals(d) {
-			return nil, fmt.Errorf("%w: optimal routes are specific to the demands they were computed for", ErrBadInput)
-		}
-		return r.flow.PerDest, nil
-	}
-	flow, err := routing.Flow(r.net.g, r.dags, r.splits, d.m)
-	if err != nil {
-		return nil, asBadInput(err)
-	}
-	return flow.PerDest, nil
 }

@@ -2,7 +2,6 @@ package spef
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/mcf"
@@ -69,7 +68,8 @@ func (o options) stageProgress(stage string) func(iter, max int) {
 }
 
 func (o options) objective(links int) (*objective.QBeta, error) {
-	return objective.NewQBeta(o.beta, links, o.q)
+	obj, err := objective.NewQBeta(o.beta, links, o.q)
+	return obj, asBadInput(err)
 }
 
 // Option tunes Optimize and the optimizing Router constructors (SPEF,
@@ -134,7 +134,7 @@ func Optimize(ctx context.Context, n *Network, d *Demands, opts ...Option) (*Pro
 	}
 	p, err := core.Build(ctx, n.g, d.m, obj, o.coreOptions())
 	if err != nil {
-		return nil, err
+		return nil, asBadInput(err)
 	}
 	return &Protocol{net: n, p: p}, nil
 }
@@ -166,24 +166,19 @@ func (p *Protocol) SecondWeights() []float64 {
 // an OSPF implementation can carry (Section V-G), together with the
 // normalization scale.
 func (p *Protocol) IntegerFirstWeights() ([]float64, float64, error) {
-	return core.IntegerWeights(p.p.First.W, p.p.First.Spare)
+	w, scale, err := core.IntegerWeights(p.p.First.W, p.p.First.Spare)
+	return w, scale, asBadInput(err)
 }
 
 // SplitRatios returns, for the given destination, the fraction of
 // traffic each link's tail forwards over it (Eq. 22). Indexed by link
 // ID; links outside the destination's shortest-path DAG carry 0.
-func (p *Protocol) SplitRatios(dst int) ([]float64, error) {
-	s, ok := p.p.Splits[dst]
-	if !ok {
-		return nil, fmt.Errorf("%w: no forwarding state for destination %d", ErrBadInput, dst)
-	}
-	return append([]float64(nil), s...), nil
-}
+func (p *Protocol) SplitRatios(dst int) ([]float64, error) { return p.Routes().SplitRatios(dst) }
 
 // EqualCostPaths returns the number of equal-cost shortest paths SPEF
 // uses between the pair (the paper's Table V statistic).
 func (p *Protocol) EqualCostPaths(src, dst int) (int, error) {
-	return p.p.EqualCostPaths(src, dst)
+	return p.Routes().EqualCostPaths(src, dst)
 }
 
 // ForwardingEntry is one next hop of a forwarding table: the equal-cost
@@ -209,7 +204,7 @@ type ForwardingTable struct {
 func (p *Protocol) ForwardingTable(node, dst int) (*ForwardingTable, error) {
 	ft, err := p.p.ForwardingTable(node, dst)
 	if err != nil {
-		return nil, err
+		return nil, asBadInput(err)
 	}
 	out := &ForwardingTable{Node: ft.Node, Dst: ft.Dst}
 	for _, e := range ft.Entries {
@@ -247,16 +242,7 @@ func reportFor(n *Network, total []float64) *TrafficReport {
 
 // Evaluate computes the deterministic traffic distribution SPEF induces
 // for the demands (destinations must be covered by the optimized state).
-func (p *Protocol) Evaluate(d *Demands) (*TrafficReport, error) {
-	if err := checkDemands(p.net, d); err != nil {
-		return nil, err
-	}
-	flow, err := p.p.Flow(d.m)
-	if err != nil {
-		return nil, err
-	}
-	return reportFor(p.net, flow.Total), nil
-}
+func (p *Protocol) Evaluate(d *Demands) (*TrafficReport, error) { return p.Routes().Evaluate(d) }
 
 // InvCapWeights returns Cisco-style inverse-capacity OSPF weights for
 // the network, normalized so the largest link gets weight 1 — the
@@ -322,10 +308,7 @@ func simReport(r *netsim.Result) *SimulationReport {
 // Simulate runs the packet-level simulator with SPEF's forwarding state
 // (per-packet probabilistic next hops drawn from the split ratios).
 func (p *Protocol) Simulate(d *Demands, cfg SimulationConfig) (*SimulationReport, error) {
-	if err := checkDemands(p.net, d); err != nil {
-		return nil, err
-	}
-	return simulateSplits(p.net, d, p.p.Splits, cfg)
+	return p.Routes().Simulate(d, cfg)
 }
 
 func simulateSplits(n *Network, d *Demands, splits map[int][]float64, cfg SimulationConfig) (*SimulationReport, error) {
@@ -340,7 +323,7 @@ func simulateSplits(n *Network, d *Demands, splits map[int][]float64, cfg Simula
 		Seed:           cfg.Seed,
 	})
 	if err != nil {
-		return nil, err
+		return nil, asBadInput(err)
 	}
 	return simReport(r), nil
 }

@@ -8,9 +8,12 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/delta"
 	"repro/internal/graph"
 	"repro/internal/localsearch"
 	"repro/internal/mcf"
+	"repro/internal/netsim"
+	"repro/internal/objective"
 	"repro/internal/routing"
 )
 
@@ -329,7 +332,7 @@ func (r peftRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Routes
 			Progress: o.stageProgress(StageFirstWeights),
 		})
 		if err != nil {
-			return nil, err
+			return nil, asBadInput(err)
 		}
 		w = first.W
 	}
@@ -394,18 +397,8 @@ func (r spefWeightsRouter) Routes(ctx context.Context, n *Network, d *Demands) (
 			return nil, fmt.Errorf("%w: link %d has second weight %v", ErrBadInput, e, x)
 		}
 	}
-	// The paper's Dijkstra tolerance: 0.3 in the weight space normalized
-	// to the smallest weight (the same rule Optimize applies).
-	minW := math.Inf(1)
-	for _, x := range r.w {
-		if x < minW {
-			minW = x
-		}
-	}
-	tol := 0.3 * minW
-	if math.IsInf(tol, 0) || math.IsNaN(tol) || tol < 0 {
-		tol = 0
-	}
+	// The paper's Dijkstra tolerance, the rule Optimize applies.
+	tol := core.EqualCostTol(r.w)
 	dags, splits, err := routing.Build(n.g, d.m.Destinations(), func(ws *graph.Workspace, t int, ratio []float64) (*graph.DAG, error) {
 		dag, err := ws.BuildDAG(n.g, r.w, t, tol)
 		if err != nil {
@@ -424,11 +417,24 @@ func (r spefWeightsRouter) Routes(ctx context.Context, n *Network, d *Demands) (
 // asBadInput gives the public ErrBadInput sentinel to a lower layer's
 // rejection of its arguments: routing.ErrBadInput (wrong-length weights,
 // a destination without forwarding state), graph.ErrBadWeights (NaN or
-// negative weights) or localsearch.ErrBadInput (inconsistent search
-// options). Other errors pass through unchanged.
+// negative weights), localsearch.ErrBadInput (inconsistent search
+// options), core.ErrBadInput (an empty demand set, a destination or
+// node without forwarding state), objective.ErrBadObjective (a bad beta
+// or q), delta.ErrBadInput (an unknown link or node, a failure that
+// strands a demand) or netsim.ErrBadConfig (a bad simulation config, a
+// destination without split ratios). Other errors, mcf.ErrInfeasible
+// among them, pass through unchanged.
 func asBadInput(err error) error {
-	if errors.Is(err, routing.ErrBadInput) || errors.Is(err, graph.ErrBadWeights) || errors.Is(err, localsearch.ErrBadInput) {
-		return fmt.Errorf("%w: %v", ErrBadInput, err)
+	if err == nil {
+		return nil
+	}
+	for _, bad := range []error{
+		routing.ErrBadInput, graph.ErrBadWeights, localsearch.ErrBadInput, core.ErrBadInput,
+		objective.ErrBadObjective, delta.ErrBadInput, netsim.ErrBadConfig,
+	} {
+		if errors.Is(err, bad) {
+			return fmt.Errorf("%w: %v", ErrBadInput, err)
+		}
 	}
 	return err
 }
@@ -574,6 +580,23 @@ func (r *Routes) Destinations() []int {
 	return out
 }
 
+// EqualCostPaths returns the number of distinct paths from src that
+// the forwarding DAG toward dst holds — for OSPF and SPEF the
+// equal-cost shortest paths, the n_i statistic of the paper's Table V.
+// Flow-backed routes (the optimal reference and the explicit-path
+// routers) have no DAG and fail with ErrBadInput, as does a
+// destination without forwarding state.
+func (r *Routes) EqualCostPaths(src, dst int) (int, error) {
+	d, ok := r.dags[dst]
+	if !ok {
+		return 0, fmt.Errorf("%w: no forwarding DAG toward destination %d", ErrBadInput, dst)
+	}
+	if src < 0 || src >= r.net.NumNodes() {
+		return 0, fmt.Errorf("%w: node %d out of range", ErrBadInput, src)
+	}
+	return int(math.Round(d.CountPaths(r.net.g)[src])), nil
+}
+
 // SplitRatios returns the per-link split ratios toward the destination:
 // ratio[id] is the fraction of traffic accumulated at link id's tail
 // that the tail forwards over it.
@@ -595,17 +618,35 @@ func (r *Routes) Evaluate(d *Demands) (*TrafficReport, error) {
 	if err := checkDemands(r.net, d); err != nil {
 		return nil, err
 	}
-	if r.flow != nil {
-		if !r.demands.equals(d) {
-			return nil, fmt.Errorf("%w: optimal routes are specific to the demands they were computed for; call Routes again for a new demand set", ErrBadInput)
-		}
-		return reportFor(r.net, r.flow.Total), nil
-	}
-	flow, err := routing.Flow(r.net.g, r.dags, r.splits, d.m)
+	flow, err := r.flowFor(d)
 	if err != nil {
-		return nil, asBadInput(err)
+		return nil, err
 	}
 	return reportFor(r.net, flow.Total), nil
+}
+
+// flowFor returns the traffic distribution the routes induce for d:
+// the stored distribution of flow-backed routes, or d propagated down
+// the forwarding DAGs.
+func (r *Routes) flowFor(d *Demands) (*mcf.Flow, error) {
+	if err := r.checkDemandSpecific(d); err != nil {
+		return nil, err
+	}
+	if r.flow != nil {
+		return r.flow, nil
+	}
+	flow, err := routing.Flow(r.net.g, r.dags, r.splits, d.m)
+	return flow, asBadInput(err)
+}
+
+// checkDemandSpecific rejects, for flow-backed routes, any demand set
+// other than the one the routes were computed for: their splits carry
+// no forwarding state for other sources or volumes.
+func (r *Routes) checkDemandSpecific(d *Demands) error {
+	if r.flow != nil && !r.demands.equals(d) {
+		return fmt.Errorf("%w: optimal routes are specific to the demands they were computed for; call Routes again for a new demand set", ErrBadInput)
+	}
+	return nil
 }
 
 // Simulate runs the packet-level simulator with the routes' forwarding
@@ -617,8 +658,8 @@ func (r *Routes) Simulate(d *Demands, cfg SimulationConfig) (*SimulationReport, 
 	if err := checkDemands(r.net, d); err != nil {
 		return nil, err
 	}
-	if r.flow != nil && !r.demands.equals(d) {
-		return nil, fmt.Errorf("%w: optimal routes are specific to the demands they were computed for; call Routes again for a new demand set", ErrBadInput)
+	if err := r.checkDemandSpecific(d); err != nil {
+		return nil, err
 	}
 	return simulateSplits(r.net, d, r.splits, cfg)
 }

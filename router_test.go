@@ -332,10 +332,11 @@ func TestPerDestFlowsMatchesPropagateDown(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Routes: %v", r.Name(), err)
 		}
-		got, err := routes.perDestFlows(d)
+		flow, err := routes.flowFor(d)
 		if err != nil {
-			t.Fatalf("%s: perDestFlows: %v", r.Name(), err)
+			t.Fatalf("%s: flowFor: %v", r.Name(), err)
 		}
+		got := flow.PerDest
 		if len(got) != len(d.m.Destinations()) {
 			t.Fatalf("%s: %d destinations, want %d", r.Name(), len(got), len(d.m.Destinations()))
 		}
@@ -371,6 +372,69 @@ func TestUncoveredDestinationIsBadInput(t *testing.T) {
 	}
 	if _, err := MaxStretchMetric().Compute(routes, other, nil); !errors.Is(err, ErrBadInput) {
 		t.Errorf("max_stretch: err = %v, want ErrBadInput", err)
+	}
+}
+
+// TestRoutesEqualCostPaths counts Table V's paths on the routes of both
+// DAG-backed schemes Table V compares: SPEF's optimal weights make Fig.
+// 1's two 1->3 paths equal cost, and OSPF splits a diamond's two
+// equal-hop paths. Flow-backed routes have no DAG to count on, and
+// neither has a destination without forwarding state.
+func TestRoutesEqualCostPaths(t *testing.T) {
+	n, d, err := Fig1Example()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Optimize(t.Context(), n, d, WithMaxIterations(30000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k, err := p.Routes().EqualCostPaths(0, 2); err != nil || k != 2 {
+		t.Errorf("SPEF equal-cost paths 1->3 = %d, %v; want 2", k, err)
+	}
+	if k, err := p.EqualCostPaths(0, 2); err != nil || k != 2 {
+		t.Errorf("Protocol.EqualCostPaths 1->3 = %d, %v; want 2", k, err)
+	}
+
+	diamond := NewNetwork()
+	for range 4 {
+		diamond.AddNode("")
+	}
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}} {
+		if _, err := diamond.AddLink(e[0], e[1], 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dd := NewDemands(diamond)
+	if err := dd.Add(0, 3, 1); err != nil {
+		t.Fatal(err)
+	}
+	ospf, err := OSPF(nil).Routes(t.Context(), diamond, dd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k, err := ospf.EqualCostPaths(0, 3); err != nil || k != 2 {
+		t.Errorf("OSPF equal-cost paths 0->3 = %d, %v; want 2", k, err)
+	}
+	for name, f := range map[string]func() (int, error){
+		"OSPF, destination without state": func() (int, error) { return ospf.EqualCostPaths(0, 1) },
+		"OSPF, source out of range":       func() (int, error) { return ospf.EqualCostPaths(4, 3) },
+		"SPEF, destination without state": func() (int, error) { return p.Routes().EqualCostPaths(0, 1) },
+	} {
+		if _, err := f(); !errors.Is(err, ErrBadInput) {
+			t.Errorf("%s: err = %v, want ErrBadInput", name, err)
+		}
+	}
+
+	explicit := ExplicitOptions{InvCapBase: true}
+	for _, r := range []Router{Optimal(WithMaxIterations(200)), SegmentRouting(explicit), MPLSKSP(explicit)} {
+		routes, err := r.Routes(t.Context(), n, d)
+		if err != nil {
+			t.Fatalf("%s: %v", r.Name(), err)
+		}
+		if _, err := routes.EqualCostPaths(0, 2); !errors.Is(err, ErrBadInput) {
+			t.Errorf("%s: err = %v, want ErrBadInput", r.Name(), err)
+		}
 	}
 }
 
