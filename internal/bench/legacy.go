@@ -96,7 +96,6 @@ func legacyBuildDAG(g *graph.Graph, weights []float64, dst int, tol float64) *gr
 		Dst:  dst,
 		Dist: dist,
 		Out:  make([][]int, g.NumNodes()),
-		In:   make([][]int, g.NumNodes()),
 		Tol:  tol,
 	}
 	for _, l := range g.Links() {
@@ -106,7 +105,6 @@ func legacyBuildDAG(g *graph.Graph, weights []float64, dst int, tol float64) *gr
 		}
 		if dv+weights[l.ID]-du <= eps && dv < du {
 			d.Out[l.From] = append(d.Out[l.From], l.ID)
-			d.In[l.To] = append(d.In[l.To], l.ID)
 		}
 	}
 	return d

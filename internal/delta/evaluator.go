@@ -156,9 +156,6 @@ func (ev *Evaluator) Footprint() int64 {
 		for u := range d.Out {
 			b += int64(cap(d.Out[u])) * word
 		}
-		for u := range d.In {
-			b += int64(cap(d.In[u])) * word
-		}
 	}
 	return b
 }

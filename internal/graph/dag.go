@@ -22,8 +22,6 @@ type DAG struct {
 	// Out[u] lists the IDs of DAG links leaving u (the equal-cost next
 	// hops of u toward Dst).
 	Out [][]int
-	// In[u] lists the IDs of DAG links entering u.
-	In [][]int
 	// Tol is the equal-cost tolerance the DAG was built with.
 	Tol float64
 	// order caches NodesDescending (derived at construction by the
@@ -37,13 +35,12 @@ type DAG struct {
 // buildDAG populates the arena-or-fresh DAG d from distances already in
 // d.Dist and the settle order of the Dijkstra run that produced them:
 // link membership, adjacency, and the cached processing order.
-// d.Out/d.In must have length NumNodes; their per-node slices are
+// d.Out must have length NumNodes; its per-node slices are
 // truncated and refilled, retaining capacity (the workspace arena's
 // zero-allocation steady state).
 func buildDAG(g *Graph, weights []float64, d *DAG, settled []int, downward bool, eps float64) {
 	for u := range d.Out {
 		d.Out[u] = d.Out[u][:0]
-		d.In[u] = d.In[u][:0]
 	}
 	for i := range g.links {
 		l := &g.links[i]
@@ -58,7 +55,6 @@ func buildDAG(g *Graph, weights []float64, d *DAG, settled []int, downward bool,
 			continue
 		}
 		d.Out[l.From] = append(d.Out[l.From], l.ID)
-		d.In[l.To] = append(d.In[l.To], l.ID)
 	}
 	d.order = appendSettledDescending(d.order[:0], settled, d.Dist)
 }
@@ -144,7 +140,6 @@ func BuildDAG(g *Graph, weights []float64, dst int, tol float64) (*DAG, error) {
 		Dst:  dst,
 		Dist: sp.Dist,
 		Out:  make([][]int, g.NumNodes()),
-		In:   make([][]int, g.NumNodes()),
 		Tol:  tol,
 	}
 	buildDAG(g, weights, d, sp.settled, false, dagEps(tol))

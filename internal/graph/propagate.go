@@ -18,7 +18,6 @@ func DownwardDAG(g *Graph, weights []float64, dst int) (*DAG, error) {
 		Dst:  dst,
 		Dist: sp.Dist,
 		Out:  make([][]int, g.NumNodes()),
-		In:   make([][]int, g.NumNodes()),
 		Tol:  math.Inf(1),
 	}
 	buildDAG(g, weights, d, sp.settled, true, 0)

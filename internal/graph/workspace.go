@@ -123,12 +123,8 @@ func (d *DAG) reset(n int) {
 		out := make([][]int, n)
 		copy(out, d.Out)
 		d.Out = out
-		in := make([][]int, n)
-		copy(in, d.In)
-		d.In = in
 	}
 	d.Out = d.Out[:n]
-	d.In = d.In[:n]
 	if cap(d.order) < n {
 		d.order = make([]int, 0, n)
 	}
@@ -142,15 +138,11 @@ func (d *DAG) Clone() *DAG {
 		Dst:   d.Dst,
 		Dist:  append([]float64(nil), d.Dist...),
 		Out:   make([][]int, len(d.Out)),
-		In:    make([][]int, len(d.In)),
 		Tol:   d.Tol,
 		order: append([]int(nil), d.order...),
 	}
 	for u := range d.Out {
 		c.Out[u] = append([]int(nil), d.Out[u]...)
-	}
-	for u := range d.In {
-		c.In[u] = append([]int(nil), d.In[u]...)
 	}
 	return c
 }
@@ -169,7 +161,6 @@ func (d *DAG) CopyFrom(src *DAG) {
 	d.Dist = append(d.Dist[:0], src.Dist...)
 	for u := 0; u < n; u++ {
 		d.Out[u] = append(d.Out[u][:0], src.Out[u]...)
-		d.In[u] = append(d.In[u][:0], src.In[u]...)
 	}
 	// Force the source's order cache so the copy never recomputes (a
 	// lazily-computed order on a refilled arena would go stale).

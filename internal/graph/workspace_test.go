@@ -134,9 +134,6 @@ func compareDAGs(t *testing.T, trial int, a, b *DAG) {
 				t.Fatalf("trial %d: node %d: out[%d] = %d != %d", trial, u, i, a.Out[u][i], b.Out[u][i])
 			}
 		}
-		if len(a.In[u]) != len(b.In[u]) {
-			t.Fatalf("trial %d: node %d: in-degree %d != %d", trial, u, len(a.In[u]), len(b.In[u]))
-		}
 	}
 	ordA, ordB := a.NodesDescending(), b.NodesDescending()
 	if len(ordA) != len(ordB) {
@@ -289,7 +286,7 @@ func TestDAGCopyFrom(t *testing.T) {
 			if arena.Dist[u] != src.Dist[u] {
 				t.Fatalf("trial %d: dist[%d] %v != %v", trial, u, arena.Dist[u], src.Dist[u])
 			}
-			if len(arena.Out[u]) != len(src.Out[u]) || len(arena.In[u]) != len(src.In[u]) {
+			if len(arena.Out[u]) != len(src.Out[u]) {
 				t.Fatalf("trial %d: adjacency size mismatch at node %d", trial, u)
 			}
 			for k := range src.Out[u] {
