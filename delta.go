@@ -88,6 +88,12 @@ func (e *DeltaEngine) NewScratch() *DeltaScratch { return e.en.NewScratch() }
 // /statz. Demand events and rejected events count nothing.
 func (e *DeltaEngine) Rerouted() uint64 { return e.en.Rerouted() }
 
+// Moved returns how many (destination, node) shortest-path distances
+// the re-routes Rerouted counts have moved — the nodes whose in-place
+// DAG repair did work; `spef serve` reports it per event type in
+// /statz next to the re-routed destinations. It counts the same events.
+func (e *DeltaEngine) Moved() uint64 { return e.en.Moved() }
+
 // SetWeight records one link's weight (intact link ID). An up link is
 // re-routed incrementally — only destinations the change can affect are
 // recomputed; a down link's weight takes effect when LinkUp restores

@@ -50,6 +50,7 @@ type Engine struct {
 	nw       []float64     // the new weights of the event being applied
 	scratch  sync.Pool     // *Scratch for the what-ifs that bring none
 	rerouted atomic.Uint64 // destinations re-routed by events and what-ifs
+	moved    atomic.Uint64 // node distances those re-routes moved
 }
 
 // NewEngine fully evaluates (g, tm, weights) and returns the warm
@@ -117,6 +118,11 @@ func (en *Engine) Footprint() int64 { return en.ev.Footprint() }
 // work the exact screen did not save. Demand events re-propagate flows
 // without re-routing and count nothing; rejected events count nothing.
 func (en *Engine) Rerouted() uint64 { return en.rerouted.Load() }
+
+// Moved returns how many (destination, node) distances the re-routes
+// Rerouted counts have moved: the nodes whose DAG repair did work, out
+// of NumNodes per re-routed destination. It counts the same events.
+func (en *Engine) Moved() uint64 { return en.moved.Load() }
 
 // Evaluator exposes the underlying evaluator, in intact link IDs with
 // every down link at weight +Inf — the state the oracle tests project
@@ -222,21 +228,23 @@ func (en *Engine) flipWeights(buf []float64, links []int, toDown bool) []float64
 }
 
 // apply commits one weight event and counts the destinations it
-// re-routed.
+// re-routed and the distances it moved.
 func (en *Engine) apply(links []int, w []float64) error {
 	if err := en.ev.setWeights(links, w); err != nil {
 		return err
 	}
 	en.rerouted.Add(uint64(len(en.ev.affected)))
+	en.moved.Add(uint64(en.ev.moved))
 	return nil
 }
 
 // whatIf scores one weight event into s without committing it and
-// counts the destinations it re-routed.
+// counts the destinations it re-routed and the distances it moved.
 func (en *Engine) whatIf(s *Scratch, links []int, w []float64) (Metrics, error) {
 	m, err := en.ev.tryWeights(s, links, w)
 	if err == nil {
 		en.rerouted.Add(uint64(len(s.affected)))
+		en.moved.Add(uint64(s.moved))
 	}
 	return m, err
 }

@@ -20,9 +20,10 @@ var ErrBadInput = errors.New("delta: bad input")
 // DAGs, even split ratios, per-destination link flows, the aggregate
 // flow and its Fortz-Thorup cost — and updates it incrementally:
 // weight events (one link or an atomic set) re-route only the
-// destinations the change can affect, and SetDemand/ReplaceDemands
-// re-propagate only the destinations whose demand columns changed. The
-// rest of the state is kept bit-for-bit.
+// destinations the change can affect, repairing each one's DAG in place
+// (graph.Workspace.RepairDAG) rather than rebuilding it, and
+// SetDemand/ReplaceDemands re-propagate only the destinations whose
+// demand columns changed. The rest of the state is kept bit-for-bit.
 //
 // The Evaluator owns the traffic matrix handed to NewEvaluator for its
 // lifetime: demand events mutate it so it always describes the current
@@ -50,6 +51,7 @@ type Evaluator struct {
 	ws       *graph.Workspace
 	affected []int     // scratch for the weight events' affected-destination screen
 	prev     []float64 // scratch: the weights a weight event replaced
+	moved    int       // node distances the last accepted weight event moved
 }
 
 // Metrics is the engine's read-out of one routing state: the
@@ -170,7 +172,12 @@ func (ev *Evaluator) Reevaluate(weights []float64) error {
 	}
 	copy(ev.w, weights)
 	for i := range ev.dests {
-		if err := ev.evalDestInto(ev.ws, ev.w, i, ev.dags[i], ev.splits[i], ev.flows[i]); err != nil {
+		built, err := ev.ws.BuildDAG(ev.g, ev.w, ev.dests[i], dagTol)
+		if err != nil {
+			return err
+		}
+		ev.dags[i].CopyFrom(built)
+		if err := ev.resplit(i); err != nil {
 			return err
 		}
 	}
@@ -187,13 +194,13 @@ func (ev *Evaluator) SetWeight(link int, w float64) error {
 // setWeights applies one atomic weight event: link links[k] takes
 // weight w[k]. Destinations the change cannot affect (see
 // appendAffected) keep their DAGs, splits and flows untouched; affected
-// ones are re-routed in place. The aggregate flow is then re-summed
-// over every destination in order, so the resulting state — flows,
-// total and cost — is bit-identical to Reevaluate on the modified
-// vector. If an affected destination cannot be routed under the new
-// weights (a stranded demand), the old weights come back and the
-// destinations already re-routed are evaluated again under them, which
-// rebuilds them bit for bit: the event is rejected with ErrBadInput and
+// ones have their DAGs repaired in place and their flows re-split. The
+// aggregate flow is then re-summed over every destination in order, so
+// the resulting state — flows, total and cost — is bit-identical to
+// Reevaluate on the modified vector. If an affected destination cannot
+// be routed under the new weights (a stranded demand), the old weights
+// come back and the destinations already repaired are repaired back
+// under them, bit for bit: the event is rejected with ErrBadInput and
 // the state is untouched. Allocation-free in steady state.
 func (ev *Evaluator) setWeights(links []int, w []float64) error {
 	if err := ev.checkEvent(links, w); err != nil {
@@ -205,16 +212,16 @@ func (ev *Evaluator) setWeights(links []int, w []float64) error {
 		ev.prev = append(ev.prev, ev.w[l])
 		ev.w[l] = w[k]
 	}
+	ev.moved = 0
 	for k, i := range ev.affected {
-		if err := ev.evalDestInto(ev.ws, ev.w, i, ev.dags[i], ev.splits[i], ev.flows[i]); err != nil {
-			for j, l := range links {
-				ev.w[l] = ev.prev[j]
-			}
-			for _, i := range ev.affected[:k+1] {
-				// Cannot fail: the old weights routed every destination.
-				_ = ev.evalDestInto(ev.ws, ev.w, i, ev.dags[i], ev.splits[i], ev.flows[i])
-			}
-			ev.affected = ev.affected[:0]
+		moved, err := ev.ws.RepairDAG(ev.g, ev.w, ev.dags[i], links, ev.prev)
+		if err != nil {
+			ev.undo(links, w, ev.affected[:k])
+			return err
+		}
+		ev.moved += moved
+		if err := ev.resplit(i); err != nil {
+			ev.undo(links, w, ev.affected[:k+1])
 			return err
 		}
 	}
@@ -222,6 +229,22 @@ func (ev *Evaluator) setWeights(links []int, w []float64) error {
 		ev.recomputeCost()
 	}
 	return nil
+}
+
+// undo takes a rejected weight event back: the links get their old
+// weights (ev.prev) again, and each destination in repaired, whose DAG
+// was repaired to the event's weights w, is repaired back and re-split.
+func (ev *Evaluator) undo(links []int, w []float64, repaired []int) {
+	for k, l := range links {
+		ev.w[l] = ev.prev[k]
+	}
+	for _, i := range repaired {
+		// Cannot fail: the old weights routed every destination.
+		_, _ = ev.ws.RepairDAG(ev.g, ev.w, ev.dags[i], links, w)
+		_ = ev.resplit(i)
+	}
+	ev.affected = ev.affected[:0]
+	ev.moved = 0
 }
 
 // checkEvent validates one weight event: every link in range and listed
@@ -556,17 +579,11 @@ func (ev *Evaluator) appendAffected(buf []int, links []int, w []float64) []int {
 	return buf
 }
 
-// evalDestInto routes destination i under w: shortest-path DAG, even
-// ECMP ratios, and the propagated per-link flow, written into the given
-// owned storage.
-func (ev *Evaluator) evalDestInto(ws *graph.Workspace, w []float64, i int, dag *graph.DAG, ratio, flow []float64) error {
-	built, err := ws.BuildDAG(ev.g, w, ev.dests[i], dagTol)
-	if err != nil {
-		return err
-	}
-	dag.CopyFrom(built)
-	graph.EvenSplitsInto(ev.g, dag, ratio)
-	if err := ws.PropagateDownInto(ev.g, dag, ev.demands[i], ratio, flow); err != nil {
+// resplit derives destination i's even ECMP ratios and propagated
+// per-link flow from its DAG, into its owned storage.
+func (ev *Evaluator) resplit(i int) error {
+	graph.EvenSplitsInto(ev.g, ev.dags[i], ev.splits[i])
+	if err := ev.ws.PropagateDownInto(ev.g, ev.dags[i], ev.demands[i], ev.splits[i], ev.flows[i]); err != nil {
 		return unroutable(ev.dests[i], err)
 	}
 	return nil
@@ -634,18 +651,21 @@ func utilityOf(caps, flows []float64) float64 {
 
 // Scratch is the private arena one worker needs to score candidates
 // against a shared Evaluator with the Try* queries: a workspace, a
-// trial weight vector, demand/ratio/total buffers and
+// trial weight vector, a DAG to repair, demand/ratio/total buffers and
 // per-affected-destination flow rows. Scratches are not safe for
 // concurrent use; each concurrent reader draws its own.
 type Scratch struct {
 	ws       *graph.Workspace
 	w        []float64
 	nw       []float64 // the new weights of an engine what-if's links
+	old      []float64 // the current weights of a what-if's links
+	dag      graph.DAG // one affected destination's DAG, copied and repaired
 	demand   []float64
 	ratio    []float64
 	total    []float64
 	flows    [][]float64
 	affected []int
+	moved    int // node distances the last weight what-if moved
 }
 
 // NewScratch returns a scratch sized for the evaluator's topology.
@@ -733,10 +753,13 @@ func (ev *Evaluator) tryWeights(s *Scratch, links []int, w []float64) (Metrics, 
 
 // tryWeightsTotal is the shared core of the weight what-ifs: it fills
 // s.total with the aggregate flow the evaluator would hold after
-// setWeights(links, w), and s.affected with the destinations that
-// event re-routes. changed is false when the hypothetical state is the
-// current one (no affected destination) and s.total was not filled.
+// setWeights(links, w), s.affected with the destinations that event
+// re-routes and s.moved with the node distances it moves. Each affected
+// destination's DAG is copied into s.dag and repaired there. changed is
+// false when the hypothetical state is the current one (no affected
+// destination) and s.total was not filled.
 func (ev *Evaluator) tryWeightsTotal(s *Scratch, links []int, w []float64) (changed bool, err error) {
+	s.moved = 0
 	if err := ev.checkEvent(links, w); err != nil {
 		return false, err
 	}
@@ -746,17 +769,21 @@ func (ev *Evaluator) tryWeightsTotal(s *Scratch, links []int, w []float64) (chan
 		return false, nil
 	}
 	copy(s.w, ev.w)
+	s.old = s.old[:0]
 	for k, l := range links {
+		s.old = append(s.old, ev.w[l])
 		s.w[l] = w[k]
 	}
 	for k, i := range s.affected {
 		flow := s.flowRow(k, ev.g.NumLinks())
-		built, err := s.ws.BuildDAG(ev.g, s.w, ev.dests[i], dagTol)
+		s.dag.CopyFrom(ev.dags[i])
+		moved, err := s.ws.RepairDAG(ev.g, s.w, &s.dag, links, s.old)
 		if err != nil {
 			return false, err
 		}
-		graph.EvenSplitsInto(ev.g, built, s.ratio)
-		if err := s.ws.PropagateDownInto(ev.g, built, ev.demands[i], s.ratio, flow); err != nil {
+		s.moved += moved
+		graph.EvenSplitsInto(ev.g, &s.dag, s.ratio)
+		if err := s.ws.PropagateDownInto(ev.g, &s.dag, ev.demands[i], s.ratio, flow); err != nil {
 			return false, unroutable(ev.dests[i], err)
 		}
 	}

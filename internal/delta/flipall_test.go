@@ -280,6 +280,136 @@ func TestFailureEventsAllocationFree(t *testing.T) {
 	}
 }
 
+// TestWeightEventsAllocationFree pins the weight hot paths on a warm
+// Abilene engine: RepairDAG on one destination's DAG, SetWeight and
+// WhatIfWeight (on a private scratch) allocate nothing in steady state.
+// Each case raises a link on a shortest path and must move distances,
+// so the pin measures the repair.
+func TestWeightEventsAllocationFree(t *testing.T) {
+	en, link := abileneEngine(t)
+	g, w := en.Graph(), en.Weights()
+	lo, hi := []float64{w[link]}, []float64{3 * w[link]}
+	links := []int{link}
+	var dag *graph.DAG
+	for _, dst := range en.Evaluator().Matrix().Destinations() {
+		d, err := graph.BuildDAG(g, w, dst, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.HasLink(g, link) {
+			dag = d
+			break
+		}
+	}
+	if dag == nil {
+		t.Fatalf("no destination's DAG holds link %d", link)
+	}
+	ws := graph.NewWorkspace(g)
+	s := en.NewScratch()
+	var repaired uint64
+	cases := []struct {
+		name  string
+		op    func()
+		moved func() uint64
+	}{
+		{"RepairDAG", func() {
+			w[link] = hi[0]
+			m, err := ws.RepairDAG(g, w, dag, links, lo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w[link] = lo[0]
+			if _, err := ws.RepairDAG(g, w, dag, links, hi); err != nil {
+				t.Fatal(err)
+			}
+			repaired += uint64(m)
+		}, func() uint64 { return repaired }},
+		{"SetWeight", func() {
+			if err := en.SetWeight(link, hi[0]); err != nil {
+				t.Fatal(err)
+			}
+			if err := en.SetWeight(link, lo[0]); err != nil {
+				t.Fatal(err)
+			}
+		}, en.Moved},
+		{"WhatIfWeight", func() {
+			if _, err := en.WhatIfWeight(s, link, hi[0]); err != nil {
+				t.Fatal(err)
+			}
+		}, en.Moved},
+	}
+	for _, c := range cases {
+		c.op() // warm the arenas
+		before := c.moved()
+		if allocs := testing.AllocsPerRun(100, c.op); allocs > 0 {
+			t.Errorf("%s allocates %v allocs/op in steady state, want 0", c.name, allocs)
+		}
+		if c.moved() == before {
+			t.Errorf("%s moved no distance: the pin measures no repair", c.name)
+		}
+	}
+}
+
+// TestMovedCountsChangedDistances: for every Abilene link, tripling its
+// weight moves, in the engine's count, exactly the (destination, node)
+// distances that differ between from-scratch DAGs before and after the
+// event; the event's what-if counts the same, and so does restoring the
+// weight.
+func TestMovedCountsChangedDistances(t *testing.T) {
+	en, _ := abileneEngine(t)
+	g := en.Graph()
+	dests := en.Evaluator().Matrix().Destinations()
+	dists := func(w []float64) [][]float64 {
+		out := make([][]float64, len(dests))
+		for i, d := range dests {
+			dag, err := graph.BuildDAG(g, w, d, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = dag.Dist
+		}
+		return out
+	}
+	s := en.NewScratch()
+	total := uint64(0)
+	for e := 0; e < g.NumLinks(); e++ {
+		w := en.Weights()
+		before := dists(w)
+		old := w[e]
+		w[e] *= 3
+		after := dists(w)
+		want := uint64(0)
+		for i := range before {
+			for u := range before[i] {
+				if before[i][u] != after[i][u] {
+					want++
+				}
+			}
+		}
+		m0 := en.Moved()
+		if _, err := en.WhatIfWeight(s, e, w[e]); err != nil {
+			t.Fatal(err)
+		}
+		whatIf := en.Moved() - m0
+		if err := en.SetWeight(e, w[e]); err != nil {
+			t.Fatal(err)
+		}
+		event := en.Moved() - m0 - whatIf
+		if err := en.SetWeight(e, old); err != nil {
+			t.Fatal(err)
+		}
+		restore := en.Moved() - m0 - whatIf - event
+		if whatIf != want || event != want || restore != want {
+			t.Fatalf("link %d: what-if moved %d, SetWeight %d and its restoration %d distances; %d differ from scratch",
+				e, whatIf, event, restore, want)
+		}
+		total += want
+	}
+	if total == 0 {
+		t.Fatal("no weight change moved a distance: the test checks nothing")
+	}
+}
+
 // TestReroutedCountsScreenedDestinations: a single link-down re-routes
 // exactly the destinations whose shortest-path DAG held the link,
 // counted here independently on fresh DAGs; its what-if counts the

@@ -44,19 +44,22 @@ func buildDAG(g *Graph, weights []float64, d *DAG, settled []int, downward bool,
 	}
 	for i := range g.links {
 		l := &g.links[i]
-		du, dv := d.Dist[l.From], d.Dist[l.To]
-		if du == Unreachable || dv == Unreachable {
-			continue
+		if inDAG(d.Dist[l.From], d.Dist[l.To], weights[l.ID], downward, eps) {
+			d.Out[l.From] = append(d.Out[l.From], l.ID)
 		}
-		if dv >= du {
-			continue
-		}
-		if !downward && dv+weights[l.ID]-du > eps {
-			continue
-		}
-		d.Out[l.From] = append(d.Out[l.From], l.ID)
 	}
 	d.order = appendSettledDescending(d.order[:0], settled, d.Dist)
+}
+
+// inDAG is the membership test of a link (u,v) of weight w, given the
+// distances du and dv toward the destination: both reachable, a strict
+// decrease, and — unless the DAG is downward — a slack within eps. It is
+// the one test buildDAG and RepairDAG apply.
+func inDAG(du, dv, w float64, downward bool, eps float64) bool {
+	if du == Unreachable || dv == Unreachable || dv >= du {
+		return false
+	}
+	return downward || dv+w-du <= eps
 }
 
 // appendNodesDescending appends the reachable nodes ordered by

@@ -7,7 +7,7 @@ import "sync"
 // arena and the ratio/flow/accumulator vectors those kernels need,
 // sized to one topology shape (node and link counts). After a first warm-up call the
 // workspace-backed kernels — DijkstraTo, BellmanFordTo, BuildDAG,
-// DownwardDAG, ExponentialSplits, PropagateDownInto — run without any
+// RepairDAG, DownwardDAG, ExponentialSplits, PropagateDownInto — run without any
 // heap allocation, which is what makes the iterative optimizers
 // (Algorithm 1's per-iteration routing, Algorithm 2's per-iteration
 // traffic distribution) and the scenario sweeps allocation-free in
@@ -33,7 +33,14 @@ type Workspace struct {
 	logZ  []float64 // per-node log-partition of ExponentialSplits
 
 	demand []float64 // per-node demand scratch for callers (DemandBuffer)
-	order  []int     // node-order scratch of NodesByDistDesc
+	order  []int     // node-order scratch of NodesByDistDesc and RepairDAG
+
+	// RepairDAG's per-node state: prev and flag are read only for the
+	// nodes listed in touched, each listed once.
+	prev    []float64 // distances before the repair
+	flag    []uint8   // rep* bits, all clear between calls
+	touched []int
+	moved   []int // the nodes whose distance moved
 }
 
 // NewWorkspace returns a workspace sized for g's shape.
@@ -56,8 +63,18 @@ func (ws *Workspace) Reset(g *Graph) {
 	ws.ratio = growFloats(ws.ratio, m)
 	ws.order = growInts(ws.order, n)
 	ws.settled = growInts(ws.settled, n)
-	if cap(ws.heap.items) < m+1 {
-		ws.heap.items = make([]pqItem, 0, m+1)
+	ws.prev = growFloats(ws.prev, n)
+	ws.touched = growInts(ws.touched, n)
+	ws.moved = growInts(ws.moved, n)
+	if cap(ws.flag) < n {
+		ws.flag = make([]uint8, n)
+	}
+	ws.flag = ws.flag[:n]
+	// Dijkstra pushes at most NumLinks+1 entries. RepairDAG pushes each
+	// invalid node once, each lowered link's tail once, and relaxes each
+	// link at most once: at most NumNodes + 2*NumLinks.
+	if hp := n + 2*m + 1; cap(ws.heap.items) < hp {
+		ws.heap.items = make([]pqItem, 0, hp)
 	}
 	ws.dag.reset(n)
 }

@@ -158,15 +158,17 @@ type MetricsResponse struct {
 	Links        int     `json:"links"`
 }
 
-// EventStats summarizes one event type's latency distribution and how
-// many destinations its events re-routed in total (diagnostics: how
-// much work the engine's exact screen left to do).
+// EventStats summarizes one event type's latency distribution, how
+// many destinations its events re-routed in total and how many node
+// distances those re-routes moved (diagnostics: how much work the
+// engine's exact screen and its DAG repair left to do).
 type EventStats struct {
 	Count    uint64 `json:"count"`
 	TotalNs  int64  `json:"total_ns"`
 	P50Ns    int64  `json:"p50_ns"`
 	P99Ns    int64  `json:"p99_ns"`
 	Rerouted uint64 `json:"rerouted"`
+	Moved    uint64 `json:"moved"`
 }
 
 // TopoStats is one topology's /statz entry.
@@ -201,15 +203,17 @@ type latRecorder struct {
 	count    uint64
 	totalNs  int64
 	rerouted uint64
+	moved    uint64
 	ring     []int64
 	next     int
 	full     bool
 }
 
-func (r *latRecorder) record(d time.Duration, rerouted uint64) {
+func (r *latRecorder) record(d time.Duration, rerouted, moved uint64) {
 	r.count++
 	r.totalNs += d.Nanoseconds()
 	r.rerouted += rerouted
+	r.moved += moved
 	if r.ring == nil {
 		r.ring = make([]int64, 0, 64)
 	}
@@ -225,7 +229,7 @@ func (r *latRecorder) record(d time.Duration, rerouted uint64) {
 }
 
 func (r *latRecorder) stats() EventStats {
-	s := EventStats{Count: r.count, TotalNs: r.totalNs, Rerouted: r.rerouted}
+	s := EventStats{Count: r.count, TotalNs: r.totalNs, Rerouted: r.rerouted, Moved: r.moved}
 	if len(r.ring) == 0 {
 		return s
 	}
@@ -298,9 +302,10 @@ func (in *instance) run(f func()) bool {
 func (in *instance) close() { in.once.Do(func() { close(in.closed) }) }
 
 // timed runs one event body on the calling (loop) goroutine and
-// records its latency and re-routed destinations under the event type.
+// records its latency, re-routed destinations and moved distances under
+// the event type.
 func (in *instance) timed(typ string, f func() error) error {
-	rerouted := in.eng.Rerouted()
+	rerouted, moved := in.eng.Rerouted(), in.eng.Moved()
 	start := time.Now()
 	err := f()
 	d := time.Since(start)
@@ -309,7 +314,7 @@ func (in *instance) timed(typ string, f func() error) error {
 		rec = &latRecorder{}
 		in.lat[typ] = rec
 	}
-	rec.record(d, in.eng.Rerouted()-rerouted)
+	rec.record(d, in.eng.Rerouted()-rerouted, in.eng.Moved()-moved)
 	return err
 }
 

@@ -139,9 +139,13 @@ func TestServeLifecycle(t *testing.T) {
 	if st.Events["set-weight"].Count != 1 || st.Events["whatif"].Count != 1 {
 		t.Fatalf("statz event counts: %+v", st.Events)
 	}
-	// The what-if re-routes exactly the destinations its event then does.
+	// The what-if re-routes exactly the destinations its event then does,
+	// and moves the same distances.
 	if r := st.Events["set-weight"].Rerouted; r == 0 || r != st.Events["whatif"].Rerouted {
 		t.Fatalf("statz re-routed destinations: %+v", st.Events)
+	}
+	if m := st.Events["set-weight"].Moved; m == 0 || m != st.Events["whatif"].Moved {
+		t.Fatalf("statz moved distances: %+v", st.Events)
 	}
 	if st.FootprintBytes <= 0 {
 		t.Fatalf("statz footprint: %d", st.FootprintBytes)
