@@ -50,12 +50,14 @@ const (
 //     distance, then ID, and merged in. Unreachable sorts first in that
 //     order, so the newly unreachable nodes drop off the front.
 //
-// It works for any tolerance and allocates nothing in steady state.
+// It works for any tolerance and allocates nothing in steady state; the
+// first repair on a workspace sizes the state it keeps for repairs.
 func (ws *Workspace) RepairDAG(g *Graph, w []float64, d *DAG, links []int, old []float64) (int, error) {
 	if err := checkRepair(g, w, d, links, old); err != nil {
 		return 0, err
 	}
 	ws.fit(g)
+	ws.fitRepair(g)
 	dist, eps := d.Dist, dagEps(d.Tol)
 	ws.touched = ws.touched[:0]
 
@@ -160,6 +162,28 @@ func checkRepair(g *Graph, w []float64, d *DAG, links []int, old []float64) erro
 		}
 	}
 	return nil
+}
+
+// fitRepair sizes RepairDAG's state for g's shape. Reset leaves it
+// alone, so a workspace that never repairs a DAG — every one the
+// optimizers and routers draw — allocates none of it. The heap grows
+// past Dijkstra's NumLinks+1 bound: a repair pushes each invalid node
+// once and each lowered link's tail once, and relaxes each link at most
+// once, since a node settles at most once.
+func (ws *Workspace) fitRepair(g *Graph) {
+	n, m := g.NumNodes(), g.NumLinks()
+	if len(ws.flag) != n {
+		ws.prev = growFloats(ws.prev, n)
+		ws.touched = growInts(ws.touched, n)
+		ws.moved = growInts(ws.moved, n)
+		if cap(ws.flag) < n {
+			ws.flag = make([]uint8, n) // all clear, as between repairs
+		}
+		ws.flag = ws.flag[:n]
+	}
+	if hp := n + 2*m + 1; cap(ws.heap.items) < hp {
+		ws.heap.items = make([]pqItem, 0, hp)
+	}
 }
 
 // onShortestPath reports whether a link (u,v) of weight w lies within

@@ -35,8 +35,9 @@ type Workspace struct {
 	demand []float64 // per-node demand scratch for callers (DemandBuffer)
 	order  []int     // node-order scratch of NodesByDistDesc and RepairDAG
 
-	// RepairDAG's per-node state: prev and flag are read only for the
-	// nodes listed in touched, each listed once.
+	// RepairDAG's per-node state, sized by fitRepair on first use: prev
+	// and flag are read only for the nodes listed in touched, each
+	// listed once.
 	prev    []float64 // distances before the repair
 	flag    []uint8   // rep* bits, all clear between calls
 	touched []int
@@ -63,18 +64,8 @@ func (ws *Workspace) Reset(g *Graph) {
 	ws.ratio = growFloats(ws.ratio, m)
 	ws.order = growInts(ws.order, n)
 	ws.settled = growInts(ws.settled, n)
-	ws.prev = growFloats(ws.prev, n)
-	ws.touched = growInts(ws.touched, n)
-	ws.moved = growInts(ws.moved, n)
-	if cap(ws.flag) < n {
-		ws.flag = make([]uint8, n)
-	}
-	ws.flag = ws.flag[:n]
-	// Dijkstra pushes at most NumLinks+1 entries. RepairDAG pushes each
-	// invalid node once, each lowered link's tail once, and relaxes each
-	// link at most once: at most NumNodes + 2*NumLinks.
-	if hp := n + 2*m + 1; cap(ws.heap.items) < hp {
-		ws.heap.items = make([]pqItem, 0, hp)
+	if cap(ws.heap.items) < m+1 {
+		ws.heap.items = make([]pqItem, 0, m+1)
 	}
 	ws.dag.reset(n)
 }
