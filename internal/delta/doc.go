@@ -7,7 +7,10 @@
 //
 //   - SetWeight re-routes only the destinations an exact screen over
 //     cached distances proves the change can affect (the machinery the
-//     local search uses, extracted here for general use);
+//     local search uses, extracted here for general use), and repairs
+//     each one's shortest-path DAG in place (graph.Workspace.RepairDAG)
+//     instead of re-running Dijkstra: only the nodes whose distance can
+//     change, and the links around them, are touched;
 //   - SetDemand re-propagates a single destination's flow without
 //     touching any shortest-path state;
 //   - StepDemands advances to the next matrix of a temporal sequence,
@@ -18,7 +21,8 @@
 //     allocation-free;
 //   - the WhatIf queries score any of those events against the current
 //     state into a scratch without committing it, bit-identical to
-//     applying the event.
+//     applying the event; a weight what-if copies each affected DAG into
+//     the scratch and repairs the copy.
 //
 // Every update is bit-identical to a from-scratch evaluation of the
 // resulting state — for a failure, through the link projection onto the
@@ -31,7 +35,7 @@
 // graph, one weight vector and one demand matrix, with incremental
 // updates; Engine layers the control-plane view on top (the recorded
 // weights, a down-link set, failures as +Inf weights, pooled what-if
-// scratches, a re-routed-destination counter) and is what servers hold
-// per topology. internal/localsearch scores its candidates on this
+// scratches, counters of re-routed destinations and of the distances
+// their repairs moved) and is what servers hold per topology. internal/localsearch scores its candidates on this
 // package's Evaluator directly.
 package delta

@@ -6,13 +6,8 @@ import (
 	"testing"
 )
 
-var quick = Options{Quick: true}
-
 func TestRunTable1(t *testing.T) {
-	r, err := RunTable1(t.Context(), quick)
-	if err != nil {
-		t.Fatalf("RunTable1: %v", err)
-	}
+	r := quickRun[*Table1Result](t, "table1")
 	if len(r.Schemes) != 5 {
 		t.Fatalf("schemes = %v, want 5", r.Schemes)
 	}
@@ -47,10 +42,7 @@ func TestRunTable1(t *testing.T) {
 }
 
 func TestRunFig2(t *testing.T) {
-	r, err := RunFig2(t.Context(), quick)
-	if err != nil {
-		t.Fatalf("RunFig2: %v", err)
-	}
+	r := quickRun[*Fig2Result](t, "fig2")
 	if len(r.Curves) != 4 {
 		t.Fatalf("curves = %d, want 4", len(r.Curves))
 	}
@@ -75,10 +67,7 @@ func TestRunFig2(t *testing.T) {
 }
 
 func TestRunFig3(t *testing.T) {
-	r, err := RunFig3(t.Context(), quick)
-	if err != nil {
-		t.Fatalf("RunFig3: %v", err)
-	}
+	r := quickRun[*Fig3Result](t, "fig3")
 	// Weight of arc (3,4) grows like 10^beta (paper Fig. 3a).
 	w34 := r.WeightSeries[1]
 	if w34.Y[len(w34.Y)-1] < 1e4 {
@@ -96,10 +85,7 @@ func TestRunFig3(t *testing.T) {
 }
 
 func TestRunFig67(t *testing.T) {
-	r, err := RunFig67(t.Context(), quick)
-	if err != nil {
-		t.Fatalf("RunFig67: %v", err)
-	}
+	r := quickRun[*Fig67Result](t, "fig6")
 	if len(r.Links) != 13 {
 		t.Fatalf("links = %d, want 13", len(r.Links))
 	}
@@ -129,10 +115,7 @@ func TestRunFig67(t *testing.T) {
 }
 
 func TestRunTable3(t *testing.T) {
-	r, err := RunTable3(t.Context(), quick)
-	if err != nil {
-		t.Fatalf("RunTable3: %v", err)
-	}
+	r := quickRun[*Table3Result](t, "table3")
 	if len(r.Rows) != 7 {
 		t.Fatalf("rows = %d, want 7", len(r.Rows))
 	}
@@ -142,10 +125,7 @@ func TestRunTable3(t *testing.T) {
 }
 
 func TestRunFig9(t *testing.T) {
-	r, err := RunFig9(t.Context(), quick)
-	if err != nil {
-		t.Fatalf("RunFig9: %v", err)
-	}
+	r := quickRun[*Fig9Result](t, "fig9")
 	for _, id := range []string{"Abilene", "Cernet2"} {
 		panel := r.Panels[id]
 		if len(panel) != 2 {
@@ -168,10 +148,7 @@ func TestRunFig9(t *testing.T) {
 }
 
 func TestRunFig10(t *testing.T) {
-	r, err := RunFig10(t.Context(), quick)
-	if err != nil {
-		t.Fatalf("RunFig10: %v", err)
-	}
+	r := quickRun[*Fig10Result](t, "fig10")
 	for _, id := range r.Order {
 		panel := r.Panels[id]
 		ospf, spef := panel[0], panel[1]
@@ -189,10 +166,7 @@ func TestRunFig10(t *testing.T) {
 }
 
 func TestRunTable5(t *testing.T) {
-	r, err := RunTable5(t.Context(), quick)
-	if err != nil {
-		t.Fatalf("RunTable5: %v", err)
-	}
+	r := quickRun[*Table5Result](t, "table5")
 	if len(r.Rows) < 2 {
 		t.Fatalf("rows = %d, want >= 2", len(r.Rows))
 	}
@@ -212,10 +186,7 @@ func TestRunTable5(t *testing.T) {
 }
 
 func TestRunFig12(t *testing.T) {
-	r, err := RunFig12(t.Context(), quick)
-	if err != nil {
-		t.Fatalf("RunFig12: %v", err)
-	}
+	r := quickRun[*Fig12Result](t, "fig12")
 	if len(r.TE) != 4 || len(r.NEM) != 4 {
 		t.Fatalf("series = %d/%d, want 4/4", len(r.TE), len(r.NEM))
 	}
@@ -232,10 +203,7 @@ func TestRunFig12(t *testing.T) {
 }
 
 func TestRunFig13(t *testing.T) {
-	r, err := RunFig13(t.Context(), quick)
-	if err != nil {
-		t.Fatalf("RunFig13: %v", err)
-	}
+	r := quickRun[*Fig13Result](t, "fig13")
 	for _, id := range []string{"Abilene", "Cernet2"} {
 		panel := r.Panels[id]
 		if len(panel) != 2 {
@@ -256,10 +224,7 @@ func TestRunFig13(t *testing.T) {
 }
 
 func TestRunFig11(t *testing.T) {
-	r, err := RunFig11(t.Context(), quick)
-	if err != nil {
-		t.Fatalf("RunFig11: %v", err)
-	}
+	r := quickRun[*Fig11Result](t, "fig11")
 	if len(r.Panels) != 2 {
 		t.Fatalf("panels = %d, want 2", len(r.Panels))
 	}

@@ -7,10 +7,7 @@ import (
 )
 
 func TestRunControl(t *testing.T) {
-	r, err := RunControl(t.Context(), quick)
-	if err != nil {
-		t.Fatalf("RunControl: %v", err)
-	}
+	r := quickRun[*ControlResult](t, "control")
 	if len(r.Rows) != 7 {
 		t.Fatalf("rows = %d, want 7 (Table III networks)", len(r.Rows))
 	}
@@ -35,10 +32,7 @@ func TestRunControl(t *testing.T) {
 }
 
 func TestRunFailure(t *testing.T) {
-	r, err := RunFailure(t.Context(), quick)
-	if err != nil {
-		t.Fatalf("RunFailure: %v", err)
-	}
+	r := quickRun[*FailureResult](t, "failure")
 	if len(r.Rows) == 0 {
 		t.Fatal("no failure rows")
 	}

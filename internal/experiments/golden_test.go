@@ -2,12 +2,37 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// quickRuns holds one single-worker quick run per experiment, made on
+// first use. TestPaperGoldens byte-compares it and the TestRun* checks
+// read it, so each experiment runs once at one worker per `go test`.
+var quickRuns = func() map[string]func() (Result, error) {
+	runs := map[string]func() (Result, error){}
+	for _, e := range All {
+		runs[e.Name] = sync.OnceValues(func() (Result, error) {
+			return e.Run(context.Background(), Options{Quick: true, Workers: 1})
+		})
+	}
+	return runs
+}()
+
+// quickRun returns the shared quick run of the named experiment.
+func quickRun[T Result](t *testing.T, name string) T {
+	t.Helper()
+	res, err := quickRuns[name]()
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return res.(T)
+}
 
 // TestPaperGoldens byte-compares every experiment's quick-fidelity
 // Format output, at 1 and at 4 workers, with testdata/quick/<name>.golden.
@@ -21,7 +46,10 @@ func TestPaperGoldens(t *testing.T) {
 		t.Run(e.Name, func(t *testing.T) {
 			path := filepath.Join("testdata", "quick", e.Name+".golden")
 			for _, workers := range []int{1, 4} {
-				res, err := e.Run(t.Context(), Options{Quick: true, Workers: workers})
+				res, err := quickRuns[e.Name]()
+				if workers != 1 {
+					res, err = e.Run(t.Context(), Options{Quick: true, Workers: workers})
+				}
 				if err != nil {
 					t.Fatalf("%d workers: %v", workers, err)
 				}

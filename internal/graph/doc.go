@@ -28,4 +28,16 @@
 // per-destination fan-out of internal/par and the scenario engine's
 // cell workers — so no shortest-path state is ever shared between
 // goroutines.
+//
+// # Repairing a DAG after a weight event
+//
+// Workspace.RepairDAG updates a DAG that BuildDAG built, after some
+// links' weights changed, to exactly — bit for bit — what BuildDAG
+// would return under the new weights, touching only the nodes whose
+// distance can change and the links around them. It shares buildDAG's
+// membership predicate and Dijkstra's lazy heap and strict-improvement
+// rule, so the two cannot drift. The incremental evaluator of
+// internal/delta repairs its DAGs with it on every weight event,
+// failure and what-if; BuildDAG stays where a DAG is built from
+// nothing.
 package graph

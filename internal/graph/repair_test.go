@@ -414,37 +414,6 @@ func TestRepairDAGRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestRepairDAGSteadyStateZeroAllocs: raising a shortest-path link and
-// lowering it back, on a warm workspace, allocates nothing.
-func TestRepairDAGSteadyStateZeroAllocs(t *testing.T) {
-	g, w, dst := allocSetup(t)
-	d, err := BuildDAG(g, w, dst, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := d.Out[d.NodesDescending()[0]][0] // the farthest node's first next hop
-	ws := NewWorkspace(g)
-	links, low, high := []int{e}, []float64{w[e]}, []float64{w[e] + 25}
-	moved := 0
-	if got := measureAllocs(func() {
-		w[e] = high[0]
-		m, err := ws.RepairDAG(g, w, d, links, low)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w[e] = low[0]
-		if _, err := ws.RepairDAG(g, w, d, links, high); err != nil {
-			t.Fatal(err)
-		}
-		moved += m
-	}); got != 0 {
-		t.Fatalf("ws.RepairDAG allocates %v objects/op in steady state, want 0", got)
-	}
-	if moved == 0 {
-		t.Fatal("raising a DAG link moved no distance: the pin measures nothing")
-	}
-}
-
 // FuzzRepairDAG decodes bytes into a small graph (up to 10 nodes and 31
 // links), a weight vector of 0, +Inf, small integers and sevenths, and a
 // sequence of up to 32 multi-link weight events, and checks after each

@@ -5,13 +5,13 @@ import "sync"
 // Workspace is a reusable scratch arena for the shortest-path kernels:
 // it owns the lazy heap, the distance and settle-order buffers, the DAG
 // arena and the ratio/flow/accumulator vectors those kernels need,
-// sized to one topology shape (node and link counts). After a first warm-up call the
-// workspace-backed kernels — DijkstraTo, BellmanFordTo, BuildDAG,
-// RepairDAG, DownwardDAG, ExponentialSplits, PropagateDownInto — run without any
-// heap allocation, which is what makes the iterative optimizers
-// (Algorithm 1's per-iteration routing, Algorithm 2's per-iteration
-// traffic distribution) and the scenario sweeps allocation-free in
-// steady state.
+// sized to one topology shape (node and link counts). After a first
+// warm-up call the workspace-backed kernels — DijkstraTo,
+// BellmanFordTo, BuildDAG, RepairDAG, DownwardDAG, ExponentialSplits,
+// PropagateDownInto — run without any heap allocation, which is what
+// makes the iterative optimizers (Algorithm 1's per-iteration routing,
+// Algorithm 2's per-iteration traffic distribution) and the scenario
+// sweeps allocation-free in steady state.
 //
 // A Workspace is NOT safe for concurrent use: every scenario or
 // per-destination worker owns its own (see WorkspacePool). Results that

@@ -117,32 +117,8 @@ func TestWorkspaceKernelsBitIdentical(t *testing.T) {
 
 func compareDAGs(t *testing.T, trial int, a, b *DAG) {
 	t.Helper()
-	if a.Dst != b.Dst {
-		t.Fatalf("trial %d: Dst %d != %d", trial, a.Dst, b.Dst)
-	}
-	for u := range a.Dist {
-		if a.Dist[u] != b.Dist[u] {
-			t.Fatalf("trial %d: node %d: DAG dist %v != %v", trial, u, a.Dist[u], b.Dist[u])
-		}
-	}
-	for u := range a.Out {
-		if len(a.Out[u]) != len(b.Out[u]) {
-			t.Fatalf("trial %d: node %d: out-degree %d != %d", trial, u, len(a.Out[u]), len(b.Out[u]))
-		}
-		for i := range a.Out[u] {
-			if a.Out[u][i] != b.Out[u][i] {
-				t.Fatalf("trial %d: node %d: out[%d] = %d != %d", trial, u, i, a.Out[u][i], b.Out[u][i])
-			}
-		}
-	}
-	ordA, ordB := a.NodesDescending(), b.NodesDescending()
-	if len(ordA) != len(ordB) {
-		t.Fatalf("trial %d: order length %d != %d", trial, len(ordA), len(ordB))
-	}
-	for i := range ordA {
-		if ordA[i] != ordB[i] {
-			t.Fatalf("trial %d: order[%d] = %d != %d", trial, i, ordA[i], ordB[i])
-		}
+	if err := dagDiff(b, a); err != nil {
+		t.Fatalf("trial %d: %v", trial, err)
 	}
 }
 
