@@ -260,11 +260,7 @@ func (f *FailureSet) variants(n *Network, d *Demands) ([]failureVariant, error) 
 		if err != nil {
 			return nil, err
 		}
-		routable, err := demandsRoutable(n2, d)
-		if err != nil {
-			return nil, err
-		}
-		if routable {
+		if demandsRoutable(n2, d) {
 			out = append(out, failureVariant{net: n2, failedLink: u.label, keep: keep})
 		}
 	}

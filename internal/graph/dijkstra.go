@@ -244,15 +244,28 @@ func (ws *Workspace) BellmanFordTo(g *Graph, weights []float64, dst int) (*SPRes
 // Reachable reports whether every node can reach dst (used to validate
 // experiment topologies before running optimization).
 func Reachable(g *Graph, dst int) (bool, error) {
-	w := make([]float64, g.NumLinks())
-	sp, err := DijkstraTo(g, w, dst)
-	if err != nil {
-		return false, err
+	if dst < 0 || dst >= g.NumNodes() {
+		return false, fmt.Errorf("graph: destination %d out of range", dst)
 	}
-	for _, d := range sp.Dist {
-		if d == Unreachable {
-			return false, nil
+	return len(g.Reachers(dst, make([]bool, g.NumNodes()), nil)) == g.NumNodes(), nil
+}
+
+// Reachers marks in reached every node with a path to dst, searching
+// breadth-first back along in-links, and returns them in the order
+// found, dst first, in queue's reused storage. reached must have length
+// NumNodes; it is cleared first. With both buffers reused, repeated
+// calls allocate nothing.
+func (g *Graph) Reachers(dst int, reached []bool, queue []int) []int {
+	clear(reached)
+	reached[dst] = true
+	queue = append(queue[:0], dst)
+	for k := 0; k < len(queue); k++ {
+		for _, id := range g.in[queue[k]] {
+			if u := g.links[id].From; !reached[u] {
+				reached[u] = true
+				queue = append(queue, u)
+			}
 		}
 	}
-	return true, nil
+	return queue
 }

@@ -156,6 +156,46 @@ func TestReachable(t *testing.T) {
 	if ok {
 		t.Error("Reachable(fig1, node 1) = true, want false (no link into 1)")
 	}
+	if _, err := Reachable(g, 4); err == nil {
+		t.Error("Reachable(fig1, 4) accepted an out-of-range destination")
+	}
+}
+
+// TestReachersMatchDijkstra checks Reachers against zero-weight
+// Dijkstra on graphs where many nodes cannot reach the destination:
+// reached marks exactly the nodes at a finite distance, and the
+// returned queue lists each of them once, dst first. The buffers are
+// shared by every call, so a stale mark would show.
+func TestReachersMatchDijkstra(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var reached []bool
+	var queue []int
+	for c := 0; c < 300; c++ {
+		g, _ := adversarialGraph(rng)
+		reached = slices.Grow(reached[:0], g.NumNodes())[:g.NumNodes()]
+		for dst := range g.NumNodes() {
+			sp, err := DijkstraTo(g, make([]float64, g.NumLinks()), dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			queue = g.Reachers(dst, reached, queue)
+			if queue[0] != dst {
+				t.Fatalf("case %d dst %d: queue starts at %d", c, dst, queue[0])
+			}
+			seen := make([]bool, g.NumNodes())
+			for _, u := range queue {
+				if seen[u] || !reached[u] {
+					t.Fatalf("case %d dst %d: queue %v repeats %d or lists it unmarked", c, dst, queue, u)
+				}
+				seen[u] = true
+			}
+			for u, ok := range reached {
+				if want := sp.Dist[u] != Unreachable; ok != want || seen[u] != want {
+					t.Fatalf("case %d dst %d node %d: reached %v, queued %v, want %v", c, dst, u, ok, seen[u], want)
+				}
+			}
+		}
+	}
 }
 
 // adversarialGraph builds a random digraph without randomGraph's

@@ -211,20 +211,46 @@ func (g *Graph) DuplexPairs() [][2]int {
 // densely; keep[newID] = oldID maps the new link IDs back to the
 // original ones so per-link vectors can be projected onto the survivors.
 func (g *Graph) WithoutLinks(drop ...int) (*Graph, []int, error) {
-	dropSet := make(map[int]bool, len(drop))
+	dropped := make([]bool, len(g.links))
+	kept := len(g.links)
 	for _, id := range drop {
 		if id < 0 || id >= len(g.links) {
 			return nil, nil, fmt.Errorf("%w: link %d out of range", ErrBadLink, id)
 		}
-		dropSet[id] = true
+		if !dropped[id] {
+			dropped[id] = true
+			kept--
+		}
 	}
-	g2 := New(g.NumNodes())
-	for i, name := range g.names {
-		g2.SetName(i, name)
+	g2 := &Graph{
+		names: append([]string(nil), g.names...),
+		links: make([]Link, 0, kept),
+		out:   make([][]int, len(g.names)),
+		in:    make([][]int, len(g.names)),
 	}
-	keep := make([]int, 0, len(g.links)-len(dropSet))
+	// Every node's adjacency lists are sized exactly and carved from one
+	// array, so the copy costs a handful of allocations, not a growing
+	// append per node and link. Each window is cap-limited: a later
+	// AddLink copies it instead of overwriting the next one.
+	adj := make([]int, 0, 2*kept)
+	carve := func(ids []int) []int {
+		k := 0
+		for _, id := range ids {
+			if !dropped[id] {
+				k++
+			}
+		}
+		w := adj[len(adj) : len(adj) : len(adj)+k]
+		adj = adj[:len(adj)+k]
+		return w
+	}
+	for u := range g.names {
+		g2.out[u] = carve(g.out[u])
+		g2.in[u] = carve(g.in[u])
+	}
+	keep := make([]int, 0, kept)
 	for _, l := range g.links {
-		if dropSet[l.ID] {
+		if dropped[l.ID] {
 			continue
 		}
 		if _, err := g2.AddLink(l.From, l.To, l.Cap); err != nil {

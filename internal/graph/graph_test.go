@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -131,6 +132,69 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if err := g.Validate(); err != nil {
 		t.Errorf("original invalid after clone mutation: %v", err)
+	}
+}
+
+// TestWithoutLinksMatchesRebuild checks WithoutLinks against the graph
+// built from scratch out of the surviving links: names, renumbered
+// links, keep, and every adjacency list in order, with a repeated drop
+// counted once. Links added to the copy afterwards must not spill into
+// a neighbouring node's list, nor the copy alias the original.
+func TestWithoutLinksMatchesRebuild(t *testing.T) {
+	g := New(5)
+	for i, name := range []string{"a", "b", "c", "d", "e"} {
+		g.SetName(i, name)
+	}
+	for _, l := range [][3]int{{0, 1, 1}, {1, 0, 1}, {0, 1, 2}, {1, 2, 3}, {2, 0, 4}, {2, 3, 5}, {3, 2, 6}, {0, 3, 7}} {
+		mustLink(t, g, l[0], l[1], float64(l[2]))
+	}
+	// Node 4 has no links; dropping 3 (b->c) leaves c's in-list empty
+	// and 2 (a parallel link) is dropped twice.
+	g2, keep, err := g.WithoutLinks(2, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := New(5)
+	for i := range 5 {
+		want.SetName(i, g.Name(i))
+	}
+	var wantKeep []int
+	for _, l := range g.links {
+		if l.ID != 2 && l.ID != 3 {
+			mustLink(t, want, l.From, l.To, l.Cap)
+			wantKeep = append(wantKeep, l.ID)
+		}
+	}
+	sameGraph := func(got, want *Graph) {
+		t.Helper()
+		if err := got.Validate(); err != nil {
+			t.Fatalf("Validate: %v", err)
+		}
+		if !slices.Equal(got.names, want.names) || !slices.Equal(got.links, want.links) {
+			t.Fatalf("names/links = %v %v, want %v %v", got.names, got.links, want.names, want.links)
+		}
+		for u := range want.NumNodes() {
+			if !slices.Equal(got.OutLinks(u), want.OutLinks(u)) || !slices.Equal(got.InLinks(u), want.InLinks(u)) {
+				t.Fatalf("node %d: out %v in %v, want out %v in %v", u,
+					got.OutLinks(u), got.InLinks(u), want.OutLinks(u), want.InLinks(u))
+			}
+		}
+	}
+	sameGraph(g2, want)
+	if !slices.Equal(keep, wantKeep) {
+		t.Fatalf("keep = %v, want %v", keep, wantKeep)
+	}
+	for _, l := range [][2]int{{0, 1}, {1, 2}, {4, 0}, {0, 4}} {
+		mustLink(t, g2, l[0], l[1], 1)
+		mustLink(t, want, l[0], l[1], 1)
+		sameGraph(g2, want)
+	}
+	g2.SetName(0, "changed")
+	if g.Name(0) != "a" || g.NumLinks() != 8 {
+		t.Error("WithoutLinks copy shares storage with the original")
+	}
+	if _, _, err := g.WithoutLinks(8); !errors.Is(err, ErrBadLink) {
+		t.Errorf("WithoutLinks(8) error = %v, want ErrBadLink", err)
 	}
 }
 

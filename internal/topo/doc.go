@@ -7,7 +7,7 @@
 // Fig. 4), the Abilene and Cernet2 backbones (Fig. 8, Table III), and
 // Table3Networks — the seeded, fully deterministic registry of the
 // paper's seven evaluation networks with their exact node and
-// directed-link counts.
+// directed-link counts. Table3Network builds one of them by name.
 //
 // # Generators
 //

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"repro/internal/graph"
 )
@@ -153,32 +154,55 @@ type Net struct {
 	G        *graph.Graph
 }
 
+// table3 lists the seven evaluation networks of Table III in order, each
+// with its builder. Generated networks use fixed seeds.
+var table3 = []struct {
+	id       string
+	topology string
+	build    func() (*graph.Graph, error)
+}{
+	{id: "Abilene", topology: "Backbone", build: func() (*graph.Graph, error) { return Abilene(), nil }},
+	{id: "Cernet2", topology: "Backbone", build: func() (*graph.Graph, error) { return Cernet2(), nil }},
+	{id: "Hier50a", topology: "2-level", build: func() (*graph.Graph, error) { return Hier2Level(501, 50, 5, 222) }},
+	{id: "Hier50b", topology: "2-level", build: func() (*graph.Graph, error) { return Hier2Level(502, 50, 5, 152) }},
+	{id: "Rand50a", topology: "Random", build: func() (*graph.Graph, error) { return Random(503, 50, 242) }},
+	{id: "Rand50b", topology: "Random", build: func() (*graph.Graph, error) { return Random(504, 50, 230) }},
+	{id: "Rand100", topology: "Random", build: func() (*graph.Graph, error) { return Random(505, 100, 392) }},
+}
+
 // Table3Networks returns the seven evaluation networks of Table III with
 // the paper's exact node and directed-link counts. Generated networks use
 // fixed seeds, so the registry is fully deterministic.
 func Table3Networks() ([]Net, error) {
-	nets := []Net{
-		{ID: "Abilene", Topology: "Backbone", G: Abilene()},
-		{ID: "Cernet2", Topology: "Backbone", G: Cernet2()},
-	}
-	type genSpec struct {
-		id       string
-		topology string
-		build    func() (*graph.Graph, error)
-	}
-	specs := []genSpec{
-		{id: "Hier50a", topology: "2-level", build: func() (*graph.Graph, error) { return Hier2Level(501, 50, 5, 222) }},
-		{id: "Hier50b", topology: "2-level", build: func() (*graph.Graph, error) { return Hier2Level(502, 50, 5, 152) }},
-		{id: "Rand50a", topology: "Random", build: func() (*graph.Graph, error) { return Random(503, 50, 242) }},
-		{id: "Rand50b", topology: "Random", build: func() (*graph.Graph, error) { return Random(504, 50, 230) }},
-		{id: "Rand100", topology: "Random", build: func() (*graph.Graph, error) { return Random(505, 100, 392) }},
-	}
-	for _, s := range specs {
-		g, err := s.build()
+	nets := make([]Net, 0, len(table3))
+	for i := range table3 {
+		n, err := table3Net(i)
 		if err != nil {
-			return nil, fmt.Errorf("topo: building %s: %w", s.id, err)
+			return nil, err
 		}
-		nets = append(nets, Net{ID: s.id, Topology: s.topology, G: g})
+		nets = append(nets, n)
 	}
 	return nets, nil
+}
+
+// Table3Network builds only the Table III network whose ID matches id
+// case-insensitively; ok is false when none does.
+func Table3Network(id string) (n Net, ok bool, err error) {
+	for i := range table3 {
+		if strings.EqualFold(table3[i].id, id) {
+			n, err = table3Net(i)
+			return n, err == nil, err
+		}
+	}
+	return Net{}, false, nil
+}
+
+// table3Net builds table3[i] afresh.
+func table3Net(i int) (Net, error) {
+	s := &table3[i]
+	g, err := s.build()
+	if err != nil {
+		return Net{}, fmt.Errorf("topo: building %s: %w", s.id, err)
+	}
+	return Net{ID: s.id, Topology: s.topology, G: g}, nil
 }

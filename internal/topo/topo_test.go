@@ -2,6 +2,8 @@ package topo
 
 import (
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -256,6 +258,31 @@ func TestHier2LevelErrors(t *testing.T) {
 	}
 	if _, err := Hier2Level(1, 50, 5, 221); !errors.Is(err, ErrBadParams) {
 		t.Error("odd link count accepted")
+	}
+}
+
+// TestTable3NetworkBuildsOne checks the single-network lookup against
+// the full registry: any letter case finds the same network, link for
+// link, and an unknown ID reports not found without an error.
+func TestTable3NetworkBuildsOne(t *testing.T) {
+	nets, err := Table3Networks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range nets {
+		for _, id := range []string{want.ID, strings.ToLower(want.ID), strings.ToUpper(want.ID)} {
+			got, ok, err := Table3Network(id)
+			if err != nil || !ok {
+				t.Fatalf("Table3Network(%q) = ok %v, err %v", id, ok, err)
+			}
+			if got.ID != want.ID || got.Topology != want.Topology ||
+				!slices.Equal(got.G.Links(), want.G.Links()) || got.G.NumNodes() != want.G.NumNodes() {
+				t.Errorf("Table3Network(%q) = %s/%s, %d nodes, differs from the registry's %s", id, got.ID, got.Topology, got.G.NumNodes(), want.ID)
+			}
+		}
+	}
+	if _, ok, err := Table3Network("Rand200"); ok || err != nil {
+		t.Errorf("Table3Network(Rand200) = ok %v, err %v; want not found", ok, err)
 	}
 }
 

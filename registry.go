@@ -240,17 +240,15 @@ func resolveTopology(spec string, withDemands bool) (Topology, error) {
 			return Topology{Name: name, Network: n, Demands: d}, nil
 		}
 	}
-	nets, err := topo.Table3Networks()
+	net, ok, err := topo.Table3Network(name)
 	if err != nil {
 		return Topology{}, err
 	}
-	for _, net := range nets {
-		if strings.EqualFold(net.ID, name) {
-			if err := onlyParams(spec, a.given); err != nil {
-				return Topology{}, err
-			}
-			return canonicalTopology(net.ID, net.ID, &Network{g: net.G}, withDemands)
+	if ok {
+		if err := onlyParams(spec, a.given); err != nil {
+			return Topology{}, err
 		}
+		return canonicalTopology(net.ID, net.ID, &Network{g: net.G}, withDemands)
 	}
 	// The name matched nothing: report the unknown name (with a
 	// near-miss suggestion against the bare spec names) rather than

@@ -8,7 +8,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/graph"
 	"repro/internal/scenario"
 	"repro/internal/traffic"
 )
@@ -341,21 +340,23 @@ func (n *Network) nodeLabel(node int) string {
 }
 
 // demandsRoutable reports whether every positive demand still has a
-// path.
-func demandsRoutable(n *Network, d *Demands) (bool, error) {
-	zero := make([]float64, n.NumLinks())
-	for _, t := range d.m.Destinations() {
-		sp, err := graph.DijkstraTo(n.g, zero, t)
-		if err != nil {
-			return false, err
+// path: each destination's reachers must include every source that
+// sends to it. Two buffers serve every destination.
+func demandsRoutable(n *Network, d *Demands) bool {
+	reached := make([]bool, n.NumNodes())
+	queue := make([]int, 0, n.NumNodes())
+	for t := range reached {
+		if !d.m.IsDestination(t) {
+			continue
 		}
-		for s := 0; s < n.NumNodes(); s++ {
-			if d.At(s, t) > 0 && sp.Dist[s] == graph.Unreachable {
-				return false, nil
+		queue = n.g.Reachers(t, reached, queue)
+		for s, ok := range reached {
+			if !ok && d.At(s, t) > 0 {
+				return false
 			}
 		}
 	}
-	return true, nil
+	return true
 }
 
 // RunOptions tunes RunScenarios and StreamScenarios.
