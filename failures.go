@@ -12,8 +12,8 @@ import (
 // of `failures=single|dual|srlg:file=...` specs, the one deterministic
 // enumeration of each mode's failure units on a topology, and their
 // expansion into failure variants, with routability pre-screening on
-// the surviving graph (no routing scheme can be compared on a variant
-// that strands a positive demand).
+// the intact graph with the failed links masked (no routing scheme can
+// be compared on a variant that strands a positive demand).
 
 // Failure-set modes.
 const (
@@ -245,24 +245,60 @@ func pairLabel(n *Network, pair [2]int) string {
 	return n.nodeLabel(from) + "-" + n.nodeLabel(to)
 }
 
-// variants expands the failure set into n's failure variants: its units
-// in order, less those whose failure strands a positive demand of d
-// (no routing scheme can be compared on them, so grids never carry
-// dead cells).
-func (f *FailureSet) variants(n *Network, d *Demands) ([]failureVariant, error) {
+// routableUnits is the failure set's units on n, in order, less those
+// whose failure strands a positive demand of d: no routing scheme can be
+// compared on them, so grids never carry dead cells and the robust
+// search never scores them. One screen serves every unit: on n's intact
+// graph with the unit's links masked, each destination's reachers
+// (graph.Reachers) must include every source that sends to it. The mask
+// and the search buffers are reused from unit to unit, and no graph is
+// copied.
+func (f *FailureSet) routableUnits(n *Network, d *Demands) ([]failureUnit, error) {
 	units, err := f.units(n)
 	if err != nil {
 		return nil, err
 	}
-	var out []failureVariant
+	down := make([]bool, n.NumLinks())
+	reached := make([]bool, n.NumNodes())
+	queue := make([]int, 0, n.NumNodes())
+	kept := units[:0]
+	for _, u := range units {
+		for _, e := range u.links {
+			down[e] = true
+		}
+		ok := true
+		for t := 0; t < len(reached) && ok; t++ {
+			if d.m.IsDestination(t) {
+				queue = n.g.Reachers(t, down, reached, queue)
+				for s := 0; s < len(reached) && ok; s++ {
+					ok = reached[s] || d.At(s, t) <= 0
+				}
+			}
+		}
+		for _, e := range u.links {
+			down[e] = false
+		}
+		if ok {
+			kept = append(kept, u)
+		}
+	}
+	return kept, nil
+}
+
+// variants expands the failure set into n's failure variants: one per
+// routable unit, each on its own copy of n without the unit's links.
+func (f *FailureSet) variants(n *Network, d *Demands) ([]failureVariant, error) {
+	units, err := f.routableUnits(n, d)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]failureVariant, 0, len(units))
 	for _, u := range units {
 		n2, keep, err := n.WithoutLinks(u.links...)
 		if err != nil {
 			return nil, err
 		}
-		if demandsRoutable(n2, d) {
-			out = append(out, failureVariant{net: n2, failedLink: u.label, keep: keep})
-		}
+		out = append(out, failureVariant{net: n2, failedLink: u.label, keep: keep})
 	}
 	return out, nil
 }

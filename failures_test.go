@@ -2,6 +2,8 @@ package spef
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -9,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/delta"
+	"repro/internal/traffic"
 )
 
 // writeSRLGFile commits a JSON SRLG group file to a temp dir and
@@ -481,4 +484,108 @@ func TestSuiteFailuresField(t *testing.T) {
 	if s2.Failures != "single" {
 		t.Fatalf("parsed failures = %q", s2.Failures)
 	}
+}
+
+// copyRoutable is the routability screen as the grid ran it before
+// the masked one, kept as its oracle: copy n without the links
+// (WithoutLinks), then demand that each destination's reachers on the
+// copy include every source that sends to it.
+func copyRoutable(t *testing.T, n *Network, d *Demands, links []int) bool {
+	t.Helper()
+	n2, _, err := n.WithoutLinks(links...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reached := make([]bool, n2.NumNodes())
+	for dst := range reached {
+		if !d.m.IsDestination(dst) {
+			continue
+		}
+		n2.g.Reachers(dst, nil, reached, nil)
+		for src, ok := range reached {
+			if !ok && d.At(src, dst) > 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestRoutabilityScreenMatchesCopies holds the masked screen on the
+// intact graph to its oracle on WithoutLinks copies, over random
+// graphs sparse enough to have bridges and demands sparse enough that
+// an isolated node does not always strand one: for single, dual and
+// random SRLG units, routableUnits must keep exactly the units the
+// oracle passes, in order. One mask and its search buffers serve all
+// of a set's units, so a mark left from one unit would show in the
+// next.
+func TestRoutabilityScreenMatchesCopies(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var passed, stranded int
+	for c := range 60 {
+		nodes := 3 + rng.Intn(10)
+		pairs := nodes - 1 + rng.Intn(nodes)
+		pairs = min(pairs, nodes*(nodes-1)/2)
+		n, err := RandomNetwork(int64(c+1), nodes, 2*pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := traffic.NewMatrix(nodes)
+		for src := range nodes {
+			for dst := range nodes {
+				if src != dst && rng.Intn(3) > 0 {
+					if err := m.Set(src, dst, 1+rng.Float64()); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		d := &Demands{m: m}
+		duplex := n.DuplexPairs()
+		srlg := &FailureSet{mode: failureModeSRLG, file: "random"}
+		for k := range 1 + rng.Intn(4) {
+			grp := srlgGroup{name: fmt.Sprintf("g%d", k)}
+			for range 1 + rng.Intn(3) {
+				from, to, _ := n.Link(duplex[rng.Intn(len(duplex))][0])
+				grp.links = append(grp.links, [2]string{n.NodeName(from), n.NodeName(to)})
+			}
+			srlg.groups = append(srlg.groups, grp)
+		}
+		for _, fset := range []*FailureSet{singleFailures, {mode: failureModeDual}, srlg} {
+			units, err := fset.units(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]bool, len(units))
+			for i, u := range units {
+				want[i] = copyRoutable(t, n, d, u.links)
+				if want[i] {
+					passed++
+				} else {
+					stranded++
+				}
+			}
+			kept, err := fset.routableUnits(n, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wantKept []string
+			for i, u := range units {
+				if want[i] {
+					wantKept = append(wantKept, u.label)
+				}
+			}
+			var gotKept []string
+			for _, u := range kept {
+				gotKept = append(gotKept, u.label)
+			}
+			if !slices.Equal(gotKept, wantKept) {
+				t.Fatalf("case %d %s: routableUnits kept %v, want %v", c, fset.mode, gotKept, wantKept)
+			}
+		}
+	}
+	if passed == 0 || stranded == 0 {
+		t.Fatalf("%d units passed and %d stranded demand: the cases do not exercise both outcomes", passed, stranded)
+	}
+	t.Logf("%d units passed, %d stranded demand", passed, stranded)
 }

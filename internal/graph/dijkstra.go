@@ -247,21 +247,22 @@ func Reachable(g *Graph, dst int) (bool, error) {
 	if dst < 0 || dst >= g.NumNodes() {
 		return false, fmt.Errorf("graph: destination %d out of range", dst)
 	}
-	return len(g.Reachers(dst, make([]bool, g.NumNodes()), nil)) == g.NumNodes(), nil
+	return len(g.Reachers(dst, nil, make([]bool, g.NumNodes()), nil)) == g.NumNodes(), nil
 }
 
-// Reachers marks in reached every node with a path to dst, searching
-// breadth-first back along in-links, and returns them in the order
-// found, dst first, in queue's reused storage. reached must have length
-// NumNodes; it is cleared first. With both buffers reused, repeated
-// calls allocate nothing.
-func (g *Graph) Reachers(dst int, reached []bool, queue []int) []int {
+// Reachers marks in reached every node with a path to dst that uses no
+// link marked in down (nil, or length NumLinks), searching breadth-first
+// back along in-links, and returns them in the order found, dst first,
+// in queue's reused storage. reached must have length NumNodes; it is
+// cleared first. With both buffers reused, repeated calls allocate
+// nothing.
+func (g *Graph) Reachers(dst int, down, reached []bool, queue []int) []int {
 	clear(reached)
 	reached[dst] = true
 	queue = append(queue[:0], dst)
 	for k := 0; k < len(queue); k++ {
 		for _, id := range g.in[queue[k]] {
-			if u := g.links[id].From; !reached[u] {
+			if u := g.links[id].From; !reached[u] && (down == nil || !down[id]) {
 				reached[u] = true
 				queue = append(queue, u)
 			}

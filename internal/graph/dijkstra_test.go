@@ -164,34 +164,51 @@ func TestReachable(t *testing.T) {
 // TestReachersMatchDijkstra checks Reachers against zero-weight
 // Dijkstra on graphs where many nodes cannot reach the destination:
 // reached marks exactly the nodes at a finite distance, and the
-// returned queue lists each of them once, dst first. The buffers are
-// shared by every call, so a stale mark would show.
+// returned queue lists each of them once, dst first. Each graph is
+// searched whole and with a random link mask, which must act as +Inf
+// weights on the masked links. The buffers are shared by every call,
+// so a stale mark would show.
 func TestReachersMatchDijkstra(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var reached []bool
+	var reached, mask []bool
 	var queue []int
 	for c := 0; c < 300; c++ {
 		g, _ := adversarialGraph(rng)
 		reached = slices.Grow(reached[:0], g.NumNodes())[:g.NumNodes()]
+		mask = slices.Grow(mask[:0], g.NumLinks())[:g.NumLinks()]
+		w := make([]float64, g.NumLinks())
+		for e := range mask {
+			mask[e] = rng.Intn(4) == 0
+			if mask[e] {
+				w[e] = math.Inf(1)
+			}
+		}
 		for dst := range g.NumNodes() {
-			sp, err := DijkstraTo(g, make([]float64, g.NumLinks()), dst)
-			if err != nil {
-				t.Fatal(err)
-			}
-			queue = g.Reachers(dst, reached, queue)
-			if queue[0] != dst {
-				t.Fatalf("case %d dst %d: queue starts at %d", c, dst, queue[0])
-			}
-			seen := make([]bool, g.NumNodes())
-			for _, u := range queue {
-				if seen[u] || !reached[u] {
-					t.Fatalf("case %d dst %d: queue %v repeats %d or lists it unmarked", c, dst, queue, u)
+			for _, down := range [][]bool{nil, mask} {
+				weights := w
+				if down == nil {
+					weights = make([]float64, g.NumLinks())
 				}
-				seen[u] = true
-			}
-			for u, ok := range reached {
-				if want := sp.Dist[u] != Unreachable; ok != want || seen[u] != want {
-					t.Fatalf("case %d dst %d node %d: reached %v, queued %v, want %v", c, dst, u, ok, seen[u], want)
+				sp, err := DijkstraTo(g, weights, dst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				queue = g.Reachers(dst, down, reached, queue)
+				if queue[0] != dst {
+					t.Fatalf("case %d dst %d: queue starts at %d", c, dst, queue[0])
+				}
+				seen := make([]bool, g.NumNodes())
+				for _, u := range queue {
+					if seen[u] || !reached[u] {
+						t.Fatalf("case %d dst %d: queue %v repeats %d or lists it unmarked", c, dst, queue, u)
+					}
+					seen[u] = true
+				}
+				for u, ok := range reached {
+					if want := sp.Dist[u] != Unreachable; ok != want || seen[u] != want {
+						t.Fatalf("case %d dst %d node %d (masked %v): reached %v, queued %v, want %v",
+							c, dst, u, down != nil, ok, seen[u], want)
+					}
 				}
 			}
 		}

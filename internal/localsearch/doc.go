@@ -26,7 +26,11 @@
 // goroutine, so the search trajectory is deterministic for any worker
 // count. A
 // failure-aware mode (Options.Failures) maintains one evaluator per
-// single-link-failure variant and scores every candidate against the
-// whole set — the robust weight-setting extension of Fortz and Thorup's
-// follow-up work on single link failures.
+// failure and scores every candidate against the whole set — the
+// robust weight-setting extension of Fortz and Thorup's follow-up work
+// on single link failures. A failure is a set of intact link IDs, and
+// its evaluator runs on the intact topology with those links at weight
+// +Inf, as the delta engine models a link that is down: every state
+// shares one link ID space, and a move on a failed link leaves that
+// failure's state untouched.
 package localsearch

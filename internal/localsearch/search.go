@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"repro/internal/delta"
@@ -17,17 +18,6 @@ import (
 // ErrBadInput reports inconsistent search options. Evaluator errors
 // wrap delta.ErrBadInput instead.
 var ErrBadInput = errors.New("localsearch: bad input")
-
-// Failure is one single-link-failure variant of the intact topology the
-// robust search scores candidates against.
-type Failure struct {
-	// G is the degraded topology with the failed links removed and the
-	// survivors renumbered densely (graph.WithoutLinks).
-	G *graph.Graph
-	// Keep maps the degraded topology's link IDs back to the intact
-	// topology's: Keep[newID] = oldID.
-	Keep []int
-}
 
 // Options tunes Search. Zero values select the documented defaults.
 type Options struct {
@@ -51,12 +41,15 @@ type Options struct {
 	// costlier than the start — seeding with InvCap weights guarantees
 	// the optimized configuration at least matches the deployed default.
 	InitWeights []float64
-	// Failures, when non-empty, turns on robust scoring: every candidate
-	// weight vector is additionally evaluated on each single-link-failure
-	// variant (with the weights projected onto the survivors), and moves
-	// are accepted by the combined score. Every variant must keep every
-	// positive demand routable (pre-filter with a reachability check).
-	Failures []Failure
+	// Failures, when non-empty, turns on robust scoring: each entry is
+	// a set of intact link IDs that fail together, and every candidate
+	// weight vector is additionally evaluated with each set failed. A
+	// failed link is one more weight, +Inf on the intact topology, so
+	// it carries no flow and a move on it leaves that failure's state
+	// as it is. Moves are accepted by the combined score. Every failure
+	// must keep every positive demand routable (pre-filter with a
+	// reachability check); a link ID out of range is an error.
+	Failures [][]int
 	// FailurePenalty is the weight rho of the mean failure-variant cost
 	// in the robust score, cost_intact + rho * mean(cost_failures)
 	// (> 0; 0 selects the default 1, negative or non-finite is an
@@ -92,22 +85,6 @@ type Result struct {
 	Score float64
 	// Evals is the number of candidate evaluations performed.
 	Evals int
-}
-
-// state couples one evaluator with the link mapping from the intact
-// topology's ID space (rev[oldID] = variant link ID, or -1 when the
-// link failed there; nil for the intact state's identity mapping).
-type state struct {
-	ev  *delta.Evaluator
-	rev []int
-}
-
-// mapLink translates an intact-topology link ID into the state's space.
-func (s *state) mapLink(e int) int {
-	if s.rev == nil {
-		return e
-	}
-	return s.rev[e]
 }
 
 // Search runs Fortz-Thorup local search over integer link weights:
@@ -164,26 +141,26 @@ func Search(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, opts Option
 	if err != nil {
 		return nil, err
 	}
-	states := []*state{{ev: intact}}
-	for fi, f := range opts.Failures {
-		rev := make([]int, g.NumLinks())
-		for i := range rev {
-			rev[i] = -1
-		}
-		wf := make([]float64, f.G.NumLinks())
-		for newID, oldID := range f.Keep {
-			if oldID < 0 || oldID >= g.NumLinks() {
-				return nil, fmt.Errorf("%w: failure %d keeps unknown link %d", ErrBadInput, fi, oldID)
+	// One evaluator per state, all in intact link IDs: the intact
+	// topology first, then one per failure with its links at +Inf.
+	states := []*delta.Evaluator{intact}
+	wf := make([]float64, len(w0))
+	for fi, links := range opts.Failures {
+		copy(wf, w0)
+		for _, e := range links {
+			if e < 0 || e >= g.NumLinks() {
+				return nil, fmt.Errorf("%w: failure %d lists unknown link %d", ErrBadInput, fi, e)
 			}
-			rev[oldID] = newID
-			wf[newID] = w0[oldID]
+			wf[e] = math.Inf(1)
 		}
-		ev, err := delta.NewEvaluator(f.G, tm, wf)
+		ev, err := delta.NewEvaluator(g, tm, wf)
 		if err != nil {
 			return nil, fmt.Errorf("localsearch: failure variant %d: %w", fi, err)
 		}
-		states = append(states, &state{ev: ev, rev: rev})
+		states = append(states, ev)
 	}
+	// failed reports whether link e is down in state i.
+	failed := func(i, e int) bool { return i > 0 && slices.Contains(opts.Failures[i-1], e) }
 
 	// score combines the states' current costs into the search
 	// objective; scoreOf does the same for candidate costs.
@@ -200,20 +177,19 @@ func Search(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, opts Option
 	}
 	currentScore := func() float64 {
 		costs := make([]float64, len(states))
-		for i, st := range states {
-			costs[i] = st.ev.Cost()
+		for i, ev := range states {
+			costs[i] = ev.Cost()
 		}
 		return scoreOf(costs)
 	}
 	// apply pushes one accepted weight change into every state the link
 	// survives in.
 	apply := func(e int, w float64) error {
-		for _, st := range states {
-			le := st.mapLink(e)
-			if le < 0 {
+		for i, ev := range states {
+			if failed(i, e) {
 				continue
 			}
-			if err := st.ev.SetWeight(le, w); err != nil {
+			if err := ev.SetWeight(e, w); err != nil {
 				return err
 			}
 		}
@@ -232,8 +208,8 @@ func Search(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, opts Option
 			per:   make([]*delta.Scratch, len(states)),
 			costs: make([]float64, len(states)),
 		}
-		for i, st := range states {
-			set.per[i] = st.ev.NewScratch()
+		for i, ev := range states {
+			set.per[i] = ev.NewScratch()
 		}
 		return set
 	}}
@@ -283,13 +259,12 @@ func Search(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, opts Option
 			defer pool.Put(b)
 			c := &cands[k]
 			costs := b.costs
-			for i, st := range states {
-				le := st.mapLink(c.link)
-				if le < 0 {
-					costs[i] = st.ev.Cost()
+			for i, ev := range states {
+				if failed(i, c.link) {
+					costs[i] = ev.Cost()
 					continue
 				}
-				cost, err := st.ev.TryWeight(b.per[i], le, c.w)
+				cost, err := ev.TryWeight(b.per[i], c.link, c.w)
 				if err != nil {
 					c.err = err
 					return

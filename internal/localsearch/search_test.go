@@ -81,19 +81,25 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSearchRobustScoresFailures: robust search must fold the failure
-// variants into its score, and its result must evaluate on every
-// variant exactly as a fresh evaluator does.
+// TestSearchRobustScoresFailures: robust search must fold the failures
+// into its score, and its result must evaluate on every failure
+// variant, built from scratch without the failed links, exactly as the
+// search scored it on the intact topology. A failure listing a link
+// the topology lacks is bad input.
 func TestSearchRobustScoresFailures(t *testing.T) {
 	g, tm := randomInstance(t, 13, 10, 40)
-	var failures []Failure
+	var failures [][]int
+	var variants []*graph.Graph
+	var keeps [][]int
 	for _, pair := range g.DuplexPairs() {
 		g2, keep, err := g.WithoutLinks(pair[0], pair[1])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if routable(g2, tm) {
-			failures = append(failures, Failure{G: g2, Keep: keep})
+			failures = append(failures, []int{pair[0], pair[1]})
+			variants = append(variants, g2)
+			keeps = append(keeps, keep)
 		}
 		if len(failures) == 3 {
 			break
@@ -109,12 +115,12 @@ func TestSearchRobustScoresFailures(t *testing.T) {
 	// Recompute the robust score of the returned weights from scratch.
 	intactCost, _ := ospfCost(t, g, tm, res.Weights)
 	var sum float64
-	for _, f := range failures {
-		wf := make([]float64, f.G.NumLinks())
-		for newID, oldID := range f.Keep {
+	for i, g2 := range variants {
+		wf := make([]float64, g2.NumLinks())
+		for newID, oldID := range keeps[i] {
 			wf[newID] = res.Weights[oldID]
 		}
-		c, _ := ospfCost(t, f.G, tm, wf)
+		c, _ := ospfCost(t, g2, tm, wf)
 		sum += c
 	}
 	want := intactCost + sum/float64(len(failures))
@@ -123,6 +129,13 @@ func TestSearchRobustScoresFailures(t *testing.T) {
 	}
 	if res.Cost != intactCost {
 		t.Fatalf("intact cost %v, recomputed %v", res.Cost, intactCost)
+	}
+
+	for _, bad := range [][]int{{g.NumLinks()}, {0, -1}} {
+		_, err := Search(context.Background(), g, tm, Options{MaxEvals: 20, Failures: [][]int{failures[0], bad}})
+		if !errors.Is(err, ErrBadInput) {
+			t.Errorf("failure listing links %v: err = %v, want ErrBadInput", bad, err)
+		}
 	}
 }
 

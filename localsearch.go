@@ -107,15 +107,15 @@ func (r ospfLSRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Rout
 	}
 	opts := r.searchOptions()
 	if r.opts.Robust {
-		// Score candidates against every single-link-failure variant
-		// that keeps the demands routable: the scenario engine's
-		// failure axis.
-		variants, err := singleFailures.variants(n, d)
+		// Score candidates against every single-link failure that keeps
+		// the demands routable: the scenario engine's failure axis, as
+		// link sets on the intact network.
+		units, err := singleFailures.routableUnits(n, d)
 		if err != nil {
 			return nil, err
 		}
-		for _, v := range variants {
-			opts.Failures = append(opts.Failures, localsearch.Failure{G: v.net.g, Keep: v.keep})
+		for _, u := range units {
+			opts.Failures = append(opts.Failures, u.links)
 		}
 		if r.opts.SampleFailures > 0 {
 			opts.Failures = sampleFailures(opts.Failures, r.opts.SampleFailures, r.opts.SampleSeed)
@@ -148,7 +148,7 @@ func (r ospfLSRouter) searchOptions() localsearch.Options {
 	}
 	if r.opts.Robust {
 		o.FailurePenalty = r.opts.FailurePenalty
-		o.Failures = []localsearch.Failure{}
+		o.Failures = [][]int{}
 	}
 	return o
 }
@@ -239,7 +239,7 @@ func searchWeights(ctx context.Context, n *Network, d *Demands, opts localsearch
 	return search()
 }
 
-// sampleFailures draws k distinct failure variants from the full list,
+// sampleFailures draws k distinct failures from the full list,
 // deterministically for the seed: a partial Fisher-Yates shuffle
 // selects the indices, which are then re-sorted into enumeration order.
 // k >= len(all) selects every index, so the sorted sample reproduces
@@ -247,7 +247,7 @@ func searchWeights(ctx context.Context, n *Network, d *Demands, opts localsearch
 // property the tests pin. The draw happens once, on the calling
 // goroutine, which is what keeps sampled-robust trajectories identical
 // for any candidate-scoring worker count.
-func sampleFailures(all []localsearch.Failure, k int, seed int64) []localsearch.Failure {
+func sampleFailures(all [][]int, k int, seed int64) [][]int {
 	if k >= len(all) {
 		k = len(all)
 	}
@@ -262,7 +262,7 @@ func sampleFailures(all []localsearch.Failure, k int, seed int64) []localsearch.
 	}
 	sel := idx[:k]
 	sort.Ints(sel)
-	out := make([]localsearch.Failure, k)
+	out := make([][]int, k)
 	for i, ix := range sel {
 		out[i] = all[ix]
 	}

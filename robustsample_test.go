@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/localsearch"
 	"repro/internal/par"
 )
 
@@ -72,11 +71,11 @@ func TestSampledRobustDeterministicAcrossWorkerCounts(t *testing.T) {
 // in enumeration order, deterministic per seed, identity when k covers
 // the list.
 func TestSampleFailuresSelection(t *testing.T) {
-	all := make([]localsearch.Failure, 9)
+	all := make([][]int, 9)
 	for i := range all {
-		all[i] = localsearch.Failure{Keep: []int{i}} // tag each variant by index
+		all[i] = []int{i} // tag each failure by index
 	}
-	indexOf := func(f localsearch.Failure) int { return f.Keep[0] }
+	indexOf := func(f []int) int { return f[0] }
 
 	for _, k := range []int{9, 10, 100} {
 		got := sampleFailures(all, k, 5)

@@ -339,26 +339,6 @@ func (n *Network) nodeLabel(node int) string {
 	return fmt.Sprintf("n%d", node)
 }
 
-// demandsRoutable reports whether every positive demand still has a
-// path: each destination's reachers must include every source that
-// sends to it. Two buffers serve every destination.
-func demandsRoutable(n *Network, d *Demands) bool {
-	reached := make([]bool, n.NumNodes())
-	queue := make([]int, 0, n.NumNodes())
-	for t := range reached {
-		if !d.m.IsDestination(t) {
-			continue
-		}
-		queue = n.g.Reachers(t, reached, queue)
-		for s, ok := range reached {
-			if !ok && d.At(s, t) > 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // RunOptions tunes RunScenarios and StreamScenarios.
 type RunOptions struct {
 	// Workers bounds the number of concurrently executing cells
