@@ -17,10 +17,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -457,9 +459,15 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, ready chan<- n
 // requests.
 const shutdownGrace = 5 * time.Second
 
+// readHeaderTimeout bounds how long a client may take to send a
+// request's headers, so a stalled client cannot hold a connection. The
+// server sets no write timeout: a long replay is a legitimate slow
+// response.
+var readHeaderTimeout = 10 * time.Second
+
 // Serve serves on ln until ctx is cancelled (see ListenAndServe).
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	srv := &http.Server{Handler: s.mux}
+	srv := &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {
@@ -514,14 +522,35 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
+// maxBodyBytes bounds every request body. The largest legitimate one
+// is an event batch, and 8 MiB holds about 100,000 events.
+const maxBodyBytes = 8 << 20
+
+// readJSON decodes the request body into v: one JSON value, followed by
+// nothing but white space. It answers a malformed body with 400 and one
+// over maxBodyBytes with 413, both in the errorBody shape.
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("parsing request body: %v", err)})
-		return false
+	err := dec.Decode(v)
+	if err == nil {
+		var rest []byte
+		rest, err = io.ReadAll(io.MultiReader(dec.Buffered(), body))
+		if err == nil && len(bytes.Trim(rest, " \t\r\n")) > 0 {
+			err = errors.New("data after the JSON value")
+		}
 	}
-	return true
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, status, errorBody{Error: fmt.Sprintf("parsing request body: %v", err)})
+	return false
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

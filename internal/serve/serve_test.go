@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -431,5 +433,142 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Fatal("daemon still answering after shutdown")
+	}
+}
+
+// postRaw posts body verbatim and returns the status and the error
+// message of an errorBody reply ("" for any other reply).
+func postRaw(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	var e struct {
+		Error string `json:"error"`
+	}
+	_ = json.NewDecoder(resp.Body).Decode(&e)
+	return resp.StatusCode, e.Error
+}
+
+// listTopologies returns the names of the loaded topologies.
+func listTopologies(t *testing.T, base string) []string {
+	t.Helper()
+	var list struct {
+		Topologies []string `json:"topologies"`
+	}
+	if code := doJSON(t, "GET", base+"/v1/topologies", nil, &list); code != http.StatusOK {
+		t.Fatalf("listing topologies: status %d", code)
+	}
+	return list.Topologies
+}
+
+// TestServeRefusesTrailingData: a body is one JSON value followed by
+// nothing but white space. Anything else after the value is a 400 that
+// loads nothing; trailing white space still loads.
+func TestServeRefusesTrailingData(t *testing.T) {
+	ts := newTestServer(t)
+	for _, body := range []string{
+		`{"topology":"abilene"} this is not json`,
+		`{"topology":"abilene"}{"topology":"fig1"}`,
+		`{"topology":"abilene"}}`,
+		`{"topology":"abilene"} 0`,
+	} {
+		if code, msg := postRaw(t, ts.URL+"/v1/topologies", body); code != http.StatusBadRequest || msg == "" {
+			t.Errorf("body %q: status %d, error %q; want 400 with an error", body, code, msg)
+		}
+	}
+	if names := listTopologies(t, ts.URL); len(names) != 0 {
+		t.Fatalf("refused bodies loaded %v", names)
+	}
+	if code, msg := postRaw(t, ts.URL+"/v1/topologies", "{\"topology\":\"abilene\"}\n\t \r\n"); code != http.StatusOK {
+		t.Fatalf("trailing white space: status %d, error %q; want 200", code, msg)
+	}
+	if names := listTopologies(t, ts.URL); len(names) != 1 {
+		t.Fatalf("loaded %v, want one topology", names)
+	}
+}
+
+// TestServeRefusesOversizedBody: every body is bounded at MaxBodyBytes.
+// One byte over is a 413 in the errorBody shape, whether the excess is
+// inside the JSON value or after it, and changes nothing; a body of
+// exactly MaxBodyBytes is served.
+func TestServeRefusesOversizedBody(t *testing.T) {
+	ts := newTestServer(t)
+	padded := func(value string, size int) string { return value + strings.Repeat(" ", size-len(value)) }
+
+	load := `{"name":"a","topology":"abilene"}`
+	if code, msg := postRaw(t, ts.URL+"/v1/topologies", padded(load, serve.MaxBodyBytes+1)); code != http.StatusRequestEntityTooLarge || msg == "" {
+		t.Fatalf("oversized white space: status %d, error %q; want 413 with an error", code, msg)
+	}
+	if names := listTopologies(t, ts.URL); len(names) != 0 {
+		t.Fatalf("oversized body loaded %v", names)
+	}
+	if code, msg := postRaw(t, ts.URL+"/v1/topologies", padded(load, serve.MaxBodyBytes)); code != http.StatusOK {
+		t.Fatalf("body at the bound: status %d, error %q; want 200", code, msg)
+	}
+
+	var before serve.MetricsResponse
+	doJSON(t, "GET", ts.URL+"/v1/topologies/a/metrics", nil, &before)
+	event := `{"type":"set-weight","link":0,"weight":7},`
+	batch := `{"events":[` + strings.Repeat(event, serve.MaxBodyBytes/len(event)) + `{"type":"set-weight","link":0,"weight":7}]}`
+	if code, msg := postRaw(t, ts.URL+"/v1/topologies/a/events", batch); code != http.StatusRequestEntityTooLarge || msg == "" {
+		t.Fatalf("oversized event batch: status %d, error %q; want 413 with an error", code, msg)
+	}
+	var after serve.MetricsResponse
+	doJSON(t, "GET", ts.URL+"/v1/topologies/a/metrics", nil, &after)
+	if after.Metrics != before.Metrics {
+		t.Fatalf("oversized batch changed the state: %+v, was %+v", after.Metrics, before.Metrics)
+	}
+	if code, msg := postRaw(t, ts.URL+"/v1/topologies/a/events", `{"events":[`+event[:len(event)-1]+`]}`); code != http.StatusOK {
+		t.Fatalf("small event batch: status %d, error %q; want 200", code, msg)
+	}
+}
+
+// TestServeReadHeaderTimeout: the server Serve builds drops a
+// connection whose request headers never end, and keeps answering
+// complete requests.
+func TestServeReadHeaderTimeout(t *testing.T) {
+	old := serve.SetReadHeaderTimeout(200 * time.Millisecond)
+	s := serve.New(serve.Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- s.Serve(ctx, ln) }()
+	defer func() {
+		cancel()
+		if err := <-errc; err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		serve.SetReadHeaderTimeout(old)
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprint(conn, "GET /healthz HTTP/1.1\r\nHost: test\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	n, err := conn.Read(make([]byte, 64))
+	var ne net.Error
+	switch {
+	case err == nil:
+		t.Fatalf("server answered %d bytes to headers that never ended", n)
+	case errors.As(err, &ne) && ne.Timeout():
+		t.Fatal("server kept a connection with unfinished headers open for 5 s")
+	}
+
+	var h serve.Healthz
+	if code := doJSON(t, "GET", "http://"+ln.Addr().String()+"/healthz", nil, &h); code != http.StatusOK || !h.OK {
+		t.Fatalf("healthz after the dropped connection: code=%d %+v", code, h)
 	}
 }
