@@ -58,27 +58,29 @@ type ImportedNetwork struct {
 // topology-zoo.org). Undirected edges become duplex link pairs; link
 // speeds resolve through LinkSpeedRaw, LinkSpeed x LinkSpeedUnits or a
 // parsable LinkLabel, and unannotated links through the inference rule
-// of ImportOptions.
+// of ImportOptions. A document it cannot import is ErrBadInput.
 func ReadTopologyZoo(r io.Reader, opts ImportOptions) (*ImportedNetwork, error) {
-	o, err := opts.internal()
-	if err != nil {
-		return nil, err
-	}
-	imp, err := topoio.ReadGraphML(r, o)
-	if err != nil {
-		return nil, err
-	}
-	return fromImported(imp)
+	imp, err := readImported(r, opts, topoio.ReadGraphML)
+	return imp, asBadInput(err)
 }
 
 // ReadSNDlib parses an SNDlib native-format network (see
-// sndlib.zib.de), including its DEMANDS section when present.
+// sndlib.zib.de), including its DEMANDS section when present. A file
+// it cannot import is ErrBadInput.
 func ReadSNDlib(r io.Reader, opts ImportOptions) (*ImportedNetwork, error) {
+	imp, err := readImported(r, opts, topoio.ReadSNDlib)
+	return imp, asBadInput(err)
+}
+
+// readImported imports r with one of the topoio parsers. A file the
+// parser rejects is topoio.ErrBadFile, which the public readers report
+// as ErrBadInput and the registry as a bad spec.
+func readImported(r io.Reader, opts ImportOptions, parse func(io.Reader, topoio.Options) (*topoio.Imported, error)) (*ImportedNetwork, error) {
 	o, err := opts.internal()
 	if err != nil {
 		return nil, err
 	}
-	imp, err := topoio.ReadSNDlib(r, o)
+	imp, err := parse(r, o)
 	if err != nil {
 		return nil, err
 	}

@@ -14,6 +14,7 @@ import (
 	"sync"
 
 	"repro/internal/topo"
+	"repro/internal/topoio"
 	"repro/internal/traffic"
 )
 
@@ -187,7 +188,7 @@ var topologySpecs = []specEntry[bool, Topology]{
 			{Name: "unit", Default: "1e9", Doc: "bit/s per topology capacity unit (1e9 = Gbps)"},
 		},
 		build: func(a *specArgs, withDemands bool) (Topology, error) {
-			return importedTopology(a, withDemands, ReadTopologyZoo)
+			return importedTopology(a, withDemands, topoio.ReadGraphML)
 		},
 	},
 	{
@@ -198,7 +199,7 @@ var topologySpecs = []specEntry[bool, Topology]{
 			{Name: "cap", Default: "inferred", Doc: "capacity for unannotated links (default: median of annotated)"},
 		},
 		build: func(a *specArgs, withDemands bool) (Topology, error) {
-			return importedTopology(a, withDemands, ReadSNDlib)
+			return importedTopology(a, withDemands, topoio.ReadSNDlib)
 		},
 	},
 }
@@ -274,7 +275,7 @@ func (a *specArgs) generated(withDemands bool, gen func() (*Network, error)) (To
 // present, become the topology's canonical workload; otherwise (and
 // for GraphML, which carries none) the generic synthetic workload
 // applies.
-func importedTopology(a *specArgs, withDemands bool, read func(io.Reader, ImportOptions) (*ImportedNetwork, error)) (Topology, error) {
+func importedTopology(a *specArgs, withDemands bool, parse func(io.Reader, topoio.Options) (*topoio.Imported, error)) (Topology, error) {
 	path := a.word("file")
 	if path == "" {
 		return Topology{}, fmt.Errorf("%w: spec %q needs file=PATH", ErrBadInput, a.spec)
@@ -293,7 +294,7 @@ func importedTopology(a *specArgs, withDemands bool, read func(io.Reader, Import
 		return Topology{}, fmt.Errorf("%w: spec %q: %v", ErrBadInput, a.spec, err)
 	}
 	defer f.Close()
-	imp, err := read(f, opts)
+	imp, err := readImported(f, opts, parse)
 	if err != nil {
 		return Topology{}, badSpec(a.spec, err)
 	}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/objective"
 	"repro/internal/routing"
+	"repro/internal/topoio"
 )
 
 // workspaces recycles per-worker graph scratch across the public path
@@ -421,8 +422,9 @@ func (r spefWeightsRouter) Routes(ctx context.Context, n *Network, d *Demands) (
 // options), core.ErrBadInput (an empty demand set, a destination or
 // node without forwarding state), objective.ErrBadObjective (a bad beta
 // or q), delta.ErrBadInput (an unknown link or node, a failure that
-// strands a demand) or netsim.ErrBadConfig (a bad simulation config, a
-// destination without split ratios). Other errors, mcf.ErrInfeasible
+// strands a demand), netsim.ErrBadConfig (a bad simulation config, a
+// destination without split ratios) or topoio.ErrBadFile (a dataset
+// file the importers cannot parse). Other errors, mcf.ErrInfeasible
 // among them, pass through unchanged.
 func asBadInput(err error) error {
 	if err == nil {
@@ -430,7 +432,7 @@ func asBadInput(err error) error {
 	}
 	for _, bad := range []error{
 		routing.ErrBadInput, graph.ErrBadWeights, localsearch.ErrBadInput, core.ErrBadInput,
-		objective.ErrBadObjective, delta.ErrBadInput, netsim.ErrBadConfig,
+		objective.ErrBadObjective, delta.ErrBadInput, netsim.ErrBadConfig, topoio.ErrBadFile,
 	} {
 		if errors.Is(err, bad) {
 			return fmt.Errorf("%w: %v", ErrBadInput, err)
