@@ -727,13 +727,6 @@ func (ev *Evaluator) TryWeight(s *Scratch, link int, w float64) (float64, error)
 	return fortzTotal(ev.caps, s.total), nil
 }
 
-// TryWeightMetrics is TryWeight extended to the full metric read-out:
-// the Metrics the evaluator would report after SetWeight(link, w),
-// bit-identical to applying the change, without mutating shared state.
-func (ev *Evaluator) TryWeightMetrics(s *Scratch, link int, w float64) (Metrics, error) {
-	return ev.tryWeights(s, []int{link}, []float64{w})
-}
-
 // tryWeights is the Metrics the evaluator would report after
 // setWeights(links, w), computed into s without mutating shared state.
 func (ev *Evaluator) tryWeights(s *Scratch, links []int, w []float64) (Metrics, error) {

@@ -64,16 +64,3 @@ func BuildPEFT(g *graph.Graph, dests []int, weights []float64) (*PEFT, error) {
 func (p *PEFT) Flow(tm *traffic.Matrix) (*mcf.Flow, error) {
 	return Flow(p.G, p.DAGs, p.Splits, tm)
 }
-
-// LinksUsed counts the links that carry at least minLoad under the given
-// distribution — the "number of links used for carrying traffic"
-// comparison of the paper's Fig. 11 discussion.
-func LinksUsed(flow *mcf.Flow, minLoad float64) int {
-	var n int
-	for _, f := range flow.Total {
-		if f > minLoad {
-			n++
-		}
-	}
-	return n
-}

@@ -158,10 +158,19 @@ func TestPEFTUsesMorePathsThanOSPF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := LinksUsed(ospfFlow, 1e-9); got != 2 {
+	linksUsed := func(flow []float64) int {
+		n := 0
+		for _, f := range flow {
+			if f > 1e-9 {
+				n++
+			}
+		}
+		return n
+	}
+	if got := linksUsed(ospfFlow.Total); got != 2 {
 		t.Errorf("OSPF links used = %d, want 2", got)
 	}
-	if got := LinksUsed(peftFlow, 1e-9); got != 4 {
+	if got := linksUsed(peftFlow.Total); got != 4 {
 		t.Errorf("PEFT links used = %d, want 4", got)
 	}
 }

@@ -212,18 +212,3 @@ func UniformMesh(n int, v float64) (*Matrix, error) {
 	}
 	return m, nil
 }
-
-// LoadSweep returns copies of the base matrix scaled to each requested
-// network load on g — the paper's protocol of "uniformly increasing the
-// traffic demands" to simulate congestion levels.
-func LoadSweep(m *Matrix, g *graph.Graph, loads []float64) ([]*Matrix, error) {
-	out := make([]*Matrix, 0, len(loads))
-	for _, load := range loads {
-		s, err := m.ScaledToLoad(g, load)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}

@@ -219,24 +219,6 @@ func TestUniformMesh(t *testing.T) {
 	}
 }
 
-func TestLoadSweep(t *testing.T) {
-	g := loadTestGraph(t)
-	m, err := FromDemands(3, []Demand{{0, 2, 4}})
-	if err != nil {
-		t.Fatalf("FromDemands: %v", err)
-	}
-	loads := []float64{0.05, 0.1, 0.15}
-	sweep, err := LoadSweep(m, g, loads)
-	if err != nil {
-		t.Fatalf("LoadSweep: %v", err)
-	}
-	for i, s := range sweep {
-		if got := s.NetworkLoad(g); math.Abs(got-loads[i]) > 1e-12 {
-			t.Errorf("sweep[%d] load = %v, want %v", i, got, loads[i])
-		}
-	}
-}
-
 func TestSyntheticVolumesDeterministic(t *testing.T) {
 	a := SyntheticVolumes(3, 20, 1.2)
 	b := SyntheticVolumes(3, 20, 1.2)
