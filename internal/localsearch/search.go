@@ -155,7 +155,7 @@ func Search(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, opts Option
 		}
 		ev, err := delta.NewEvaluator(g, tm, wf)
 		if err != nil {
-			return nil, fmt.Errorf("localsearch: failure variant %d: %w", fi, err)
+			return nil, fmt.Errorf("localsearch: failure %d: %w", fi, err)
 		}
 		states = append(states, ev)
 	}
