@@ -94,6 +94,14 @@ func (e *DeltaEngine) Rerouted() uint64 { return e.en.Rerouted() }
 // /statz next to the re-routed destinations. It counts the same events.
 func (e *DeltaEngine) Moved() uint64 { return e.en.Moved() }
 
+// Resummed returns how many aggregate links the engine's accepted
+// events and what-ifs have re-summed and re-costed so far: the links
+// whose flow toward some destination moved, or every link for a demand
+// step or a demand event that adds or drops a destination; `spef serve`
+// reports it per event type in /statz next to the re-routed
+// destinations. Rejected events count nothing.
+func (e *DeltaEngine) Resummed() uint64 { return e.en.Resummed() }
+
 // SetWeight records one link's weight (intact link ID). An up link is
 // re-routed incrementally — only destinations the change can affect are
 // recomputed; a down link's weight takes effect when LinkUp restores
@@ -111,7 +119,7 @@ func (e *DeltaEngine) LinkDown(link int) error { return asBadInput(e.en.LinkDown
 func (e *DeltaEngine) LinkUp(link int) error { return asBadInput(e.en.LinkUp(link)) }
 
 // SetDemand updates one demand entry, re-propagating only the affected
-// destination.
+// destination and re-summing only the links whose flow moved.
 func (e *DeltaEngine) SetDemand(src, dst int, volume float64) error {
 	return asBadInput(e.en.SetDemand(src, dst, volume))
 }

@@ -73,8 +73,9 @@ func ReadSNDlib(r io.Reader, opts ImportOptions) (*ImportedNetwork, error) {
 }
 
 // readImported imports r with one of the topoio parsers. A file the
-// parser rejects is topoio.ErrBadFile, which the public readers report
-// as ErrBadInput and the registry as a bad spec.
+// parser rejects, or whose demands the traffic layer rejects, is
+// topoio.ErrBadFile, which the public readers report as ErrBadInput and
+// the registry as a bad spec naming the spec.
 func readImported(r io.Reader, opts ImportOptions, parse func(io.Reader, topoio.Options) (*topoio.Imported, error)) (*ImportedNetwork, error) {
 	o, err := opts.internal()
 	if err != nil {
@@ -93,7 +94,7 @@ func fromImported(imp *topoio.Imported) (*ImportedNetwork, error) {
 	if imp.Demands != nil {
 		m, err := traffic.FromDemands(n.NumNodes(), imp.Demands)
 		if err != nil {
-			return nil, fmt.Errorf("%w: imported demands: %v", ErrBadInput, err)
+			return nil, fmt.Errorf("%w: imported demands: %v", topoio.ErrBadFile, err)
 		}
 		out.Demands = &Demands{m: m}
 	}

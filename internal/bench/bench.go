@@ -18,6 +18,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	spef "repro"
@@ -61,7 +62,8 @@ type Kernel struct {
 	FastLabel string  `json:"fast_label"`
 	Base      Measure `json:"base"`
 	Fast      Measure `json:"fast"`
-	// Speedup is Base.NsPerOp / Fast.NsPerOp — machine-normalized, so
+	// Speedup is the median over timePair's alternating rounds of the
+	// round's base ns/op over its fast ns/op — machine-normalized, so
 	// baselines recorded on one machine check meaningfully on another.
 	Speedup float64 `json:"speedup"`
 	// Portable marks kernels whose speedup and allocs/op are
@@ -101,12 +103,61 @@ type Report struct {
 	Sweep []SweepThroughput `json:"sweep,omitempty"`
 }
 
-// measure times fn over roughly the given wall-clock budget: one
-// warm-up call (so workspace arenas reach steady state), then doubling
-// batches until the budget is consumed, with allocation counters read
-// around the whole measured region.
-func measure(budget time.Duration, fn func()) Measure {
-	fn() // warm-up: size arenas, fault in code paths
+// pairRounds is how many alternating base/fast rounds timePair runs.
+const pairRounds = 7
+
+// timePair times a kernel's base and fast paths in pairRounds
+// alternating rounds of budget/pairRounds each — base, fast, base,
+// fast, ... — after one warm-up call of each, so workspace arenas reach
+// steady state. A burst of machine noise then lands on the rounds of
+// both paths alike, not on one path's whole measurement. Each Measure
+// sums its path's rounds; the speed-up is the median of the per-round
+// base/fast ratios, which one disturbed round cannot move.
+func timePair(budget time.Duration, base, fast func()) (b, f Measure, speedup float64) {
+	base()
+	fast()
+	var ratios [pairRounds]float64
+	for r := range ratios {
+		rb := timeRound(budget/pairRounds, base)
+		rf := timeRound(budget/pairRounds, fast)
+		ratios[r] = rb.NsPerOp / rf.NsPerOp
+		b, f = b.plus(rb), f.plus(rf)
+	}
+	slices.Sort(ratios[:])
+	return b, f, ratios[pairRounds/2]
+}
+
+// plus pools two measurements of one path: total time, allocations and
+// bytes over total calls.
+func (m Measure) plus(o Measure) Measure {
+	n := m.N + o.N
+	per := func(a, b float64) float64 { return (a*float64(m.N) + b*float64(o.N)) / float64(n) }
+	return Measure{
+		NsPerOp:     per(m.NsPerOp, o.NsPerOp),
+		AllocsPerOp: per(m.AllocsPerOp, o.AllocsPerOp),
+		BytesPerOp:  per(m.BytesPerOp, o.BytesPerOp),
+		N:           n,
+	}
+}
+
+// timeKernel times one kernel's two paths with timePair.
+func timeKernel(name, baseLabel, fastLabel string, portable bool, budget time.Duration, base, fast func()) Kernel {
+	b, f, speedup := timePair(budget, base, fast)
+	return Kernel{
+		Name:      name,
+		BaseLabel: baseLabel,
+		FastLabel: fastLabel,
+		Base:      b,
+		Fast:      f,
+		Speedup:   speedup,
+		Portable:  portable,
+	}
+}
+
+// timeRound times fn over roughly the given wall-clock budget, in
+// doubling batches until the budget is consumed, with allocation
+// counters read around the whole measured region.
+func timeRound(budget time.Duration, fn func()) Measure {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
@@ -307,17 +358,7 @@ func kernelSuite(in *instance, budget time.Duration) ([]Kernel, error) {
 	flowBuf := make([]float64, g.NumLinks())
 
 	kernel := func(name, baseLabel, fastLabel string, portable bool, base, fast func()) Kernel {
-		b := measure(budget, base)
-		f := measure(budget, fast)
-		return Kernel{
-			Name:      in.name + "/" + name,
-			BaseLabel: baseLabel,
-			FastLabel: fastLabel,
-			Base:      b,
-			Fast:      f,
-			Speedup:   b.NsPerOp / f.NsPerOp,
-			Portable:  portable,
-		}
+		return timeKernel(in.name+"/"+name, baseLabel, fastLabel, portable, budget, base, fast)
 	}
 
 	out := []Kernel{

@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func kernelReport(speedup, allocs, ns float64) *Report {
@@ -136,6 +137,33 @@ func TestCheckServeLatencyGates(t *testing.T) {
 	err = Check(slow, base, 0.20, true)
 	if err == nil || !strings.Contains(err.Error(), "p99") {
 		t.Fatalf("absolute Check = %v, want serve p99 regression", err)
+	}
+}
+
+// TestTimePairAlternatesRounds: timePair warms each path up once, then
+// times pairRounds rounds of the base path each followed by one of the
+// fast path, and each Measure counts every timed call.
+func TestTimePairAlternatesRounds(t *testing.T) {
+	var last byte
+	var switches, baseCalls, fastCalls int
+	path := func(side byte, calls *int) func() {
+		return func() {
+			if side != last {
+				switches++
+				last = side
+			}
+			*calls++
+		}
+	}
+	b, f, speedup := timePair(7*time.Millisecond, path('b', &baseCalls), path('f', &fastCalls))
+	if switches != 2+2*pairRounds {
+		t.Errorf("the paths took turns %d times, want %d", switches, 2+2*pairRounds)
+	}
+	if b.N+1 != baseCalls || f.N+1 != fastCalls {
+		t.Errorf("measures count %d and %d calls, the paths ran %d and %d (one warm-up each)", b.N, f.N, baseCalls, fastCalls)
+	}
+	if !(speedup > 0) || b.NsPerOp <= 0 || f.NsPerOp <= 0 {
+		t.Errorf("speed-up %v from %+v and %+v", speedup, b, f)
 	}
 }
 

@@ -75,17 +75,7 @@ func mplsMatrix(in *instance, top int) (*traffic.Matrix, error) {
 // machine-portable and gated by Check.
 func explicitKernels(in *instance, budget time.Duration) ([]Kernel, error) {
 	kernel := func(name, baseLabel, fastLabel string, portable bool, base, fast func()) Kernel {
-		b := measure(budget, base)
-		f := measure(budget, fast)
-		return Kernel{
-			Name:      in.name + "/" + name,
-			BaseLabel: baseLabel,
-			FastLabel: fastLabel,
-			Base:      b,
-			Fast:      f,
-			Speedup:   b.NsPerOp / f.NsPerOp,
-			Portable:  portable,
-		}
+		return timeKernel(in.name+"/"+name, baseLabel, fastLabel, portable, budget, base, fast)
 	}
 
 	src, dst, err := kspEndpoints(in)

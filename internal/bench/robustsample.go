@@ -44,18 +44,9 @@ func robustSampleBench(budget time.Duration) ([]Kernel, []Parity, error) {
 	sampled.SampleSeed = 5
 
 	prev := par.SetExtraWorkers(0)
-	b := measure(budget, func() { run(base) })
-	f := measure(budget, func() { run(sampled) })
+	kernels := []Kernel{timeKernel("cernet2/robustsample", "exhaustive", "sampled", true, budget,
+		func() { run(base) }, func() { run(sampled) })}
 	par.SetExtraWorkers(prev)
-	kernels := []Kernel{{
-		Name:      "cernet2/robustsample",
-		BaseLabel: "exhaustive",
-		FastLabel: "sampled",
-		Base:      b,
-		Fast:      f,
-		Speedup:   b.NsPerOp / f.NsPerOp,
-		Portable:  true,
-	}}
 
 	// Identity-selection parity: k far above the variant count must
 	// reproduce the exhaustive trajectory bit for bit, whatever the

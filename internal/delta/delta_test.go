@@ -59,8 +59,8 @@ func fromScratch(t *testing.T, en *Engine) (*Evaluator, []int) {
 // evaluation of the failure variant through the link projection keep
 // (variant link -> intact link), bitwise: destinations, demand columns,
 // distances, DAG out-links mapped through keep, node order, and the
-// weights, splits, flows and aggregate flow of every surviving link,
-// then the cost. Every link outside keep must weigh
+// weights, splits, flows, aggregate flow and cost term of every
+// surviving link, then the cost. Every link outside keep must weigh
 // +Inf, sit in no DAG and carry exactly zero flow.
 func equalProjected(ev, full *Evaluator, keep []int) error {
 	rev := make([]int, ev.g.NumLinks()) // intact -> variant link, or -1
@@ -95,6 +95,9 @@ func equalProjected(ev, full *Evaluator, keep []int) error {
 			}
 		}
 		if err := same("total flow", e, ev.total[e], pick(full.total, e)); err != nil {
+			return err
+		}
+		if err := same("cost term", e, ev.terms[e], pick(full.terms, e)); err != nil {
 			return err
 		}
 	}
@@ -164,10 +167,12 @@ func checkOracle(t *testing.T, en *Engine, tag string) {
 	}
 }
 
-// snapshot deep-copies an evaluator's state, for the checks that a
-// rejected event left it bitwise untouched (Evaluator.Equal).
+// snapshot deep-copies an evaluator's state, the cached per-link cost
+// terms included, for the checks that a rejected event left it bitwise
+// untouched (Evaluator.Equal).
 func snapshot(ev *Evaluator) *Evaluator {
-	c := &Evaluator{w: slices.Clone(ev.w), dests: slices.Clone(ev.dests), total: slices.Clone(ev.total), cost: ev.cost}
+	c := &Evaluator{w: slices.Clone(ev.w), dests: slices.Clone(ev.dests), total: slices.Clone(ev.total),
+		terms: slices.Clone(ev.terms), cost: ev.cost}
 	for i := range ev.dests {
 		c.dags = append(c.dags, ev.dags[i].Clone())
 		c.splits = append(c.splits, slices.Clone(ev.splits[i]))
@@ -217,9 +222,9 @@ func checkEvent(t *testing.T, en *Engine, tag string, whatIf func() (Metrics, er
 // event sequences — weight changes, single-entry demand updates, whole
 // demand-matrix steps, link failures and restorations, two-link
 // failure and restoration batches, and batches naming a link twice —
-// the warm engine state stays bit-identical, through the link
-// projection, to a from-scratch evaluation of the current (variant
-// topology, projected weights, demands) triple, every WhatIf query
+// the warm engine state stays bit-identical after every event, through
+// the link projection, to a from-scratch evaluation of the current
+// (variant topology, projected weights, demands) triple, every WhatIf query
 // (single- or multi-link) predicts the committed outcome exactly, every
 // rejected event leaves the state untouched, and restoring every failed
 // link lands back on intact state bit-for-bit.
@@ -303,9 +308,7 @@ func TestEngineEventSequencesBitIdenticalToFromScratch(t *testing.T) {
 					}
 				}
 			}
-			if step%7 == 0 {
-				checkOracle(t, en, tag+" mid-sequence")
-			}
+			checkOracle(t, en, tag)
 		}
 
 		// Restore every failed link and require bit-identity with a cold

@@ -51,6 +51,7 @@ type Engine struct {
 	scratch  sync.Pool     // *Scratch for the what-ifs that bring none
 	rerouted atomic.Uint64 // destinations re-routed by events and what-ifs
 	moved    atomic.Uint64 // node distances those re-routes moved
+	resummed atomic.Uint64 // aggregate links events and what-ifs re-summed
 }
 
 // NewEngine fully evaluates (g, tm, weights) and returns the warm
@@ -123,6 +124,13 @@ func (en *Engine) Rerouted() uint64 { return en.rerouted.Load() }
 // Rerouted counts have moved: the nodes whose DAG repair did work, out
 // of NumNodes per re-routed destination. It counts the same events.
 func (en *Engine) Moved() uint64 { return en.moved.Load() }
+
+// Resummed returns how many aggregate links the engine's accepted
+// events and what-ifs have re-summed and re-costed since it was built:
+// the links whose flow toward some destination moved, or every link for
+// an event that re-sums them all (a demand step, or a demand event that
+// adds or drops a destination). Rejected events count nothing.
+func (en *Engine) Resummed() uint64 { return en.resummed.Load() }
 
 // Evaluator exposes the underlying evaluator, in intact link IDs with
 // every down link at weight +Inf — the state the oracle tests project
@@ -228,38 +236,49 @@ func (en *Engine) flipWeights(buf []float64, links []int, toDown bool) []float64
 }
 
 // apply commits one weight event and counts the destinations it
-// re-routed and the distances it moved.
+// re-routed, the distances it moved and the links it re-summed.
 func (en *Engine) apply(links []int, w []float64) error {
 	if err := en.ev.setWeights(links, w); err != nil {
 		return err
 	}
 	en.rerouted.Add(uint64(len(en.ev.affected)))
 	en.moved.Add(uint64(en.ev.moved))
+	en.resummed.Add(uint64(en.ev.resummed))
 	return nil
 }
 
 // whatIf scores one weight event into s without committing it and
-// counts the destinations it re-routed and the distances it moved.
+// counts the destinations it re-routed, the distances it moved and the
+// links it re-summed.
 func (en *Engine) whatIf(s *Scratch, links []int, w []float64) (Metrics, error) {
 	m, err := en.ev.tryWeights(s, links, w)
 	if err == nil {
 		en.rerouted.Add(uint64(len(s.affected)))
 		en.moved.Add(uint64(s.moved))
+		en.resummed.Add(uint64(s.resummed))
 	}
 	return m, err
 }
 
 // SetDemand updates one demand entry, re-propagating only the affected
-// destination.
+// destination and re-summing only the links whose flow moved.
 func (en *Engine) SetDemand(src, dst int, v float64) error {
-	return en.ev.SetDemand(src, dst, v)
+	if err := en.ev.SetDemand(src, dst, v); err != nil {
+		return err
+	}
+	en.resummed.Add(uint64(en.ev.resummed))
+	return nil
 }
 
 // StepDemands advances to the next demand matrix of a temporal
 // sequence, re-propagating only destinations whose columns changed.
 // The engine clones m, so the caller keeps ownership.
 func (en *Engine) StepDemands(m *traffic.Matrix) error {
-	return en.ev.ReplaceDemands(m.Clone())
+	if err := en.ev.ReplaceDemands(m.Clone()); err != nil {
+		return err
+	}
+	en.resummed.Add(uint64(en.ev.resummed))
+	return nil
 }
 
 // WhatIfWeight returns the Metrics the engine would report after
@@ -281,7 +300,11 @@ func (en *Engine) WhatIfWeight(s *Scratch, link int, w float64) (Metrics, error)
 // WhatIfDemand returns the Metrics the engine would report after
 // SetDemand(src, dst, v), without committing it.
 func (en *Engine) WhatIfDemand(s *Scratch, src, dst int, v float64) (Metrics, error) {
-	return en.ev.TryDemand(s, src, dst, v)
+	m, err := en.ev.TryDemand(s, src, dst, v)
+	if err == nil {
+		en.resummed.Add(uint64(s.resummed))
+	}
+	return m, err
 }
 
 // WhatIfFailLinks returns the Metrics the engine would report after

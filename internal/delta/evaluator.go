@@ -18,12 +18,16 @@ var ErrBadInput = errors.New("delta: bad input")
 // Evaluator holds the full ECMP routing evaluation of one weight vector
 // on one (graph, demand matrix) pair — per-destination shortest-path
 // DAGs, even split ratios, per-destination link flows, the aggregate
-// flow and its Fortz-Thorup cost — and updates it incrementally:
-// weight events (one link or an atomic set) re-route only the
-// destinations the change can affect, repairing each one's DAG in place
-// (graph.Workspace.RepairDAG) rather than rebuilding it, and
-// SetDemand/ReplaceDemands re-propagate only the destinations whose
-// demand columns changed. The rest of the state is kept bit-for-bit.
+// flow, its per-link Fortz-Thorup terms and their sum — and updates it
+// incrementally: weight events (one link or an atomic set) re-route
+// only the destinations the change can affect, repairing each one's DAG
+// in place (graph.Workspace.RepairDAG) rather than rebuilding it,
+// re-splitting only the nodes whose next hops changed and re-propagating
+// in place; SetDemand/ReplaceDemands re-propagate only the destinations
+// whose demand columns changed. Weight events and SetDemand then
+// re-sum the aggregate and re-cost only the links whose
+// per-destination flow moved. The rest of the state is kept
+// bit-for-bit.
 //
 // The Evaluator owns the traffic matrix handed to NewEvaluator for its
 // lifetime: demand events mutate it so it always describes the current
@@ -45,13 +49,16 @@ type Evaluator struct {
 	dags    []*graph.DAG // owned per-destination arenas, refilled in place
 	splits  [][]float64  // per-destination even ECMP ratios
 	flows   [][]float64  // per-destination per-link flow
-	total   []float64    // aggregate flow, summed in destination order
-	cost    float64      // Fortz-Thorup cost of total
+	total   []float64    // aggregate flow, each link summed in destination order
+	terms   []float64    // per-link Fortz-Thorup terms of total
+	cost    float64      // terms summed in link order
 
 	ws       *graph.Workspace
-	affected []int     // scratch for the weight events' affected-destination screen
-	prev     []float64 // scratch: the weights a weight event replaced
-	moved    int       // node distances the last accepted weight event moved
+	marks    graph.Marks // links whose per-destination flow the event being applied moved
+	affected []int       // scratch for the weight events' affected-destination screen
+	prev     []float64   // scratch: the weights a weight event replaced
+	moved    int         // node distances the last accepted weight event moved
+	resummed int         // aggregate links the last accepted event re-summed
 }
 
 // Metrics is the engine's read-out of one routing state: the
@@ -95,7 +102,9 @@ func NewEvaluator(g *graph.Graph, tm *traffic.Matrix, weights []float64) (*Evalu
 		w:     make([]float64, g.NumLinks()),
 		ws:    graph.NewWorkspace(g),
 		total: make([]float64, g.NumLinks()),
+		terms: make([]float64, g.NumLinks()),
 	}
+	ev.marks.Reset(g.NumLinks())
 	ev.demands = make([][]float64, len(dests))
 	ev.dags = make([]*graph.DAG, len(dests))
 	ev.splits = make([][]float64, len(dests))
@@ -144,13 +153,15 @@ func (ev *Evaluator) NumDestinations() int { return len(ev.dests) }
 func (ev *Evaluator) Matrix() *traffic.Matrix { return ev.tm }
 
 // Footprint approximates the bytes held by the evaluator's arenas —
-// weight/capacity/flow vectors, per-destination DAGs, splits and flows
-// — the number /statz reports as warm-state memory. The workspace's
-// internal scratch (a few per-node vectors) is not counted.
+// weight/capacity/flow/cost-term vectors, the link marks, per-destination
+// DAGs, splits and flows — the number /statz reports as warm-state
+// memory. The workspace's internal scratch (a few per-node vectors) is
+// not counted.
 func (ev *Evaluator) Footprint() int64 {
 	const word = 8
-	b := int64(cap(ev.w)+cap(ev.caps)+cap(ev.total)) * word
+	b := int64(cap(ev.w)+cap(ev.caps)+cap(ev.total)+cap(ev.terms)) * word
 	b += int64(cap(ev.affected)+cap(ev.dests)) * word
+	b += ev.marks.Bytes()
 	for i := range ev.dests {
 		b += int64(cap(ev.demands[i])+cap(ev.splits[i])+cap(ev.flows[i])) * word
 		d := ev.dags[i]
@@ -177,11 +188,12 @@ func (ev *Evaluator) Reevaluate(weights []float64) error {
 			return err
 		}
 		ev.dags[i].CopyFrom(built)
-		if err := ev.resplit(i); err != nil {
-			return err
+		graph.EvenSplitsInto(ev.g, ev.dags[i], ev.splits[i])
+		if err := ev.ws.PropagateDownInto(ev.g, ev.dags[i], ev.demands[i], ev.splits[i], ev.flows[i]); err != nil {
+			return unroutable(ev.dests[i], err)
 		}
 	}
-	ev.recomputeCost()
+	ev.resumAll()
 	return nil
 }
 
@@ -194,9 +206,12 @@ func (ev *Evaluator) SetWeight(link int, w float64) error {
 // setWeights applies one atomic weight event: link links[k] takes
 // weight w[k]. Destinations the change cannot affect (see
 // appendAffected) keep their DAGs, splits and flows untouched; affected
-// ones have their DAGs repaired in place and their flows re-split. The
-// aggregate flow is then re-summed over every destination in order, so
-// the resulting state — flows, total and cost — is bit-identical to
+// ones have their DAGs repaired in place and, unless the repair kept
+// every flow, the nodes whose Out list it changed re-split and their
+// flows re-propagated in place, marking every link whose flow moved
+// (resplit). Only the marked links of the aggregate are then re-summed
+// over every destination in order and re-costed (resumMarked), so the
+// resulting state — flows, total, terms and cost — is bit-identical to
 // Reevaluate on the modified vector. If an affected destination cannot
 // be routed under the new weights (a stranded demand), the old weights
 // come back and the destinations already repaired are repaired back
@@ -225,15 +240,15 @@ func (ev *Evaluator) setWeights(links []int, w []float64) error {
 			return err
 		}
 	}
-	if len(ev.affected) > 0 {
-		ev.recomputeCost()
-	}
+	ev.resumMarked()
 	return nil
 }
 
 // undo takes a rejected weight event back: the links get their old
 // weights (ev.prev) again, and each destination in repaired, whose DAG
 // was repaired to the event's weights w, is repaired back and re-split.
+// That restores every split and flow row bit for bit, and the aggregate
+// and its terms were never touched, so the marks are dropped unsummed.
 func (ev *Evaluator) undo(links []int, w []float64, repaired []int) {
 	for k, l := range links {
 		ev.w[l] = ev.prev[k]
@@ -243,6 +258,7 @@ func (ev *Evaluator) undo(links []int, w []float64, repaired []int) {
 		_, _ = ev.ws.RepairDAG(ev.g, ev.w, ev.dags[i], links, w)
 		_ = ev.resplit(i)
 	}
+	ev.marks.Clear()
 	ev.affected = ev.affected[:0]
 	ev.moved = 0
 }
@@ -265,15 +281,17 @@ func (ev *Evaluator) checkEvent(links []int, w []float64) error {
 }
 
 // SetDemand updates one demand matrix entry and re-propagates only the
-// affected destination's flow — shortest-path DAGs and split ratios
-// never change under a demand event. A destination whose column gains
-// its first positive entry is inserted (one-time arena allocation); one
-// whose column drains to zero is dropped, so the destination set always
-// matches what a from-scratch evaluation of the matrix would build and
-// the resulting state is bit-identical to it. Rejected events (bad
-// entry, unroutable demand, draining the last positive entry) leave the
-// state untouched.
+// affected destination's flow, in place — shortest-path DAGs and split
+// ratios never change under a demand event — then re-sums and re-costs
+// only the links whose flow moved. A destination whose column gains its
+// first positive entry is inserted (one-time arena allocation); one
+// whose column drains to zero is dropped, and either re-sums every
+// link, so the destination set always matches what a from-scratch
+// evaluation of the matrix would build and the resulting state is
+// bit-identical to it. Rejected events (bad entry, unroutable demand,
+// draining the last positive entry) leave the state untouched.
 func (ev *Evaluator) SetDemand(src, dst int, v float64) error {
+	ev.resummed = 0
 	n := ev.g.NumNodes()
 	if src < 0 || src >= n || dst < 0 || dst >= n {
 		return fmt.Errorf("%w: demand %d->%d out of range for %d nodes", ErrBadInput, src, dst, n)
@@ -293,7 +311,7 @@ func (ev *Evaluator) SetDemand(src, dst int, v float64) error {
 				return fmt.Errorf("%w: removing demand %d->%d would leave no positive demand", ErrBadInput, src, dst)
 			}
 			ev.removeDest(i)
-			ev.recomputeCost()
+			ev.resumAll()
 			return nil
 		}
 		if v > 0 && ev.dags[i].Dist[src] == graph.Unreachable {
@@ -303,10 +321,10 @@ func (ev *Evaluator) SetDemand(src, dst int, v float64) error {
 		ev.demands[i][src] = v
 		// Cannot fail: reachability is pre-screened above and the DAG,
 		// splits and shapes are unchanged from a valid state.
-		if err := ev.ws.PropagateDownInto(ev.g, ev.dags[i], ev.demands[i], ev.splits[i], ev.flows[i]); err != nil {
+		if err := ev.ws.PropagateDownMarked(ev.g, ev.dags[i], ev.demands[i], ev.splits[i], ev.flows[i], &ev.marks); err != nil {
 			return fmt.Errorf("delta: destination %d: %w", dst, err)
 		}
-		ev.recomputeCost()
+		ev.resumMarked()
 		return nil
 	}
 	if v == 0 {
@@ -318,20 +336,21 @@ func (ev *Evaluator) SetDemand(src, dst int, v float64) error {
 		return err
 	}
 	ev.insertDest(i, st)
-	ev.recomputeCost()
+	ev.resumAll()
 	return nil
 }
 
 // ReplaceDemands swaps in a whole new demand matrix — one step of a
 // temporal sequence — re-propagating only the destinations whose
 // columns actually changed and inserting/dropping destinations whose
-// columns appeared or drained. The evaluator takes ownership of m. The
-// update is atomic: routability of every changed column is screened
-// against the cached distances (and new destinations are fully built)
-// before any state is committed, so a rejected step leaves the state
-// untouched. The result is bit-identical to a from-scratch evaluation
-// of (graph, m, weights).
+// columns appeared or drained, then re-summing every link. The
+// evaluator takes ownership of m. The update is atomic: routability of
+// every changed column is screened against the cached distances (and
+// new destinations are fully built) before any state is committed, so a
+// rejected step leaves the state untouched. The result is bit-identical
+// to a from-scratch evaluation of (graph, m, weights).
 func (ev *Evaluator) ReplaceDemands(m *traffic.Matrix) error {
+	ev.resummed = 0
 	if m.Size() != ev.g.NumNodes() {
 		return fmt.Errorf("%w: %d-node matrix for %d-node graph", ErrBadInput, m.Size(), ev.g.NumNodes())
 	}
@@ -393,7 +412,7 @@ func (ev *Evaluator) ReplaceDemands(m *traffic.Matrix) error {
 		ev.mergeDests(removed, fresh)
 	}
 	ev.tm = m
-	ev.recomputeCost()
+	ev.resumAll()
 	return nil
 }
 
@@ -579,11 +598,18 @@ func (ev *Evaluator) appendAffected(buf []int, links []int, w []float64) []int {
 	return buf
 }
 
-// resplit derives destination i's even ECMP ratios and propagated
-// per-link flow from its DAG, into its owned storage.
+// resplit brings destination i's split and flow rows in line with the
+// DAG the last RepairDAG on ev.ws repaired: nothing to do when that
+// repair kept every propagation (graph.Workspace.FlowsKept); otherwise
+// it re-splits only the nodes whose Out list the repair changed and
+// re-propagates in place, adding every link whose flow moved to
+// ev.marks.
 func (ev *Evaluator) resplit(i int) error {
-	graph.EvenSplitsInto(ev.g, ev.dags[i], ev.splits[i])
-	if err := ev.ws.PropagateDownInto(ev.g, ev.dags[i], ev.demands[i], ev.splits[i], ev.flows[i]); err != nil {
+	if ev.ws.FlowsKept() {
+		return nil
+	}
+	graph.EvenSplitsAt(ev.g, ev.dags[i], ev.ws.OutChanged(), ev.splits[i], ev.flows[i], &ev.marks)
+	if err := ev.ws.PropagateDownMarked(ev.g, ev.dags[i], ev.demands[i], ev.splits[i], ev.flows[i], &ev.marks); err != nil {
 		return unroutable(ev.dests[i], err)
 	}
 	return nil
@@ -596,29 +622,67 @@ func unroutable(dst int, err error) error {
 	return fmt.Errorf("%w: destination %d: %w", ErrBadInput, dst, err)
 }
 
-// recomputeCost re-sums the aggregate flow over every destination in
-// Destinations order — the same deterministic order mcf.Flow uses — and
-// evaluates the Fortz-Thorup cost.
-func (ev *Evaluator) recomputeCost() {
-	for j := range ev.total {
-		ev.total[j] = 0
-	}
+// resumAll re-sums the aggregate flow of every link over every
+// destination in Destinations order — the same deterministic order
+// mcf.Flow uses — and re-costs every link: the oracle resumMarked
+// matches, and the path of the events that change the destination set
+// or many columns at once.
+func (ev *Evaluator) resumAll() {
+	clear(ev.total)
 	for i := range ev.dests {
 		for j, x := range ev.flows[i] {
 			ev.total[j] += x
 		}
 	}
-	ev.cost = fortzTotal(ev.caps, ev.total)
+	ev.cost = costAll(ev.terms, ev.caps, ev.total)
+	ev.marks.Clear()
+	ev.resummed = len(ev.total)
 }
 
-// fortzTotal sums the Fortz-Thorup cost over the links in ID order —
-// the same terms in the same order as objective.TotalCost, without that
-// function's link-table copy, so the hot paths stay allocation-free.
-func fortzTotal(caps, flows []float64) float64 {
+// resumMarked re-sums only the marked links, each from 0 over every
+// destination in Destinations order — the additions resumAll makes for
+// that link, so the same bits — and recomputes only their Fortz-Thorup
+// terms; every other link's flow is bitwise unchanged in every row.
+func (ev *Evaluator) resumMarked() {
+	ids := ev.marks.IDs()
+	ev.resummed = len(ids)
+	if len(ids) == 0 {
+		return
+	}
+	for _, j := range ids {
+		ev.total[j] = 0
+	}
+	for i := range ev.dests {
+		row := ev.flows[i]
+		for _, j := range ids {
+			ev.total[j] += row[j]
+		}
+	}
 	var ft objective.FortzThorup
+	for _, j := range ids {
+		ev.terms[j] = ft.Cost(j, ev.total[j], ev.caps[j])
+	}
+	ev.cost = sumTerms(ev.terms)
+	ev.marks.Clear()
+}
+
+// costAll fills terms with every link's Fortz-Thorup term of flows and
+// returns their sum.
+func costAll(terms, caps, flows []float64) float64 {
+	var ft objective.FortzThorup
+	for j, f := range flows {
+		terms[j] = ft.Cost(j, f, caps[j])
+	}
+	return sumTerms(terms)
+}
+
+// sumTerms adds per-link Fortz-Thorup terms in link-ID order — the same
+// terms in the same order as objective.TotalCost, without that
+// function's link-table copy, so the hot paths stay allocation-free.
+func sumTerms(terms []float64) float64 {
 	var total float64
-	for e, f := range flows {
-		total += ft.Cost(e, f, caps[e])
+	for _, t := range terms {
+		total += t
 	}
 	return total
 }
@@ -651,7 +715,8 @@ func utilityOf(caps, flows []float64) float64 {
 
 // Scratch is the private arena one worker needs to score candidates
 // against a shared Evaluator with the Try* queries: a workspace, a
-// trial weight vector, a DAG to repair, demand/ratio/total buffers and
+// trial weight vector, a DAG to repair, demand and ratio buffers, the
+// trial aggregate with its per-link terms and link marks, and
 // per-affected-destination flow rows. Scratches are not safe for
 // concurrent use; each concurrent reader draws its own.
 type Scratch struct {
@@ -662,36 +727,40 @@ type Scratch struct {
 	dag      graph.DAG // one affected destination's DAG, copied and repaired
 	demand   []float64
 	ratio    []float64
-	total    []float64
-	flows    [][]float64
+	total    []float64   // the trial aggregate flow
+	terms    []float64   // the trial per-link Fortz-Thorup terms
+	marks    graph.Marks // links whose flow the trial moved in some row
+	flows    [][]float64 // flows[k]: the trial flow row of destination index rows[k]
+	rows     []int
 	affected []int
 	moved    int // node distances the last weight what-if moved
+	resummed int // aggregate links the last what-if re-summed
 }
 
 // NewScratch returns a scratch sized for the evaluator's topology.
 func (ev *Evaluator) NewScratch() *Scratch {
-	return &Scratch{
-		ws:     graph.NewWorkspace(ev.g),
-		w:      make([]float64, ev.g.NumLinks()),
-		demand: make([]float64, ev.g.NumNodes()),
-		ratio:  make([]float64, ev.g.NumLinks()),
-		total:  make([]float64, ev.g.NumLinks()),
-	}
+	s := &Scratch{ws: graph.NewWorkspace(ev.g)}
+	s.fit(ev)
+	return s
 }
 
 // fit re-sizes the scratch for the evaluator's shape (a scratch may be
-// handed to evaluators of different topologies).
+// handed to evaluators of different topologies) and empties its marks.
 func (s *Scratch) fit(ev *Evaluator) {
 	m := ev.g.NumLinks()
 	if cap(s.w) < m {
 		s.w = make([]float64, m)
 		s.ratio = make([]float64, m)
 		s.total = make([]float64, m)
+		s.terms = make([]float64, m)
 	}
-	s.w, s.ratio, s.total = s.w[:m], s.ratio[:m], s.total[:m]
+	s.w, s.ratio, s.total, s.terms = s.w[:m], s.ratio[:m], s.total[:m], s.terms[:m]
+	s.marks.Reset(m)
 	n := ev.g.NumNodes()
 	if cap(s.demand) < n {
 		s.demand = make([]float64, n)
+		s.rows = make([]int, 0, n)
+		s.dag.Reserve(ev.g)
 	}
 	s.demand = s.demand[:n]
 }
@@ -711,11 +780,12 @@ func (s *Scratch) flowRow(k, links int) []float64 {
 
 // TryWeight returns the Fortz-Thorup cost the evaluator would report
 // after SetWeight(link, w), without mutating any shared state: affected
-// destinations are re-routed into the scratch, unaffected ones read
-// from the shared state, and the aggregate is re-summed in the same
-// destination order — bit-identical to applying the change. Multiple
-// goroutines may call TryWeight on one Evaluator concurrently as long
-// as each brings its own Scratch and nothing mutates the evaluator.
+// destinations are re-routed into the scratch, the links whose flow
+// that moves are re-summed in the same destination order and re-costed,
+// and every other link's total and term is read from the shared state —
+// bit-identical to applying the change. Multiple goroutines may call
+// TryWeight on one Evaluator concurrently as long as each brings its
+// own Scratch and nothing mutates the evaluator.
 func (ev *Evaluator) TryWeight(s *Scratch, link int, w float64) (float64, error) {
 	changed, err := ev.tryWeightsTotal(s, []int{link}, []float64{w})
 	if err != nil {
@@ -724,7 +794,7 @@ func (ev *Evaluator) TryWeight(s *Scratch, link int, w float64) (float64, error)
 	if !changed {
 		return ev.cost, nil
 	}
-	return fortzTotal(ev.caps, s.total), nil
+	return ev.trialCost(s), nil
 }
 
 // tryWeights is the Metrics the evaluator would report after
@@ -737,22 +807,23 @@ func (ev *Evaluator) tryWeights(s *Scratch, links []int, w []float64) (Metrics, 
 	if !changed {
 		return ev.Metrics(), nil
 	}
-	return Metrics{
-		Cost:    fortzTotal(ev.caps, s.total),
-		MLU:     mluOf(ev.caps, s.total),
-		Utility: utilityOf(ev.caps, s.total),
-	}, nil
+	return ev.trialMetrics(s), nil
 }
 
 // tryWeightsTotal is the shared core of the weight what-ifs: it fills
 // s.total with the aggregate flow the evaluator would hold after
-// setWeights(links, w), s.affected with the destinations that event
-// re-routes and s.moved with the node distances it moves. Each affected
-// destination's DAG is copied into s.dag and repaired there. changed is
-// false when the hypothetical state is the current one (no affected
+// setWeights(links, w), s.marks with the links whose total it
+// re-summed, s.affected with the destinations that event re-routes and
+// s.moved with the node distances it moves. Each affected destination's
+// DAG is copied into the scratch and repaired there; unless the repair
+// kept every propagation, its flow row is copied too and taken through
+// setWeights' remaining steps: re-split of the nodes whose Out list
+// changed, in-place propagation. Its split row is copied only when some
+// Out list changed; otherwise the shared row is read. changed is false
+// when the hypothetical state is the current one (no affected
 // destination) and s.total was not filled.
 func (ev *Evaluator) tryWeightsTotal(s *Scratch, links []int, w []float64) (changed bool, err error) {
-	s.moved = 0
+	s.moved, s.resummed = 0, 0
 	if err := ev.checkEvent(links, w); err != nil {
 		return false, err
 	}
@@ -767,44 +838,90 @@ func (ev *Evaluator) tryWeightsTotal(s *Scratch, links []int, w []float64) (chan
 		s.old = append(s.old, ev.w[l])
 		s.w[l] = w[k]
 	}
-	for k, i := range s.affected {
-		flow := s.flowRow(k, ev.g.NumLinks())
+	s.rows = s.rows[:0]
+	for _, i := range s.affected {
 		s.dag.CopyFrom(ev.dags[i])
 		moved, err := s.ws.RepairDAG(ev.g, s.w, &s.dag, links, s.old)
 		if err != nil {
 			return false, err
 		}
 		s.moved += moved
-		graph.EvenSplitsInto(ev.g, &s.dag, s.ratio)
-		if err := s.ws.PropagateDownInto(ev.g, &s.dag, ev.demands[i], s.ratio, flow); err != nil {
+		if s.ws.FlowsKept() {
+			continue // the shared rows stay valid
+		}
+		flow := s.flowRow(len(s.rows), ev.g.NumLinks())
+		s.rows = append(s.rows, i)
+		copy(flow, ev.flows[i])
+		ratio := ev.splits[i] // read-only while no Out list changed
+		if rewired := s.ws.OutChanged(); len(rewired) > 0 {
+			ratio = s.ratio
+			copy(ratio, ev.splits[i])
+			graph.EvenSplitsAt(ev.g, &s.dag, rewired, ratio, flow, &s.marks)
+		}
+		if err := s.ws.PropagateDownMarked(ev.g, &s.dag, ev.demands[i], ratio, flow, &s.marks); err != nil {
 			return false, unroutable(ev.dests[i], err)
 		}
 	}
-	for j := range s.total {
+	ev.trialResum(s, s.rows)
+	return true, nil
+}
+
+// trialResum fills s.total with the shared aggregate, then re-sums each
+// link in s.marks from 0 over every destination in order, reading the
+// trial row s.flows[k] for destination index at[k] (at increasing) and
+// the shared row otherwise — resumMarked's additions on the trial rows.
+func (ev *Evaluator) trialResum(s *Scratch, at []int) {
+	ids := s.marks.IDs()
+	s.resummed = len(ids)
+	copy(s.total, ev.total)
+	for _, j := range ids {
 		s.total[j] = 0
 	}
 	next := 0
 	for i := range ev.dests {
 		row := ev.flows[i]
-		if next < len(s.affected) && s.affected[next] == i {
+		if next < len(at) && at[next] == i {
 			row = s.flows[next]
 			next++
 		}
-		for j, x := range row {
-			s.total[j] += x
+		for _, j := range ids {
+			s.total[j] += row[j]
 		}
 	}
-	return true, nil
+}
+
+// trialCost is the Fortz-Thorup cost of s.total after trialResum: the
+// shared per-link terms with the marked links' terms recomputed, summed
+// in link order.
+func (ev *Evaluator) trialCost(s *Scratch) float64 {
+	copy(s.terms, ev.terms)
+	var ft objective.FortzThorup
+	for _, j := range s.marks.IDs() {
+		s.terms[j] = ft.Cost(j, s.total[j], ev.caps[j])
+	}
+	return sumTerms(s.terms)
+}
+
+// trialMetrics is the Metrics of s.total after trialResum.
+func (ev *Evaluator) trialMetrics(s *Scratch) Metrics {
+	return Metrics{
+		Cost:    ev.trialCost(s),
+		MLU:     mluOf(ev.caps, s.total),
+		Utility: utilityOf(ev.caps, s.total),
+	}
 }
 
 // TryDemand returns the Metrics the evaluator would report after
 // SetDemand(src, dst, v), without mutating any shared state: only the
-// affected destination's flow is re-propagated (into the scratch), the
-// rest is read from shared state, and the aggregate is re-summed in the
-// destination order the committed update would use — bit-identical to
-// applying the change. Concurrent TryDemand calls are safe under the
-// same contract as TryWeight.
+// affected destination's flow is re-propagated, into a copy of its row
+// in the scratch, and only the links whose flow that moves are re-summed
+// in the destination order the committed update would use and
+// re-costed. A what-if that inserts or drops a destination re-sums and
+// re-costs every link, as the committed update does. Either way the
+// answer is bit-identical to applying the change. Concurrent TryDemand
+// calls are safe under the same contract as TryWeight.
 func (ev *Evaluator) TryDemand(s *Scratch, src, dst int, v float64) (Metrics, error) {
+	s.resummed = 0
 	n := ev.g.NumNodes()
 	if src < 0 || src >= n || dst < 0 || dst >= n {
 		return Metrics{}, fmt.Errorf("%w: demand %d->%d out of range for %d nodes", ErrBadInput, src, dst, n)
@@ -823,7 +940,6 @@ func (ev *Evaluator) TryDemand(s *Scratch, src, dst int, v float64) (Metrics, er
 	s.fit(ev)
 	flow := s.flowRow(0, ev.g.NumLinks())
 	skip := -1 // destination index whose row drops from the sum
-	sub := -1  // destination index whose row is replaced by flow
 	insertAt := -1
 	if found {
 		if v == 0 && !anyOtherPositive(ev.demands[i], src) {
@@ -834,15 +950,15 @@ func (ev *Evaluator) TryDemand(s *Scratch, src, dst int, v float64) (Metrics, er
 		} else {
 			copy(s.demand, ev.demands[i])
 			s.demand[src] = v
-			if err := s.ws.PropagateDownInto(ev.g, ev.dags[i], s.demand, ev.splits[i], flow); err != nil {
+			copy(flow, ev.flows[i])
+			if err := s.ws.PropagateDownMarked(ev.g, ev.dags[i], s.demand, ev.splits[i], flow, &s.marks); err != nil {
 				return Metrics{}, fmt.Errorf("delta: destination %d: %w", dst, err)
 			}
-			sub = i
+			ev.trialResum(s, []int{i})
+			return ev.trialMetrics(s), nil
 		}
 	} else {
-		for j := range s.demand {
-			s.demand[j] = 0
-		}
+		clear(s.demand)
 		s.demand[src] = v
 		built, err := s.ws.BuildDAG(ev.g, ev.w, dst, dagTol)
 		if err != nil {
@@ -854,9 +970,7 @@ func (ev *Evaluator) TryDemand(s *Scratch, src, dst int, v float64) (Metrics, er
 		}
 		insertAt = i
 	}
-	for j := range s.total {
-		s.total[j] = 0
-	}
+	clear(s.total)
 	addRow := func(row []float64) {
 		for j, x := range row {
 			s.total[j] += x
@@ -866,19 +980,16 @@ func (ev *Evaluator) TryDemand(s *Scratch, src, dst int, v float64) (Metrics, er
 		if k == insertAt {
 			addRow(flow)
 		}
-		switch k {
-		case skip:
-		case sub:
-			addRow(flow)
-		default:
+		if k != skip {
 			addRow(ev.flows[k])
 		}
 	}
 	if insertAt == len(ev.dests) {
 		addRow(flow)
 	}
+	s.resummed = len(s.total)
 	return Metrics{
-		Cost:    fortzTotal(ev.caps, s.total),
+		Cost:    costAll(s.terms, ev.caps, s.total),
 		MLU:     mluOf(ev.caps, s.total),
 		Utility: utilityOf(ev.caps, s.total),
 	}, nil
@@ -886,8 +997,9 @@ func (ev *Evaluator) TryDemand(s *Scratch, src, dst int, v float64) (Metrics, er
 
 // Equal compares two evaluators' complete state bitwise — weights,
 // per-destination distances, DAG adjacency, split ratios, flows,
-// aggregate flow and cost — returning a descriptive error on the first
-// mismatch. It is the oracle of the incremental-vs-full parity checks.
+// aggregate flow, per-link cost terms and cost — returning a
+// descriptive error on the first mismatch. It is the oracle of the
+// incremental-vs-full parity checks.
 func (ev *Evaluator) Equal(o *Evaluator) error {
 	if len(ev.w) != len(o.w) || len(ev.dests) != len(o.dests) {
 		return fmt.Errorf("delta: shape mismatch: %d/%d links, %d/%d destinations",
@@ -934,6 +1046,9 @@ func (ev *Evaluator) Equal(o *Evaluator) error {
 	for e := range ev.total {
 		if ev.total[e] != o.total[e] {
 			return fmt.Errorf("delta: total flow[%d]: %v vs %v", e, ev.total[e], o.total[e])
+		}
+		if ev.terms[e] != o.terms[e] {
+			return fmt.Errorf("delta: cost term[%d]: %v vs %v", e, ev.terms[e], o.terms[e])
 		}
 	}
 	if ev.cost != o.cost {

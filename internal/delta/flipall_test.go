@@ -2,8 +2,10 @@ package delta
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -347,6 +349,145 @@ func TestWeightEventsAllocationFree(t *testing.T) {
 		if c.moved() == before {
 			t.Errorf("%s moved no distance: the pin measures no repair", c.name)
 		}
+	}
+}
+
+// TestDemandEventsAllocationFree pins the demand hot paths on a warm
+// Abilene engine: SetDemand on an existing destination and WhatIfDemand
+// (on a private scratch) allocate nothing in steady state. Each case
+// moves an entry between two positive volumes, so it re-propagates and
+// re-sums links.
+func TestDemandEventsAllocationFree(t *testing.T) {
+	en, _ := abileneEngine(t)
+	tm := en.Evaluator().Matrix()
+	src, dst := -1, -1
+	for s := 0; s < tm.Size() && src < 0; s++ {
+		for d := 0; d < tm.Size(); d++ {
+			if tm.At(s, d) > 0 {
+				src, dst = s, d
+				break
+			}
+		}
+	}
+	if src < 0 {
+		t.Fatal("the Abilene matrix has no positive entry")
+	}
+	lo, hi := tm.At(src, dst), 2*tm.At(src, dst)
+	s := en.NewScratch()
+	cases := []struct {
+		name string
+		op   func()
+	}{
+		{"SetDemand", func() {
+			if err := en.SetDemand(src, dst, hi); err != nil {
+				t.Fatal(err)
+			}
+			if err := en.SetDemand(src, dst, lo); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"WhatIfDemand", func() {
+			if _, err := en.WhatIfDemand(s, src, dst, hi); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, c := range cases {
+		c.op() // warm the arenas
+		before := en.Resummed()
+		if allocs := testing.AllocsPerRun(100, c.op); allocs > 0 {
+			t.Errorf("%s allocates %v allocs/op in steady state, want 0", c.name, allocs)
+		}
+		if en.Resummed() == before {
+			t.Errorf("%s re-summed no link: the pin measures no re-sum", c.name)
+		}
+	}
+}
+
+// flowRows deep-copies an evaluator's per-destination flow rows.
+func flowRows(ev *Evaluator) [][]float64 {
+	rows := make([][]float64, len(ev.flows))
+	for i, row := range ev.flows {
+		rows[i] = slices.Clone(row)
+	}
+	return rows
+}
+
+// movedLinks counts the links whose flow toward some destination
+// differs between two row sets of the same destinations.
+func movedLinks(a, b [][]float64) uint64 {
+	var n uint64
+	for e := range a[0] {
+		for i := range a {
+			if math.Float64bits(a[i][e]) != math.Float64bits(b[i][e]) {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
+// TestResummedCountsMovedLinks: on Abilene, tripling any link's weight
+// and doubling any demand entry re-sums, in the engine's count, exactly
+// the links whose flow toward some destination moved, counted here from
+// the flow rows before and after; each event's what-if counts the same,
+// and a demand step re-sums every link.
+func TestResummedCountsMovedLinks(t *testing.T) {
+	en, _ := abileneEngine(t)
+	ev, s := en.Evaluator(), en.NewScratch()
+	check := func(tag string, whatIf func() error, commit func() error) uint64 {
+		t.Helper()
+		before := flowRows(ev)
+		r0 := en.Resummed()
+		if err := whatIf(); err != nil {
+			t.Fatalf("%s: what-if: %v", tag, err)
+		}
+		r1 := en.Resummed()
+		if err := commit(); err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		want := movedLinks(before, ev.flows)
+		if r1-r0 != want || en.Resummed()-r1 != want {
+			t.Fatalf("%s: what-if re-summed %d and the event %d links; %d links moved", tag, r1-r0, en.Resummed()-r1, want)
+		}
+		return want
+	}
+	var total uint64
+	for e := 0; e < en.NumLinks(); e++ {
+		w := en.Weights()[e]
+		total += check(fmt.Sprintf("link %d", e),
+			func() error { _, err := en.WhatIfWeight(s, e, 3*w); return err },
+			func() error { return en.SetWeight(e, 3*w) })
+		if err := en.SetWeight(e, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tm := ev.Matrix()
+	for src := 0; src < tm.Size(); src++ {
+		for dst := 0; dst < tm.Size(); dst++ {
+			v := tm.At(src, dst)
+			if v == 0 {
+				continue
+			}
+			total += check(fmt.Sprintf("demand %d->%d", src, dst),
+				func() error { _, err := en.WhatIfDemand(s, src, dst, 2*v); return err },
+				func() error { return en.SetDemand(src, dst, 2*v) })
+		}
+	}
+	if total == 0 {
+		t.Fatal("no event moved a flow: the test checks nothing")
+	}
+	step, err := tm.Scaled(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r0 := en.Resummed()
+	if err := en.StepDemands(step); err != nil {
+		t.Fatal(err)
+	}
+	if got := en.Resummed() - r0; got != uint64(en.NumLinks()) {
+		t.Fatalf("a demand step re-summed %d links, want all %d", got, en.NumLinks())
 	}
 }
 

@@ -40,4 +40,14 @@
 // internal/delta repairs its DAGs with it on every weight event,
 // failure and what-if; BuildDAG stays where a DAG is built from
 // nothing.
+//
+// After a repair, the evaluator keeps each destination's split and
+// flow rows in place rather than rebuilding them: EvenSplitsAt
+// re-splits only the nodes whose Out list the repair changed
+// (Workspace.OutChanged), and Workspace.PropagateDownMarked
+// re-propagates over the old row, recording in a Marks set every link
+// whose flow changed; a repair that reports Workspace.FlowsKept needs
+// neither. There is one propagation kernel: PropagateDown and
+// PropagateDownInto run it on a zeroed row, so a fresh row keeps its
+// bits.
 package graph

@@ -131,7 +131,7 @@ func (ws *Workspace) ExponentialSplits(g *Graph, d *DAG, cost []float64) (ratio,
 // EvenSplitsInto overwrites ratio (length NumLinks) with OSPF's even
 // equal-cost split: every DAG out-link of a node carries 1/outdegree,
 // every other link 0. Every ECMP router, evaluator and unit-flow table
-// calls it, so their ratios agree bit for bit.
+// calls it or EvenSplitsAt, so their ratios agree bit for bit.
 func EvenSplitsInto(g *Graph, d *DAG, ratio []float64) {
 	for i := range ratio {
 		ratio[i] = 0
@@ -144,14 +144,91 @@ func EvenSplitsInto(g *Graph, d *DAG, ratio []float64) {
 	}
 }
 
-// propagateDown is the shared kernel behind PropagateDown and
-// PropagateDownInto: it overwrites flow (length NumLinks) with the
-// per-link volumes of this commodity, using acc (length NumNodes) as
-// the per-node accumulator. It performs no allocation on success.
-func propagateDown(g *Graph, d *DAG, demand, ratio, flow, acc []float64) error {
-	for i := range flow {
-		flow[i] = 0
+// EvenSplitsAt re-derives the even split at the listed nodes only — the
+// nodes whose Out lists a repair changed (Workspace.OutChanged) — after
+// which ratio equals EvenSplitsInto's bit for bit, provided it did
+// before the repair. Each graph out-link of a listed node gets
+// 1/outdegree if it is in the node's Out list and 0 if not; a link
+// outside the list that still carries flow gets flow 0 and is added to
+// marks (non-nil), so that flow is again zero on every link outside d,
+// as the in-place propagation (Workspace.PropagateDownMarked) requires.
+// d's Out lists must increase by link ID, as BuildDAG and RepairDAG
+// leave them.
+func EvenSplitsAt(g *Graph, d *DAG, nodes []int, ratio, flow []float64, marks *Marks) {
+	for _, u := range nodes {
+		outs := d.Out[u]
+		r := 1 / float64(len(outs)) // EvenSplitsInto's ratio; unread when outs is empty
+		k := 0
+		for _, id := range g.out[u] { // both lists increase by link ID
+			if k < len(outs) && outs[k] == id {
+				ratio[id] = r
+				k++
+				continue
+			}
+			ratio[id] = 0
+			if math.Float64bits(flow[id]) != 0 {
+				flow[id] = 0
+				marks.Add(id)
+			}
+		}
 	}
+}
+
+// Marks is a set of link IDs: a flag per link and the IDs in the order
+// they were first added. The in-place kernels add every link whose flow
+// they changed, and the incremental evaluator re-sums just those links.
+type Marks struct {
+	on  []bool
+	ids []int
+}
+
+// Reset empties the set and sizes it for link IDs 0..links-1,
+// allocating only when that count changes.
+func (m *Marks) Reset(links int) {
+	if len(m.on) == links {
+		m.Clear()
+		return
+	}
+	m.on = make([]bool, links)
+	m.ids = make([]int, 0, links)
+}
+
+// Add adds link id, once.
+func (m *Marks) Add(id int) {
+	if !m.on[id] {
+		m.on[id] = true
+		m.ids = append(m.ids, id)
+	}
+}
+
+// IDs returns the marked link IDs in the order they were added, valid
+// until the set next changes.
+func (m *Marks) IDs() []int { return m.ids }
+
+// Clear empties the set in time proportional to its size.
+func (m *Marks) Clear() {
+	for _, id := range m.ids {
+		m.on[id] = false
+	}
+	m.ids = m.ids[:0]
+}
+
+// Bytes approximates the memory the set holds.
+func (m *Marks) Bytes() int64 { return int64(cap(m.on)) + 8*int64(cap(m.ids)) }
+
+// propagateDown is the one propagation kernel, behind PropagateDown,
+// PropagateDownInto and PropagateDownMarked. It writes the flow of each
+// DAG link at most once, in place, using acc (length NumNodes) as the
+// per-node accumulator. With marks nil, flow must be a zeroed row and
+// links out of nodes without traffic are left at zero. With marks
+// non-nil, flow must be zero on every link outside d — a row this
+// kernel last wrote for an earlier state of the same destination is,
+// once EvenSplitsAt has cleared the links that left the DAG — every DAG
+// link is written, and each link whose flow bits change is added to
+// marks. A node's ratios are checked once its links are written, so on
+// an error flow is partly written. It performs no allocation on
+// success.
+func propagateDown(g *Graph, d *DAG, demand, ratio, flow, acc []float64, marks *Marks) error {
 	for s, v := range demand {
 		if v < 0 {
 			return fmt.Errorf("graph: negative demand %v at node %d", v, s)
@@ -162,21 +239,32 @@ func propagateDown(g *Graph, d *DAG, demand, ratio, flow, acc []float64) error {
 		acc[s] = v
 	}
 	for _, u := range d.NodesDescending() {
-		if u == d.Dst || acc[u] == 0 {
+		a := acc[u]
+		if u == d.Dst || a == 0 {
+			if marks != nil { // in place: clear what an earlier state left
+				for _, id := range d.Out[u] {
+					if math.Float64bits(flow[id]) != 0 {
+						flow[id] = 0
+						marks.Add(id)
+					}
+				}
+			}
 			continue
 		}
 		var sum float64
 		for _, id := range d.Out[u] {
-			sum += ratio[id]
+			r := ratio[id]
+			sum += r
+			amt := a * r
+			if marks != nil && math.Float64bits(flow[id]) != math.Float64bits(amt) {
+				marks.Add(id)
+			}
+			flow[id] = amt
+			acc[g.links[id].To] += amt
 		}
 		// Negated so a NaN sum fails the check too.
 		if !(math.Abs(sum-1) <= 1e-6) {
 			return fmt.Errorf("graph: split ratios at node %d sum to %v toward destination %d", u, sum, d.Dst)
-		}
-		for _, id := range d.Out[u] {
-			amt := acc[u] * ratio[id]
-			flow[id] += amt
-			acc[g.links[id].To] += amt
 		}
 	}
 	return nil
@@ -212,7 +300,7 @@ func PropagateDown(g *Graph, d *DAG, demand []float64, ratio []float64) ([]float
 	}
 	flow := make([]float64, g.NumLinks())
 	acc := make([]float64, g.NumNodes())
-	if err := propagateDown(g, d, demand, ratio, flow, acc); err != nil {
+	if err := propagateDown(g, d, demand, ratio, flow, acc, nil); err != nil {
 		return nil, err
 	}
 	return flow, nil
@@ -224,6 +312,31 @@ func PropagateDown(g *Graph, d *DAG, demand []float64, ratio []float64) ([]float
 // in steady state — the per-node accumulator comes from the workspace
 // and the DAG's cached node order replaces the per-call sort.
 func (ws *Workspace) PropagateDownInto(g *Graph, d *DAG, demand, ratio, flow []float64) error {
+	if err := ws.checkFlow(g, demand, ratio, flow); err != nil {
+		return err
+	}
+	clear(flow)
+	return propagateDown(g, d, demand, ratio, flow, ws.acc, nil)
+}
+
+// PropagateDownMarked updates flow in place to what PropagateDownInto
+// would write, bit for bit, and adds every link whose flow changed to
+// marks (non-nil, sized for g's links). flow must be zero on every link
+// outside d: a row PropagateDownInto or this method last wrote for the
+// same destination qualifies after a demand change, and after a DAG
+// repair once EvenSplitsAt has re-split the nodes whose Out list
+// changed. It writes only the DAG's links and skips the zeroing pass
+// over every link.
+func (ws *Workspace) PropagateDownMarked(g *Graph, d *DAG, demand, ratio, flow []float64, marks *Marks) error {
+	if err := ws.checkFlow(g, demand, ratio, flow); err != nil {
+		return err
+	}
+	return propagateDown(g, d, demand, ratio, flow, ws.acc, marks)
+}
+
+// checkFlow validates the workspace propagation forms' vector shapes
+// and fits the workspace to g.
+func (ws *Workspace) checkFlow(g *Graph, demand, ratio, flow []float64) error {
 	if err := checkPropagate(g, demand, ratio); err != nil {
 		return err
 	}
@@ -233,5 +346,5 @@ func (ws *Workspace) PropagateDownInto(g *Graph, d *DAG, demand, ratio, flow []f
 	ws.fit(g)
 	// acc needs no pre-zeroing: the demand loop in propagateDown writes
 	// every entry before the propagation pass reads any.
-	return propagateDown(g, d, demand, ratio, flow, ws.acc)
+	return nil
 }

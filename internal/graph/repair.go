@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Per-node state bits of one RepairDAG call, cleared through the
@@ -42,9 +43,12 @@ const (
 //     writes is a real walk's length, so it is an upper bound too; and
 //     when the heap empties every link satisfies d_u <= fl(w_uv + d_v).
 //  3. Re-test membership, with buildDAG's own predicate, for the nodes
-//     whose distance moved, the tails of their in-links and the tail of
-//     every event link: no other link's inputs changed. g.OutLinks is
-//     in increasing link-ID order, the order buildDAG emits.
+//     whose distance moved, and for the in-links of those nodes and the
+//     event links: no other link's inputs changed. A node whose
+//     distance did not move has its Out list rebuilt only if one of
+//     those links changed membership. g.OutLinks is in increasing
+//     link-ID order, the order buildDAG emits. OutChanged lists the
+//     nodes whose Out list came out different.
 //  4. Re-order. Nodes whose distance did not move keep their relative
 //     order; the moved nodes still reachable are sorted by decreasing
 //     distance, then ID, and merged in. Unreachable sorts first in that
@@ -59,7 +63,7 @@ func (ws *Workspace) RepairDAG(g *Graph, w []float64, d *DAG, links []int, old [
 	ws.fit(g)
 	ws.fitRepair(g)
 	dist, eps := d.Dist, dagEps(d.Tol)
-	ws.touched = ws.touched[:0]
+	ws.touched, ws.rewired = ws.touched[:0], ws.rewired[:0]
 
 	for k, e := range links {
 		l := &g.links[e]
@@ -119,22 +123,55 @@ func (ws *Workspace) RepairDAG(g *Graph, w []float64, d *DAG, links []int, old [
 	}
 	for _, u := range ws.moved {
 		ws.retest(g, w, d, u, eps)
+	}
+	for _, u := range ws.moved {
 		for _, id := range g.in[u] {
-			ws.retest(g, w, d, g.links[id].From, eps)
+			ws.retestLink(g, w, d, id, eps)
 		}
 	}
 	for k, e := range links {
 		if w[e] != old[k] {
-			ws.retest(g, w, d, g.links[e].From, eps)
+			ws.retestLink(g, w, d, e, eps)
 		}
 	}
 	if len(ws.moved) > 0 && d.order != nil {
 		ws.reorder(d)
 	}
+	ws.kept = len(ws.rewired) == 0 && ws.feedOrderKept(g, d)
 	for _, u := range ws.touched {
 		ws.flag[u] = 0
 	}
 	return len(ws.moved), nil
+}
+
+// feedOrderKept reports whether every node still receives its DAG
+// in-flows in the order it did before the repair, assuming no Out list
+// changed: non-moved nodes keep their relative order, so it suffices
+// that no moved node changed places, in the decreasing-distance order,
+// with another tail of a DAG link into a head it feeds. It runs before
+// the flags are cleared, while ws.prev holds the moved nodes' old
+// distances.
+func (ws *Workspace) feedOrderKept(g *Graph, d *DAG) bool {
+	old := func(u int) float64 {
+		if ws.flag[u]&repMoved != 0 {
+			return ws.prev[u]
+		}
+		return d.Dist[u]
+	}
+	for _, m := range ws.moved {
+		for _, id := range d.Out[m] {
+			for _, in := range g.in[g.links[id].To] {
+				x := g.links[in].From
+				if x == m || !slices.Contains(d.Out[x], in) {
+					continue
+				}
+				if keyAfter(old(m), m, old(x), x) != nodeAfter(d.Dist, m, x) {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 // checkRepair validates what RepairDAG can check without reading more
@@ -176,6 +213,7 @@ func (ws *Workspace) fitRepair(g *Graph) {
 		ws.prev = growFloats(ws.prev, n)
 		ws.touched = growInts(ws.touched, n)
 		ws.moved = growInts(ws.moved, n)
+		ws.rewired = growInts(ws.rewired, n)
 		if cap(ws.flag) < n {
 			ws.flag = make([]uint8, n) // all clear, as between repairs
 		}
@@ -218,7 +256,8 @@ func (ws *Workspace) relax(u int, cand float64, dist []float64) {
 }
 
 // retest rebuilds u's Out list from its graph out-links with buildDAG's
-// predicate, once per repair.
+// predicate, once per repair, and lists u in ws.rewired if the list
+// changed.
 func (ws *Workspace) retest(g *Graph, w []float64, d *DAG, u int, eps float64) {
 	if ws.flag[u]&repRetested != 0 {
 		return
@@ -227,14 +266,49 @@ func (ws *Workspace) retest(g *Graph, w []float64, d *DAG, u int, eps float64) {
 		ws.touched = append(ws.touched, u) // for the flag reset only
 	}
 	ws.flag[u] |= repRetested
-	out := d.Out[u][:0]
+	old := d.Out[u]
+	out, changed := old[:0], false
 	for _, id := range g.out[u] {
 		if inDAG(d.Dist[u], d.Dist[g.links[id].To], w[id], false, eps) {
+			// Read the old entry before the append overwrites it.
+			changed = changed || len(out) >= len(old) || old[len(out)] != id
 			out = append(out, id)
 		}
 	}
 	d.Out[u] = out
+	if changed || len(out) != len(old) {
+		ws.rewired = append(ws.rewired, u)
+	}
 }
+
+// retestLink re-tests the Out list of link id's tail only if id's
+// membership changed, and not at all if retest has already rebuilt it:
+// a tail whose distance did not move can see a change only on its links
+// into moved nodes and on its event links, and each of those is checked.
+func (ws *Workspace) retestLink(g *Graph, w []float64, d *DAG, id int, eps float64) {
+	l := &g.links[id]
+	u := l.From
+	if ws.flag[u]&repRetested != 0 {
+		return
+	}
+	if inDAG(d.Dist[u], d.Dist[l.To], w[id], false, eps) != slices.Contains(d.Out[u], id) {
+		ws.retest(g, w, d, u, eps)
+	}
+}
+
+// OutChanged returns the nodes whose Out list the last RepairDAG on ws
+// changed, each once: the only nodes whose even split ratios changed
+// (EvenSplitsAt) and the only tails of links that left the DAG. The
+// slice is workspace scratch, valid until the next repair.
+func (ws *Workspace) OutChanged() []int { return ws.rewired }
+
+// FlowsKept reports whether the last RepairDAG on ws left every
+// propagation over the DAG bit for bit as it was, for any demand and
+// split ratios that sum to 1 wherever they did: no Out list changed,
+// and every node still adds its in-flows in the same order, so a split
+// and flow row kept for the DAG stays valid unchanged. Distances that
+// moved without reordering any node's in-flows leave it true.
+func (ws *Workspace) FlowsKept() bool { return ws.kept }
 
 // reorder merges the moved nodes back into d's cached node order.
 func (ws *Workspace) reorder(d *DAG) {

@@ -350,6 +350,220 @@ func TestRepairDAGMatchesBuildDAG(t *testing.T) {
 	}
 }
 
+// routableDemand draws a demand vector toward d's destination: each
+// node other than the destination carries a positive volume with
+// probability 1/2 if every DAG path from it ends at the destination —
+// no node on the way lacks out-links — and nothing otherwise, so
+// propagation over d cannot fail.
+func routableDemand(rng *rand.Rand, g *Graph, d *DAG) []float64 {
+	n := g.NumNodes()
+	ok := make([]int8, n) // 0 unknown, 1 routable, -1 not
+	var routable func(u int) bool
+	routable = func(u int) bool {
+		if ok[u] == 0 {
+			ok[u] = -1
+			if u == d.Dst || (d.Dist[u] != Unreachable && len(d.Out[u]) > 0) {
+				ok[u] = 1
+				for _, id := range d.Out[u] {
+					if !routable(g.links[id].To) {
+						ok[u] = -1
+					}
+				}
+			}
+		}
+		return ok[u] == 1
+	}
+	demand := make([]float64, n)
+	for s := range demand {
+		if s != d.Dst && routable(s) && rng.Intn(2) == 0 {
+			demand[s] = float64(1+rng.Intn(20)) / 7
+		}
+	}
+	return demand
+}
+
+// propagates reports whether demand propagates over d without error.
+func propagates(g *Graph, d *DAG, demand []float64) bool {
+	ratio := make([]float64, g.NumLinks())
+	EvenSplitsInto(g, d, ratio)
+	_, err := PropagateDown(g, d, demand, ratio)
+	return err == nil
+}
+
+// TestInPlacePropagationAfterRepair: across the RepairDAG families,
+// Workspace.OutChanged lists exactly the nodes whose Out list a repair
+// changed, a repair that reports FlowsKept leaves the propagation of an
+// unchanged demand bit for bit as it was, and a split and flow row kept
+// in place through every event —
+// the DAG repaired, those nodes re-split (EvenSplitsAt) and the flow
+// re-propagated over the old row (PropagateDownMarked) — equals
+// EvenSplitsInto and zero-then-propagate (PropagateDownInto) on the
+// repaired DAG bit for bit, and the marks are exactly the links whose
+// flow bits changed. Half the events also draw a new demand vector.
+func TestInPlacePropagationAfterRepair(t *testing.T) {
+	ws := &Workspace{}
+	for _, fam := range repairFamilies {
+		t.Run(fam.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(2))
+			events, marked, keptMoved := 0, 0, 0
+			for trial := 0; trial < 150; trial++ {
+				c, ok := decodeRepairCase(fam.gen(rng))
+				if !ok {
+					t.Fatalf("trial %d: generated input does not decode", trial)
+				}
+				d, err := BuildDAG(c.g, c.w, c.dst, c.tol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := c.g.NumLinks()
+				w := slices.Clone(c.w)
+				demand := routableDemand(rng, c.g, d)
+				ratio, flow := make([]float64, m), make([]float64, m)
+				wantRatio, wantFlow := make([]float64, m), make([]float64, m)
+				EvenSplitsInto(c.g, d, ratio)
+				if err := ws.PropagateDownInto(c.g, d, demand, ratio, flow); err != nil {
+					t.Fatal(err)
+				}
+				var marks Marks
+				marks.Reset(m)
+				for k, ev := range c.events {
+					old := make([]float64, len(ev.links))
+					for j, e := range ev.links {
+						old[j], w[e] = w[e], ev.w[j]
+					}
+					outs := make([][]int, len(d.Out))
+					for u := range outs {
+						outs[u] = slices.Clone(d.Out[u])
+					}
+					moved, err := ws.RepairDAG(c.g, w, d, ev.links, old)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var rewired []int
+					for u := range outs {
+						if !slices.Equal(outs[u], d.Out[u]) {
+							rewired = append(rewired, u)
+						}
+					}
+					if got := slices.Sorted(slices.Values(ws.OutChanged())); !slices.Equal(got, rewired) {
+						t.Fatalf("trial %d event %d: OutChanged %v, Out lists changed at %v", trial, k, got, rewired)
+					}
+					kept, routable := ws.FlowsKept(), propagates(c.g, d, demand)
+					if kept && !routable {
+						t.Fatalf("trial %d event %d: FlowsKept, yet the demand no longer propagates", trial, k)
+					}
+					redrawn := rng.Intn(2) == 0 || !routable
+					if redrawn {
+						demand = routableDemand(rng, c.g, d)
+					}
+					before := slices.Clone(flow)
+					marks.Clear()
+					EvenSplitsAt(c.g, d, ws.OutChanged(), ratio, flow, &marks)
+					if err := ws.PropagateDownMarked(c.g, d, demand, ratio, flow, &marks); err != nil {
+						t.Fatalf("trial %d event %d: PropagateDownMarked: %v", trial, k, err)
+					}
+					EvenSplitsInto(c.g, d, wantRatio)
+					if err := ws.PropagateDownInto(c.g, d, demand, wantRatio, wantFlow); err != nil {
+						t.Fatalf("trial %d event %d: PropagateDownInto: %v", trial, k, err)
+					}
+					var changed []int
+					for e := 0; e < m; e++ {
+						if math.Float64bits(ratio[e]) != math.Float64bits(wantRatio[e]) {
+							t.Fatalf("trial %d event %d: ratio[%d] %v in place, %v fresh", trial, k, e, ratio[e], wantRatio[e])
+						}
+						if math.Float64bits(flow[e]) != math.Float64bits(wantFlow[e]) {
+							t.Fatalf("trial %d event %d: flow[%d] %v in place, %v fresh", trial, k, e, flow[e], wantFlow[e])
+						}
+						if math.Float64bits(flow[e]) != math.Float64bits(before[e]) {
+							changed = append(changed, e)
+						}
+					}
+					got := slices.Sorted(slices.Values(marks.IDs()))
+					if !slices.Equal(got, changed) {
+						t.Fatalf("trial %d event %d: marked %v, flow changed on %v", trial, k, got, changed)
+					}
+					if kept && !redrawn {
+						if len(changed) > 0 {
+							t.Fatalf("trial %d event %d: FlowsKept, yet the flow changed on %v", trial, k, changed)
+						}
+						if moved > 0 {
+							keptMoved++
+						}
+					}
+					events++
+					if len(changed) > 0 {
+						marked++
+					}
+				}
+			}
+			t.Logf("%d of %d events moved a flow, %d moved distances but kept every flow", marked, events, keptMoved)
+			if marked == 0 || keptMoved == 0 {
+				t.Fatal("no event moved a flow, or none kept them all: the test checks too little")
+			}
+		})
+	}
+}
+
+// TestFlowsKeptSeesReorderedInFlows pins the case FlowsKept checks the
+// node order for: m and x both feed v alone, and v feeds the
+// destination. Raising m's link a little moves m but keeps every Out
+// list and the order, so every flow keeps its bits and the repair
+// reports FlowsKept. Raising m's link further and lowering x's in one
+// event still keeps every Out list, but now m precedes x, and v adds
+// its in-flows in the other order: 0.1 + 0.1 + 1 is 1.2 where
+// 0.1 + 1 + 0.1 was 1.2000000000000002.
+func TestFlowsKeptSeesReorderedInFlows(t *testing.T) {
+	g := New(4) // m=0, x=1, v=2, t=3
+	mustLink(t, g, 0, 2, 1)
+	mustLink(t, g, 1, 2, 1)
+	mustLink(t, g, 2, 3, 1)
+	w := []float64{2, 3, 1}
+	d, err := BuildDAG(g, w, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	demand := []float64{0.1, 1, 0.1, 0}
+	ratio := make([]float64, g.NumLinks())
+	EvenSplitsInto(g, d, ratio)
+	flows := func() []float64 {
+		f, err := PropagateDown(g, d, demand, ratio)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	before := flows()
+	ws := NewWorkspace(g)
+	for _, ev := range []struct {
+		links    []int
+		w        []float64
+		reorders bool
+	}{
+		{[]int{0}, []float64{2.5}, false},
+		{[]int{0, 1}, []float64{5, 1}, true},
+	} {
+		old := make([]float64, len(ev.links))
+		for k, e := range ev.links {
+			old[k], w[e] = w[e], ev.w[k]
+		}
+		moved, err := ws.RepairDAG(g, w, d, ev.links, old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if moved == 0 || len(ws.OutChanged()) != 0 {
+			t.Fatalf("event %v: moved %d distances and changed Out lists at %v; want moves and no Out change",
+				ev.links, moved, ws.OutChanged())
+		}
+		after := flows()
+		if same := slices.Equal(after, before); same == ev.reorders {
+			t.Fatalf("event %v: flows %v before, %v after", ev.links, before, after)
+		}
+		if ws.FlowsKept() == ev.reorders {
+			t.Fatalf("event %v: FlowsKept %v, want %v", ev.links, ws.FlowsKept(), !ev.reorders)
+		}
+	}
+}
+
 // TestRepairDAGZeroWeightCycle pins the case that makes step 1 walk the
 // graph's links rather than the DAG's: node a's only shortest path
 // starts with a zero-weight link to the equidistant node b, a link the

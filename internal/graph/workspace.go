@@ -8,10 +8,11 @@ import "sync"
 // sized to one topology shape (node and link counts). After a first
 // warm-up call the workspace-backed kernels — DijkstraTo,
 // BellmanFordTo, BuildDAG, RepairDAG, DownwardDAG, ExponentialSplits,
-// PropagateDownInto — run without any heap allocation, which is what
-// makes the iterative optimizers (Algorithm 1's per-iteration routing,
-// Algorithm 2's per-iteration traffic distribution) and the scenario
-// sweeps allocation-free in steady state.
+// PropagateDownInto, PropagateDownMarked — run without any heap
+// allocation, which is what makes the iterative optimizers (Algorithm
+// 1's per-iteration routing, Algorithm 2's per-iteration traffic
+// distribution) and the scenario sweeps allocation-free in steady
+// state.
 //
 // A Workspace is NOT safe for concurrent use: every scenario or
 // per-destination worker owns its own (see WorkspacePool). Results that
@@ -42,6 +43,8 @@ type Workspace struct {
 	flag    []uint8   // rep* bits, all clear between calls
 	touched []int
 	moved   []int // the nodes whose distance moved
+	rewired []int // the nodes whose Out list changed
+	kept    bool  // the last repair kept every propagation (FlowsKept)
 }
 
 // NewWorkspace returns a workspace sized for g's shape.
@@ -138,6 +141,22 @@ func (d *DAG) reset(n int) {
 	}
 }
 
+// Reserve sizes d for DAGs of g: each node's Out list gets room for
+// all of the node's out-links, carved from one array, so copying
+// (CopyFrom) a DAG of g into d and repairing it there (RepairDAG) never
+// allocate, where an empty arena would allocate once per node.
+func (d *DAG) Reserve(g *Graph) {
+	n := g.NumNodes()
+	d.reset(n)
+	slab := make([]int, g.NumLinks())
+	for u, out := range g.out {
+		d.Out[u], slab = slab[:0:len(out)], slab[len(out):]
+	}
+	if cap(d.Dist) < n {
+		d.Dist = make([]float64, 0, n)
+	}
+}
+
 // Clone returns a deep copy of the DAG that is independent of any
 // workspace arena — the form to retain when the DAG was produced by a
 // workspace-backed builder.
@@ -220,9 +239,12 @@ func sortNodesByDistDesc(nodes []int, dist []float64) {
 
 // nodeAfter reports whether a sorts after b in the decreasing-distance,
 // increasing-ID order (the heapsort's max-of-the-tail comparison).
-func nodeAfter(dist []float64, a, b int) bool {
-	if dist[a] != dist[b] {
-		return dist[a] < dist[b]
+func nodeAfter(dist []float64, a, b int) bool { return keyAfter(dist[a], a, dist[b], b) }
+
+// keyAfter is nodeAfter for node a at distance da and node b at db.
+func keyAfter(da float64, a int, db float64, b int) bool {
+	if da != db {
+		return da < db
 	}
 	return a > b
 }

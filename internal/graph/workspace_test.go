@@ -284,6 +284,44 @@ func TestDAGCopyFrom(t *testing.T) {
 	}
 }
 
+// TestReserveCopiesAndRepairsWithoutAllocating: the first copy of a
+// DAG into a reserved arena, and repairs of the copy, allocate nothing,
+// and the copy equals its source.
+func TestReserveCopiesAndRepairsWithoutAllocating(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	g, w := randomGraph(rng, 30, 90)
+	src, err := BuildDAG(g, w, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arenas := make([]DAG, 11) // AllocsPerRun's warm-up call, then ten
+	for i := range arenas {
+		arenas[i].Reserve(g)
+	}
+	ws := NewWorkspace(g)
+	links, hi, lo := []int{0}, []float64{w[0] + 5}, []float64{w[0]}
+	i := 0
+	allocs := testing.AllocsPerRun(10, func() {
+		d := &arenas[i]
+		i++
+		d.CopyFrom(src)
+		w[0] = hi[0]
+		if _, err := ws.RepairDAG(g, w, d, links, lo); err != nil {
+			t.Fatal(err)
+		}
+		w[0] = lo[0]
+		if _, err := ws.RepairDAG(g, w, d, links, hi); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("first copy and repairs into a reserved arena allocate %v times", allocs)
+	}
+	if err := dagDiff(&arenas[10], src); err != nil {
+		t.Fatalf("copy repaired there and back differs from its source: %v", err)
+	}
+}
+
 // improvingChain is the lazy heap's worst case: node u links to every
 // v < u with weight (u-v) - v/(4k), so reverse Dijkstra toward node 0
 // settles 0, 1, 2, ... and every settle strictly improves every higher

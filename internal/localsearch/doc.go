@@ -9,16 +9,16 @@
 // Optimizing OSPF Weights").
 //
 // Every candidate is scored by internal/delta's incremental Evaluator:
-// a single-link weight perturbation re-runs Dijkstra, DAG construction
-// and ECMP flow propagation only for the destinations the change can
+// a single-link weight perturbation repairs the shortest-path DAG and
+// re-propagates the ECMP flow only for the destinations the change can
 // actually affect, decided by an exact O(destinations) screen over the
 // current shortest-path distances (see delta.Evaluator.SetWeight).
-// Unaffected destinations keep their routing state bit-for-bit, and the
-// aggregate flow is re-summed in fixed destination order, so every
-// incremental result is bit-identical to a full re-evaluation from
-// scratch — a property the test suite and the bench harness's parity
-// checks pin across random topologies, perturbation sequences and
-// failure variants.
+// Unaffected destinations keep their routing state bit-for-bit, and
+// each link whose flow moved is re-summed in fixed destination order,
+// so every incremental result is bit-identical to a full re-evaluation
+// from scratch — a property the test suite and the bench harness's
+// parity checks pin across random topologies, perturbation sequences
+// and failure variants.
 //
 // Search fans candidate evaluations out over the process-wide
 // internal/par worker pool using per-worker delta.Scratch arenas;

@@ -161,9 +161,10 @@ type MetricsResponse struct {
 }
 
 // EventStats summarizes one event type's latency distribution, how
-// many destinations its events re-routed in total and how many node
-// distances those re-routes moved (diagnostics: how much work the
-// engine's exact screen and its DAG repair left to do).
+// many destinations its events re-routed in total, how many node
+// distances those re-routes moved and how many aggregate links the
+// events re-summed (diagnostics: how much work the engine's exact
+// screen, its DAG repair and its marked re-sum left to do).
 type EventStats struct {
 	Count    uint64 `json:"count"`
 	TotalNs  int64  `json:"total_ns"`
@@ -171,6 +172,7 @@ type EventStats struct {
 	P99Ns    int64  `json:"p99_ns"`
 	Rerouted uint64 `json:"rerouted"`
 	Moved    uint64 `json:"moved"`
+	Resummed uint64 `json:"resummed"`
 }
 
 // TopoStats is one topology's /statz entry.
@@ -206,16 +208,18 @@ type latRecorder struct {
 	totalNs  int64
 	rerouted uint64
 	moved    uint64
+	resummed uint64
 	ring     []int64
 	next     int
 	full     bool
 }
 
-func (r *latRecorder) record(d time.Duration, rerouted, moved uint64) {
+func (r *latRecorder) record(d time.Duration, rerouted, moved, resummed uint64) {
 	r.count++
 	r.totalNs += d.Nanoseconds()
 	r.rerouted += rerouted
 	r.moved += moved
+	r.resummed += resummed
 	if r.ring == nil {
 		r.ring = make([]int64, 0, 64)
 	}
@@ -231,7 +235,7 @@ func (r *latRecorder) record(d time.Duration, rerouted, moved uint64) {
 }
 
 func (r *latRecorder) stats() EventStats {
-	s := EventStats{Count: r.count, TotalNs: r.totalNs, Rerouted: r.rerouted, Moved: r.moved}
+	s := EventStats{Count: r.count, TotalNs: r.totalNs, Rerouted: r.rerouted, Moved: r.moved, Resummed: r.resummed}
 	if len(r.ring) == 0 {
 		return s
 	}
@@ -304,10 +308,10 @@ func (in *instance) run(f func()) bool {
 func (in *instance) close() { in.once.Do(func() { close(in.closed) }) }
 
 // timed runs one event body on the calling (loop) goroutine and
-// records its latency, re-routed destinations and moved distances under
-// the event type.
+// records its latency, re-routed destinations, moved distances and
+// re-summed links under the event type.
 func (in *instance) timed(typ string, f func() error) error {
-	rerouted, moved := in.eng.Rerouted(), in.eng.Moved()
+	rerouted, moved, resummed := in.eng.Rerouted(), in.eng.Moved(), in.eng.Resummed()
 	start := time.Now()
 	err := f()
 	d := time.Since(start)
@@ -316,7 +320,7 @@ func (in *instance) timed(typ string, f func() error) error {
 		rec = &latRecorder{}
 		in.lat[typ] = rec
 	}
-	rec.record(d, in.eng.Rerouted()-rerouted, in.eng.Moved()-moved)
+	rec.record(d, in.eng.Rerouted()-rerouted, in.eng.Moved()-moved, in.eng.Resummed()-resummed)
 	return err
 }
 

@@ -142,12 +142,15 @@ func TestServeLifecycle(t *testing.T) {
 		t.Fatalf("statz event counts: %+v", st.Events)
 	}
 	// The what-if re-routes exactly the destinations its event then does,
-	// and moves the same distances.
+	// moves the same distances and re-sums the same links.
 	if r := st.Events["set-weight"].Rerouted; r == 0 || r != st.Events["whatif"].Rerouted {
 		t.Fatalf("statz re-routed destinations: %+v", st.Events)
 	}
 	if m := st.Events["set-weight"].Moved; m == 0 || m != st.Events["whatif"].Moved {
 		t.Fatalf("statz moved distances: %+v", st.Events)
+	}
+	if r := st.Events["set-weight"].Resummed; r == 0 || r != st.Events["whatif"].Resummed {
+		t.Fatalf("statz re-summed links: %+v", st.Events)
 	}
 	if st.FootprintBytes <= 0 {
 		t.Fatalf("statz footprint: %d", st.FootprintBytes)

@@ -2,6 +2,9 @@ package spef
 
 import (
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -199,5 +202,33 @@ func TestBadSpecValuesAreBadInput(t *testing.T) {
 	}
 	if err := router("spef:iters=0"); err != nil {
 		t.Errorf("spef:iters=0: %v", err)
+	}
+}
+
+// TestImportedDemandErrorNamesSpec: an SNDlib file whose demands the
+// traffic layer rejects (a NaN volume) is a bad spec whose error names
+// the spec, like every other file the importer rejects, and the public
+// reader reports the same file as ErrBadInput.
+func TestImportedDemandErrorNamesSpec(t *testing.T) {
+	src, err := os.ReadFile("internal/topoio/testdata/testnet.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := strings.Replace(string(src), "D1 ( N1 N3 ) 1 12.00", "D1 ( N1 N3 ) 1 NaN", 1)
+	if bad == string(src) {
+		t.Fatal("the fixture's first demand line changed: update the test")
+	}
+	path := filepath.Join(t.TempDir(), "nan.txt")
+	if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spec := "sndlib:file=" + path
+	_, err = ResolveTopology(spec)
+	if !errors.Is(err, ErrBadInput) || !strings.Contains(err.Error(), fmt.Sprintf("spec %q", spec)) ||
+		!strings.Contains(err.Error(), "volume NaN") {
+		t.Errorf("ResolveTopology(%s) = %v, want ErrBadInput naming the spec and the NaN volume", spec, err)
+	}
+	if _, err := ReadSNDlib(strings.NewReader(bad), ImportOptions{}); !errors.Is(err, ErrBadInput) {
+		t.Errorf("ReadSNDlib = %v, want ErrBadInput", err)
 	}
 }
