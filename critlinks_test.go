@@ -302,16 +302,20 @@ func TestWorstFailureMLUMetric(t *testing.T) {
 	// Oracle: evaluate every single-failure variant from scratch with
 	// the same weights projected onto the survivors.
 	want := report.MLU
-	vs, err := singleFailures.variants(n, d)
+	units, err := singleFailures.routableUnits(n, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range vs {
-		w := make([]float64, v.net.NumLinks())
-		for newID, oldID := range v.keep {
+	for _, u := range units {
+		vn, keep, err := n.WithoutLinks(u.links...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := make([]float64, vn.NumLinks())
+		for newID, oldID := range keep {
 			w[newID] = routes.ecmpWeights[oldID]
 		}
-		vr, err := OSPF(w).Routes(context.Background(), v.net, d)
+		vr, err := OSPF(w).Routes(context.Background(), vn, d)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -294,11 +294,11 @@ func (f *FailureSet) variants(n *Network, d *Demands) ([]failureVariant, error) 
 	}
 	out := make([]failureVariant, 0, len(units))
 	for _, u := range units {
-		n2, keep, err := n.WithoutLinks(u.links...)
+		n2, _, err := n.WithoutLinks(u.links...)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, failureVariant{net: n2, failedLink: u.label, keep: keep})
+		out = append(out, failureVariant{net: n2, failedLink: u.label})
 	}
 	return out, nil
 }

@@ -372,11 +372,11 @@ func TestGridFailuresSpec(t *testing.T) {
 }
 
 // TestDeltaParityOnEveryMultiFailureVariant is the delta-engine parity
-// property over the new failure sets: for every dual and SRLG variant
-// the grid enumerates, failing the dropped links as one warm FailLinks
-// event must produce metrics bit-identical to evaluating the variant
-// topology from scratch — the equivalence RankCriticalLinks and the
-// fail_mlu metric rest on.
+// property over the new failure sets: for every routable dual and SRLG
+// unit, failing its links as one warm FailLinks event must produce
+// metrics bit-identical to evaluating the unit's WithoutLinks copy from
+// scratch — the equivalence RankCriticalLinks and the fail_mlu metric
+// rest on.
 func TestDeltaParityOnEveryMultiFailureVariant(t *testing.T) {
 	n, d := gridNetwork(t)
 	w := make([]float64, n.NumLinks())
@@ -388,48 +388,40 @@ func TestDeltaParityOnEveryMultiFailureVariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vs, err := fset.variants(n, d)
+		units, err := fset.routableUnits(n, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(vs) == 0 {
-			t.Fatalf("%s: no variants to check", spec)
+		if len(units) == 0 {
+			t.Fatalf("%s: no units to check", spec)
 		}
 		en, err := delta.NewEngine(n.g, d.m, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, v := range vs {
-			// Recover the dropped intact link IDs from the variant's keep
-			// mapping.
-			kept := make(map[int]bool, len(v.keep))
-			for _, old := range v.keep {
-				kept[old] = true
-			}
-			var drop []int
-			for e := 0; e < n.NumLinks(); e++ {
-				if !kept[e] {
-					drop = append(drop, e)
-				}
-			}
-			if err := en.FailLinks(drop...); err != nil {
-				t.Fatalf("%s/%s: FailLinks(%v): %v", spec, v.failedLink, drop, err)
+		for _, u := range units {
+			if err := en.FailLinks(u.links...); err != nil {
+				t.Fatalf("%s/%s: FailLinks(%v): %v", spec, u.label, u.links, err)
 			}
 			warm := en.Metrics()
 
-			wf := make([]float64, v.net.NumLinks())
-			for newID, oldID := range v.keep {
+			vn, keep, err := n.WithoutLinks(u.links...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wf := make([]float64, vn.NumLinks())
+			for newID, oldID := range keep {
 				wf[newID] = w[oldID]
 			}
-			cold, err := delta.NewEvaluator(v.net.g, d.m, wf)
+			cold, err := delta.NewEvaluator(vn.g, d.m, wf)
 			if err != nil {
-				t.Fatalf("%s/%s: from-scratch: %v", spec, v.failedLink, err)
+				t.Fatalf("%s/%s: from-scratch: %v", spec, u.label, err)
 			}
 			if got, want := warm, cold.Metrics(); got != want {
-				t.Errorf("%s/%s: warm metrics %+v, from-scratch %+v", spec, v.failedLink, got, want)
+				t.Errorf("%s/%s: warm metrics %+v, from-scratch %+v", spec, u.label, got, want)
 			}
-			if err := en.RestoreLinks(drop...); err != nil {
-				t.Fatalf("%s/%s: RestoreLinks: %v", spec, v.failedLink, err)
+			if err := en.RestoreLinks(u.links...); err != nil {
+				t.Fatalf("%s/%s: RestoreLinks: %v", spec, u.label, err)
 			}
 		}
 	}

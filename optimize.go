@@ -67,8 +67,10 @@ func (o options) stageProgress(stage string) func(iter, max int) {
 	}
 }
 
-func (o options) objective(links int) (*objective.QBeta, error) {
-	obj, err := objective.NewQBeta(o.beta, links, o.q)
+// objective is the (q, beta) objective on n, with q read through
+// n.linkVector.
+func (o options) objective(n *Network) (*objective.QBeta, error) {
+	obj, err := objective.NewQBeta(o.beta, n.NumLinks(), n.linkVector(o.q))
 	return obj, asBadInput(err)
 }
 
@@ -85,7 +87,9 @@ func WithBeta(beta float64) Option {
 }
 
 // WithQ supplies per-link objective coefficients (default: 1 on every
-// link).
+// link), indexed by link ID. On a Network.WithoutLinks copy, such as a
+// Grid's failure cell, a q of the parent's length is projected onto the
+// surviving links, and a q of the copy's own length is read as it is.
 func WithQ(q []float64) Option {
 	return func(o *options) { o.q = q }
 }
@@ -128,7 +132,7 @@ func Optimize(ctx context.Context, n *Network, d *Demands, opts ...Option) (*Pro
 		return nil, err
 	}
 	o := resolveOptions(opts)
-	obj, err := o.objective(n.NumLinks())
+	obj, err := o.objective(n)
 	if err != nil {
 		return nil, err
 	}

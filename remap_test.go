@@ -1,31 +1,15 @@
 package spef
 
-// Property tests for the failure-variant weight projection: every
-// router carrying per-link configuration must survive the Scenario
-// engine's link renumbering (keep[newID] = oldID) with its vectors
-// projected onto the survivors, through any Named wrapping.
+// Property test for the failure-copy projection: a Network.WithoutLinks
+// copy reads every per-link router vector of its parent's length
+// through keep (keep[newID] = oldID), through any Named wrapping, and
+// reads a vector of its own length as it is.
 
 import (
-	"context"
-	"math"
+	"errors"
 	"math/rand"
 	"testing"
 )
-
-// randomKeep builds a random strictly-increasing keep vector selecting
-// a subset of [0, n).
-func randomKeep(rng *rand.Rand, n int) []int {
-	var keep []int
-	for i := 0; i < n; i++ {
-		if rng.Intn(4) > 0 { // keep ~75%
-			keep = append(keep, i)
-		}
-	}
-	if len(keep) == 0 {
-		keep = []int{rng.Intn(n)}
-	}
-	return keep
-}
 
 func randomVector(rng *rand.Rand, n int) []float64 {
 	v := make([]float64, n)
@@ -35,175 +19,125 @@ func randomVector(rng *rand.Rand, n int) []float64 {
 	return v
 }
 
-func TestRemapLinkVectorProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for iter := 0; iter < 200; iter++ {
-		n := 2 + rng.Intn(30)
-		v := randomVector(rng, n)
-
-		// Identity keep: the projection is the identity.
-		identity := make([]int, n)
-		for i := range identity {
-			identity[i] = i
-		}
-		got := remapLinkVector(v, identity)
-		for i := range v {
-			if got[i] != v[i] {
-				t.Fatalf("identity keep changed entry %d: %v != %v", i, got[i], v[i])
-			}
-		}
-
-		// Truncating keep: out[newID] == v[keep[newID]] for every
-		// surviving link.
-		keep := randomKeep(rng, n)
-		got = remapLinkVector(v, keep)
-		if len(got) != len(keep) {
-			t.Fatalf("projection has %d entries for %d kept links", len(got), len(keep))
-		}
-		for newID, oldID := range keep {
-			if got[newID] != v[oldID] {
-				t.Fatalf("projection[%d] = %v, want v[%d] = %v", newID, got[newID], oldID, v[oldID])
-			}
-		}
-
-		// Short vectors: a keep referencing beyond the vector must
-		// return nil (leave the router to report its own length error)
-		// rather than fabricate entries.
-		short := v[:rng.Intn(n)]
-		outOfRange := append(append([]int(nil), keep...), n-1)
-		if len(short) <= n-1 {
-			if got := remapLinkVector(short, outOfRange); got != nil {
-				t.Fatalf("short vector (len %d, keep up to %d) projected to %v, want nil", len(short), n-1, got)
-			}
+// plainCopy rebuilds n link by link as a network with no parent, so it
+// reads every vector as its own.
+func plainCopy(t *testing.T, n *Network) *Network {
+	t.Helper()
+	out := NewNetwork()
+	for u := 0; u < n.NumNodes(); u++ {
+		out.AddNode(n.NodeName(u))
+	}
+	for id := 0; id < n.NumLinks(); id++ {
+		if _, err := out.AddLink(n.Link(id)); err != nil {
+			t.Fatal(err)
 		}
 	}
+	return out
 }
 
-func TestReindexRouterProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for iter := 0; iter < 100; iter++ {
-		n := 4 + rng.Intn(20)
-		w := randomVector(rng, n)
-		q := randomVector(rng, n)
-		keep := randomKeep(rng, n)
-
-		// OSPF with explicit weights: reindexed weights match the
-		// projection.
-		r := reindexRouter(OSPF(w), keep)
-		or, ok := r.(ospfRouter)
-		if !ok {
-			t.Fatalf("reindexed OSPF(w) is %T", r)
-		}
-		want := remapLinkVector(w, keep)
-		for i := range want {
-			if or.weights[i] != want[i] {
-				t.Fatalf("OSPF weight %d = %v, want %v", i, or.weights[i], want[i])
-			}
-		}
-
-		// InvCap OSPF carries no per-link configuration: unchanged.
-		if got := reindexRouter(OSPF(nil), keep).(ospfRouter); got.weights != nil {
-			t.Fatal("reindexing InvCap OSPF fabricated weights")
-		}
-
-		// Named wrapping is transparent: the inner router reindexes and
-		// the display name survives.
-		named := reindexRouter(Named("custom", OSPF(w)), keep)
-		if named.Name() != "custom" {
-			t.Fatalf("Named reindex renamed router to %q", named.Name())
-		}
-		inner, ok := named.(namedRouter).r.(ospfRouter)
-		if !ok {
-			t.Fatalf("Named reindex inner router is %T", named.(namedRouter).r)
-		}
-		for i := range want {
-			if inner.weights[i] != want[i] {
-				t.Fatalf("Named inner weight %d = %v, want %v", i, inner.weights[i], want[i])
-			}
-		}
-
-		// SPEF's per-link q coefficients project through WithQ.
-		sr := reindexRouter(SPEF(WithQ(q)), keep).(spefRouter)
-		gotQ := resolveOptions(sr.opts).q
-		wantQ := remapLinkVector(q, keep)
-		for i := range wantQ {
-			if gotQ[i] != wantQ[i] {
-				t.Fatalf("SPEF q[%d] = %v, want %v", i, gotQ[i], wantQ[i])
-			}
-		}
-
-		// SPEF without q has nothing to project: same value back.
-		plain := SPEF()
-		if got := reindexRouter(plain, keep); got.(spefRouter).opts != nil {
-			t.Fatal("reindexing plain SPEF fabricated options")
-		}
-
-		// SPEFWithWeights projects both vectors.
-		v2 := randomVector(rng, n)
-		fr := reindexRouter(SPEFWithWeights(w, v2), keep).(spefWeightsRouter)
-		wantV := remapLinkVector(v2, keep)
-		for i := range want {
-			if fr.w[i] != want[i] || fr.v[i] != wantV[i] {
-				t.Fatalf("SPEFWithWeights projection mismatch at %d", i)
-			}
-		}
-
-		// Short vectors leave the router unchanged so its Routes call
-		// reports the length error itself.
-		shortW := w[:rng.Intn(n)]
-		outOfRange := append(append([]int(nil), keep...), n-1)
-		if len(shortW) <= n-1 {
-			rr := reindexRouter(OSPF(shortW), keep[:0]).(ospfRouter) // empty keep: nothing referenced
-			_ = rr
-			kept := reindexRouter(OSPF(shortW), outOfRange).(ospfRouter)
-			if len(kept.weights) != len(shortW) {
-				t.Fatalf("short-vector OSPF was resized to %d", len(kept.weights))
-			}
-		}
+// linkFlows routes d over n with r and returns the evaluated per-link
+// flows.
+func linkFlows(t *testing.T, r Router, n *Network, d *Demands) ([]float64, error) {
+	t.Helper()
+	routes, err := r.Routes(t.Context(), n, d)
+	if err != nil {
+		return nil, err
 	}
+	rep, err := routes.Evaluate(d)
+	if err != nil {
+		return nil, err
+	}
+	return rep.LinkFlow, nil
 }
 
-// TestSPEFWithWeightsMatchesOptimizedProtocol checks the fixed-weight
-// router reproduces the optimizer's forwarding outcome when fed the
-// optimizer's own weights on the intact topology.
-func TestSPEFWithWeightsMatchesOptimizedProtocol(t *testing.T) {
-	n, d, err := Fig1Example()
-	if err != nil {
-		t.Fatal(err)
+// TestWithoutLinksProjectsParentVectors checks, on random copies of
+// random networks, every router that takes a per-link vector: given
+// vectors of the parent's length, the router's link flows on the copy
+// are bit-identical to the same router's given the projected vectors,
+// also wrapped in Named; and a router given vectors of the copy's own
+// length routes the copy exactly as it routes a parentless network with
+// the same links. A copy of a copy does not project the grandparent's
+// length.
+func TestWithoutLinksProjectsParentVectors(t *testing.T) {
+	routers := []struct {
+		name string
+		make func(w, v []float64) Router
+	}{
+		{"OSPF(w)", func(w, _ []float64) Router { return OSPF(w) }},
+		{"PEFT(w)", func(w, _ []float64) Router { return PEFT(w) }},
+		{"SPEFWithWeights", func(w, v []float64) Router { return SPEFWithWeights(w, v) }},
+		{"SPEF(WithQ)", func(q, _ []float64) Router { return SPEF(WithQ(q), WithMaxIterations(30)) }},
+		{"PEFT(nil, WithQ)", func(q, _ []float64) Router { return PEFT(nil, WithQ(q), WithMaxIterations(30)) }},
+		{"Optimal(WithQ)", func(q, _ []float64) Router { return Optimal(WithQ(q), WithMaxIterations(30)) }},
 	}
-	ctx := context.Background()
-	p, err := Optimize(ctx, n, d, WithMaxIterations(20000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := p.Evaluate(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	routes, err := SPEFWithWeights(p.FirstWeights(), p.SecondWeights()).Routes(ctx, n, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := routes.Evaluate(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got.MLU-want.MLU) > 1e-9 {
-		t.Errorf("fixed-weight MLU %v, optimizer %v", got.MLU, want.MLU)
-	}
-	for i := range want.LinkFlow {
-		if math.Abs(got.LinkFlow[i]-want.LinkFlow[i]) > 1e-9 {
-			t.Errorf("link %d flow %v, optimizer %v", i, got.LinkFlow[i], want.LinkFlow[i])
+	rng := rand.New(rand.NewSource(11))
+	routed := 0
+	for iter := 0; iter < 12; iter++ {
+		nodes := 5 + rng.Intn(4)
+		n, err := RandomNetwork(rng.Int63(), nodes, 2*(nodes+2+rng.Intn(nodes)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := NewDemands(n)
+		for k := 0; k < 3; k++ {
+			s, dst := rng.Intn(nodes), rng.Intn(nodes)
+			if s != dst {
+				if err := d.Add(s, dst, 0.05+0.1*rng.Float64()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var drop []int
+		for len(drop) == 0 {
+			for e := 0; e < n.NumLinks(); e++ {
+				if rng.Intn(5) == 0 {
+					drop = append(drop, e)
+				}
+			}
+		}
+		cp, keep, err := n.WithoutLinks(drop...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain := plainCopy(t, cp)
+		w, v := randomVector(rng, n.NumLinks()), randomVector(rng, n.NumLinks())
+		pw, pv := make([]float64, len(keep)), make([]float64, len(keep))
+		for id, parent := range keep {
+			pw[id], pv[id] = w[parent], v[parent]
+		}
+		for _, rc := range routers {
+			want, werr := linkFlows(t, rc.make(pw, pv), cp, d)
+			for _, r := range []Router{rc.make(w, v), Named("named", rc.make(w, v))} {
+				got, err := linkFlows(t, r, cp, d)
+				switch {
+				case (err != nil) != (werr != nil):
+					t.Fatalf("iter %d %s: parent-length err %v, projected err %v", iter, rc.name, err, werr)
+				case err == nil && !sameBits(got, want):
+					t.Fatalf("iter %d %s: parent-length flows %v, projected %v", iter, rc.name, got, want)
+				}
+			}
+			own, oerr := linkFlows(t, rc.make(pw, pv), plain, d)
+			switch {
+			case (oerr != nil) != (werr != nil):
+				t.Fatalf("iter %d %s: parentless err %v, copy err %v", iter, rc.name, oerr, werr)
+			case werr == nil && !sameBits(own, want):
+				t.Fatalf("iter %d %s: copy flows %v, parentless %v", iter, rc.name, want, own)
+			case werr == nil:
+				routed++
+			}
+		}
+		// A copy of the copy projects the copy's length only.
+		if cp.NumLinks() > 1 {
+			cc, _, err := cp.WithoutLinks(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := OSPF(w).Routes(t.Context(), cc, d); !errors.Is(err, ErrBadInput) {
+				t.Fatalf("iter %d: grandparent-length weights on a copy of a copy: err = %v, want ErrBadInput", iter, err)
+			}
 		}
 	}
-}
-
-func TestSPEFWithWeightsRejectsLengthMismatch(t *testing.T) {
-	n, d, err := Fig1Example()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SPEFWithWeights([]float64{1}, []float64{1}).Routes(context.Background(), n, d); err == nil {
-		t.Fatal("length mismatch accepted")
+	if routed < 3*len(routers) {
+		t.Fatalf("only %d router checks routed their demands", routed)
 	}
 }

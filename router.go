@@ -86,29 +86,6 @@ func (r spefRouter) WithBeta(beta float64) Router {
 	return spefRouter{opts: append(append([]Option(nil), r.opts...), WithBeta(beta))}
 }
 
-func (r spefRouter) reindexLinks(keep []int) Router {
-	if opts, ok := reindexOptions(r.opts, keep); ok {
-		return spefRouter{opts: opts}
-	}
-	return r
-}
-
-// reindexOptions projects an option set's per-link q coefficients
-// through keep, reporting whether a projection was needed. Appending a
-// WithQ overrides the earlier one (last write wins), preserving every
-// other option.
-func reindexOptions(opts []Option, keep []int) ([]Option, bool) {
-	q := resolveOptions(opts).q
-	if q == nil {
-		return nil, false
-	}
-	rq := remapLinkVector(q, keep)
-	if rq == nil {
-		return nil, false
-	}
-	return append(append([]Option(nil), opts...), WithQ(rq)), true
-}
-
 func (r spefRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Routes, error) {
 	p, err := Optimize(ctx, n, d, r.opts...)
 	if err != nil {
@@ -117,27 +94,6 @@ func (r spefRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Routes
 	routes := p.Routes()
 	routes.router = r.Name()
 	return routes, nil
-}
-
-// linkReindexer is implemented by routers carrying per-link
-// configuration (explicit weight vectors) indexed by a specific
-// topology's link IDs. The Scenario engine's failure variants renumber
-// links, so such configuration must be projected onto the survivors —
-// the "stale weights" semantics of a real deployment between a failure
-// and re-optimization.
-type linkReindexer interface {
-	// reindexLinks returns a copy of the router with per-link vectors
-	// projected through keep (keep[newID] = oldID).
-	reindexLinks(keep []int) Router
-}
-
-// reindexRouter projects a router's per-link configuration onto a
-// failure variant's surviving links when the router carries any.
-func reindexRouter(r Router, keep []int) Router {
-	if ri, ok := r.(linkReindexer); ok {
-		return ri.reindexLinks(keep)
-	}
-	return r
 }
 
 // weightReuser is implemented by optimizing routers whose computed link
@@ -193,21 +149,6 @@ func fixedRouter(routes *Routes) (Router, bool) {
 	return Named(routes.router, fixed), true
 }
 
-// remapLinkVector projects an intact-topology per-link vector onto the
-// surviving links. Returns nil (leave the router unchanged, so it
-// reports its own length error) when the vector does not cover every
-// surviving link's original ID.
-func remapLinkVector(v []float64, keep []int) []float64 {
-	out := make([]float64, len(keep))
-	for newID, oldID := range keep {
-		if oldID >= len(v) {
-			return nil
-		}
-		out[newID] = v[oldID]
-	}
-	return out
-}
-
 // Named wraps a router with a custom display name — used to
 // disambiguate otherwise identically-named routers in scenario grids
 // (e.g. two OSPF routers with different weight vectors). The wrapper
@@ -231,10 +172,6 @@ func (n namedRouter) Routes(ctx context.Context, net *Network, d *Demands) (*Rou
 	return routes, nil
 }
 
-func (n namedRouter) reindexLinks(keep []int) Router {
-	return namedRouter{name: n.name, r: reindexRouter(n.r, keep)}
-}
-
 // OSPF returns plain OSPF with even ECMP splitting as a Router.
 // weights nil selects Cisco-style InvCap weights (the paper's
 // baseline). Wrap with Named to distinguish multiple weight settings
@@ -250,16 +187,6 @@ func (r ospfRouter) Name() string {
 	return routerNameOSPF
 }
 
-func (r ospfRouter) reindexLinks(keep []int) Router {
-	if r.weights == nil {
-		return r // InvCap derives from the variant's own capacities
-	}
-	if w := remapLinkVector(r.weights, keep); w != nil {
-		return ospfRouter{weights: w}
-	}
-	return r
-}
-
 func (r ospfRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Routes, error) {
 	if err := checkDemands(n, d); err != nil {
 		return nil, err
@@ -267,11 +194,11 @@ func (r ospfRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Routes
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("spef: OSPF routes canceled: %w", err)
 	}
-	o, err := routing.BuildOSPF(n.g, d.m.Destinations(), r.weights, 0)
+	w := n.linkVector(r.weights)
+	o, err := routing.BuildOSPF(n.g, d.m.Destinations(), w, 0)
 	if err != nil {
 		return nil, asBadInput(err)
 	}
-	w := r.weights
 	if w == nil {
 		w = routing.InvCapWeights(n.g)
 	}
@@ -304,27 +231,14 @@ func (r peftRouter) Name() string {
 	return betaSuffix(routerNamePEFT, resolveOptions(r.opts).beta)
 }
 
-func (r peftRouter) reindexLinks(keep []int) Router {
-	out := r
-	if r.weights != nil {
-		if w := remapLinkVector(r.weights, keep); w != nil {
-			out.weights = w
-		}
-	}
-	if opts, ok := reindexOptions(r.opts, keep); ok {
-		out.opts = opts
-	}
-	return out
-}
-
 func (r peftRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Routes, error) {
 	if err := checkDemands(n, d); err != nil {
 		return nil, err
 	}
-	w := r.weights
+	w := n.linkVector(r.weights)
 	if w == nil {
 		o := resolveOptions(r.opts)
-		obj, err := o.objective(n.NumLinks())
+		obj, err := o.objective(n)
 		if err != nil {
 			return nil, err
 		}
@@ -358,8 +272,9 @@ func (r peftRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Routes
 // This is the deployed state of a SPEF network between events: in a
 // failure grid it models the stale-weight window between a link failure
 // and re-optimization (routers reconverge on the survivors, weights
-// stay), the robustness study of the paper's conclusion. The grid
-// projects both vectors onto each failure variant's surviving links.
+// stay), the robustness study of the paper's conclusion. On a
+// Network.WithoutLinks copy, a failure cell among them, each vector of
+// the parent's length is projected onto the surviving links.
 func SPEFWithWeights(first, second []float64) Router {
 	return spefWeightsRouter{
 		w: append([]float64(nil), first...),
@@ -371,15 +286,6 @@ type spefWeightsRouter struct{ w, v []float64 }
 
 func (r spefWeightsRouter) Name() string { return routerNameSPEF + "-fixed" }
 
-func (r spefWeightsRouter) reindexLinks(keep []int) Router {
-	w := remapLinkVector(r.w, keep)
-	v := remapLinkVector(r.v, keep)
-	if w == nil || v == nil {
-		return r // let Routes report the length mismatch
-	}
-	return spefWeightsRouter{w: w, v: v}
-}
-
 func (r spefWeightsRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Routes, error) {
 	if err := checkDemands(n, d); err != nil {
 		return nil, err
@@ -387,25 +293,26 @@ func (r spefWeightsRouter) Routes(ctx context.Context, n *Network, d *Demands) (
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("spef: fixed-weight routes canceled: %w", err)
 	}
-	if len(r.w) != n.NumLinks() || len(r.v) != n.NumLinks() {
+	w, v := n.linkVector(r.w), n.linkVector(r.v)
+	if len(w) != n.NumLinks() || len(v) != n.NumLinks() {
 		return nil, fmt.Errorf("%w: got %d first and %d second weights for %d links",
-			ErrBadInput, len(r.w), len(r.v), n.NumLinks())
+			ErrBadInput, len(w), len(v), n.NumLinks())
 	}
 	// Nothing below checks the second weights, and the exponential
 	// split turns a non-finite one into NaN ratios.
-	for e, x := range r.v {
+	for e, x := range v {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			return nil, fmt.Errorf("%w: link %d has second weight %v", ErrBadInput, e, x)
 		}
 	}
 	// The paper's Dijkstra tolerance, the rule Optimize applies.
-	tol := core.EqualCostTol(r.w)
+	tol := core.EqualCostTol(w)
 	dags, splits, err := routing.Build(n.g, d.m.Destinations(), func(ws *graph.Workspace, t int, ratio []float64) (*graph.DAG, error) {
-		dag, err := ws.BuildDAG(n.g, r.w, t, tol)
+		dag, err := ws.BuildDAG(n.g, w, t, tol)
 		if err != nil {
 			return nil, err
 		}
-		split, _ := ws.ExponentialSplits(n.g, dag, r.v)
+		split, _ := ws.ExponentialSplits(n.g, dag, v)
 		copy(ratio, split)
 		return dag, nil
 	})
@@ -459,19 +366,12 @@ func (r optimalRouter) WithBeta(beta float64) Router {
 	return optimalRouter{opts: append(append([]Option(nil), r.opts...), WithBeta(beta))}
 }
 
-func (r optimalRouter) reindexLinks(keep []int) Router {
-	if opts, ok := reindexOptions(r.opts, keep); ok {
-		return optimalRouter{opts: opts}
-	}
-	return r
-}
-
 func (r optimalRouter) Routes(ctx context.Context, n *Network, d *Demands) (*Routes, error) {
 	if err := checkDemands(n, d); err != nil {
 		return nil, err
 	}
 	o := resolveOptions(r.opts)
-	obj, err := o.objective(n.NumLinks())
+	obj, err := o.objective(n)
 	if err != nil {
 		return nil, err
 	}

@@ -57,7 +57,9 @@ type Scenario struct {
 	Load float64
 	// Step names the temporal demand step ("" = no time axis).
 	Step string
-	// FailedLink names the failed duplex pair ("" = intact topology).
+	// FailedLink labels the failed unit ("" = intact topology): the
+	// duplex pair "A-B" of a single failure, "A-B+C-D" of a dual one,
+	// or the SRLG group's name.
 	FailedLink string
 }
 
@@ -136,12 +138,15 @@ type Grid struct {
 	// adds every unordered pair of duplex-pair failures; "srlg" fails
 	// shared-risk groups from a file. Failures that disconnect a
 	// demand are skipped: no routing scheme can be compared on them.
-	// Routers configured with explicit per-link weight vectors (OSPF(w),
-	// PEFT(w)) forward on the survivors with their configured weights
-	// projected onto the renumbered links — the stale-weight behavior
-	// of a real deployment between failure and re-optimization.
-	// Optimizing routers (SPEF, Optimal, PEFT(nil)) re-optimize on
-	// each variant.
+	// Each failure variant is a Network.WithoutLinks copy of the
+	// topology, so the routers' per-link vectors given in the intact
+	// topology's link IDs (the weights of OSPF(w), PEFT(w) and
+	// SPEFWithWeights, and WithQ's q) are projected onto the renumbered
+	// survivors: fixed-weight routers forward with their configured
+	// weights, the stale-weight behavior of a real deployment between
+	// failure and re-optimization, and optimizing routers (SPEF,
+	// Optimal, PEFT(nil)) re-optimize on each variant under the
+	// projected q.
 	Failures string
 }
 
@@ -218,13 +223,6 @@ func (g Grid) Scenarios() ([]Scenario, error) {
 						vname = fmt.Sprintf("%s/fail=%s", name, v.failedLink)
 					}
 					for _, r := range routers {
-						if v.keep != nil {
-							// Project explicitly-configured per-link
-							// weights onto the survivors: the stale-weight
-							// semantics of a deployment between failure
-							// and re-optimization.
-							r = reindexRouter(r, v.keep)
-						}
 						cells = append(cells, Scenario{
 							Name:       fmt.Sprintf("%s/%s", vname, r.Name()),
 							Topology:   topo.Name,
@@ -325,10 +323,6 @@ func (g Grid) expandRouters() []Router {
 type failureVariant struct {
 	net        *Network
 	failedLink string
-	// keep maps the variant's link IDs back to the intact topology's
-	// (nil for the intact variant); explicit per-link router
-	// configuration is projected through it.
-	keep []int
 }
 
 // nodeLabel names a node for scenario labels, falling back to the ID.

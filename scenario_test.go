@@ -233,6 +233,43 @@ func TestGridFailureVariantsRemapQCoefficients(t *testing.T) {
 	}
 }
 
+// TestGridFailureVariantsRejectOverlongVectors checks that a failure
+// cell projects only vectors of the intact link count: a vector one
+// entry longer fails every cell, intact and failure alike, with
+// ErrBadInput rather than running truncated on the failure cells.
+func TestGridFailureVariantsRejectOverlongVectors(t *testing.T) {
+	n, d := gridNetwork(t)
+	long := make([]float64, n.NumLinks()+1)
+	for i := range long {
+		long[i] = 1 + float64(i%3)
+	}
+	grid := Grid{
+		Topologies: []Topology{{Name: "ring5", Network: n, Demands: d}},
+		Routers: []Router{
+			OSPF(long),
+			Named("peft-w", PEFT(long)),
+			SPEFWithWeights(long, long),
+			SPEF(WithQ(long), WithMaxIterations(100)),
+			PEFT(nil, WithQ(long), WithMaxIterations(100)),
+			Optimal(WithQ(long)),
+		},
+		Failures: "single",
+	}
+	cells, err := grid.Scenarios()
+	if err != nil {
+		t.Fatalf("Scenarios: %v", err)
+	}
+	results, err := RunScenarios(t.Context(), cells, RunOptions{Workers: 4})
+	if err != nil {
+		t.Fatalf("RunScenarios: %v", err)
+	}
+	for _, r := range results {
+		if !errors.Is(r.Err, ErrBadInput) {
+			t.Errorf("cell %s: err = %v, want ErrBadInput", r.Scenario, r.Err)
+		}
+	}
+}
+
 func TestGridRejectsEmptyAxes(t *testing.T) {
 	n, d := gridNetwork(t)
 	if _, err := (Grid{Routers: gridRouters()}).Scenarios(); !errors.Is(err, ErrBadInput) {

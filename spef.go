@@ -3,6 +3,7 @@ package spef
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/topo"
@@ -16,6 +17,10 @@ var ErrBadInput = errors.New("spef: bad input")
 // AddDuplex adds both directions of a physical cable.
 type Network struct {
 	g *graph.Graph
+	// On a WithoutLinks copy, keep[id] is the parent's ID of surviving
+	// link id and parentLinks the parent's link count (see linkVector).
+	keep        []int
+	parentLinks int
 }
 
 // NewNetwork returns an empty network.
@@ -66,16 +71,41 @@ func (n *Network) TotalCapacity() float64 { return n.g.TotalCapacity() }
 func (n *Network) DuplexPairs() [][2]int { return n.g.DuplexPairs() }
 
 // WithoutLinks returns a copy of the network with the given links
-// removed — the single-link-failure transform of the Scenario engine.
-// Surviving links are renumbered densely; keep[newID] = oldID maps the
-// new link IDs back to the originals so per-link vectors (weights,
-// capacities) can be projected onto the survivors.
+// removed — the failure transform of the Scenario engine. Surviving
+// links are renumbered densely; keep[newID] = oldID maps the new link
+// IDs back to the originals.
+//
+// The copy reads per-link vectors of its parent's length (the
+// weights of OSPF(w), PEFT(w) and SPEFWithWeights, and WithQ's q) as
+// indexed by the parent's link IDs and projects them onto the
+// survivors: the stale-weight window of a deployment between a failure
+// and re-optimization. A vector of the copy's own length is read as its
+// own, which is how weights extracted on the copy replay there; so a
+// parent vector short by exactly the number of removed links is read
+// that way too. Any other length is left to the router to reject. Only
+// the immediate parent's length is projected: a copy of a copy does not
+// read the grandparent's vectors.
 func (n *Network) WithoutLinks(ids ...int) (keptNet *Network, keep []int, err error) {
 	g2, keep, err := n.g.WithoutLinks(ids...)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Network{g: g2}, keep, nil
+	return &Network{g: g2, keep: keep, parentLinks: n.NumLinks()}, slices.Clone(keep), nil
+}
+
+// linkVector reads a per-link vector on n. On a WithoutLinks copy, a
+// vector of the parent's length is projected through keep onto the
+// surviving links; any other vector is returned unchanged, for its
+// consumer to check against n's link count.
+func (n *Network) linkVector(v []float64) []float64 {
+	if n.keep == nil || len(v) != n.parentLinks {
+		return v
+	}
+	out := make([]float64, len(n.keep))
+	for id, parent := range n.keep {
+		out[id] = v[parent]
+	}
+	return out
 }
 
 // Validate checks structural invariants.
