@@ -19,6 +19,11 @@ import (
 // wrap delta.ErrBadInput instead.
 var ErrBadInput = errors.New("localsearch: bad input")
 
+// neighborhood is the number of candidate single-link moves Search
+// scores per round, fanned out over the internal/par worker pool. The
+// search trajectory is identical for any worker count.
+const neighborhood = 16
+
 // Options tunes Search. Zero values select the documented defaults.
 type Options struct {
 	// MaxEvals bounds the number of candidate evaluations (default
@@ -29,10 +34,6 @@ type Options struct {
 	// (>= 1; 0 selects the default 20 — Fortz-Thorup use small integer
 	// ranges; negative is an error).
 	WeightMax int
-	// Neighborhood is the number of candidate single-link moves scored
-	// per round, fanned out over the internal/par worker pool (default
-	// 16). The search trajectory is identical for any worker count.
-	Neighborhood int
 	// Seed drives the randomized neighborhood sampling and plateau
 	// perturbations.
 	Seed int64
@@ -103,9 +104,6 @@ func Search(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, opts Option
 	}
 	if opts.WeightMax == 0 {
 		opts.WeightMax = 20
-	}
-	if opts.Neighborhood <= 0 {
-		opts.Neighborhood = 16
 	}
 	if !(opts.FailurePenalty >= 0) || math.IsInf(opts.FailurePenalty, 1) {
 		return nil, fmt.Errorf("%w: FailurePenalty %v must be finite and >= 0", ErrBadInput, opts.FailurePenalty)
@@ -227,7 +225,7 @@ func Search(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, opts Option
 	bestScore := cur
 	evals := 1
 	stale := 0
-	cands := make([]candidate, 0, opts.Neighborhood)
+	cands := make([]candidate, 0, neighborhood)
 	// Tabu bookkeeping: tabuUntil[link] is the first round the link may
 	// be changed again without aspiration.
 	var tabuUntil []int
@@ -240,7 +238,7 @@ func Search(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, opts Option
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("localsearch: canceled after %d evaluations: %w", evals, err)
 		}
-		round := opts.Neighborhood
+		round := neighborhood
 		if rest := opts.MaxEvals - evals; round > rest {
 			round = rest
 		}

@@ -59,7 +59,7 @@ func TestSearchImprovesAndAgreesWithOSPF(t *testing.T) {
 func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 	g, tm := randomInstance(t, 11, 10, 36)
 	run := func() *Result {
-		res, err := Search(context.Background(), g, tm, Options{MaxEvals: 300, Seed: 5, Neighborhood: 8})
+		res, err := Search(context.Background(), g, tm, Options{MaxEvals: 300, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}

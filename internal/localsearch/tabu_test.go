@@ -42,7 +42,7 @@ func TestSearchTabuDeterministicAcrossWorkers(t *testing.T) {
 	g, tm := randomInstance(t, 19, 10, 36)
 	run := func() *Result {
 		res, err := Search(context.Background(), g, tm, Options{
-			MaxEvals: 300, Seed: 5, Neighborhood: 8, Accept: "tabu", TabuTenure: 4,
+			MaxEvals: 300, Seed: 5, Accept: "tabu", TabuTenure: 4,
 		})
 		if err != nil {
 			t.Fatal(err)

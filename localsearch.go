@@ -165,13 +165,12 @@ func (r ospfLSRouter) searchKey(n *Network, d *Demands) (searchKey, bool) {
 // fixes the start as well. Grid expansion hands every router of one
 // (topology, load, step, failure variant) the same graph and matrix.
 type searchKey struct {
-	g                    *graph.Graph
-	m                    *traffic.Matrix
-	maxEvals, weightMax  int
-	neighborhood, tenure int
-	seed                 int64
-	failurePenalty       float64
-	accept               string
+	g                           *graph.Graph
+	m                           *traffic.Matrix
+	maxEvals, weightMax, tenure int
+	seed                        int64
+	failurePenalty              float64
+	accept                      string
 }
 
 // newSearchKey keys the search of o on (n, d). A robust search
@@ -183,8 +182,8 @@ func newSearchKey(n *Network, d *Demands, o localsearch.Options) (searchKey, boo
 	k := searchKey{
 		g: n.g, m: d.m,
 		maxEvals: o.MaxEvals, weightMax: o.WeightMax,
-		neighborhood: o.Neighborhood, tenure: o.TabuTenure,
-		seed: o.Seed, failurePenalty: o.FailurePenalty,
+		tenure: o.TabuTenure,
+		seed:   o.Seed, failurePenalty: o.FailurePenalty,
 		accept: o.Accept,
 	}
 	// localsearch.Search's defaults, as it applies them; a negative
@@ -195,9 +194,6 @@ func newSearchKey(n *Network, d *Demands, o localsearch.Options) (searchKey, boo
 	}
 	if k.weightMax == 0 {
 		k.weightMax = 20
-	}
-	if k.neighborhood <= 0 {
-		k.neighborhood = 16
 	}
 	return k, true
 }

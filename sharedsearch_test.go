@@ -154,7 +154,7 @@ func TestRunStorePrePass(t *testing.T) {
 // search alike, bit for bit.
 func TestSearchKeyDefaultsMatchSearch(t *testing.T) {
 	net, d := lsTestInstance(t)
-	zero, defaults := localsearch.Options{}, localsearch.Options{MaxEvals: 2000, WeightMax: 20, Neighborhood: 16}
+	zero, defaults := localsearch.Options{}, localsearch.Options{MaxEvals: 2000, WeightMax: 20}
 	ka, oka := newSearchKey(net, d, zero)
 	kb, okb := newSearchKey(net, d, defaults)
 	if !oka || !okb || ka != kb {
