@@ -112,6 +112,7 @@ func NewEvaluator(g *graph.Graph, tm *traffic.Matrix, weights []float64) (*Evalu
 	for i, t := range dests {
 		ev.demands[i] = tm.ToDestination(t)
 		ev.dags[i] = &graph.DAG{}
+		ev.dags[i].Reserve(g)
 		ev.splits[i] = make([]float64, g.NumLinks())
 		ev.flows[i] = make([]float64, g.NumLinks())
 	}
@@ -444,6 +445,7 @@ func (ev *Evaluator) buildDestFrom(m *traffic.Matrix, t int) (destState, error) 
 	if err != nil {
 		return destState{}, err
 	}
+	st.dag.Reserve(ev.g)
 	st.dag.CopyFrom(built)
 	graph.EvenSplitsInto(ev.g, st.dag, st.split)
 	if err := ev.ws.PropagateDownInto(ev.g, st.dag, st.demand, st.split, st.flow); err != nil {
