@@ -7,6 +7,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"time"
 
 	spef "repro"
@@ -15,10 +17,11 @@ import (
 // SweepThroughput compares the sharded sweep pipeline against the
 // single-process batch path on one suite: cells/sec on each path, and
 // ShardEfficiency — single-process elapsed over sharded elapsed (all
-// shards run back to back in-process, plus the merge), so values near
-// 1 mean the shard/checkpoint/merge machinery is close to free. The
-// ratio is measured in one process, so machine speed cancels and Check
-// gates it; the raw cells/sec are machine-dependent trend data.
+// shards run back to back in-process, plus the merge), the median over
+// alternating rounds, so values near 1 mean the shard/checkpoint/merge
+// machinery is close to free. The ratio is measured in one process, so
+// machine speed cancels and Check gates it; the raw cells/sec are
+// machine-dependent trend data.
 type SweepThroughput struct {
 	Name              string  `json:"name"`
 	Cells             int     `json:"cells"`
@@ -56,57 +59,78 @@ func sweepThroughput() ([]SweepThroughput, []Parity, error) {
 		return nil, nil, err
 	}
 	ctx := context.Background()
-	const shards, reps = 2, 5
+	const shards = 2
 
-	// Best-of-5 on both paths: the sweep is milliseconds long, so a
-	// single elapsed sample would make the efficiency ratio scheduling
-	// noise rather than pipeline overhead.
 	var results []spef.ScenarioResult
-	var single bytes.Buffer
-	singleSecs := math.Inf(1)
-	for r := 0; r < reps; r++ {
+	var single, merged bytes.Buffer
+	var info *spef.MergeInfo
+	runSingle := func() (float64, error) {
+		runtime.GC()
 		start := time.Now()
 		res, err := suite.Collect(ctx)
 		if err != nil {
-			return nil, nil, err
+			return 0, err
 		}
 		var buf bytes.Buffer
 		if err := spef.WriteResults(spef.NewJSONLSink(&buf), res); err != nil {
-			return nil, nil, err
+			return 0, err
 		}
-		singleSecs = math.Min(singleSecs, time.Since(start).Seconds())
+		secs := time.Since(start).Seconds()
 		results, single = res, buf
+		return secs, nil
 	}
-
-	var merged bytes.Buffer
-	var info *spef.MergeInfo
-	shardSecs := math.Inf(1)
-	for r := 0; r < reps; r++ {
+	runSharded := func() (float64, error) {
 		dir, err := os.MkdirTemp("", "spef-bench-sweep")
 		if err != nil {
-			return nil, nil, err
+			return 0, err
 		}
+		defer os.RemoveAll(dir)
+		runtime.GC()
 		start := time.Now()
 		var paths []string
 		for i := 0; i < shards; i++ {
 			p := filepath.Join(dir, fmt.Sprintf("shard%d.jsonl", i))
 			if _, err := suite.RunShard(ctx, spef.ShardSpec{Index: i, Count: shards}, p,
 				spef.ShardOptions{CheckpointEvery: 8}); err != nil {
-				os.RemoveAll(dir)
-				return nil, nil, err
+				return 0, err
 			}
 			paths = append(paths, p)
 		}
 		var buf bytes.Buffer
 		in, err := spef.MergeShardsJSONL(&buf, paths...)
 		if err != nil {
-			os.RemoveAll(dir)
+			return 0, err
+		}
+		secs := time.Since(start).Seconds()
+		merged, info = buf, in
+		return secs, nil
+	}
+
+	// Alternating rounds, as timePair times the kernels: after one
+	// warm-up run of each path, single and sharded runs alternate, and
+	// the efficiency is the median of the per-round single/sharded
+	// ratios. A burst of machine noise then lands on both paths alike,
+	// and one disturbed round cannot move the median. Each run starts
+	// from a collected heap, so neither path pays for the garbage of
+	// the run before it.
+	var singleSecs, shardSecs float64
+	var ratios [pairRounds]float64
+	for r := -1; r < pairRounds; r++ {
+		ts, err := runSingle()
+		if err != nil {
 			return nil, nil, err
 		}
-		shardSecs = math.Min(shardSecs, time.Since(start).Seconds())
-		merged, info = buf, in
-		os.RemoveAll(dir)
+		tsh, err := runSharded()
+		if err != nil {
+			return nil, nil, err
+		}
+		if r >= 0 {
+			ratios[r] = ts / tsh
+			singleSecs += ts
+			shardSecs += tsh
+		}
 	}
+	slices.Sort(ratios[:])
 
 	same := info.Cells == len(results)
 	detail := fmt.Sprintf("%d cells, %d-way sharded+checkpointed+merged JSONL vs single-process batch", len(results), shards)
@@ -120,13 +144,13 @@ func sweepThroughput() ([]SweepThroughput, []Parity, error) {
 		Name:            "zoo/suite-shard-vs-single",
 		Cells:           len(results),
 		Shards:          shards,
-		ShardEfficiency: singleSecs / shardSecs,
+		ShardEfficiency: ratios[pairRounds/2],
 	}
 	if singleSecs > 0 {
-		st.SingleCellsPerSec = float64(len(results)) / singleSecs
+		st.SingleCellsPerSec = float64(pairRounds*len(results)) / singleSecs
 	}
 	if shardSecs > 0 {
-		st.ShardCellsPerSec = float64(len(results)) / shardSecs
+		st.ShardCellsPerSec = float64(pairRounds*len(results)) / shardSecs
 	}
 	par := Parity{
 		Name:         "zoo/shard-merge-vs-single",
