@@ -138,15 +138,13 @@ type Grid struct {
 	// adds every unordered pair of duplex-pair failures; "srlg" fails
 	// shared-risk groups from a file. Failures that disconnect a
 	// demand are skipped: no routing scheme can be compared on them.
-	// Each failure variant is a Network.WithoutLinks copy of the
-	// topology, so the routers' per-link vectors given in the intact
-	// topology's link IDs (the weights of OSPF(w), PEFT(w) and
-	// SPEFWithWeights, and WithQ's q) are projected onto the renumbered
-	// survivors: fixed-weight routers forward with their configured
-	// weights, the stale-weight behavior of a real deployment between
-	// failure and re-optimization, and optimizing routers (SPEF,
-	// Optimal, PEFT(nil)) re-optimize on each variant under the
-	// projected q.
+	// Each failure variant is a Network.WithoutLinks copy, which
+	// projects the routers' intact-ID per-link vectors (the weights of
+	// OSPF(w), PEFT(w) and SPEFWithWeights, and WithQ's q) onto its
+	// survivors: fixed-weight routers keep their weights, the
+	// stale-weight window between failure and re-optimization, and
+	// optimizing routers (SPEF, Optimal, PEFT(nil)) re-optimize on each
+	// variant.
 	Failures string
 }
 
