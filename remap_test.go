@@ -72,9 +72,10 @@ func TestWithoutLinksProjectsParentVectors(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(11))
 	routed := 0
-	for iter := 0; iter < 12; iter++ {
-		nodes := 5 + rng.Intn(4)
-		n, err := RandomNetwork(rng.Int63(), nodes, 2*(nodes+2+rng.Intn(nodes)))
+	const copies = 20
+	for iter := 0; iter < copies; iter++ {
+		nodes := 5 + rng.Intn(3)
+		n, err := RandomNetwork(rng.Int63(), nodes, 2*(nodes+1+rng.Intn(nodes-1)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +138,7 @@ func TestWithoutLinksProjectsParentVectors(t *testing.T) {
 			}
 		}
 	}
-	if routed < 3*len(routers) {
-		t.Fatalf("only %d router checks routed their demands", routed)
+	if routed < copies*len(routers)/2 {
+		t.Fatalf("only %d of %d router checks routed their demands", routed, copies*len(routers))
 	}
 }
