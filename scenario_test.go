@@ -168,9 +168,9 @@ func TestGridLoadAndBetaAxes(t *testing.T) {
 
 // TestGridFailureVariantsRemapExplicitWeights checks that routers
 // configured with intact-topology weight vectors keep working on
-// failure variants: the grid projects the weights onto the surviving
-// links (stale-weight semantics) instead of letting the length
-// mismatch error out every failure cell.
+// failure variants: each variant's network projects the weights onto
+// its surviving links (stale-weight semantics) instead of letting the
+// length mismatch error out every failure cell.
 func TestGridFailureVariantsRemapExplicitWeights(t *testing.T) {
 	n, d := gridNetwork(t)
 	w := make([]float64, n.NumLinks())
