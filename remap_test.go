@@ -6,7 +6,9 @@ package spef
 // reads a vector of its own length as it is.
 
 import (
+	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -140,5 +142,50 @@ func TestWithoutLinksProjectsParentVectors(t *testing.T) {
 	}
 	if routed < copies*len(routers)/2 {
 		t.Fatalf("only %d of %d router checks routed their demands", routed, copies*len(routers))
+	}
+}
+
+// TestSPEFWithWeightsMatchesOptimizedProtocol checks the fixed-weight
+// router reproduces the optimizer's forwarding outcome when fed the
+// optimizer's own weights on the intact topology.
+func TestSPEFWithWeightsMatchesOptimizedProtocol(t *testing.T) {
+	n, d, err := Fig1Example()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	p, err := Optimize(ctx, n, d, WithMaxIterations(20000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := p.Evaluate(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes, err := SPEFWithWeights(p.FirstWeights(), p.SecondWeights()).Routes(ctx, n, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := routes.Evaluate(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(got.MLU-want.MLU) > 1e-9 {
+		t.Errorf("fixed-weight MLU %v, optimizer %v", got.MLU, want.MLU)
+	}
+	for i := range want.LinkFlow {
+		if math.Abs(got.LinkFlow[i]-want.LinkFlow[i]) > 1e-9 {
+			t.Errorf("link %d flow %v, optimizer %v", i, got.LinkFlow[i], want.LinkFlow[i])
+		}
+	}
+}
+
+func TestSPEFWithWeightsRejectsLengthMismatch(t *testing.T) {
+	n, d, err := Fig1Example()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SPEFWithWeights([]float64{1}, []float64{1}).Routes(context.Background(), n, d); err == nil {
+		t.Fatal("length mismatch accepted")
 	}
 }
