@@ -181,9 +181,8 @@ func newSearchKey(n *Network, d *Demands, o localsearch.Options) (searchKey, boo
 	}
 	k := searchKey{
 		g: n.g, m: d.m,
-		maxEvals: o.MaxEvals, weightMax: o.WeightMax,
-		tenure: o.TabuTenure,
-		seed:   o.Seed, failurePenalty: o.FailurePenalty,
+		maxEvals: o.MaxEvals, weightMax: o.WeightMax, tenure: o.TabuTenure,
+		seed: o.Seed, failurePenalty: o.FailurePenalty,
 		accept: o.Accept,
 	}
 	// localsearch.Search's defaults, as it applies them; a negative
