@@ -1,6 +1,6 @@
 package spef
 
-// Property test for the failure-copy projection: a Network.WithoutLinks
+// Property tests for the failure-copy projection: a Network.WithoutLinks
 // copy reads every per-link router vector of its parent's length
 // through keep (keep[newID] = oldID), through any Named wrapping, and
 // reads a vector of its own length as it is.
@@ -19,6 +19,112 @@ func randomVector(rng *rand.Rand, n int) []float64 {
 		v[i] = rng.Float64()*10 + 0.1
 	}
 	return v
+}
+
+// randomDrop picks a random subset of [0, n) to remove, ~25% of it,
+// possibly empty.
+func randomDrop(rng *rand.Rand, n int) []int {
+	var drop []int
+	for i := 0; i < n; i++ {
+		if rng.Intn(4) == 0 {
+			drop = append(drop, i)
+		}
+	}
+	return drop
+}
+
+// TestRemapLinkVectorProperties checks the projection itself,
+// Network.linkVector, on random copies: a parentless network and a copy
+// read every vector as it is; a copy projects a vector of its parent's
+// length entry by entry through keep into a fresh slice; a vector of
+// any other length, short ones included, comes back unchanged rather
+// than with fabricated entries; a copy of a copy does not project the
+// grandparent's length.
+func TestRemapLinkVectorProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for iter := 0; iter < 200; iter++ {
+		links := 2 + rng.Intn(30)
+		n := NewNetwork()
+		nodes := 2 + rng.Intn(5)
+		for u := 0; u < nodes; u++ {
+			n.AddNode("")
+		}
+		for e := 0; e < links; e++ {
+			from := rng.Intn(nodes)
+			if _, err := n.AddLink(from, (from+1+rng.Intn(nodes-1))%nodes, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v := randomVector(rng, links)
+		short := v[:rng.Intn(links)]
+
+		// A parentless network reads every vector as it is.
+		for _, x := range [][]float64{v, short} {
+			if got := n.linkVector(x); !sameSlice(got, x) {
+				t.Fatalf("iter %d: parentless network rewrote a vector of length %d", iter, len(x))
+			}
+		}
+
+		// Identity keep: removing nothing projects to the same entries.
+		same, keep, err := n.WithoutLinks()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(keep) != links {
+			t.Fatalf("iter %d: removing nothing kept %d of %d links", iter, len(keep), links)
+		}
+		if got := same.linkVector(v); !sameBits(got, v) {
+			t.Fatalf("iter %d: identity keep changed %v to %v", iter, v, got)
+		}
+
+		// Truncating keep: out[newID] == v[keep[newID]] for every
+		// surviving link, in a slice of its own.
+		cp, keep, err := n.WithoutLinks(randomDrop(rng, links)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := cp.linkVector(v)
+		if len(got) != len(keep) || len(got) != cp.NumLinks() {
+			t.Fatalf("iter %d: projection has %d entries for %d kept links", iter, len(got), len(keep))
+		}
+		for newID, oldID := range keep {
+			if got[newID] != v[oldID] {
+				t.Fatalf("iter %d: projection[%d] = %v, want v[%d] = %v", iter, newID, got[newID], oldID, v[oldID])
+			}
+		}
+		if len(got) > 0 && &got[0] == &v[0] {
+			t.Fatalf("iter %d: projection aliases the parent's vector", iter)
+		}
+
+		// Any other length is left to the consumer to reject: the
+		// copy's own length, short vectors and long ones.
+		long := append(append([]float64(nil), v...), 1)
+		for _, x := range [][]float64{v[:cp.NumLinks()], short, long, nil} {
+			if len(x) == links {
+				continue
+			}
+			if got := cp.linkVector(x); !sameSlice(got, x) {
+				t.Fatalf("iter %d: copy rewrote a vector of length %d (parent %d, copy %d)", iter, len(x), links, cp.NumLinks())
+			}
+		}
+
+		// A copy of the copy projects the copy's length only.
+		if cp.NumLinks() > 0 && cp.NumLinks() < links {
+			cc, _, err := cp.WithoutLinks(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := cc.linkVector(v); !sameSlice(got, v) {
+				t.Fatalf("iter %d: copy of a copy projected the grandparent's vector", iter)
+			}
+		}
+	}
+}
+
+// sameSlice reports whether a and b are the same slice: same length and,
+// when non-empty, the same backing array start.
+func sameSlice(a, b []float64) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // plainCopy rebuilds n link by link as a network with no parent, so it
@@ -52,15 +158,15 @@ func linkFlows(t *testing.T, r Router, n *Network, d *Demands) ([]float64, error
 	return rep.LinkFlow, nil
 }
 
-// TestWithoutLinksProjectsParentVectors checks, on random copies of
-// random networks, every router that takes a per-link vector: given
-// vectors of the parent's length, the router's link flows on the copy
-// are bit-identical to the same router's given the projected vectors,
-// also wrapped in Named; and a router given vectors of the copy's own
-// length routes the copy exactly as it routes a parentless network with
-// the same links. A copy of a copy does not project the grandparent's
-// length.
-func TestWithoutLinksProjectsParentVectors(t *testing.T) {
+// TestReindexRouterProperties checks, on random copies of random
+// networks (their links reindexed densely), every router that takes a
+// per-link vector: given vectors of the parent's length, the router's
+// link flows on the copy are bit-identical to the same router's given
+// the projected vectors, also wrapped in Named; and a router given
+// vectors of the copy's own length routes the copy exactly as it routes
+// a parentless network with the same links. A copy of a copy does not
+// project the grandparent's length.
+func TestReindexRouterProperties(t *testing.T) {
 	routers := []struct {
 		name string
 		make func(w, v []float64) Router
