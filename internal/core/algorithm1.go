@@ -36,8 +36,11 @@ type FirstWeightOptions struct {
 	StepRatio float64
 	// Mode selects the step schedule (default StepDiminishing).
 	Mode StepMode
-	// Tol is the relative dual-gap tolerance for early termination
-	// (default 1e-6; checked on the running tail averages).
+	// Tol is the relative tolerance for early termination (default
+	// 1e-6): the loop stops once the current iterate's |Σ w(f + s − c)|
+	// is at most Tol·(1 + |dual objective|) there. It is tested only
+	// during the averaging half (from iteration MaxIters/2), on the
+	// current iterate, not on the running averages.
 	Tol float64
 	// TraceEvery records the dual objective every k iterations into
 	// DualTrace (0 disables tracing).
@@ -82,7 +85,8 @@ type FirstWeightResult struct {
 	DualTrace []float64
 	// Iters is the number of subgradient iterations performed.
 	Iters int
-	// Gap is the final absolute dual gap.
+	// Gap is Σ w(f + s − c) at the last iterate: a signed residual, not
+	// a bound on the distance to the optimum, and it can be negative.
 	Gap float64
 }
 

@@ -27,8 +27,11 @@ type SPResult struct {
 	settled []int
 }
 
-// checkWeights validates a per-link weight vector for shortest-path use.
-func checkWeights(g *Graph, weights []float64) error {
+// CheckWeights validates a per-link weight vector for shortest-path
+// use: one weight per link of g, none negative or NaN (+Inf masks a
+// link). Every shortest-path entry point runs it, except DijkstraOrder,
+// whose caller runs it once for many passes under one vector.
+func CheckWeights(g *Graph, weights []float64) error {
 	if len(weights) != g.NumLinks() {
 		return fmt.Errorf("%w: got %d weights for %d links", ErrBadWeights, len(weights), g.NumLinks())
 	}
@@ -145,9 +148,13 @@ func dijkstraTo(g *Graph, weights []float64, dst int, dist []float64, q *lazyHea
 // checkSP validates the (weights, dst) pair shared by every
 // shortest-path entry point.
 func checkSP(g *Graph, weights []float64, dst int) error {
-	if err := checkWeights(g, weights); err != nil {
+	if err := CheckWeights(g, weights); err != nil {
 		return err
 	}
+	return checkDst(g, dst)
+}
+
+func checkDst(g *Graph, dst int) error {
 	if dst < 0 || dst >= g.NumNodes() {
 		return fmt.Errorf("graph: destination %d out of range", dst)
 	}
@@ -183,6 +190,28 @@ func (ws *Workspace) DijkstraTo(g *Graph, weights []float64, dst int) (*SPResult
 	ws.settled = dijkstraTo(g, weights, dst, ws.dist, &ws.heap, ws.settled)
 	ws.sp = SPResult{Dst: dst, Dist: ws.dist, settled: ws.settled}
 	return &ws.sp, nil
+}
+
+// DijkstraOrder is Workspace.DijkstraTo for a caller that has checked
+// weights with CheckWeights: it does not check them again. It returns
+// the distances, in workspace storage valid until the next call on ws,
+// and appends onto order[:0] every node of g by decreasing distance,
+// ties by increasing ID: the unreachable nodes first (Unreachable is
+// the largest distance), then the reachable ones in the order the DAG
+// builders derive from the settle order.
+func (ws *Workspace) DijkstraOrder(g *Graph, weights []float64, dst int, order []int) ([]float64, []int, error) {
+	if err := checkDst(g, dst); err != nil {
+		return nil, order, err
+	}
+	ws.fit(g)
+	ws.settled = dijkstraTo(g, weights, dst, ws.dist, &ws.heap, ws.settled)
+	order = order[:0]
+	for u, d := range ws.dist {
+		if d == Unreachable {
+			order = append(order, u)
+		}
+	}
+	return ws.dist, appendSettledDescending(order, ws.settled, ws.dist), nil
 }
 
 // bellmanFordTo relaxes every link until a pass settles (no distance

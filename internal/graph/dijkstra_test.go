@@ -249,7 +249,7 @@ func adversarialGraph(rng *rand.Rand) (*Graph, []float64) {
 // TestSettleOrderMatchesHeapsortAdversarial pins the lazy-heap kernel's
 // two contracts on inputs built to break them: its distances equal
 // Bellman-Ford's bit for bit, and the node order every kernel derives
-// from its settle order (NodesByDistDesc, both DAG builders) equals the
+// from its settle order (DijkstraOrder, both DAG builders) equals the
 // heapsort of the distances node for node.
 func TestSettleOrderMatchesHeapsortAdversarial(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
@@ -299,9 +299,22 @@ func TestSettleOrderMatchesHeapsortAdversarial(t *testing.T) {
 				tieRuns++
 			}
 		}
-		sameOrder("NodesByDistDesc", ws.NodesByDistDesc(sp))
-		// A result without a settle order (Bellman-Ford) is sorted.
-		sameOrder("NodesByDistDesc(Bellman-Ford)", ws.NodesByDistDesc(bf))
+		// DijkstraOrder lists the unreachable nodes first, by ID, then
+		// the reachable ones in the heapsort's order.
+		dist, order, err := ws.DijkstraOrder(g, w, dst, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(dist, bf.Dist) || len(order) != g.NumNodes() {
+			t.Fatalf("trial %d: DijkstraOrder dist %v order %v, Bellman-Ford %v", trial, dist, order, bf.Dist)
+		}
+		unreach := len(order) - len(want)
+		for i, u := range order[:unreach] {
+			if bf.Dist[u] != Unreachable || i > 0 && u <= order[i-1] {
+				t.Fatalf("trial %d: DijkstraOrder prefix %v is not the unreachable nodes by ID", trial, order[:unreach])
+			}
+		}
+		sameOrder("DijkstraOrder", order[unreach:])
 
 		tol := float64(rng.Intn(3)) / 2
 		d, err := BuildDAG(g, w, dst, tol)

@@ -39,10 +39,10 @@ func BenchmarkNodeOrder(b *testing.B) {
 			}
 		}
 		b.Run(net.name+"/settle", func(b *testing.B) {
-			ws := graph.NewWorkspace(g)
+			buf := make([]int, 0, g.NumNodes())
 			b.ReportAllocs()
 			for i := 0; b.Loop(); i++ {
-				ws.NodesByDistDesc(sps[i%len(sps)])
+				buf = graph.AppendSettledDescending(buf[:0], sps[i%len(sps)])
 			}
 		})
 		b.Run(net.name+"/heapsort", func(b *testing.B) {

@@ -7,6 +7,7 @@ import "sync"
 // arena and the ratio/flow/accumulator vectors those kernels need,
 // sized to one topology shape (node and link counts). After a first
 // warm-up call the workspace-backed kernels — DijkstraTo,
+// DijkstraOrder (given an order buffer of capacity NumNodes),
 // BellmanFordTo, BuildDAG, RepairDAG, DownwardDAG, ExponentialSplits,
 // PropagateDownInto, PropagateDownMarked — run without any heap
 // allocation, which is what makes the iterative optimizers (Algorithm
@@ -34,7 +35,7 @@ type Workspace struct {
 	logZ  []float64 // per-node log-partition of ExponentialSplits
 
 	demand []float64 // per-node demand scratch for callers (DemandBuffer)
-	order  []int     // node-order scratch of NodesByDistDesc and RepairDAG
+	order  []int     // node-order scratch of RepairDAG
 
 	// RepairDAG's per-node state, sized by fitRepair on first use: prev
 	// and flag are read only for the nodes listed in touched, each
@@ -89,26 +90,20 @@ func (ws *Workspace) DemandBuffer(g *Graph) []float64 {
 	return ws.demand[:g.NumNodes()]
 }
 
+// DistBuffer returns the workspace's distance buffer (length NumNodes,
+// contents unspecified), the one DijkstraTo, DijkstraOrder and
+// BellmanFordTo overwrite, for a caller that computes distances itself.
+func (ws *Workspace) DistBuffer(g *Graph) []float64 {
+	ws.fit(g)
+	return ws.dist[:g.NumNodes()]
+}
+
 // AccBuffer returns the workspace's per-node accumulator scratch
 // (length NumNodes, contents unspecified). Shared with
 // PropagateDownInto, which fully overwrites it.
 func (ws *Workspace) AccBuffer(g *Graph) []float64 {
 	ws.fit(g)
 	return ws.acc[:g.NumNodes()]
-}
-
-// NodesByDistDesc returns the nodes reachable in sp ordered by
-// decreasing distance, ties by increasing ID — the same order DAGs
-// cache. A Dijkstra result derives it from its settle order; only
-// results without one (Bellman-Ford) are sorted. The returned slice is
-// workspace-owned scratch, valid until the next call on ws.
-func (ws *Workspace) NodesByDistDesc(sp *SPResult) []int {
-	if sp.settled == nil {
-		ws.order = appendNodesDescending(ws.order[:0], sp.Dist)
-	} else {
-		ws.order = appendSettledDescending(ws.order[:0], sp.settled, sp.Dist)
-	}
-	return ws.order
 }
 
 // growFloats returns a slice of length n, reusing s's storage when it

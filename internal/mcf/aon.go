@@ -1,6 +1,7 @@
 package mcf
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/graph"
@@ -31,23 +32,36 @@ func AllOrNothing(g *graph.Graph, tm *traffic.Matrix, weights []float64) (*Flow,
 // tm.Destinations()) — and is rejected otherwise (Flow.CheckReuse).
 // Iterative algorithms call this once per iteration, so reuse removes
 // the dominant allocation; a reused flow also supplies the destination
-// list, so no per-call list is built.
+// list, so no per-call list is built. The weights are checked once per
+// call (graph.CheckWeights), not once per destination.
+//
+// A reused flow also carries each commodity's node order from its last
+// pass, and the next pass starts from it: the distances are recomputed
+// along that order and kept only if no link undercuts them, which makes
+// them Dijkstra's bit for bit; otherwise that commodity runs Dijkstra
+// (aonDestination). No result depends on the kept order: every output
+// and error is the one a fresh flow gets.
 //
 // Destinations are routed concurrently: each commodity's assignment
 // depends only on the shared weights and writes only its own per-
-// destination vector, so the result is bit-identical to the sequential
-// loop for any worker count (Total is rebuilt in destination order).
+// destination vector and order, so the result is bit-identical to the
+// sequential loop for any worker count (Total is rebuilt in destination
+// order).
 func AllOrNothingInto(g *graph.Graph, tm *traffic.Matrix, weights []float64, flow *Flow) (*Flow, error) {
 	if flow == nil {
 		flow = NewFlow(g, tm.Destinations())
 	} else if err := flow.CheckReuse(g, tm); err != nil {
 		return nil, err
 	}
+	if err := graph.CheckWeights(g, weights); err != nil {
+		return nil, err
+	}
 	dests := flow.Destinations()
+	flow.keepOrders(len(dests), g.NumNodes())
 	errs := make([]error, len(dests))
 	par.Do(len(dests), func(i int) {
 		ws := workspaces.Get(g)
-		errs[i] = aonDestination(g, tm, weights, dests[i], flow.PerDest[dests[i]], ws)
+		errs[i] = aonDestination(g, tm, weights, dests[i], flow.PerDest[dests[i]], &flow.orders[i], ws)
 		workspaces.Put(ws)
 	})
 	// Scanning in index order keeps the reported failure independent
@@ -93,65 +107,125 @@ func (f *Flow) CheckReuse(g *graph.Graph, tm *traffic.Matrix) error {
 	return nil
 }
 
+// errUndercut reports a warm pass whose distances some link undercuts.
+var errUndercut = errors.New("mcf: kept order is stale")
+
 // aonDestination routes commodity t's demand on shortest paths under
-// weights, overwriting ft (the commodity's per-link vector). All scratch
-// comes from ws, so steady-state calls allocate only on error paths.
-func aonDestination(g *graph.Graph, tm *traffic.Matrix, weights []float64, t int, ft []float64, ws *graph.Workspace) error {
-	sp, err := ws.DijkstraTo(g, weights, t)
+// weights, overwriting ft (the commodity's per-link vector) and *order
+// (its kept node order). A kept order of every node takes the warm
+// path (warmDist); an undercut link, any error, or no kept order sends
+// the commodity through Dijkstra, whose pass reports the errors. All
+// scratch comes from ws, so steady-state calls allocate only on error
+// paths.
+func aonDestination(g *graph.Graph, tm *traffic.Matrix, weights []float64, t int, ft []float64, order *[]int, ws *graph.Workspace) error {
+	if len(*order) == g.NumNodes() {
+		dist := ws.DistBuffer(g)
+		warmDist(g, weights, t, *order, dist)
+		if assign(g, tm, weights, dist, t, *order, ft, ws.AccBuffer(g)) == nil {
+			return nil
+		}
+	}
+	dist, o, err := ws.DijkstraOrder(g, weights, t, (*order)[:0])
+	*order = o
 	if err != nil {
 		return err
 	}
-	for s := 0; s < g.NumNodes(); s++ {
-		if tm.At(s, t) > 0 && sp.Dist[s] == graph.Unreachable {
-			return fmt.Errorf("%w: no path from %d to %d", ErrInfeasible, s, t)
+	return assign(g, tm, weights, dist, t, o, ft, ws.AccBuffer(g))
+}
+
+// warmDist recomputes commodity t's distances along order, a
+// permutation of the nodes sorted by an earlier pass's distances, and
+// re-sorts order by the new ones. Walking order from its end, each node
+// takes the least fl(dist[v] + w) over its out-links into nodes already
+// placed, so every finite distance is a real walk's length; a node with
+// no such link stays Unreachable. The sort is an insertion sort, since
+// small weight steps leave the order nearly sorted.
+//
+// The distances are Dijkstra's bit for bit exactly when no link
+// undercuts them (dist[v] + w < dist[u]), which assign checks: then
+// each is at most Dijkstra's (follow Dijkstra's parents from t) and at
+// least it (each is a real walk's length, and Dijkstra's is the least).
+func warmDist(g *graph.Graph, weights []float64, t int, order []int, dist []float64) {
+	for u := range dist {
+		dist[u] = graph.Unreachable
+	}
+	dist[t] = 0
+	for i := len(order) - 1; i >= 0; i-- {
+		u := order[i]
+		if u == t {
+			continue
 		}
+		d := graph.Unreachable
+		for _, id := range g.OutLinks(u) {
+			if c := dist[g.Link(id).To] + weights[id]; c < d {
+				d = c
+			}
+		}
+		dist[u] = d
 	}
-	// Accumulate demand down the chosen next-hop chains in decreasing
-	// distance order (ties by ID) so each node is processed after all
-	// its inflow.
-	order := ws.NodesByDistDesc(sp)
-	acc := ws.AccBuffer(g)
-	for i := range ft {
-		ft[i] = 0
+	for i := 1; i < len(order); i++ {
+		u, du := order[i], dist[order[i]]
+		j := i
+		for ; j > 0; j-- {
+			v := order[j-1]
+			if dv := dist[v]; dv > du || dv == du && v < u {
+				break
+			}
+			order[j] = v
+		}
+		order[j] = u
 	}
-	for _, u := range order {
-		acc[u] = 0
-	}
+}
+
+// assign routes commodity t's demand down next-hop chains under dist,
+// walking order (every node by decreasing distance, ties by increasing
+// ID) so each node is processed after all its inflow. A node's next
+// hop is its smallest-ID out-link on a shortest path, up to an absolute
+// slack of 1e-12. The same scan over each node's out-links returns
+// errUndercut if one undercuts dist, which a pass under Dijkstra's
+// distances never does.
+func assign(g *graph.Graph, tm *traffic.Matrix, weights, dist []float64, t int, order []int, ft, acc []float64) error {
+	clear(ft)
+	clear(acc)
 	for _, u := range order {
 		if u == t {
 			continue
 		}
+		du := dist[u]
 		amount := acc[u] + tm.At(u, t)
+		// Unreachable nodes come first, by ID, and receive no flow, so
+		// the first of them with demand is the smallest such source.
+		if du == graph.Unreachable && amount > 0 {
+			return fmt.Errorf("%w: no path from %d to %d", ErrInfeasible, u, t)
+		}
+		limit := du + 1e-12
+		hop, v := -1, -1
+		for _, id := range g.OutLinks(u) {
+			head := g.Link(id).To
+			dh := dist[head]
+			c := dh + weights[id]
+			if c < du {
+				return errUndercut
+			}
+			if hop < 0 && dh != graph.Unreachable && c <= limit {
+				hop, v = id, head
+			}
+		}
 		if amount == 0 {
 			continue
 		}
-		id, v := nextHop(g, weights, sp.Dist, u)
-		if id < 0 {
+		if hop < 0 {
 			return fmt.Errorf("%w: stranded flow %v at node %d for destination %d", ErrInfeasible, amount, u, t)
 		}
 		// The next-hop slack is absolute, so weights below it (prices
 		// near 1e-12) can pick a head that sorts before u. Flow sent
 		// there would never be forwarded: an error, not a silent loss.
 		// Flow into t itself is delivered wherever t sorts.
-		if v != t && (sp.Dist[v] > sp.Dist[u] || sp.Dist[v] == sp.Dist[u] && v < u) {
+		if v != t && (dist[v] > du || dist[v] == du && v < u) {
 			return fmt.Errorf("%w: flow %v for destination %d would return from node %d to already-routed node %d (link weights below the 1e-12 next-hop slack)", ErrInfeasible, amount, t, u, v)
 		}
-		ft[id] += amount
+		ft[hop] += amount
 		acc[v] += amount
 	}
 	return nil
-}
-
-// nextHop returns u's chosen out-link toward the destination of dist
-// and that link's head: the smallest-ID link on a shortest path, up to
-// an absolute slack of 1e-12, or (-1, -1) when none qualifies.
-func nextHop(g *graph.Graph, weights, dist []float64, u int) (id, head int) {
-	limit := dist[u] + 1e-12
-	for _, id := range g.OutLinks(u) {
-		v := g.Link(id).To
-		if dv := dist[v]; dv != graph.Unreachable && dv+weights[id] <= limit {
-			return id, v
-		}
-	}
-	return -1, -1
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/objective"
 	"repro/internal/topo"
 	"repro/internal/traffic"
@@ -115,11 +116,44 @@ func TestFrankWolfeInitUsedWhenFeasible(t *testing.T) {
 	}
 }
 
+// TestAllOrNothingIntoRejectsWrongShape: a reused flow for other
+// destinations is rejected, and so is a weight vector of the wrong
+// length or with a NaN or negative weight, on a fresh flow and on a
+// warm one, with graph.ErrBadWeights and the text of the weight check
+// every destination's Dijkstra used to run. A rejected vector leaves a
+// warm flow routing as a fresh one does.
 func TestAllOrNothingIntoRejectsWrongShape(t *testing.T) {
 	g, tm := fig1TM(t)
+	w := []float64{1, 1, 1, 1}
 	wrong := NewFlow(g, []int{1}) // missing the real destinations
-	if _, err := AllOrNothingInto(g, tm, []float64{1, 1, 1, 1}, wrong); err == nil {
+	if _, err := AllOrNothingInto(g, tm, w, wrong); err == nil {
 		t.Error("mismatched reuse flow accepted")
+	}
+	warm, err := AllOrNothing(g, tm, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		w    []float64
+		text string
+	}{
+		{"short", []float64{1, 1, 1}, "graph: bad weight vector: got 3 weights for 4 links"},
+		{"long", []float64{1, 1, 1, 1, 1}, "graph: bad weight vector: got 5 weights for 4 links"},
+		{"NaN", []float64{1, math.NaN(), 1, 1}, "graph: bad weight vector: link 1 has weight NaN"},
+		{"negative", []float64{1, 1, -0.5, 1}, "graph: bad weight vector: link 2 has weight -0.5"},
+	} {
+		for _, flow := range []*Flow{nil, warm} {
+			_, err := AllOrNothingInto(g, tm, tc.w, flow)
+			if !errors.Is(err, graph.ErrBadWeights) || err.Error() != tc.text {
+				t.Errorf("%s weights, warm flow %t: err = %v, want %q", tc.name, flow != nil, err, tc.text)
+			}
+		}
+	}
+	got, gotErr := AllOrNothingInto(g, tm, []float64{1, 2, 1, 1}, warm)
+	want, wantErr := AllOrNothing(g, tm, []float64{1, 2, 1, 1})
+	if d := sameResult(got, gotErr, want, wantErr); d != "" {
+		t.Errorf("warm flow after rejected vectors: %s", d)
 	}
 }
 

@@ -19,7 +19,11 @@
 //     Frank-Wolfe direction-finding step and the paper's Route_t
 //     subproblem (Eq. 15). Destinations are routed concurrently on
 //     the internal/par token pool; results are bit-identical to the
-//     sequential order.
+//     sequential order. A reused flow carries each commodity's node
+//     order from its last pass, and the next pass recomputes the
+//     distances along it instead of running Dijkstra, falling back
+//     to Dijkstra for any commodity whose order a link undercuts. No
+//     result depends on the kept order.
 //   - FrankWolfe minimizes a convex link-cost objective over the flow
 //     polytope (the optimal-TE reference the paper compares against);
 //     FrankWolfeContinuation wraps it in capacity-inflation

@@ -29,6 +29,10 @@ type Flow struct {
 	// shared by clones and never modified. It is the flow's commodity
 	// order while it names exactly PerDest's keys.
 	dests []int
+	// orders[i] is the node order of Destinations()[i]'s last
+	// all-or-nothing pass into this flow (AllOrNothingInto), where the
+	// next pass starts. Clones do not share it.
+	orders [][]int
 }
 
 // NewFlow returns an all-zero flow for the given destinations.
@@ -46,7 +50,8 @@ func NewFlow(g *graph.Graph, dests []int) *Flow {
 	return f
 }
 
-// Clone returns a deep copy of the flow.
+// Clone returns a deep copy of the flow. The copy keeps no node order,
+// so its first all-or-nothing pass runs Dijkstra for every commodity.
 func (f *Flow) Clone() *Flow {
 	c := &Flow{
 		PerDest: make(map[int][]float64, len(f.PerDest)),
@@ -69,6 +74,20 @@ func (f *Flow) Destinations() []int {
 		return f.dests
 	}
 	return slices.Sorted(maps.Keys(f.PerDest))
+}
+
+// keepOrders makes f keep a node order for each of k commodities. A
+// flow without k orders gets new, empty ones, each with room for n
+// nodes, which send its next pass through Dijkstra.
+func (f *Flow) keepOrders(k, n int) {
+	if len(f.orders) == k {
+		return
+	}
+	f.orders = make([][]int, k)
+	buf := make([]int, k*n)
+	for i := range f.orders {
+		f.orders[i] = buf[i*n : i*n : (i+1)*n]
+	}
 }
 
 // keepsDests reports whether every kept destination still has a

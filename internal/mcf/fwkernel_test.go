@@ -215,7 +215,9 @@ func TestFrankWolfeRejectsInitMissingCommodity(t *testing.T) {
 // TestAllOrNothingIntoAllocs pins the allocations of one reused-flow
 // call: the flow supplies the destination list and Total is summed in
 // its order, so what is left is the error slice and the par.Do closure,
-// plus the extra worker's goroutine when one runs.
+// plus the extra worker's goroutine when one runs. The calls cycle
+// through weight vectors some of whose passes take the warm path and
+// some fall back to Dijkstra, which writes the kept order in place.
 func TestAllOrNothingIntoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race makes sync.Pool drop workspaces at random")
@@ -230,15 +232,39 @@ func TestAllOrNothingIntoAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(1))
-		w := make([]float64, g.NumLinks())
-		for e := range w {
-			w[e] = 1 + rng.Float64()
+		// A base vector, a small step from it, a jump that reorders
+		// nodes, and a small step from the jump.
+		cycle := make([][]float64, 4)
+		for k := range cycle {
+			cycle[k] = make([]float64, g.NumLinks())
+			for e := range cycle[k] {
+				switch k {
+				case 0, 2:
+					cycle[k][e] = 1 + rng.Float64()
+				default:
+					cycle[k][e] = cycle[k-1][e] * (1 + 1e-6*rng.Float64())
+				}
+			}
 		}
 		flow := NewFlow(g, tm.Destinations())
+		var counts passCounts
+		for range 2 {
+			for _, w := range cycle {
+				counts.predict(g, tm, w, flow)
+				if _, err := AllOrNothingInto(g, tm, w, flow); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if counts.warm == 0 || counts.fallback == 0 {
+			t.Fatalf("%d nodes: the cycle does not take both paths: %+v", g.NumNodes(), counts)
+		}
 		for _, tc := range []struct{ extra, want int }{{0, 2}, {1, 6}} {
 			prev := par.SetExtraWorkers(tc.extra)
+			i := 0
 			allocs := testing.AllocsPerRun(50, func() {
-				if _, err := AllOrNothingInto(g, tm, w, flow); err != nil {
+				i++
+				if _, err := AllOrNothingInto(g, tm, cycle[i%len(cycle)], flow); err != nil {
 					t.Fatal(err)
 				}
 			})
