@@ -155,6 +155,10 @@ func FirstWeights(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, obj *
 	var finalGap float64
 	iters := 0
 	scratch := mcf.NewFlow(g, dests) // reused across iterations
+	// Both flows list dests and are written only in place, so their
+	// tables, read once here, stay their commodity vectors: the tail
+	// averages walk the tables, not the maps.
+	sumRows, flowRows := flowSum.Rows(), scratch.Rows()
 	for k := 0; k < opts.MaxIters; k++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: algorithm 1 canceled at iteration %d: %w", k, err)
@@ -191,9 +195,9 @@ func FirstWeights(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, obj *
 			for e := range w {
 				wSum[e] += w[e]
 			}
-			for t, v := range flow.PerDest {
-				dst := flowSum.PerDest[t]
-				for e, x := range v {
+			for i, row := range flowRows {
+				dst := sumRows[i]
+				for e, x := range row {
 					dst[e] += x
 				}
 			}
@@ -228,11 +232,10 @@ func FirstWeights(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, obj *
 	for e := range wSum {
 		res.WDual[e] = wSum[e] / float64(avgCount)
 	}
-	for t, v := range flowSum.PerDest {
-		for e := range v {
-			v[e] /= float64(avgCount)
+	for _, row := range sumRows {
+		for e := range row {
+			row[e] /= float64(avgCount)
 		}
-		flowSum.PerDest[t] = v
 	}
 	flowSum.RecomputeTotal()
 	res.Flow = flowSum

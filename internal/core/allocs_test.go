@@ -4,11 +4,14 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/mcf"
+	"repro/internal/objective"
 	"repro/internal/par"
+	"repro/internal/routing"
 	"repro/internal/topo"
 	"repro/internal/traffic"
 )
@@ -48,9 +51,10 @@ func allocGraphs(t *testing.T) []*graph.Graph {
 }
 
 // TestTrafficDistributionIntoAllocs pins the allocations of one
-// reused-flow call: the flow supplies the destination list and the
-// order Total is summed in, so what is left is the error slice and the
-// par.Do closure, plus the extra worker's goroutine when one runs.
+// reused-flow call: the flow keeps its table, its error slots and the
+// function its pass hands to par.Do, so a call allocates nothing
+// inline, and only par.Do's worker bookkeeping and the extra worker's
+// goroutine when one runs.
 func TestTrafficDistributionIntoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race makes sync.Pool drop workspaces at random")
@@ -58,7 +62,7 @@ func TestTrafficDistributionIntoAllocs(t *testing.T) {
 	for _, g := range allocGraphs(t) {
 		tm, dags, v := distributionInput(t, g)
 		flow := mcf.NewFlow(g, tm.Destinations())
-		for _, tc := range []struct{ extra, want int }{{0, 2}, {1, 6}} {
+		for _, tc := range []struct{ extra, want int }{{0, 0}, {1, 4}} {
 			prev := par.SetExtraWorkers(tc.extra)
 			allocs := testing.AllocsPerRun(50, func() {
 				if _, err := TrafficDistributionInto(g, dags, tm, v, flow); err != nil {
@@ -70,6 +74,47 @@ func TestTrafficDistributionIntoAllocs(t *testing.T) {
 				t.Errorf("%d nodes, %d extra workers: %v allocs per call, want at most %d", g.NumNodes(), tc.extra, allocs, tc.want)
 			}
 		}
+	}
+}
+
+// TestBuildAllocsCernet2 pins the allocations of one Cernet2 SPEF
+// build, the Algorithm 4 pipeline spef.Optimize runs, on one thread:
+// a gravity matrix scaled so InvCap OSPF peaks at 80% utilization, as
+// the optimize benchmark draws them. Its thousands of per-destination
+// passes allocate nothing, so what is left is the pipeline's own
+// vectors, flows and DAGs: about 600 allocations, where a pass that
+// allocated its error slice and par.Do closure made over 14,000.
+func TestBuildAllocsCernet2(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race makes sync.Pool drop workspaces at random")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	g := topo.Cernet2()
+	tm, err := traffic.Gravity(traffic.SyntheticVolumes(3, g.NumNodes(), 0.5), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ospf, err := routing.BuildOSPF(g, tm.Destinations(), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flow, err := routing.Flow(g, ospf.DAGs, ospf.Splits, tm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tm.Scale(0.8 / objective.MLU(g, flow.Total)); err != nil {
+		t.Fatal(err)
+	}
+	obj := objective.MustQBeta(1, g.NumLinks(), nil)
+	build := func() {
+		if _, err := Build(t.Context(), g, tm, obj, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build()
+	const limit = 800
+	if allocs := testing.AllocsPerRun(3, build); allocs > limit {
+		t.Errorf("%v allocations per Cernet2 build, want at most %d", allocs, limit)
 	}
 }
 

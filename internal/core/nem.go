@@ -2,18 +2,17 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/graph"
 	"repro/internal/mcf"
-	"repro/internal/par"
 	"repro/internal/traffic"
 )
 
-// workspaces recycles per-worker graph scratch across Algorithm 2's
-// per-iteration distribution and the final split computation; every
-// parallel destination worker draws a private arena.
+// workspaces recycles graph scratch across the final split computations
+// of BuildWithWeights.
 var workspaces graph.WorkspacePool
 
 // SecondWeightOptions tunes Algorithm 2 (the NEM dual gradient for the
@@ -63,46 +62,32 @@ func TrafficDistribution(g *graph.Graph, dags map[int]*graph.DAG, tm *traffic.Ma
 // reusable output flow (created for the same graph and destinations,
 // as mcf.Flow.CheckReuse checks; nil allocates a fresh one). Algorithm
 // 2 evaluates the distribution once per gradient iteration, so reuse
-// removes the dominant allocation, and a reused flow supplies the
-// destination list.
+// removes the dominant allocation, and a call into a reused flow
+// allocates nothing.
 //
-// Destinations are evaluated concurrently (par.Do): each commodity
-// reads the shared DAGs and weights and writes only its own per-
-// destination vector through a private workspace, so the result is
+// Destinations are evaluated concurrently (mcf.Flow.Propagate): each
+// commodity reads the shared DAGs and weights and writes only its own
+// row of the flow's table through a private workspace, so the result is
 // bit-identical to the sequential loop for any worker count.
 func TrafficDistributionInto(g *graph.Graph, dags map[int]*graph.DAG, tm *traffic.Matrix, v []float64, flow *mcf.Flow) (*mcf.Flow, error) {
 	if len(v) != g.NumLinks() {
 		return nil, fmt.Errorf("%w: got %d second weights for %d links", ErrBadInput, len(v), g.NumLinks())
 	}
-	if flow == nil {
-		flow = mcf.NewFlow(g, tm.Destinations())
-	} else if err := flow.CheckReuse(g, tm); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
-	}
-	dests := flow.Destinations()
-	for _, t := range dests {
-		if _, ok := dags[t]; !ok {
+	for t := range tm.Size() {
+		if _, ok := dags[t]; !ok && tm.IsDestination(t) {
 			return nil, fmt.Errorf("%w: no shortest-path DAG for destination %d", ErrBadInput, t)
 		}
 	}
-	errs := make([]error, len(dests))
-	par.Do(len(dests), func(i int) {
-		t := dests[i]
-		d := dags[t]
-		ws := workspaces.Get(g)
-		ratio, _ := ws.ExponentialSplits(g, d, v)
-		demand := tm.ToDestinationInto(t, ws.DemandBuffer(g))
-		errs[i] = ws.PropagateDownInto(g, d, demand, ratio, flow.PerDest[t])
-		workspaces.Put(ws)
-	})
-	// Scanning in index order keeps the reported failure independent
-	// of scheduling order.
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if flow == nil {
+		flow = mcf.NewFlow(g, tm.Destinations())
 	}
-	flow.RecomputeTotal()
+	err := flow.Propagate(g, tm, dags, nil, v)
+	switch {
+	case errors.Is(err, mcf.ErrBadInput):
+		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
+	case err != nil:
+		return nil, err
+	}
 	return flow, nil
 }
 

@@ -5,14 +5,8 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/par"
 	"repro/internal/traffic"
 )
-
-// workspaces recycles per-worker graph scratch across all-or-nothing
-// calls; every parallel destination worker draws its own arena, so no
-// shortest-path state is ever shared or reallocated in steady state.
-var workspaces graph.WorkspacePool
 
 // AllOrNothing routes every demand entirely along one shortest path under
 // the given link weights (ties broken toward the smallest link ID, so the
@@ -43,47 +37,44 @@ func AllOrNothing(g *graph.Graph, tm *traffic.Matrix, weights []float64) (*Flow,
 // and error is the one a fresh flow gets.
 //
 // Destinations are routed concurrently: each commodity's assignment
-// depends only on the shared weights and writes only its own per-
-// destination vector and order, so the result is bit-identical to the
-// sequential loop for any worker count (Total is rebuilt in destination
-// order).
+// depends only on the shared weights and writes only its own row of the
+// flow's table and its own kept order, so the result is bit-identical to
+// the sequential loop for any worker count (Total is rebuilt in
+// destination order). A call into a reused flow allocates nothing.
 func AllOrNothingInto(g *graph.Graph, tm *traffic.Matrix, weights []float64, flow *Flow) (*Flow, error) {
 	if flow == nil {
 		flow = NewFlow(g, tm.Destinations())
-	} else if err := flow.CheckReuse(g, tm); err != nil {
+	}
+	if err := flow.prepare(g, tm); err != nil {
 		return nil, err
 	}
 	if err := graph.CheckWeights(g, weights); err != nil {
 		return nil, err
 	}
-	dests := flow.Destinations()
-	flow.keepOrders(len(dests), g.NumNodes())
-	errs := make([]error, len(dests))
-	par.Do(len(dests), func(i int) {
-		ws := workspaces.Get(g)
-		errs[i] = aonDestination(g, tm, weights, dests[i], flow.PerDest[dests[i]], &flow.orders[i], ws)
-		workspaces.Put(ws)
-	})
-	// Scanning in index order keeps the reported failure independent
-	// of scheduling order.
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	flow.keepOrders(len(flow.rows), g.NumNodes())
+	if err := flow.fan(passInput{g: g, tm: tm, fill: aonFill, vec: weights}); err != nil {
+		return nil, err
 	}
-	flow.RecomputeTotal()
 	return flow, nil
+}
+
+// aonFill is AllOrNothingInto's fill: row i's destination routed on
+// shortest paths under the pass's weights, from its kept order.
+func aonFill(f *Flow, ws *graph.Workspace, i int) error {
+	in := &f.pass.in
+	return aonDestination(in.g, in.tm, in.vec, f.dests[i], f.rows[i], &f.orders[i], ws)
 }
 
 // CheckReuse verifies that f can be overwritten as a flow of tm on g:
 // it carries a commodity for exactly tm's destinations, and Total and
 // every commodity vector are NumLinks long. An extra commodity would
 // keep a stale vector that is summed into Total, and a short vector
-// would be indexed out of range. The check builds no destination list.
+// would be indexed out of range. The check builds no destination list
+// and changes nothing; its errors match ErrBadInput.
 func (f *Flow) CheckReuse(g *graph.Graph, tm *traffic.Matrix) error {
 	m := g.NumLinks()
 	if len(f.Total) != m {
-		return fmt.Errorf("mcf: reused flow has %d total entries for %d links", len(f.Total), m)
+		return reuseError(fmt.Sprintf("mcf: reused flow has %d total entries for %d links", len(f.Total), m))
 	}
 	dests := 0
 	for t := range tm.Size() {
@@ -93,19 +84,27 @@ func (f *Flow) CheckReuse(g *graph.Graph, tm *traffic.Matrix) error {
 		dests++
 		ft, ok := f.PerDest[t]
 		if !ok {
-			return fmt.Errorf("mcf: reused flow lacks commodity %d", t)
+			return reuseError(fmt.Sprintf("mcf: reused flow lacks commodity %d", t))
 		}
 		if len(ft) != m {
-			return fmt.Errorf("mcf: reused flow's commodity %d has %d entries for %d links", t, len(ft), m)
+			return reuseError(fmt.Sprintf("mcf: reused flow's commodity %d has %d entries for %d links", t, len(ft), m))
 		}
 	}
 	// Every destination is present and destinations are distinct, so a
 	// larger map holds a commodity the demand matrix does not.
 	if len(f.PerDest) != dests {
-		return fmt.Errorf("mcf: reused flow carries %d commodities, demand matrix has %d destinations", len(f.PerDest), dests)
+		return reuseError(fmt.Sprintf("mcf: reused flow carries %d commodities, demand matrix has %d destinations", len(f.PerDest), dests))
 	}
 	return nil
 }
+
+// reuseError is CheckReuse's error. It matches ErrBadInput, so callers
+// can tell a misfit flow from a failed pass, and reads as it always has.
+type reuseError string
+
+func (e reuseError) Error() string { return string(e) }
+
+func (reuseError) Is(target error) bool { return target == ErrBadInput }
 
 // errUndercut reports a warm pass whose distances some link undercuts.
 var errUndercut = errors.New("mcf: kept order is stale")

@@ -16,64 +16,137 @@ import (
 var ErrInfeasible = errors.New("mcf: infeasible")
 
 // ErrBadInput reports arguments of mismatched shape: a weight vector or
-// demand matrix sized for another graph.
+// demand matrix sized for another graph, or a reused flow that does not
+// fit its demand matrix (Flow.CheckReuse).
 var ErrBadInput = errors.New("mcf: bad input")
 
 // Flow is a destination-aggregated multi-commodity flow: PerDest[t][e]
 // is the flow of commodity t (traffic destined to node t) on link e, and
 // Total[e] the aggregate f_e.
 type Flow struct {
+	// PerDest maps each destination to its commodity vector, a row of
+	// the flow's commodity table: NewFlow cuts the rows from one backing
+	// array, in Destinations() order. Write a row in place and never
+	// replace it; passes, Blend, RecomputeTotal, Rows and the rest of
+	// the table's users walk the rows, not the map. A flow built by hand,
+	// or whose entries were replaced, added or deleted, still reads right:
+	// each of those entry points first takes the map's current vectors
+	// as the table's rows, so no stale row is ever read or written.
 	PerDest map[int][]float64
 	Total   []float64
-	// dests is the sorted, distinct destination list NewFlow received,
-	// shared by clones and never modified. It is the flow's commodity
-	// order while it names exactly PerDest's keys.
+	// dests is the table's destination list, sorted and distinct: the
+	// list NewFlow received, shared by clones and never modified, until
+	// the map's keys are found to differ, when it is rebuilt from them.
 	dests []int
-	// orders[i] is the node order of Destinations()[i]'s last
-	// all-or-nothing pass into this flow (AllOrNothingInto), where the
-	// next pass starts. Clones do not share it.
+	// rows[i] is dests[i]'s commodity vector, the value PerDest held for
+	// it when the table was last read from the map.
+	rows [][]float64
+	// orders[i] is the node order of dests[i]'s last all-or-nothing pass
+	// into this flow (AllOrNothingInto), where the next pass starts.
+	// Clones do not share it.
 	orders [][]int
+	// pass is the fan-out state of the flow's passes, built by its first
+	// pass. Clones do not share it.
+	pass *pass
 }
 
 // NewFlow returns an all-zero flow for the given destinations.
 func NewFlow(g *graph.Graph, dests []int) *Flow {
 	f := &Flow{
-		PerDest: make(map[int][]float64, len(dests)),
-		Total:   make([]float64, g.NumLinks()),
-		dests:   slices.Clone(dests),
+		Total: make([]float64, g.NumLinks()),
+		dests: slices.Clone(dests),
 	}
 	slices.Sort(f.dests)
 	f.dests = slices.Compact(f.dests)
-	for _, t := range f.dests {
-		f.PerDest[t] = make([]float64, g.NumLinks())
+	f.PerDest = make(map[int][]float64, len(f.dests))
+	m := g.NumLinks()
+	buf := make([]float64, len(f.dests)*m)
+	f.rows = make([][]float64, len(f.dests))
+	for i, t := range f.dests {
+		f.rows[i] = buf[i*m : (i+1)*m : (i+1)*m]
+		f.PerDest[t] = f.rows[i]
 	}
 	return f
 }
 
-// Clone returns a deep copy of the flow. The copy keeps no node order,
-// so its first all-or-nothing pass runs Dijkstra for every commodity.
+// Clone returns a deep copy of the flow, with a table of its own. The
+// copy keeps no node order, so its first all-or-nothing pass runs
+// Dijkstra for every commodity.
 func (f *Flow) Clone() *Flow {
+	dests := f.Destinations()
 	c := &Flow{
-		PerDest: make(map[int][]float64, len(f.PerDest)),
-		Total:   append([]float64(nil), f.Total...),
-		dests:   f.dests,
+		PerDest: make(map[int][]float64, len(dests)),
+		Total:   slices.Clone(f.Total),
+		dests:   dests,
+		rows:    make([][]float64, len(dests)),
 	}
-	for t, v := range f.PerDest {
-		c.PerDest[t] = append([]float64(nil), v...)
+	size := 0
+	for i, t := range dests {
+		c.rows[i] = f.PerDest[t]
+		size += len(c.rows[i])
+	}
+	buf := make([]float64, 0, size)
+	for i, t := range dests {
+		start := len(buf)
+		buf = append(buf, c.rows[i]...)
+		c.rows[i] = buf[start:len(buf):len(buf)]
+		c.PerDest[t] = c.rows[i]
 	}
 	return c
 }
 
 // Destinations returns the destinations f carries a commodity for, in
-// increasing order. It is the list NewFlow kept, without a copy, while
-// that list still names exactly PerDest's keys, and otherwise (a flow
-// built by hand or whose map was edited) the sorted keys. Callers must
-// not modify the result.
+// increasing order. It is the table's list, without a copy, while that
+// list still names exactly PerDest's keys, and otherwise (a flow built
+// by hand or whose map was edited) the sorted keys. Callers must not
+// modify the result.
 func (f *Flow) Destinations() []int {
 	if len(f.dests) == len(f.PerDest) && f.keepsDests() {
 		return f.dests
 	}
 	return slices.Sorted(maps.Keys(f.PerDest))
+}
+
+// keepsDests reports whether every kept destination still has a
+// commodity; with equal counts, the kept list is then the key set.
+func (f *Flow) keepsDests() bool {
+	for _, t := range f.dests {
+		if _, ok := f.PerDest[t]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// Rows returns the flow's commodity table: row i is the vector PerDest
+// holds for Destinations()[i], read from the map now. Callers may write
+// the rows in place but must not modify the returned slice. A caller
+// that never replaces an entry may keep the result: the rows stay the
+// map's vectors.
+func (f *Flow) Rows() [][]float64 {
+	if len(f.PerDest) == len(f.dests) && len(f.rows) == len(f.dests) {
+		fresh := true
+		for i, t := range f.dests {
+			ft, ok := f.PerDest[t]
+			if !ok {
+				fresh = false
+				break
+			}
+			f.rows[i] = ft
+		}
+		if fresh {
+			return f.rows
+		}
+	}
+	// The keys are not the kept list: take the sorted keys as the
+	// table's destinations, with no node order kept for them.
+	f.dests = slices.Sorted(maps.Keys(f.PerDest))
+	f.rows = make([][]float64, len(f.dests))
+	for i, t := range f.dests {
+		f.rows[i] = f.PerDest[t]
+	}
+	f.orders = nil
+	return f.rows
 }
 
 // keepOrders makes f keep a node order for each of k commodities. A
@@ -90,17 +163,6 @@ func (f *Flow) keepOrders(k, n int) {
 	}
 }
 
-// keepsDests reports whether every kept destination still has a
-// commodity; with equal counts, the kept list is then the key set.
-func (f *Flow) keepsDests() bool {
-	for _, t := range f.dests {
-		if _, ok := f.PerDest[t]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // RecomputeTotal rebuilds Total from the per-destination flows. The
 // commodities are accumulated in destination order, not map order:
 // float addition is not associative, so a map-ordered sum would make
@@ -108,26 +170,43 @@ func (f *Flow) keepsDests() bool {
 // reproducibility contract (identical bits for any worker count AND
 // across processes).
 func (f *Flow) RecomputeTotal() {
-	for i := range f.Total {
-		f.Total[i] = 0
-	}
-	for _, t := range f.Destinations() {
-		for i, x := range f.PerDest[t] {
-			f.Total[i] += x
+	f.Rows()
+	f.sumRows()
+}
+
+// sumRows rebuilds Total from the table, in destination order.
+func (f *Flow) sumRows() {
+	clear(f.Total)
+	for _, row := range f.rows {
+		for e, x := range row {
+			f.Total[e] += x
 		}
 	}
 }
 
-// Blend sets f to (1-gamma)*f + gamma*g, the Frank-Wolfe step.
+// Blend sets f to (1-gamma)*f + gamma*other, the Frank-Wolfe step. It
+// blends each of f's commodities with other's commodity for the same
+// destination.
 func (f *Flow) Blend(other *Flow, gamma float64) {
-	for t, v := range f.PerDest {
-		o := other.PerDest[t]
-		for i := range v {
-			v[i] = (1-gamma)*v[i] + gamma*o[i]
-		}
+	for i, row := range f.Rows() {
+		blendRow(row, other.PerDest[f.dests[i]], gamma)
 	}
-	for i := range f.Total {
-		f.Total[i] = (1-gamma)*f.Total[i] + gamma*other.Total[i]
+	blendRow(f.Total, other.Total, gamma)
+}
+
+// blend is Blend for two flows whose tables are read and list the same
+// destinations, as Frank-Wolfe's iterate and target do: it walks both
+// tables without reading either map.
+func (f *Flow) blend(other *Flow, gamma float64) {
+	for i, row := range f.rows {
+		blendRow(row, other.rows[i], gamma)
+	}
+	blendRow(f.Total, other.Total, gamma)
+}
+
+func blendRow(v, o []float64, gamma float64) {
+	for i := range v {
+		v[i] = (1-gamma)*v[i] + gamma*o[i]
 	}
 }
 
@@ -167,9 +246,9 @@ func (f *Flow) CheckConservation(g *graph.Graph, tm *traffic.Matrix, tol float64
 
 // CheckCapacity verifies Total <= capacity + tol on every link.
 func (f *Flow) CheckCapacity(g *graph.Graph, tol float64) error {
-	for _, l := range g.Links() {
-		if f.Total[l.ID] > l.Cap+tol {
-			return fmt.Errorf("%w: link %d carries %v > capacity %v", ErrInfeasible, l.ID, f.Total[l.ID], l.Cap)
+	for id := range g.NumLinks() {
+		if c := g.Link(id).Cap; f.Total[id] > c+tol {
+			return fmt.Errorf("%w: link %d carries %v > capacity %v", ErrInfeasible, id, f.Total[id], c)
 		}
 	}
 	return nil

@@ -10,8 +10,8 @@ import (
 // Utilizations returns the per-link utilization vector f_ij / c_ij.
 func Utilizations(g *graph.Graph, flows []float64) []float64 {
 	out := make([]float64, g.NumLinks())
-	for _, l := range g.Links() {
-		out[l.ID] = flows[l.ID] / l.Cap
+	for id := range out {
+		out[id] = flows[id] / g.Link(id).Cap
 	}
 	return out
 }
@@ -24,11 +24,13 @@ func SortedUtilizations(g *graph.Graph, flows []float64) []float64 {
 	return u
 }
 
-// MLU returns the maximum link utilization of the flow vector.
+// MLU returns the maximum link utilization of the flow vector. Like
+// every helper here, it walks the links by ID instead of copying the
+// link table, so it allocates nothing.
 func MLU(g *graph.Graph, flows []float64) float64 {
 	var mlu float64
-	for _, l := range g.Links() {
-		if u := flows[l.ID] / l.Cap; u > mlu {
+	for id := range g.NumLinks() {
+		if u := flows[id] / g.Link(id).Cap; u > mlu {
 			mlu = u
 		}
 	}
@@ -43,8 +45,8 @@ func MLU(g *graph.Graph, flows []float64) float64 {
 // paper: "The utility is -Inf if MLU is greater than 1").
 func LogSpareUtility(g *graph.Graph, flows []float64) float64 {
 	var total float64
-	for _, l := range g.Links() {
-		u := flows[l.ID] / l.Cap
+	for id := range g.NumLinks() {
+		u := flows[id] / g.Link(id).Cap
 		if u >= 1 {
 			return math.Inf(-1)
 		}
@@ -56,15 +58,14 @@ func LogSpareUtility(g *graph.Graph, flows []float64) float64 {
 // TotalUtility evaluates an objective's aggregate utility sum V(c-f).
 func TotalUtility(o *QBeta, g *graph.Graph, flows []float64) float64 {
 	var total float64
-	for _, l := range g.Links() {
-		total += o.V(l.ID, l.Cap-flows[l.ID])
+	for id := range g.NumLinks() {
+		total += o.V(id, g.Link(id).Cap-flows[id])
 	}
 	return total
 }
 
 // TotalCost evaluates sum Phi(f) for any cost function, summing in link
-// order without copying the link table (Frank-Wolfe calls it every
-// iteration).
+// order (Frank-Wolfe calls it every iteration).
 func TotalCost(cf CostFunc, g *graph.Graph, flows []float64) float64 {
 	var total float64
 	for id := range g.NumLinks() {

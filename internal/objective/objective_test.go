@@ -325,3 +325,20 @@ func TestTotalUtilityAndCost(t *testing.T) {
 		t.Errorf("Prices = %v, want [1 1/3]", p)
 	}
 }
+
+// TestMetricsAllocateNothing: the scalar metrics walk the links by ID
+// instead of copying the link table, so none of them allocates.
+func TestMetricsAllocateNothing(t *testing.T) {
+	g := metricsGraph(t)
+	o := MustQBeta(1, g.NumLinks(), nil)
+	flows := []float64{1, 1}
+	for name, metric := range map[string]func(){
+		"MLU":             func() { MLU(g, flows) },
+		"LogSpareUtility": func() { LogSpareUtility(g, flows) },
+		"TotalUtility":    func() { TotalUtility(o, g, flows) },
+	} {
+		if allocs := testing.AllocsPerRun(20, metric); allocs != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", name, allocs)
+		}
+	}
+}

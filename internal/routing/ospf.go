@@ -12,14 +12,14 @@ import (
 // normalized so the largest link gets weight 1: w_e = max{c}/c_e.
 func InvCapWeights(g *graph.Graph) []float64 {
 	var maxCap float64
-	for _, l := range g.Links() {
-		if l.Cap > maxCap {
-			maxCap = l.Cap
+	for id := range g.NumLinks() {
+		if c := g.Link(id).Cap; c > maxCap {
+			maxCap = c
 		}
 	}
 	w := make([]float64, g.NumLinks())
-	for _, l := range g.Links() {
-		w[l.ID] = maxCap / l.Cap
+	for id := range w {
+		w[id] = maxCap / g.Link(id).Cap
 	}
 	return w
 }

@@ -24,9 +24,8 @@ import (
 // ErrBadInput reports inconsistent arguments.
 var ErrBadInput = errors.New("routing: bad input")
 
-// workspaces recycles per-worker graph scratch across state builds and
-// flow evaluations; each parallel destination worker draws a private
-// arena.
+// workspaces recycles per-worker graph scratch across state builds;
+// each parallel destination worker draws a private arena.
 var workspaces graph.WorkspacePool
 
 // Build assembles per-destination forwarding state for dests. For every
@@ -67,10 +66,10 @@ func Build(g *graph.Graph, dests []int, state func(ws *graph.Workspace, t int, r
 // Flow evaluates the deterministic traffic distribution that the
 // per-destination DAGs and split ratios induce for tm: the paper's
 // Algorithm 3, shared by every scheme, which differ only in their
-// ratios. The independent destinations fan out over par.Do with
-// per-worker workspaces, so results are bit-identical to the sequential
-// loop for any worker count. A demand toward a destination without
-// state fails with ErrBadInput.
+// ratios. The independent destinations fan out in one pass over a
+// fresh flow's table (mcf.Flow.Propagate), so results are bit-identical
+// to the sequential loop for any worker count. A demand toward a
+// destination without state fails with ErrBadInput.
 func Flow(g *graph.Graph, dags map[int]*graph.DAG, splits map[int][]float64, tm *traffic.Matrix) (*mcf.Flow, error) {
 	dests := tm.Destinations()
 	for _, t := range dests {
@@ -79,19 +78,8 @@ func Flow(g *graph.Graph, dags map[int]*graph.DAG, splits map[int][]float64, tm 
 		}
 	}
 	flow := mcf.NewFlow(g, dests)
-	errs := make([]error, len(dests))
-	par.Do(len(dests), func(i int) {
-		t := dests[i]
-		ws := workspaces.Get(g)
-		defer workspaces.Put(ws)
-		demand := tm.ToDestinationInto(t, ws.DemandBuffer(g))
-		errs[i] = ws.PropagateDownInto(g, dags[t], demand, splits[t], flow.PerDest[t])
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := flow.Propagate(g, tm, dags, splits, nil); err != nil {
+		return nil, err
 	}
-	flow.RecomputeTotal()
 	return flow, nil
 }
