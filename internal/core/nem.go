@@ -73,11 +73,6 @@ func TrafficDistributionInto(g *graph.Graph, dags map[int]*graph.DAG, tm *traffi
 	if len(v) != g.NumLinks() {
 		return nil, fmt.Errorf("%w: got %d second weights for %d links", ErrBadInput, len(v), g.NumLinks())
 	}
-	for t := range tm.Size() {
-		if _, ok := dags[t]; !ok && tm.IsDestination(t) {
-			return nil, fmt.Errorf("%w: no shortest-path DAG for destination %d", ErrBadInput, t)
-		}
-	}
 	if flow == nil {
 		flow = mcf.NewFlow(g, tm.Destinations())
 	}

@@ -51,7 +51,7 @@ func AllOrNothingInto(g *graph.Graph, tm *traffic.Matrix, weights []float64, flo
 	if err := graph.CheckWeights(g, weights); err != nil {
 		return nil, err
 	}
-	flow.keepOrders(len(flow.rows), g.NumNodes())
+	flow.keepOrders(g.NumNodes())
 	if err := flow.fan(passInput{g: g, tm: tm, fill: aonFill, vec: weights}); err != nil {
 		return nil, err
 	}
@@ -61,8 +61,8 @@ func AllOrNothingInto(g *graph.Graph, tm *traffic.Matrix, weights []float64, flo
 // aonFill is AllOrNothingInto's fill: row i's destination routed on
 // shortest paths under the pass's weights, from its kept order.
 func aonFill(f *Flow, ws *graph.Workspace, i int) error {
-	in := &f.pass.in
-	return aonDestination(in.g, in.tm, in.vec, f.dests[i], f.rows[i], &f.orders[i], ws)
+	tab := f.tab
+	return aonDestination(tab.in.g, tab.in.tm, tab.in.vec, f.dests[i], tab.rows[i], &tab.orders[i], ws)
 }
 
 // CheckReuse verifies that f can be overwritten as a flow of tm on g:
@@ -74,7 +74,7 @@ func aonFill(f *Flow, ws *graph.Workspace, i int) error {
 func (f *Flow) CheckReuse(g *graph.Graph, tm *traffic.Matrix) error {
 	m := g.NumLinks()
 	if len(f.Total) != m {
-		return reuseError(fmt.Sprintf("mcf: reused flow has %d total entries for %d links", len(f.Total), m))
+		return inputError(fmt.Sprintf("mcf: reused flow has %d total entries for %d links", len(f.Total), m))
 	}
 	dests := 0
 	for t := range tm.Size() {
@@ -84,27 +84,28 @@ func (f *Flow) CheckReuse(g *graph.Graph, tm *traffic.Matrix) error {
 		dests++
 		ft, ok := f.PerDest[t]
 		if !ok {
-			return reuseError(fmt.Sprintf("mcf: reused flow lacks commodity %d", t))
+			return inputError(fmt.Sprintf("mcf: reused flow lacks commodity %d", t))
 		}
 		if len(ft) != m {
-			return reuseError(fmt.Sprintf("mcf: reused flow's commodity %d has %d entries for %d links", t, len(ft), m))
+			return inputError(fmt.Sprintf("mcf: reused flow's commodity %d has %d entries for %d links", t, len(ft), m))
 		}
 	}
 	// Every destination is present and destinations are distinct, so a
 	// larger map holds a commodity the demand matrix does not.
 	if len(f.PerDest) != dests {
-		return reuseError(fmt.Sprintf("mcf: reused flow carries %d commodities, demand matrix has %d destinations", len(f.PerDest), dests))
+		return inputError(fmt.Sprintf("mcf: reused flow carries %d commodities, demand matrix has %d destinations", len(f.PerDest), dests))
 	}
 	return nil
 }
 
-// reuseError is CheckReuse's error. It matches ErrBadInput, so callers
-// can tell a misfit flow from a failed pass, and reads as it always has.
-type reuseError string
+// inputError is the error of CheckReuse and of Propagate's input
+// checks. It matches ErrBadInput, so callers can tell a misfit input
+// from a failed pass, and reads as CheckReuse's errors always have.
+type inputError string
 
-func (e reuseError) Error() string { return string(e) }
+func (e inputError) Error() string { return string(e) }
 
-func (reuseError) Is(target error) bool { return target == ErrBadInput }
+func (inputError) Is(target error) bool { return target == ErrBadInput }
 
 // errUndercut reports a warm pass whose distances some link undercuts.
 var errUndercut = errors.New("mcf: kept order is stale")

@@ -11,12 +11,13 @@
 // plus the aggregate Total[e], rebuilt deterministically by
 // RecomputeTotal (destination order, not map order, so float
 // summation is reproducible). The commodity vectors are the rows of
-// one table, cut from one backing array in destination order; PerDest
-// maps each destination to its row. Write rows in place and never
-// replace them: passes, Blend, RecomputeTotal and Rows walk the table,
-// after reading the map's current vectors into it, so a flow built by
-// hand or with a replaced entry still reads and writes what its map
-// holds.
+// one table, listed in destination order; PerDest maps each
+// destination to its row. Write rows in place and never replace them:
+// passes, Blend, RecomputeTotal and Rows walk the table, after reading
+// the map's current vectors into it, so a flow built by hand or with a
+// replaced entry still reads and writes what its map holds. The table
+// is built by the flow's first walk, so NewFlow allocates only the map
+// and its vectors.
 //
 // # The solvers
 //

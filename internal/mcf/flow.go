@@ -16,8 +16,9 @@ import (
 var ErrInfeasible = errors.New("mcf: infeasible")
 
 // ErrBadInput reports arguments of mismatched shape: a weight vector or
-// demand matrix sized for another graph, or a reused flow that does not
-// fit its demand matrix (Flow.CheckReuse).
+// demand matrix sized for another graph, a reused flow that does not
+// fit its demand matrix (Flow.CheckReuse), or a propagation without a
+// DAG for some destination (Flow.Propagate).
 var ErrBadInput = errors.New("mcf: bad input")
 
 // Flow is a destination-aggregated multi-commodity flow: PerDest[t][e]
@@ -25,72 +26,67 @@ var ErrBadInput = errors.New("mcf: bad input")
 // Total[e] the aggregate f_e.
 type Flow struct {
 	// PerDest maps each destination to its commodity vector, a row of
-	// the flow's commodity table: NewFlow cuts the rows from one backing
-	// array, in Destinations() order. Write a row in place and never
-	// replace it; passes, Blend, RecomputeTotal, Rows and the rest of
-	// the table's users walk the rows, not the map. A flow built by hand,
-	// or whose entries were replaced, added or deleted, still reads right:
-	// each of those entry points first takes the map's current vectors
-	// as the table's rows, so no stale row is ever read or written.
+	// the flow's commodity table, which lists the rows in Destinations()
+	// order. Write a row in place and never replace it; passes, Blend,
+	// RecomputeTotal, Rows and the rest of the table's users walk the
+	// rows, not the map. A flow built by hand, or whose entries were
+	// replaced, added or deleted, still reads right: each of those entry
+	// points first takes the map's current vectors as the table's rows,
+	// so no stale row is ever read or written.
 	PerDest map[int][]float64
 	Total   []float64
 	// dests is the table's destination list, sorted and distinct: the
 	// list NewFlow received, shared by clones and never modified, until
 	// the map's keys are found to differ, when it is rebuilt from them.
 	dests []int
+	// tab is the commodity table and the state of the flow's passes,
+	// built by the first walk of the table, so NewFlow allocates only the
+	// map and its vectors. Clones do not share it.
+	tab *table
+}
+
+// table is a flow's commodity table, with what its passes keep between
+// calls so that a pass into a reused flow allocates nothing.
+type table struct {
 	// rows[i] is dests[i]'s commodity vector, the value PerDest held for
 	// it when the table was last read from the map.
 	rows [][]float64
 	// orders[i] is the node order of dests[i]'s last all-or-nothing pass
 	// into this flow (AllOrNothingInto), where the next pass starts.
-	// Clones do not share it.
 	orders [][]int
-	// pass is the fan-out state of the flow's passes, built by its first
-	// pass. Clones do not share it.
-	pass *pass
+	// errs, run and in are a pass's fan-out (fan): the per-commodity
+	// error slots, the function handed to par.Do, built by the flow's
+	// first pass, and the current pass's inputs, dropped when it returns.
+	errs []error
+	run  func(i int)
+	in   passInput
 }
 
 // NewFlow returns an all-zero flow for the given destinations.
 func NewFlow(g *graph.Graph, dests []int) *Flow {
 	f := &Flow{
-		Total: make([]float64, g.NumLinks()),
-		dests: slices.Clone(dests),
+		PerDest: make(map[int][]float64, len(dests)),
+		Total:   make([]float64, g.NumLinks()),
+		dests:   slices.Clone(dests),
 	}
 	slices.Sort(f.dests)
 	f.dests = slices.Compact(f.dests)
-	f.PerDest = make(map[int][]float64, len(f.dests))
-	m := g.NumLinks()
-	buf := make([]float64, len(f.dests)*m)
-	f.rows = make([][]float64, len(f.dests))
-	for i, t := range f.dests {
-		f.rows[i] = buf[i*m : (i+1)*m : (i+1)*m]
-		f.PerDest[t] = f.rows[i]
+	for _, t := range f.dests {
+		f.PerDest[t] = make([]float64, g.NumLinks())
 	}
 	return f
 }
 
-// Clone returns a deep copy of the flow, with a table of its own. The
-// copy keeps no node order, so its first all-or-nothing pass runs
-// Dijkstra for every commodity.
+// Clone returns a deep copy of the flow. The copy keeps no node order,
+// so its first all-or-nothing pass runs Dijkstra for every commodity.
 func (f *Flow) Clone() *Flow {
-	dests := f.Destinations()
 	c := &Flow{
-		PerDest: make(map[int][]float64, len(dests)),
-		Total:   slices.Clone(f.Total),
-		dests:   dests,
-		rows:    make([][]float64, len(dests)),
+		PerDest: make(map[int][]float64, len(f.PerDest)),
+		Total:   append([]float64(nil), f.Total...),
+		dests:   f.dests,
 	}
-	size := 0
-	for i, t := range dests {
-		c.rows[i] = f.PerDest[t]
-		size += len(c.rows[i])
-	}
-	buf := make([]float64, 0, size)
-	for i, t := range dests {
-		start := len(buf)
-		buf = append(buf, c.rows[i]...)
-		c.rows[i] = buf[start:len(buf):len(buf)]
-		c.PerDest[t] = c.rows[i]
+	for t, v := range f.PerDest {
+		c.PerDest[t] = append([]float64(nil), v...)
 	}
 	return c
 }
@@ -124,7 +120,14 @@ func (f *Flow) keepsDests() bool {
 // that never replaces an entry may keep the result: the rows stay the
 // map's vectors.
 func (f *Flow) Rows() [][]float64 {
-	if len(f.PerDest) == len(f.dests) && len(f.rows) == len(f.dests) {
+	if f.tab == nil {
+		f.tab = &table{}
+	}
+	tab := f.tab
+	if len(f.PerDest) == len(f.dests) {
+		if len(tab.rows) != len(f.dests) {
+			tab.rows = make([][]float64, len(f.dests))
+		}
 		fresh := true
 		for i, t := range f.dests {
 			ft, ok := f.PerDest[t]
@@ -132,34 +135,37 @@ func (f *Flow) Rows() [][]float64 {
 				fresh = false
 				break
 			}
-			f.rows[i] = ft
+			tab.rows[i] = ft
 		}
 		if fresh {
-			return f.rows
+			return tab.rows
 		}
 	}
 	// The keys are not the kept list: take the sorted keys as the
 	// table's destinations, with no node order kept for them.
 	f.dests = slices.Sorted(maps.Keys(f.PerDest))
-	f.rows = make([][]float64, len(f.dests))
+	tab.rows = make([][]float64, len(f.dests))
 	for i, t := range f.dests {
-		f.rows[i] = f.PerDest[t]
+		tab.rows[i] = f.PerDest[t]
 	}
-	f.orders = nil
-	return f.rows
+	tab.orders = nil
+	return tab.rows
 }
 
-// keepOrders makes f keep a node order for each of k commodities. A
-// flow without k orders gets new, empty ones, each with room for n
-// nodes, which send its next pass through Dijkstra.
-func (f *Flow) keepOrders(k, n int) {
-	if len(f.orders) == k {
+// keepOrders makes f's table keep a node order for each of its
+// commodities. A table without one order per row gets new, empty ones,
+// each with room for n nodes, which send its next pass through
+// Dijkstra.
+func (f *Flow) keepOrders(n int) {
+	tab := f.tab
+	k := len(tab.rows)
+	if len(tab.orders) == k {
 		return
 	}
-	f.orders = make([][]int, k)
+	tab.orders = make([][]int, k)
 	buf := make([]int, k*n)
-	for i := range f.orders {
-		f.orders[i] = buf[i*n : i*n : (i+1)*n]
+	for i := range tab.orders {
+		tab.orders[i] = buf[i*n : i*n : (i+1)*n]
 	}
 }
 
@@ -177,7 +183,7 @@ func (f *Flow) RecomputeTotal() {
 // sumRows rebuilds Total from the table, in destination order.
 func (f *Flow) sumRows() {
 	clear(f.Total)
-	for _, row := range f.rows {
+	for _, row := range f.tab.rows {
 		for e, x := range row {
 			f.Total[e] += x
 		}
@@ -190,16 +196,6 @@ func (f *Flow) sumRows() {
 func (f *Flow) Blend(other *Flow, gamma float64) {
 	for i, row := range f.Rows() {
 		blendRow(row, other.PerDest[f.dests[i]], gamma)
-	}
-	blendRow(f.Total, other.Total, gamma)
-}
-
-// blend is Blend for two flows whose tables are read and list the same
-// destinations, as Frank-Wolfe's iterate and target do: it walks both
-// tables without reading either map.
-func (f *Flow) blend(other *Flow, gamma float64) {
-	for i, row := range f.rows {
-		blendRow(row, other.rows[i], gamma)
 	}
 	blendRow(f.Total, other.Total, gamma)
 }

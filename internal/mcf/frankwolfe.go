@@ -102,10 +102,7 @@ func FrankWolfe(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, cost ob
 		if gamma <= 0 {
 			break
 		}
-		// Both tables list tm's destinations: target's was read by its
-		// pass, and flow's was built by NewFlow or Clone and is written
-		// only in place.
-		flow.blend(target, gamma)
+		flow.Blend(target, gamma)
 		cur = objective.TotalCost(cost, g, flow.Total)
 	}
 	return &FWResult{Flow: flow, Cost: cur, Gap: gap / math.Max(1, math.Abs(cur)), Iters: iters}, nil

@@ -1,6 +1,8 @@
 package mcf
 
 import (
+	"fmt"
+
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/traffic"
@@ -11,24 +13,14 @@ import (
 // or propagation state is ever shared or reallocated in steady state.
 var workspaces graph.WorkspacePool
 
-// pass is a flow's per-destination fan-out, kept on the flow so a pass
-// allocates nothing: the per-commodity error slots, the function handed
-// to par.Do (built once, by the flow's first pass) and the current
-// pass's inputs, which are dropped when it returns.
-type pass struct {
-	errs []error
-	run  func(i int)
-	in   passInput
-}
-
 // passInput is what one pass's per-commodity fill reads.
 type passInput struct {
 	g  *graph.Graph
 	tm *traffic.Matrix
 	// fill overwrites row i of f's table, on the private workspace ws.
 	fill func(f *Flow, ws *graph.Workspace, i int) error
-	// vec is an all-or-nothing pass's link weights, or the second
-	// weights of a propagation without split ratios.
+	// vec is an all-or-nothing pass's link weights, or a propagation's
+	// second weights, nil when it reads split ratios instead.
 	vec    []float64
 	dags   map[int]*graph.DAG
 	splits map[int][]float64
@@ -45,8 +37,9 @@ func (f *Flow) prepare(g *graph.Graph, tm *traffic.Matrix) error {
 	if err := f.CheckReuse(g, tm); err != nil {
 		return err
 	}
-	// The map names exactly tm's destinations, but the table's list
-	// does not: a flow built by hand or whose keys were edited.
+	// The map names exactly tm's destinations, but the table is not
+	// built yet or lists others: a new flow, or one built by hand or
+	// whose keys were edited.
 	f.Rows()
 	return nil
 }
@@ -56,7 +49,7 @@ func (f *Flow) prepare(g *graph.Graph, tm *traffic.Matrix) error {
 // the table's order, beside a NumLinks-long Total.
 func (f *Flow) readRows(g *graph.Graph, tm *traffic.Matrix) bool {
 	m := g.NumLinks()
-	if len(f.Total) != m || len(f.PerDest) != len(f.dests) || len(f.rows) != len(f.dests) {
+	if len(f.Total) != m || len(f.PerDest) != len(f.dests) || f.tab == nil || len(f.tab.rows) != len(f.dests) {
 		return false
 	}
 	i := 0
@@ -71,7 +64,7 @@ func (f *Flow) readRows(g *graph.Graph, tm *traffic.Matrix) bool {
 		if !ok || len(ft) != m {
 			return false
 		}
-		f.rows[i] = ft
+		f.tab.rows[i] = ft
 		i++
 	}
 	return i == len(f.dests)
@@ -84,23 +77,21 @@ func (f *Flow) readRows(g *graph.Graph, tm *traffic.Matrix) bool {
 // the sequential loop for any worker count. Of failed commodities, the
 // first in destination order is reported, whatever the scheduling.
 func (f *Flow) fan(in passInput) error {
-	p := f.pass
-	if p == nil {
-		p = &pass{}
-		p.run = func(i int) {
-			ws := workspaces.Get(p.in.g)
-			p.errs[i] = p.in.fill(f, ws, i)
+	tab := f.tab
+	if tab.run == nil {
+		tab.run = func(i int) {
+			ws := workspaces.Get(tab.in.g)
+			tab.errs[i] = tab.in.fill(f, ws, i)
 			workspaces.Put(ws)
 		}
-		f.pass = p
 	}
-	if len(p.errs) != len(f.rows) {
-		p.errs = make([]error, len(f.rows))
+	if len(tab.errs) != len(tab.rows) {
+		tab.errs = make([]error, len(tab.rows))
 	}
-	p.in = in
-	par.Do(len(f.rows), p.run)
-	p.in = passInput{}
-	for _, err := range p.errs {
+	tab.in = in
+	par.Do(len(tab.rows), tab.run)
+	tab.in = passInput{}
+	for _, err := range tab.errs {
 		if err != nil {
 			return err
 		}
@@ -112,15 +103,24 @@ func (f *Flow) fan(in passInput) error {
 // Propagate overwrites f with the traffic distribution of the paper's
 // Algorithm 3: each destination t's demand in tm pushed down dags[t],
 // every node splitting its traffic over the DAG's out-links by the
-// ratios splits[t], or, with splits nil, by the exponential splits of
-// dags[t] under the second weights v (Eq. 22). f must fit tm as a
-// reused flow does (CheckReuse's rules and errors), and dags must hold
-// a DAG for each of tm's destinations. The destinations fan out like
-// AllOrNothingInto's, so the result is the sequential loop's bit for
-// bit, and a pass into a reused flow allocates nothing.
+// ratios splits[t], or, with v non-nil, by the exponential splits of
+// dags[t] under the second weights v (Eq. 22), which must then be
+// NumLinks long. f must fit tm as a reused flow does (CheckReuse's rules
+// and errors), and dags must hold a DAG for each of tm's destinations.
+// The destinations fan out like AllOrNothingInto's, so the result is the
+// sequential loop's bit for bit, and a pass into a reused flow allocates
+// nothing.
 func (f *Flow) Propagate(g *graph.Graph, tm *traffic.Matrix, dags map[int]*graph.DAG, splits map[int][]float64, v []float64) error {
 	if err := f.prepare(g, tm); err != nil {
 		return err
+	}
+	for _, t := range f.dests {
+		if _, ok := dags[t]; !ok {
+			return inputError(fmt.Sprintf("mcf: no shortest-path DAG for destination %d", t))
+		}
+	}
+	if v != nil && len(v) != g.NumLinks() {
+		return inputError(fmt.Sprintf("mcf: got %d second weights for %d links", len(v), g.NumLinks()))
 	}
 	return f.fan(passInput{g: g, tm: tm, fill: propagateFill, vec: v, dags: dags, splits: splits})
 }
@@ -128,12 +128,12 @@ func (f *Flow) Propagate(g *graph.Graph, tm *traffic.Matrix, dags map[int]*graph
 // propagateFill is Propagate's fill: row i's destination's demand
 // pushed down its DAG.
 func propagateFill(f *Flow, ws *graph.Workspace, i int) error {
-	in, t := &f.pass.in, f.dests[i]
+	in, t := &f.tab.in, f.dests[i]
 	d := in.dags[t]
 	ratio := in.splits[t]
-	if in.splits == nil {
+	if in.vec != nil {
 		ratio, _ = ws.ExponentialSplits(in.g, d, in.vec)
 	}
 	demand := in.tm.ToDestinationInto(t, ws.DemandBuffer(in.g))
-	return ws.PropagateDownInto(in.g, d, demand, ratio, f.rows[i])
+	return ws.PropagateDownInto(in.g, d, demand, ratio, f.tab.rows[i])
 }

@@ -1,11 +1,13 @@
 package mcf
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -284,5 +286,37 @@ func TestPassStateIsPerFlow(t *testing.T) {
 	}
 	if _, err := AllOrNothingInto(g, tm, []float64{1, 1, 1, 1}, b); err != nil {
 		t.Errorf("clone's pass after its original's failure: %v", err)
+	}
+}
+
+// TestPropagateInputErrors: Propagate rejects a destination without a
+// DAG and second weights of the wrong length with ErrBadInput. Without
+// second weights it reads the split ratios, so a nil ratio map fails
+// with the propagation's own error instead of crashing a worker.
+func TestPropagateInputErrors(t *testing.T) {
+	g, tm := fig1TM(t)
+	w := []float64{1, 1, 1, 1}
+	dags := map[int]*graph.DAG{}
+	for _, d := range tm.Destinations() {
+		dag, err := graph.BuildDAG(g, w, d, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dags[d] = dag
+	}
+	flow := NewFlow(g, tm.Destinations())
+	if err := flow.Propagate(g, tm, dags, nil, w); err != nil {
+		t.Fatalf("exponential splits: %v", err)
+	}
+	err := flow.Propagate(g, tm, dags, nil, nil)
+	if err == nil || errors.Is(err, ErrBadInput) || !strings.Contains(err.Error(), "ratio vector has 0 entries") {
+		t.Errorf("nil split ratios: err = %v, want the propagation's ratio error", err)
+	}
+	if err := flow.Propagate(g, tm, dags, nil, w[:3]); !errors.Is(err, ErrBadInput) {
+		t.Errorf("short second weights: err = %v, want ErrBadInput", err)
+	}
+	delete(dags, 3)
+	if err := flow.Propagate(g, tm, dags, nil, w); !errors.Is(err, ErrBadInput) || !strings.Contains(err.Error(), "destination 3") {
+		t.Errorf("missing DAG: err = %v, want ErrBadInput naming destination 3", err)
 	}
 }

@@ -85,18 +85,18 @@ func (c *passCounts) predict(g *graph.Graph, tm *traffic.Matrix, w []float64, fl
 		return
 	}
 	dests := tm.Destinations()
-	if flow == nil || len(flow.orders) != len(dests) {
+	if flow == nil || flow.tab == nil || len(flow.tab.orders) != len(dests) {
 		c.first += len(dests)
 		return
 	}
 	dist, acc := make([]float64, g.NumNodes()), make([]float64, g.NumNodes())
 	ft := make([]float64, g.NumLinks())
 	for i, t := range dests {
-		if len(flow.orders[i]) != g.NumNodes() {
+		if len(flow.tab.orders[i]) != g.NumNodes() {
 			c.first++
 			continue
 		}
-		order := slices.Clone(flow.orders[i])
+		order := slices.Clone(flow.tab.orders[i])
 		warmDist(g, w, t, order, dist)
 		if assign(g, tm, w, dist, t, order, ft, acc) == nil {
 			c.warm++

@@ -71,14 +71,12 @@ func Build(g *graph.Graph, dests []int, state func(ws *graph.Workspace, t int, r
 // to the sequential loop for any worker count. A demand toward a
 // destination without state fails with ErrBadInput.
 func Flow(g *graph.Graph, dags map[int]*graph.DAG, splits map[int][]float64, tm *traffic.Matrix) (*mcf.Flow, error) {
-	dests := tm.Destinations()
-	for _, t := range dests {
-		if _, ok := dags[t]; !ok {
-			return nil, fmt.Errorf("%w: no forwarding state for destination %d", ErrBadInput, t)
-		}
-	}
-	flow := mcf.NewFlow(g, dests)
-	if err := flow.Propagate(g, tm, dags, splits, nil); err != nil {
+	flow := mcf.NewFlow(g, tm.Destinations())
+	err := flow.Propagate(g, tm, dags, splits, nil)
+	switch {
+	case errors.Is(err, mcf.ErrBadInput):
+		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
+	case err != nil:
 		return nil, err
 	}
 	return flow, nil

@@ -249,3 +249,20 @@ func TestBuildReportsFirstErrorInDestsOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestFlowWithoutSplitsFails: a nil ratio map is an input the
+// propagation rejects, not a crash.
+func TestFlowWithoutSplitsFails(t *testing.T) {
+	g := topo.Fig1()
+	o, err := BuildOSPF(g, []int{2}, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm := traffic.NewMatrix(4)
+	if err := tm.Set(0, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Flow(g, o.DAGs, nil, tm); err == nil {
+		t.Error("nil split ratios accepted")
+	}
+}
