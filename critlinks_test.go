@@ -19,7 +19,10 @@ func normalizeCritlinks(data []byte) string {
 	return critlinksNorm.ReplaceAllString(string(data), `"runtime_ms":0`)
 }
 
-const critlinksGoldenPath = "testdata/critlinks.golden.jsonl"
+const (
+	critlinksGoldenPath     = "testdata/critlinks.golden.jsonl"
+	critlinksDualGoldenPath = "testdata/critlinks-dual.golden.jsonl"
+)
 
 // critlinksFixture resolves the committed Topology Zoo fixture with
 // gravity demands at load 0.2 — the same instance the ladder golden
@@ -47,31 +50,7 @@ func critlinksFixture(t *testing.T) (*Network, *Demands) {
 // critlinks` and diffs the same file. Regenerate with UPDATE_GOLDEN=1
 // after an intentional change.
 func TestCriticalLinksGolden(t *testing.T) {
-	n, d := critlinksFixture(t)
-	rows, err := RankCriticalLinks(t.Context(), n, d, CriticalLinksOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteCriticalLinksJSONL(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-	got := normalizeCritlinks(buf.Bytes())
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(critlinksGoldenPath, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", critlinksGoldenPath, len(got))
-		return
-	}
-	want, err := os.ReadFile(critlinksGoldenPath)
-	if err != nil {
-		t.Fatalf("%v (regenerate with UPDATE_GOLDEN=1 go test -run TestCriticalLinksGolden)", err)
-	}
-	if got != string(want) {
-		t.Fatalf("critlinks output drifted from %s.\n got: %s\nwant: %s\nRegenerate with UPDATE_GOLDEN=1 if intentional.",
-			critlinksGoldenPath, got, want)
-	}
+	rows := checkCritlinksGolden(t, "", critlinksGoldenPath)
 	// The golden must stay a well-formed ranking: ranks 1..n, regret
 	// non-increasing, every base_mlu identical.
 	for i, r := range rows {
@@ -85,6 +64,58 @@ func TestCriticalLinksGolden(t *testing.T) {
 			t.Errorf("row %d base MLU %v differs from %v", i, r.BaseMLU, rows[0].BaseMLU)
 		}
 	}
+}
+
+// TestCriticalLinksDualGolden byte-compares the dual ranking of the
+// same instance against its committed golden, runtimes normalized; the
+// CI critlinks-smoke job diffs `spef critlinks -failures dual` against
+// the same file. Most of its rows are outages that name the partner
+// whose pairing strands demand, so the golden pins the scan's early
+// exit and its tie-breaking as well as the MLUs.
+func TestCriticalLinksDualGolden(t *testing.T) {
+	rows := checkCritlinksGolden(t, "dual", critlinksDualGoldenPath)
+	var outages int
+	for _, r := range rows {
+		if !r.Routable && r.WorstWith != "" {
+			outages++
+		}
+	}
+	if outages == 0 {
+		t.Error("no dual row is an outage with a partner: the golden no longer reaches the early exit")
+	}
+}
+
+// checkCritlinksGolden ranks the zoo fixture's failures units under
+// the failures spec and byte-compares the normalized JSONL with the
+// golden at path (UPDATE_GOLDEN=1 rewrites it). It returns the rows.
+func checkCritlinksGolden(t *testing.T, failures, path string) []CriticalLink {
+	t.Helper()
+	n, d := critlinksFixture(t)
+	rows, err := RankCriticalLinks(t.Context(), n, d, CriticalLinksOptions{Failures: failures})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteCriticalLinksJSONL(&buf, rows); err != nil {
+		t.Fatal(err)
+	}
+	got := normalizeCritlinks(buf.Bytes())
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d bytes)", path, len(got))
+		return rows
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with UPDATE_GOLDEN=1 go test -run %s)", err, t.Name())
+	}
+	if got != string(want) {
+		t.Fatalf("critlinks output drifted from %s.\n got: %s\nwant: %s\nRegenerate with UPDATE_GOLDEN=1 if intentional.",
+			path, got, want)
+	}
+	return rows
 }
 
 // TestCriticalLinksDeterministicAcrossWorkerCounts: the workers'
