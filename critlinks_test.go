@@ -4,11 +4,17 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/delta"
+	"repro/internal/routing"
 )
 
 // critlinksNorm zeroes the runtime_ms field — the only nondeterministic
@@ -50,20 +56,7 @@ func critlinksFixture(t *testing.T) (*Network, *Demands) {
 // critlinks` and diffs the same file. Regenerate with UPDATE_GOLDEN=1
 // after an intentional change.
 func TestCriticalLinksGolden(t *testing.T) {
-	rows := checkCritlinksGolden(t, "", critlinksGoldenPath)
-	// The golden must stay a well-formed ranking: ranks 1..n, regret
-	// non-increasing, every base_mlu identical.
-	for i, r := range rows {
-		if r.Rank != i+1 {
-			t.Errorf("row %d has rank %d", i, r.Rank)
-		}
-		if i > 0 && r.Regret > rows[i-1].Regret {
-			t.Errorf("regret increases at rank %d: %v after %v", r.Rank, r.Regret, rows[i-1].Regret)
-		}
-		if r.BaseMLU != rows[0].BaseMLU {
-			t.Errorf("row %d base MLU %v differs from %v", i, r.BaseMLU, rows[0].BaseMLU)
-		}
-	}
+	checkCritlinksGolden(t, "", critlinksGoldenPath)
 }
 
 // TestCriticalLinksDualGolden byte-compares the dual ranking of the
@@ -85,9 +78,11 @@ func TestCriticalLinksDualGolden(t *testing.T) {
 	}
 }
 
-// checkCritlinksGolden ranks the zoo fixture's failures units under
-// the failures spec and byte-compares the normalized JSONL with the
-// golden at path (UPDATE_GOLDEN=1 rewrites it). It returns the rows.
+// checkCritlinksGolden ranks the zoo fixture's failure units under the
+// failures spec, byte-compares the normalized JSONL with the golden at
+// path (UPDATE_GOLDEN=1 rewrites it) and checks that the ranking is
+// well formed: ranks 1..n, regret non-increasing, every base_mlu
+// identical. It returns the rows.
 func checkCritlinksGolden(t *testing.T, failures, path string) []CriticalLink {
 	t.Helper()
 	n, d := critlinksFixture(t)
@@ -114,6 +109,17 @@ func checkCritlinksGolden(t *testing.T, failures, path string) []CriticalLink {
 	if got != string(want) {
 		t.Fatalf("critlinks output drifted from %s.\n got: %s\nwant: %s\nRegenerate with UPDATE_GOLDEN=1 if intentional.",
 			path, got, want)
+	}
+	for i, r := range rows {
+		if r.Rank != i+1 {
+			t.Errorf("row %d has rank %d", i, r.Rank)
+		}
+		if i > 0 && r.Regret > rows[i-1].Regret {
+			t.Errorf("regret increases at rank %d: %v after %v", r.Rank, r.Regret, rows[i-1].Regret)
+		}
+		if r.BaseMLU != rows[0].BaseMLU {
+			t.Errorf("row %d base MLU %v differs from %v", i, r.BaseMLU, rows[0].BaseMLU)
+		}
 	}
 	return rows
 }
@@ -403,4 +409,201 @@ func TestWorstFailureMLUMetric(t *testing.T) {
 	if _, err := ms[0].Compute(pRoutes, d, pReport); err == nil || !errors.Is(err, ErrBadInput) {
 		t.Fatalf("fail_mlu on PEFT routes err = %v, want ErrBadInput", err)
 	}
+}
+
+// rankDualFromIntact is the dual ranking as the scan that preceded the
+// shared pair table computed it, kept as the oracle: one worker, every
+// pairing a what-if of both units' links on the intact engine.
+func rankDualFromIntact(t *testing.T, n *Network, d *Demands, w []float64) []CriticalLink {
+	t.Helper()
+	if w == nil {
+		w = routing.InvCapWeights(n.g)
+	}
+	units, err := singleFailures.units(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	en, err := delta.NewEngine(n.g, d.m, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := en.Metrics().MLU
+	s := en.NewScratch()
+	dual := true
+	rows := make([]CriticalLink, len(units))
+	for i := range units {
+		row := CriticalLink{Link: units[i].label, BaseMLU: base}
+		worst, routable := failMLU(en, s, units[i].links)
+		worstWith := ""
+		if dual && routable {
+			// Worst pairing: scan partners in enumeration order; the
+			// first unroutable partner is conclusive (+Inf beats any
+			// finite MLU), strict > keeps ties on the earliest partner.
+			var pair []int
+			for j := range units {
+				if j == i {
+					continue
+				}
+				pair = append(append(pair[:0], units[i].links...), units[j].links...)
+				m, ok := failMLU(en, s, pair)
+				if m > worst {
+					worst, worstWith = m, units[j].label
+				}
+				if !ok {
+					break
+				}
+			}
+		}
+		row.MLU = worst
+		row.Regret = worst - base
+		row.Routable = !math.IsInf(worst, 1)
+		row.WorstWith = worstWith
+		rows[i] = row
+	}
+	sort.SliceStable(rows, func(a, b int) bool { return rows[a].Regret > rows[b].Regret })
+	for i := range rows {
+		rows[i].Rank = i + 1
+	}
+	return rows
+}
+
+// TestCriticalLinksDualMatchesIntactScan checks the dual ranking, at 1,
+// 2 and 5 workers, against rankDualFromIntact bit for bit (runtimes
+// aside) on random instances: sparse Waxman, Barabási–Albert and grid
+// networks, where many pairs strand demand and the scan stops early,
+// and dense random ones, under InvCap, random integer weights and one
+// local-search weight vector. The battery must reach every way a row
+// can end: a unit whose own failure strands demand, an outage found at
+// a partner, a finite worst partner and a unit no partner worsens.
+func TestCriticalLinksDualMatchesIntactScan(t *testing.T) {
+	type instance struct {
+		name    string
+		net     func() (*Network, *Demands)
+		weights string // "" (InvCap), "random", "unit" or "ospf-ls"
+	}
+	gravity := func(topo string, seed int, load float64) func() (*Network, *Demands) {
+		return func() (*Network, *Demands) {
+			tp, err := ResolveTopology(topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := ResolveDemands(fmt.Sprintf("gravity:seed=%d", seed), tp.Network)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d, err = d.ScaledToLoad(tp.Network, load); err != nil {
+				t.Fatal(err)
+			}
+			return tp.Network, d
+		}
+	}
+	var cases []instance
+	add := func(topo string, load float64, weights string) {
+		cases = append(cases, instance{topo, gravity(topo, len(cases)+1, load), weights})
+	}
+	for seed := 1; seed <= 5; seed++ {
+		weights := []string{"", "random"}[seed%2]
+		add(fmt.Sprintf("waxman:n=14,alpha=0.3,beta=0.25,seed=%d", seed), 0.05*float64(seed), weights)
+		add(fmt.Sprintf("ba:n=14,m=%d,seed=%d", 1+seed%2, seed), 0.05*float64(seed), weights)
+		add(fmt.Sprintf("grid:rows=3,cols=%d", 3+seed%3), 0.05*float64(seed), weights)
+		add(fmt.Sprintf("rand:n=10,links=44,seed=%d", seed), 0.05*float64(seed), weights)
+	}
+	for seed := 5; seed <= 8; seed++ {
+		add(fmt.Sprintf("waxman:n=18,alpha=0.5,beta=0.3,seed=%d", seed), 0.15, "")
+		add(fmt.Sprintf("rand:n=12,links=60,seed=%d", seed), 0.2, "random")
+	}
+	add("abilene", 0.2, "")
+	add("abilene", 0.2, "ospf-ls")
+	add("grid:rows=3,cols=3,wrap=1", 0.3, "random")
+	// One heavy demand on a thin direct link of K5 under unit weights:
+	// no other failure moves it, so every other unit is its own worst
+	// case, tied with each partner but the thin link.
+	cases = append(cases, instance{"k5-thin-link", func() (*Network, *Demands) {
+		n := NewNetwork()
+		for i := 0; i < 5; i++ {
+			n.AddNode(fmt.Sprintf("k%d", i))
+		}
+		for a := 0; a < 5; a++ {
+			for b := a + 1; b < 5; b++ {
+				capacity := 10.0
+				if a == 0 && b == 1 {
+					capacity = 1
+				}
+				if _, _, err := n.AddDuplex(a, b, capacity); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		d := NewDemands(n)
+		if err := d.Add(0, 1, 0.9); err != nil {
+			t.Fatal(err)
+		}
+		return n, d
+	}, "unit"})
+
+	var ownOutage, partnerOutage, finitePartner, solo int
+	for ci, c := range cases {
+		n, d := c.net()
+		opts := CriticalLinksOptions{Failures: "dual"}
+		var w []float64
+		switch c.weights {
+		case "random", "unit":
+			rng := rand.New(rand.NewSource(int64(ci)))
+			w = make([]float64, n.NumLinks())
+			for e := range w {
+				w[e] = 1
+				if c.weights == "random" {
+					w[e] += float64(rng.Intn(20))
+				}
+			}
+			opts.Weights = w
+		case "ospf-ls":
+			opts.Router = OSPFLocalSearch(LocalSearchOptions{MaxEvals: 200, Seed: 3})
+			routes, err := opts.Router.Routes(t.Context(), n, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w = routes.ecmpWeights
+		}
+		want := rankDualFromIntact(t, n, d, w)
+		for _, r := range want {
+			switch {
+			case !r.Routable && r.WorstWith == "":
+				ownOutage++
+			case !r.Routable:
+				partnerOutage++
+			case r.WorstWith != "":
+				finitePartner++
+			default:
+				solo++
+			}
+		}
+		for _, workers := range []int{1, 2, 5} {
+			opts.Workers = workers
+			got, err := RankCriticalLinks(t.Context(), n, d, opts)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", c.name, workers, err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s workers=%d: %d rows, oracle %d", c.name, workers, len(got), len(want))
+			}
+			for i := range got {
+				if !sameCriticalLink(got[i], want[i]) {
+					t.Errorf("%s workers=%d row %d:\n got %+v\nwant %+v", c.name, workers, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	t.Logf("%d instances: %d own outages, %d partner outages, %d finite worst partners, %d solo worst cases",
+		len(cases), ownOutage, partnerOutage, finitePartner, solo)
+	if ownOutage == 0 || partnerOutage == 0 || finitePartner == 0 || solo == 0 {
+		t.Error("the battery misses a way a dual row can end")
+	}
+}
+
+// sameCriticalLink compares two rows bit for bit, runtimes aside.
+func sameCriticalLink(a, b CriticalLink) bool {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	return a.Rank == b.Rank && a.Link == b.Link && a.Routable == b.Routable && a.WorstWith == b.WorstWith &&
+		same(a.BaseMLU, b.BaseMLU) && same(a.MLU, b.MLU) && same(a.Regret, b.Regret)
 }
