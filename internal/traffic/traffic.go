@@ -115,12 +115,17 @@ func (m *Matrix) Set(s, t int, v float64) error {
 	return nil
 }
 
-// Add accumulates v onto the (s,t) entry.
+// Add accumulates v onto the (s,t) entry. A sum that overflows is
+// rejected with the entry untouched, so every entry stays finite.
 func (m *Matrix) Add(s, t int, v float64) error {
 	if err := m.check(s, t, v); err != nil {
 		return err
 	}
-	m.d[s*m.n+t] += v
+	sum := m.d[s*m.n+t] + v
+	if math.IsInf(sum, 0) {
+		return fmt.Errorf("%w: volume %v overflows entry (%d,%d)", ErrBadDemand, v, s, t)
+	}
+	m.d[s*m.n+t] = sum
 	m.fp.Store(nil)
 	return nil
 }
@@ -172,14 +177,11 @@ func (m *Matrix) Destinations() []int {
 }
 
 // IsDestination reports whether node t receives positive demand, that
-// is, whether t is in Destinations, without building the list.
+// is, whether t is in Destinations, without building the list. It reads
+// the cached fingerprint: every entry is non-negative, so t's column sum
+// is positive exactly when some entry of the column is.
 func (m *Matrix) IsDestination(t int) bool {
-	for s := 0; s < m.n; s++ {
-		if m.At(s, t) > 0 {
-			return true
-		}
-	}
-	return false
+	return m.Fingerprint().PerDest[t] > 0
 }
 
 // ToDestination returns the per-source demand vector d^t for destination
@@ -199,10 +201,19 @@ func (m *Matrix) ToDestinationInto(t int, out []float64) []float64 {
 	return out
 }
 
-// Scale multiplies every entry by factor (factor >= 0).
+// Scale multiplies every entry by factor (factor >= 0). A factor that
+// overflows the largest entry is rejected with the matrix untouched, so
+// every entry stays finite.
 func (m *Matrix) Scale(factor float64) error {
 	if factor < 0 || math.IsNaN(factor) || math.IsInf(factor, 0) {
 		return fmt.Errorf("%w: scale factor %v", ErrBadDemand, factor)
+	}
+	top := 0.0
+	for _, v := range m.d {
+		top = max(top, v)
+	}
+	if math.IsInf(top*factor, 0) {
+		return fmt.Errorf("%w: scale factor %v overflows volume %v", ErrBadDemand, factor, top)
 	}
 	for i := range m.d {
 		m.d[i] *= factor
