@@ -28,7 +28,7 @@ func critlinksMain(args []string) error {
 		out      = fs.String("o", "", "output file (default stdout)")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: spef critlinks -topology SPEC [-demands SPEC] [-load L] [-failures single|dual|srlg:file=F] [-router SPEC] [-o FILE]")
+		fmt.Fprintln(os.Stderr, "usage: spef critlinks -topology SPEC [-demands SPEC] [-load L] [-failures single|dual|srlg:file=F] [-router SPEC] [-iters N] [-workers N] [-o FILE]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {

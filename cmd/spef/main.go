@@ -9,7 +9,7 @@
 //	spef suite -spec FILE -shard 0/4 -o shard0.jsonl [-checkpoint N]
 //	spef merge [-format jsonl|csv|table] [-o FILE] shard0.jsonl shard1.jsonl ...
 //	spef serve [-addr HOST:PORT] [-load SPEC,...]
-//	spef critlinks -topology SPEC [-failures single|dual|srlg:file=F] [-router SPEC]
+//	spef critlinks -topology SPEC [-failures single|dual|srlg:file=F] [-router SPEC] [-iters N] [-workers N]
 //	spef catalog [-markdown]
 //	spef bench [-quick] [-o FILE] [-check BASELINE [-tol F] [-abs]]
 //	spef optimize [-in FILE] [-beta B] [-iters N] [-load L] [-integer]
@@ -65,7 +65,7 @@ var commands = []struct {
 	}, suiteMain},
 	{"merge", []string{"merge [-format jsonl|csv|table] [-o FILE] SHARD.jsonl ..."}, mergeMain},
 	{"serve", []string{"serve [-addr HOST:PORT] [-load SPEC,...]"}, serveMain},
-	{"critlinks", []string{"critlinks -topology SPEC [-failures single|dual|srlg:file=F] [-router SPEC]"}, critlinksMain},
+	{"critlinks", []string{"critlinks -topology SPEC [-failures single|dual|srlg:file=F] [-router SPEC] [-iters N] [-workers N]"}, critlinksMain},
 	{"catalog", []string{"catalog [-markdown]"}, catalogMain},
 	{"bench", []string{"bench [-quick] [-o FILE] [-check BASELINE [-tol F] [-abs]]"}, benchMain},
 	{"optimize", []string{"optimize [-in FILE] [-beta B] [-iters N] [-load L] [-integer]"}, optimizeMain},

@@ -178,8 +178,8 @@ func (m *Matrix) Destinations() []int {
 
 // IsDestination reports whether node t receives positive demand, that
 // is, whether t is in Destinations, without building the list. It reads
-// the cached fingerprint: every entry is non-negative, so t's column sum
-// is positive exactly when some entry of the column is.
+// the cached fingerprint: every entry is finite and non-negative, so t's
+// column sum is positive exactly when some entry of the column is.
 func (m *Matrix) IsDestination(t int) bool {
 	return m.Fingerprint().PerDest[t] > 0
 }
