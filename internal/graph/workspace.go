@@ -154,8 +154,7 @@ func (d *DAG) Reserve(g *Graph) {
 
 // Clone returns a deep copy of the DAG that is independent of any
 // workspace arena — the form to retain when the DAG was produced by a
-// workspace-backed builder. Every Out list is a window of one array,
-// cut to its length so an append to one list never reaches the next.
+// workspace-backed builder.
 func (d *DAG) Clone() *DAG {
 	c := &DAG{
 		Dst:   d.Dst,
@@ -164,16 +163,8 @@ func (d *DAG) Clone() *DAG {
 		Tol:   d.Tol,
 		order: append([]int(nil), d.order...),
 	}
-	links := 0
-	for _, out := range d.Out {
-		links += len(out)
-	}
-	slab := make([]int, links)
-	for u, out := range d.Out {
-		if len(out) > 0 {
-			c.Out[u], slab = slab[:len(out):len(out)], slab[len(out):]
-			copy(c.Out[u], out)
-		}
+	for u := range d.Out {
+		c.Out[u] = append([]int(nil), d.Out[u]...)
 	}
 	return c
 }

@@ -3,7 +3,6 @@ package routing
 import (
 	"errors"
 	"math"
-	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -265,31 +264,5 @@ func TestFlowWithoutSplitsFails(t *testing.T) {
 	}
 	if _, err := Flow(g, o.DAGs, nil, tm); err == nil {
 		t.Error("nil split ratios accepted")
-	}
-}
-
-// TestBuildOSPFAllocsCernet2 pins the allocations of one Cernet2 OSPF
-// build over every destination on one thread: each destination keeps
-// a clone of its DAG, whose Out lists share one array, and its split
-// vector. With one array per node's Out list it made about 500.
-func TestBuildOSPFAllocsCernet2(t *testing.T) {
-	if raceEnabled {
-		t.Skip("-race makes sync.Pool drop workspaces at random")
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	g := topo.Cernet2()
-	dests := make([]int, g.NumNodes())
-	for i := range dests {
-		dests[i] = i
-	}
-	build := func() {
-		if _, err := BuildOSPF(g, dests, nil, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	build()
-	const limit = 150
-	if allocs := testing.AllocsPerRun(10, build); allocs > limit {
-		t.Errorf("%v allocations per Cernet2 OSPF build, want at most %d", allocs, limit)
 	}
 }
