@@ -165,12 +165,18 @@ func (m *Matrix) Demands() []Demand {
 }
 
 // Destinations lists the distinct destination nodes with positive inbound
-// demand, in increasing order (the commodity set D of the paper).
+// demand, in increasing order (the commodity set D of the paper). It
+// scans the columns instead of building the fingerprint, so a matrix
+// read once, like each step of a demand sequence, allocates only the
+// list.
 func (m *Matrix) Destinations() []int {
 	var out []int
 	for t := 0; t < m.n; t++ {
-		if m.IsDestination(t) {
-			out = append(out, t)
+		for s := 0; s < m.n; s++ {
+			if m.d[s*m.n+t] > 0 {
+				out = append(out, t)
+				break
+			}
 		}
 	}
 	return out

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -321,11 +322,13 @@ func TestFingerprintMatches(t *testing.T) {
 }
 
 // TestIsDestinationMatchesColumnScan checks IsDestination, which reads
-// the cached fingerprint, against a scan of the column on random sparse
-// matrices with subnormal, ordinary and huge entries, and again after
-// each mutator: Set (to zero too), Add and Scale, whose small factors
-// flush subnormal entries to zero and whose large ones would overflow
-// huge entries.
+// the cached fingerprint, and Destinations against a scan of the column
+// on random sparse matrices with subnormal, ordinary and huge entries,
+// and again after each mutator: Set (to zero too), Add and Scale, whose
+// small factors flush subnormal entries to zero and whose large ones
+// would overflow huge entries. Destinations must leave the fingerprint
+// unbuilt: a demand step lists a fresh matrix's destinations once, and
+// building the fingerprint there would cost it two allocations.
 func TestIsDestinationMatchesColumnScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	entry := func() float64 {
@@ -340,14 +343,26 @@ func TestIsDestinationMatchesColumnScan(t *testing.T) {
 	}
 	check := func(m *Matrix, step string) {
 		t.Helper()
+		m.fp.Store(nil) // a refused Add or Scale keeps the last check's fingerprint
+		dests := m.Destinations()
+		if m.fp.Load() != nil {
+			t.Fatalf("%s: Destinations built the fingerprint", step)
+		}
+		var want []int
 		for c := 0; c < m.Size(); c++ {
 			scan := false
 			for s := 0; s < m.Size(); s++ {
 				scan = scan || m.At(s, c) > 0
 			}
+			if scan {
+				want = append(want, c)
+			}
 			if got := m.IsDestination(c); got != scan {
 				t.Fatalf("%s: IsDestination(%d) = %v, column scan %v", step, c, got, scan)
 			}
+		}
+		if !slices.Equal(dests, want) {
+			t.Fatalf("%s: Destinations() = %v, column scan %v", step, dests, want)
 		}
 	}
 	for trial := 0; trial < 200; trial++ {
