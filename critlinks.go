@@ -86,12 +86,12 @@ type CriticalLink struct {
 // and only the destinations whose DAG held them are re-routed. In dual
 // mode each worker commits a unit's failure on an engine of its own and
 // scores each partner as a what-if of the partner's links alone, and a
-// table shared by the rows scores every pair of units at most once, so
-// the O(pairs^2) sweep re-routes neither a unit's own failure per
-// partner nor a pair twice. Units whose failure strands a positive
-// demand rank with +Inf regret: where the scenario Grid must skip
-// unroutable variants (no scheme can be compared on them), a
-// criticality ranking wants them on top.
+// table shared by the rows keeps every scored pair for the partner's
+// row, so the O(pairs^2) sweep re-routes neither a unit's own failure
+// per partner nor, unless two rows reach it at once, a pair twice.
+// Units whose failure strands a positive demand rank with +Inf regret:
+// where the scenario Grid must skip unroutable variants (no scheme can
+// be compared on them), a criticality ranking wants them on top.
 func RankCriticalLinks(ctx context.Context, n *Network, d *Demands, opts CriticalLinksOptions) ([]CriticalLink, error) {
 	if err := checkDemands(n, d); err != nil {
 		return nil, err
