@@ -115,17 +115,12 @@ func (m *Matrix) Set(s, t int, v float64) error {
 	return nil
 }
 
-// Add accumulates v onto the (s,t) entry. A sum that overflows is
-// rejected with the entry untouched, so every entry stays finite.
+// Add accumulates v onto the (s,t) entry.
 func (m *Matrix) Add(s, t int, v float64) error {
 	if err := m.check(s, t, v); err != nil {
 		return err
 	}
-	sum := m.d[s*m.n+t] + v
-	if math.IsInf(sum, 0) {
-		return fmt.Errorf("%w: volume %v overflows entry (%d,%d)", ErrBadDemand, v, s, t)
-	}
-	m.d[s*m.n+t] = sum
+	m.d[s*m.n+t] += v
 	m.fp.Store(nil)
 	return nil
 }
@@ -165,29 +160,26 @@ func (m *Matrix) Demands() []Demand {
 }
 
 // Destinations lists the distinct destination nodes with positive inbound
-// demand, in increasing order (the commodity set D of the paper). It
-// scans the columns instead of building the fingerprint, so a matrix
-// read once, like each step of a demand sequence, allocates only the
-// list.
+// demand, in increasing order (the commodity set D of the paper).
 func (m *Matrix) Destinations() []int {
 	var out []int
 	for t := 0; t < m.n; t++ {
-		for s := 0; s < m.n; s++ {
-			if m.d[s*m.n+t] > 0 {
-				out = append(out, t)
-				break
-			}
+		if m.IsDestination(t) {
+			out = append(out, t)
 		}
 	}
 	return out
 }
 
 // IsDestination reports whether node t receives positive demand, that
-// is, whether t is in Destinations, without building the list. It reads
-// the cached fingerprint: every entry is finite and non-negative, so t's
-// column sum is positive exactly when some entry of the column is.
+// is, whether t is in Destinations, without building the list.
 func (m *Matrix) IsDestination(t int) bool {
-	return m.Fingerprint().PerDest[t] > 0
+	for s := 0; s < m.n; s++ {
+		if m.At(s, t) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // ToDestination returns the per-source demand vector d^t for destination
@@ -207,19 +199,10 @@ func (m *Matrix) ToDestinationInto(t int, out []float64) []float64 {
 	return out
 }
 
-// Scale multiplies every entry by factor (factor >= 0). A factor that
-// overflows the largest entry is rejected with the matrix untouched, so
-// every entry stays finite.
+// Scale multiplies every entry by factor (factor >= 0).
 func (m *Matrix) Scale(factor float64) error {
 	if factor < 0 || math.IsNaN(factor) || math.IsInf(factor, 0) {
 		return fmt.Errorf("%w: scale factor %v", ErrBadDemand, factor)
-	}
-	top := 0.0
-	for _, v := range m.d {
-		top = max(top, v)
-	}
-	if math.IsInf(top*factor, 0) {
-		return fmt.Errorf("%w: scale factor %v overflows volume %v", ErrBadDemand, factor, top)
 	}
 	for i := range m.d {
 		m.d[i] *= factor
