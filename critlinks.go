@@ -35,9 +35,7 @@ type CriticalLinksOptions struct {
 	// the ospf-ls families); others return an error.
 	Router Router
 	// Workers bounds concurrent variant evaluations (<= 0 selects
-	// GOMAXPROCS). Results are identical for any worker count. In dual
-	// mode each worker holds a warm delta engine of its own, so memory
-	// grows by one engine per worker.
+	// GOMAXPROCS). Results are identical for any worker count.
 	Workers int
 }
 
@@ -70,28 +68,25 @@ type CriticalLink struct {
 	// single/srlg modes, and in dual mode when the unit's own failure is
 	// already the worst case).
 	WorstWith string
-	// Runtime is the wall-clock time of the unit's own row: its
-	// failure what-if (single/srlg), or its committed failure, the
-	// pairings it scored itself and the restore (dual). A pairing
-	// another row already scored costs this row only a table read.
+	// Runtime is the wall-clock time of the unit's own evaluation: its
+	// failure what-if and, in dual mode, the pairings its row scored. A
+	// pairing the partner's row already scored costs only a table read.
 	Runtime time.Duration
 }
 
 // RankCriticalLinks scores every failure unit of the topology by the
 // MLU regret the deployed weights suffer under its failure and returns
 // the units sorted by regret, descending — Balon & Leduc's observation
-// that links are not equally critical, as an analysis surface. Single
-// and SRLG variants are failure what-ifs on one shared warm delta
-// engine: the failed links go to weight +Inf in a per-worker scratch,
-// and only the destinations whose DAG held them are re-routed. In dual
-// mode each worker commits a unit's failure on an engine of its own and
-// scores each partner as a what-if of the partner's links alone, and a
-// table shared by the rows keeps every scored pair for the partner's
-// row, so the O(pairs^2) sweep re-routes neither a unit's own failure
-// per partner nor, unless two rows reach it at once, a pair twice.
-// Units whose failure strands a positive demand rank with +Inf regret:
-// where the scenario Grid must skip unroutable variants (no scheme can
-// be compared on them), a criticality ranking wants them on top.
+// that links are not equally critical, as an analysis surface. Each
+// variant is a failure what-if on one shared warm delta engine: the
+// failed links go to weight +Inf in a per-worker scratch, and only the
+// destinations whose DAG held them are re-routed. The dual mode's
+// O(pairs^2) sweep also keeps every pairing it scores in a table shared
+// by the rows, so a unit's row reads the pairings its partners' rows
+// already scored instead of scoring them again. Units whose
+// failure strands a positive demand rank with +Inf regret: where the
+// scenario Grid must skip unroutable variants (no scheme can be
+// compared on them), a criticality ranking wants them on top.
 func RankCriticalLinks(ctx context.Context, n *Network, d *Demands, opts CriticalLinksOptions) ([]CriticalLink, error) {
 	if err := checkDemands(n, d); err != nil {
 		return nil, err
@@ -128,12 +123,8 @@ func RankCriticalLinks(ctx context.Context, n *Network, d *Demands, opts Critica
 		return nil, nil
 	}
 
-	// Each worker checks a warm engine and a private scratch in and out
-	// of the pool. Single and SRLG what-ifs only read the one shared
-	// engine; a dual row commits its unit's failure, so in dual mode each
-	// worker owns an engine. scenario.Run runs at most cap(pool) rows at
-	// once, so a row that finds the pool empty may build the next worker:
-	// at most cap(pool) are built, and returning one never blocks.
+	// One warm engine shared by every worker, which only reads it; each
+	// worker checks a private scratch in and out of a channel.
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -143,26 +134,9 @@ func RankCriticalLinks(ctx context.Context, n *Network, d *Demands, opts Critica
 		return nil, asBadInput(err)
 	}
 	base := en.Metrics().MLU
-	type worker struct {
-		en *delta.Engine
-		s  *delta.Scratch
-	}
-	pool := make(chan worker, min(workers, len(units)))
-	pool <- worker{en, en.NewScratch()}
-	acquire := func() (worker, error) {
-		select {
-		case wk := <-pool:
-			return wk, nil
-		default:
-		}
-		wen := en
-		if dual {
-			var err error
-			if wen, err = delta.NewEngine(n.g, d.m, w); err != nil {
-				return worker{}, asBadInput(err)
-			}
-		}
-		return worker{wen, wen.NewScratch()}, nil
+	scratches := make(chan *delta.Scratch, min(workers, len(units)))
+	for range cap(scratches) {
+		scratches <- en.NewScratch()
 	}
 	var pairs *pairTable
 	if dual {
@@ -174,29 +148,47 @@ func RankCriticalLinks(ctx context.Context, n *Network, d *Demands, opts Critica
 		err error
 	}
 	job := func(ctx context.Context, i int) outcome {
-		wk, err := acquire()
-		if err != nil {
-			return outcome{err: err}
-		}
-		defer func() { pool <- wk }()
 		start := time.Now()
 		row := CriticalLink{Link: units[i].label, BaseMLU: base}
-		var worst float64
-		if dual {
-			if worst, row.WorstWith, err = pairs.worstPairing(wk.en, wk.s, units, i); err != nil {
-				return outcome{err: err}
+		s := <-scratches
+		defer func() { scratches <- s }()
+		worst, routable := failMLU(en, s, units[i].links)
+		worstWith := ""
+		if dual && routable {
+			// Worst pairing: scan partners in enumeration order; the
+			// first unroutable partner is conclusive (+Inf beats any
+			// finite MLU), strict > keeps ties on the earliest partner.
+			// A pairing the partner's row already scored is read from
+			// the table.
+			var pair []int
+			for j := range units {
+				if j == i {
+					continue
+				}
+				k := pairIndex(i, j)
+				sc, scored := pairs.load(k)
+				if !scored {
+					pair = append(append(pair[:0], units[i].links...), units[j].links...)
+					sc.mlu, sc.routable = failMLU(en, s, pair)
+					pairs.store(k, sc)
+				}
+				if sc.mlu > worst {
+					worst, worstWith = sc.mlu, units[j].label
+				}
+				if !sc.routable {
+					break
+				}
 			}
-		} else {
-			worst, _ = failMLU(wk.en, wk.s, units[i].links)
 		}
 		row.MLU = worst
 		row.Regret = worst - base
 		row.Routable = !math.IsInf(worst, 1)
+		row.WorstWith = worstWith
 		row.Runtime = time.Since(start)
 		return outcome{row: row}
 	}
 
-	outs := scenario.Run(ctx, len(units), workers, job,
+	outs := scenario.Run(ctx, len(units), opts.Workers, job,
 		func(i int) outcome { return outcome{err: ctx.Err()} }, nil)
 	rows := make([]CriticalLink, len(outs))
 	for i, o := range outs {
@@ -224,12 +216,15 @@ func failMLU(en *delta.Engine, s *delta.Scratch, links []int) (mlu float64, rout
 	return m.MLU, true
 }
 
-// pairTable holds the failure MLU of every pair of units the dual rows
-// have scored, so row i reads a pair that row j already scored. Every
-// score is deterministic, so which row fills an entry changes no bit.
+// pairTable keeps the failure MLU of every pair of units a dual row has
+// scored, so the partner's row reads it instead of scoring it again. A
+// what-if equals a from-scratch evaluation of its final weights, so a
+// pair's score does not depend on which of its two rows scored it, and
+// two rows that reach an unscored pair at once both score it to the
+// same bits.
 type pairTable struct {
 	mu     sync.Mutex
-	scores []pairScore // pair {a, b}, a < b, at b*(b-1)/2 + a
+	scores []pairScore // indexed by pairIndex
 }
 
 type pairScore struct {
@@ -237,49 +232,24 @@ type pairScore struct {
 	routable, done bool
 }
 
-// worstPairing is unit i's dual score: the worst MLU over its own
-// failure and its pairing with each other unit, and the partner of the
-// worst pairing ("" when the unit's own failure is the worst case). It
-// commits i's failure on en, which no other row may use meanwhile,
-// reads the single-failure MLU from the committed state, scores each
-// partner not yet in the table as a what-if of the partner's links
-// alone, and restores. The engine guarantees that a committed state
-// equals a from-scratch evaluation and that a what-if equals committing
-// its event, so each score equals the pair's failure from the intact
-// state, bit for bit, whichever unit of the pair was committed.
-// Partners are scanned in enumeration order: strict > keeps ties on
-// the earliest partner, and the first unroutable partner is conclusive
-// (+Inf beats any finite MLU).
-func (p *pairTable) worstPairing(en *delta.Engine, s *delta.Scratch, units []failureUnit, i int) (worst float64, worstWith string, err error) {
-	if en.FailLinks(units[i].links...) != nil {
-		// Refused with the state untouched: the failure strands demand.
-		return math.Inf(1), "", nil
-	}
-	worst = en.Metrics().MLU
-	for j := range units {
-		if j == i {
-			continue
-		}
-		a, b := min(i, j), max(i, j)
-		k := b*(b-1)/2 + a
-		p.mu.Lock()
-		sc := p.scores[k]
-		p.mu.Unlock()
-		if !sc.done {
-			sc.mlu, sc.routable = failMLU(en, s, units[j].links)
-			sc.done = true
-			p.mu.Lock()
-			p.scores[k] = sc
-			p.mu.Unlock()
-		}
-		if sc.mlu > worst {
-			worst, worstWith = sc.mlu, units[j].label
-		}
-		if !sc.routable {
-			break
-		}
-	}
-	return worst, worstWith, en.RestoreLinks(units[i].links...)
+// pairIndex is the slot of the unordered pair {i, j}, i != j.
+func pairIndex(i, j int) int {
+	a, b := min(i, j), max(i, j)
+	return b*(b-1)/2 + a
+}
+
+// load returns slot k's score and whether a row has scored it.
+func (p *pairTable) load(k int) (pairScore, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.scores[k], p.scores[k].done
+}
+
+func (p *pairTable) store(k int, sc pairScore) {
+	sc.done = true
+	p.mu.Lock()
+	p.scores[k] = sc
+	p.mu.Unlock()
 }
 
 // criticalLinkRecord is the JSONL row schema of WriteCriticalLinksJSONL
