@@ -246,11 +246,12 @@ func (p *pairTable) load(k int) pairScore {
 	return p.scores[k]
 }
 
+// store records sc as slot k's score.
 func (p *pairTable) store(k int, sc pairScore) {
 	sc.done = true
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.scores[k] = sc
-	p.mu.Unlock()
 }
 
 // criticalLinkRecord is the JSONL row schema of WriteCriticalLinksJSONL
